@@ -2,9 +2,16 @@
 
 The model code only needs a small closed set of operations (convolution,
 elementwise arithmetic, a few reductions, softmax, pooling and bilinear
-upsampling, 2-D matmul), so each operation carries two hand-written rules:
+upsampling, matmul), so each operation carries two hand-written rules:
 a VJP (for backward / vector-Jacobian products) and a JVP (forward tangent
 propagation over a recorded tape, used for matrix-free Jacobian products).
+
+A leading batch axis runs many samples through one node: ``conv2d`` takes
+C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
+matrices or equally long stacks of them.  ``conv2d`` lays the padded batch
+out once as a channel-major flat grid (C x N*Hp*Wp), where each kernel tap
+is a contiguous column slice; a 1x1 convolution is then one matmul and a
+k x k one a single matmul over the k*k stacked taps.
 
 There is no general broadcasting: binary operations require identical shapes,
 and the only mixed form is tensor-with-python-scalar. Shapes are validated
@@ -20,8 +27,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "tensor",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -41,7 +46,6 @@ __all__ = [
     "conv2d",
     "avg_pool2",
     "upsample2",
-    "backward",
     "linearize",
     "Linearization",
 ]
@@ -118,14 +122,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 class _Node:
@@ -231,10 +227,6 @@ class Tape:
             if leaf.grad is None:
                 leaf.grad = Tensor(np.zeros_like(leaf.data))
             leaf.grad.data += grads[key]
-
-
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable) -> Tensor:
@@ -388,12 +380,14 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose2d expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T.copy())
+    """Swap the last two axes of a matrix or of a stack of matrices."""
+    if a.data.ndim not in (2, 3):
+        raise ValueError(
+            f"transpose2d expects a matrix or a stack of them, got shape {a.data.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
     return _record(out, (a,),
-                   vjp=lambda g: (g.T,),
-                   jvp=lambda t: t[0].T)
+                   vjp=lambda g: (np.swapaxes(g, -1, -2),),
+                   jvp=lambda t: np.swapaxes(t[0], -1, -2))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -425,14 +419,21 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects matrices, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix product of two matrices, or of two equally long stacks of them."""
+    nd = a.data.ndim
+    if nd not in (2, 3) or b.data.ndim != nd:
         raise ValueError(
-            f"matmul: inner dimensions differ, {a.data.shape[1]} vs {b.data.shape[0]}")
+            f"matmul expects two matrices or two stacks, got {a.data.shape} @ {b.data.shape}")
+    if nd == 3 and a.data.shape[0] != b.data.shape[0]:
+        raise ValueError(
+            f"matmul: stack sizes differ, {a.data.shape[0]} vs {b.data.shape[0]}")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ValueError(
+            f"matmul: inner dimensions differ, {a.data.shape[-1]} vs {b.data.shape[-2]}")
     out = Tensor(a.data @ b.data)
     return _record(out, (a, b),
-                   vjp=lambda g: (g @ b.data.T, a.data.T @ g),
+                   vjp=lambda g: (g @ np.swapaxes(b.data, -1, -2),
+                                  np.swapaxes(a.data, -1, -2) @ g),
                    jvp=lambda t: _z(t[0], a.data) @ b.data + a.data @ _z(t[1], b.data))
 
 
@@ -440,34 +441,81 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution, pooling, upsampling
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    cin = xp.shape[0]
-    cols = np.empty((cin, k, k, oh, ow), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(cin * k * k, oh * ow)
+def _to_grid(a: np.ndarray, ph: int, pw: int, lead: int, length: int) -> np.ndarray:
+    """Channel-major flat grid C x length of an N x C x H x W array.
+
+    Sample n fills the top-left H x W corner of the n-th ph x pw cell, the
+    cells start ``lead`` columns in, and everything else is zero.  The zero
+    rows and columns that close each cell pad the sample below and to the
+    right and, read across the row or cell boundary, the next one above and
+    to the left.
+    """
+    n, c, h, w = a.shape
+    if lead == 0 and length == n * h * w and (h, w) == (ph, pw):
+        return a.transpose(1, 0, 2, 3).reshape(c, length)
+    g = np.zeros((c, length))
+    cells = g[:, lead:lead + n * ph * pw].reshape(c, n, ph, pw)
+    cells[:, :, :h, :w] = a.transpose(1, 0, 2, 3)
+    return g
 
 
-def _col2im(cols: np.ndarray, cin: int, hp: int, wp: int, k: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
-    xp = np.zeros((cin, hp, wp), dtype=np.float64)
-    cols = cols.reshape(cin, k, k, oh, ow)
-    for i in range(k):
-        for j in range(k):
-            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, i, j]
-    return xp
+def _from_grid(g: np.ndarray, n: int, ph: int, pw: int, h: int, w: int) -> np.ndarray:
+    """The N x C x h x w top-left corners of the first N cells of a flat grid."""
+    c = g.shape[0]
+    cells = g[:, :n * ph * pw].reshape(c, n, ph, pw)
+    return np.ascontiguousarray(cells[:, :, :h, :w].transpose(1, 0, 2, 3))
+
+
+def _gather(g: np.ndarray, offsets: list, span: int, c_dst: int) -> Optional[np.ndarray]:
+    """The k*k taps of a flat grid stacked into one (k*k*C) x span matrix, or
+    None where a matmul per tap is cheaper.
+
+    Tap (i, j) of the kernel reads the grid ``i * pw + j`` columns ahead,
+    where pw is the cell width, so each tap is one contiguous slice; row
+    ``t * C + c`` of the stack is channel c of tap t.
+    Stacking copies k*k*C_src values per column and saves the k*k - 1 sums
+    of C_dst values that separate matmuls need, so it is chosen when
+    C_src <= C_dst.
+    """
+    if len(offsets) == 1:
+        return g[:, :span]
+    if g.shape[0] > c_dst:
+        return None
+    return np.concatenate([g[:, o:o + span] for o in offsets], axis=0)
+
+
+def _tap_sum(mats: np.ndarray, g: Optional[np.ndarray], cols: Optional[np.ndarray],
+             offsets: list, span: int) -> np.ndarray:
+    """sum_t mats[t] @ g[:, o_t:o_t + span] for k*k tap matrices C_dst x C_src,
+    from the gathered taps ``cols`` when there are any, else tap by tap."""
+    kk, c_dst, c_src = mats.shape
+    if cols is not None:
+        return mats.transpose(1, 0, 2).reshape(c_dst, kk * c_src) @ cols
+    y = mats[0] @ g[:, :span]
+    for m, o in zip(mats[1:], offsets[1:]):
+        y += m @ g[:, o:o + span]
+    return y
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a C_in x H x W input with a C_out x C_in x k x k kernel."""
-    if x.data.ndim != 3:
-        raise ValueError(f"conv2d: input must be CxHxW, got shape {x.data.shape}")
+           padding: int = 0) -> Tensor:
+    """Cross-correlation of a C_in x H x W input, or an N x C_in x H x W batch,
+    with a C_out x C_in x k x k kernel at stride 1.
+
+    The padded input is laid out once as a channel-major flat grid shared by
+    the whole batch, where every kernel tap is a contiguous slice: a 1x1
+    convolution is one matmul, and a k x k one is a single matmul over the
+    stacked taps or one matmul per tap, whichever the channel counts make
+    cheaper.  The taps (or the grid) stay with the recorded node, so every
+    JVP/VJP replay reuses them.
+    """
+    if x.data.ndim not in (3, 4):
+        raise ValueError(
+            f"conv2d: input must be CxHxW or NxCxHxW, got shape {x.data.shape}")
     if w.data.ndim != 4:
         raise ValueError(f"conv2d: kernel must be C_out x C_in x k x k, got {w.data.shape}")
     cout, cin_k, kh, kw = w.data.shape
-    cin, h, wd = x.data.shape
+    cin, h, wd = x.data.shape[-3:]
     if kh != kw:
         raise ValueError(f"conv2d: kernel must be square, got {kh}x{kw}")
     if kh % 2 != 1:
@@ -476,48 +524,75 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         raise ValueError(f"conv2d: input has {cin} channels but kernel expects {cin_k}")
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.data.shape} != ({cout},)")
-    k, s, p = kh, int(stride), int(padding)
-    if s < 1:
-        raise ValueError(f"conv2d: stride must be positive, got {s}")
+    k, p = kh, int(padding)
     if p < 0:
         raise ValueError(f"conv2d: padding must be nonnegative, got {p}")
-    oh = (h + 2 * p - k) // s + 1
-    ow = (wd + 2 * p - k) // s + 1
+    oh = h + 2 * p - k + 1
+    ow = wd + 2 * p - k + 1
     if oh < 1 or ow < 1:
         raise ValueError(
             f"conv2d: output would be {oh}x{ow} for input {h}x{wd}, kernel {k}, "
-            f"stride {s}, padding {p}")
+            f"padding {p}")
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    hp, wp = xp.shape[1], xp.shape[2]
-    cols = _im2col(xp, k, s, oh, ow)
-    wmat = w.data.reshape(cout, cin * k * k)
-    out_data = (wmat @ cols).reshape(cout, oh, ow)
-    if b is not None:
-        out_data = out_data + b.data[:, None, None]
-    out = Tensor(out_data)
+    batched = x.data.ndim == 4
+    x4 = x.data if batched else x.data[None]
+    n = x4.shape[0]
+    # cells of (h + q) x (wd + q): q >= p zero rows and columns pad each
+    # sample, and a cell holds all oh x ow outputs of its sample
+    q = max(p, oh - h)
+    ph, pw = h + q, wd + q
+    span = n * ph * pw
+    lead = p * (pw + 1)                  # output (0, 0) reads from row -p, column -p
+    offsets = [i * pw + j for i in range(k) for j in range(k)]
+    grid = _to_grid(x4, ph, pw, lead, span + max(lead, offsets[-1]))
+    cols = _gather(grid, offsets, span, cout)
+    if cols is not None:
+        grid = None                      # replays read the taps only
+
+    def taps_of(wt):                     # C_out x C_in x k x k -> k*k x C_out x C_in
+        return wt.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
+
+    mats = taps_of(w.data)
+    # the adjoint correlates the output grid with the flipped, transposed taps
+    mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
+
+    def from_out_grid(y, bias):
+        res = _from_grid(y, n, ph, pw, oh, ow)
+        if bias is not None:
+            res += bias[:, None, None]
+        return res if batched else res[0]
+
+    out = Tensor(from_out_grid(_tap_sum(mats, grid, cols, offsets, span),
+                               None if b is None else b.data))
 
     def vjp(g):
-        gm = g.reshape(cout, oh * ow)
-        dw = (gm @ cols.T).reshape(w.data.shape)
-        dxp = _col2im(wmat.T @ gm, cin, hp, wp, k, s, oh, ow)
-        dx = dxp[:, p:hp - p, p:wp - p] if p else dxp
+        g4 = g if batched else g[None]
+        gg = _to_grid(g4, ph, pw, 0, span)
+        if cols is not None:
+            dw = (gg @ cols.T).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+        else:
+            dw = np.stack([gg @ grid[:, o:o + span].T for o in offsets]
+                          ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+        # input column c of the grid collects output columns c - o_t
+        gpad = _to_grid(g4, ph, pw, offsets[-1], offsets[-1] + span + lead)
+        dgrid = _tap_sum(mats_adj, gpad, _gather(gpad, offsets, span + lead, cin),
+                         offsets, span + lead)
+        dx = _from_grid(dgrid[:, lead:], n, ph, pw, h, wd)
+        dx = dx if batched else dx[0]
         if b is not None:
-            return dx, dw, g.sum(axis=(1, 2))
+            return dx, dw, g.sum(axis=(0, 2, 3) if batched else (1, 2))
         return dx, dw
 
     def jvp(t):
         dx, dw = t[0], t[1]
-        acc = np.zeros((cout, oh * ow), dtype=np.float64)
+        acc = np.zeros((cout, span))
         if dx is not None:
-            dxp = np.pad(dx, ((0, 0), (p, p), (p, p))) if p else dx
-            acc += wmat @ _im2col(dxp, k, s, oh, ow)
+            dgrid = _to_grid(dx if batched else dx[None], ph, pw, lead,
+                             span + max(lead, offsets[-1]))
+            acc += _tap_sum(mats, dgrid, _gather(dgrid, offsets, span, cout), offsets, span)
         if dw is not None:
-            acc += dw.reshape(cout, cin * k * k) @ cols
-        res = acc.reshape(cout, oh, ow)
-        if b is not None and t[2] is not None:
-            res = res + t[2][:, None, None]
-        return res
+            acc += _tap_sum(taps_of(dw), grid, cols, offsets, span)
+        return from_out_grid(acc, None if b is None else t[2])
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(out, inputs, vjp=vjp, jvp=jvp)

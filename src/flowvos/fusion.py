@@ -65,37 +65,39 @@ class FusionParams:
                 yield f"{prefix}.{name}", t
 
 
+def _flat(t: Tensor) -> Tensor:
+    """[N x] C x H x W viewed as [N x] C x HW."""
+    return ad.reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
+
+
 def attention_map(f_im: Tensor, f_fl: Tensor, params: FusionParams) -> Tensor:
-    """The C_v x C_k channel attention map; rows sum to 1."""
-    hw = f_im.shape[1] * f_im.shape[2]
-    k = ad.conv2d(f_im, params.wk)
-    v = ad.conv2d(f_fl, params.wv)
-    kf = ad.reshape(k, (k.shape[0], hw))
-    vf = ad.reshape(v, (v.shape[0], hw))
+    """The C_v x C_k channel attention map, one per sample of a batch; rows
+    sum to 1."""
+    hw = f_im.shape[-2] * f_im.shape[-1]
+    kf = _flat(ad.conv2d(f_im, params.wk))
+    vf = _flat(ad.conv2d(f_fl, params.wv))
     scores = ad.matmul(vf, ad.transpose2d(kf)) * (1.0 / np.sqrt(hw))
-    return ad.softmax(scores, axis=1)
+    return ad.softmax(scores, axis=-1)
 
 
 def fuse(f_im: Tensor, f_fl: Optional[Tensor], params: FusionParams) -> Tensor:
-    """Combine same-shape image and flow feature maps; output keeps f_im's shape."""
+    """Combine same-shape image and flow feature maps, C x H x W or batched
+    N x C x H x W; output keeps f_im's shape."""
     if params.mode == "none":
         return f_im
     if f_fl is None:
         raise ValueError(f"fusion mode {params.mode!r} needs flow features")
     if f_im.shape != f_fl.shape:
         raise ValueError(f"fuse: shape mismatch {f_im.shape} vs {f_fl.shape}")
-    if f_im.shape[0] != params.c_in:
+    if f_im.shape[-3] != params.c_in:
         raise ValueError(
-            f"fuse: expected {params.c_in} channels, got {f_im.shape[0]}")
+            f"fuse: expected {params.c_in} channels, got {f_im.shape[-3]}")
     if params.mode == "concat":
-        return ad.conv2d(ad.concat([f_im, f_fl], axis=0), params.wc)
+        return ad.conv2d(ad.concat([f_im, f_fl], axis=-3), params.wc)
     if params.mode == "attention":
-        c, h, w = f_im.shape
-        hw = h * w
-        q = ad.conv2d(f_fl, params.wq)
+        qf = _flat(ad.conv2d(f_fl, params.wq))
         m = attention_map(f_im, f_fl, params)
-        qf = ad.reshape(q, (q.shape[0], hw))
-        remapped = ad.matmul(m, qf)                       # C_v x HW
-        remapped = ad.reshape(remapped, (remapped.shape[0], h, w))
+        remapped = ad.matmul(m, qf)                       # [N x] C_v x HW
+        remapped = ad.reshape(remapped, remapped.shape[:-1] + f_im.shape[-2:])
         return ad.add(f_im, ad.conv2d(remapped, params.wo))
     raise ValueError(f"unknown fusion mode {params.mode!r}")

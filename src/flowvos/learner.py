@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionParams
-from .target_model import TargetModelParams, TargetSample, residual_and_loss
+from .target_model import (TargetModelParams, TargetSample, residual_and_loss,
+                           stack_samples)
 
 __all__ = [
     "NumericalError",
@@ -264,12 +265,11 @@ def optimize(params: TargetModelParams, buffer: MemoryBuffer,
     """Fit the target model to the buffer contents; loss never increases."""
     if len(buffer) == 0:
         raise ValueError("optimize: empty buffer")
-    samples, sample_weights = buffer.samples()
+    batch = stack_samples(*buffer.samples())
     tensors = params.tensors()
 
     def residual_fn(_):
-        r, _loss = residual_and_loss(samples, params, fusion,
-                                     sample_weights=sample_weights)
+        r, _loss = residual_and_loss([batch], params, fusion)
         return r
 
     if cfg.mode == "steepest_descent":

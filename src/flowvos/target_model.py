@@ -26,7 +26,10 @@ MID_CHANNELS = 32
 
 @dataclass
 class TargetSample:
-    """One regression sample: frozen level-3 features, target and weights."""
+    """One regression sample: frozen level-3 features, target and weights.
+
+    Every tensor is C x H x W, or N x C x H x W for a batch of samples.
+    """
 
     l3_im: Tensor
     l3_fl: Optional[Tensor]
@@ -89,7 +92,8 @@ def _filters(feat: Tensor, pair) -> Tensor:
 
 def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
           fusion: FusionParams) -> Tensor:
-    """Target representation f_tm from the level-3 features of both branches."""
+    """Target representation f_tm from the level-3 features of both branches,
+    one sample (C x H x W) or a batch (N x C x H x W)."""
     f_x = _filters(l3_im, params.tau1)
     if fusion.mode == "none":
         return fuse(f_x, None, fusion)
@@ -101,6 +105,30 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
     return fuse(f_x, f_f, fusion)
 
 
+def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
+    """The samples as one N x C x H x W batch, with the square root of each
+    sample weight folded into its importance weights.
+
+    A single batch with no sample weights comes back as it is.  The stacked
+    tensors are constants: no gradient flows back to the sample tensors.
+    """
+    if len(samples) == 1 and sample_weights is None and samples[0].l3_im.ndim == 4:
+        return samples[0]
+
+    def stack(tensors, scales=None):
+        arrs = [t.data if t.ndim == 4 else t.data[None] for t in tensors]
+        if scales is not None:
+            arrs = [a * sc for a, sc in zip(arrs, scales)]
+        return Tensor(np.concatenate(arrs))
+
+    roots = None if sample_weights is None else [float(np.sqrt(w)) for w in sample_weights]
+    with_flow = all(s.l3_fl is not None for s in samples)
+    return TargetSample(l3_im=stack([s.l3_im for s in samples]),
+                        l3_fl=stack([s.l3_fl for s in samples]) if with_flow else None,
+                        encoded=stack([s.encoded for s in samples]),
+                        weights=stack([s.weights for s in samples], roots))
+
+
 def residual_and_loss(samples: list, params: TargetModelParams,
                       fusion: FusionParams,
                       sample_weights: Optional[list] = None) -> tuple[Tensor, Tensor]:
@@ -108,19 +136,15 @@ def residual_and_loss(samples: list, params: TargetModelParams,
 
     Each sample contributes weights * (f_tm - encoded), scaled by the square
     root of its sample weight; the regularizer contributes sqrt(lambda) times
-    the flattened filters.
+    the flattened filters.  The samples run as one batch, so the recorded
+    tape has the same nodes for any number of samples.
     """
     if not samples:
         raise ValueError("residual_and_loss: empty sample set")
-    if sample_weights is None:
-        sample_weights = [1.0] * len(samples)
-    blocks = []
-    for s, sw in zip(samples, sample_weights):
-        f_tm = apply(s.l3_im, s.l3_fl, params, fusion)
-        block = ad.mul(s.weights, ad.sub(f_tm, s.encoded))
-        if sw != 1.0:
-            block = block * float(np.sqrt(sw))
-        blocks.append(ad.reshape(block, (block.size,)))
+    batch = stack_samples(samples, sample_weights)
+    f_tm = apply(batch.l3_im, batch.l3_fl, params, fusion)
+    block = ad.mul(batch.weights, ad.sub(f_tm, batch.encoded))
+    blocks = [ad.reshape(block, (block.size,))]
     if params.reg_lambda > 0.0:
         root = float(np.sqrt(params.reg_lambda))
         for t in params.tensors():

@@ -9,13 +9,13 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def conv2d_loops(x, w, stride=1, padding=0):
+def conv2d_loops(x, w, padding=0):
     """Brute-force nested-loop cross-correlation, the independent oracle."""
     cout, cin, k, _ = w.shape
     _, h, wd = x.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
+    oh = h + 2 * padding - k + 1
+    ow = wd + 2 * padding - k + 1
     out = np.zeros((cout, oh, ow))
     for co in range(cout):
         for oy in range(oh):
@@ -24,7 +24,7 @@ def conv2d_loops(x, w, stride=1, padding=0):
                 for ci in range(cin):
                     for i in range(k):
                         for j in range(k):
-                            acc += xp[ci, oy * stride + i, ox * stride + j] * w[co, ci, i, j]
+                            acc += xp[ci, oy + i, ox + j] * w[co, ci, i, j]
                 out[co, oy, ox] = acc
     return out
 

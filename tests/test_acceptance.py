@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see per-criterion
-lines.  Criterion 8 trains all three fusion modes on the synthetic
-distractor suite and is by far the slowest entry.
+lines.  Criterion 8, the ablation direction across fusion modes, has no
+test yet.
 """
 
 import time

@@ -32,15 +32,27 @@ class TestConv2d:
             cin = int(rng.integers(1, 4))
             cout = int(rng.integers(1, 4))
             k = int(rng.choice([1, 3, 5]))
-            stride = int(rng.choice([1, 2]))
             padding = int(rng.integers(0, 3))
             h = int(rng.integers(k, 9))
             wd = int(rng.integers(k, 9))
             x = rng.standard_normal((cin, h, wd))
             w = rng.standard_normal((cout, cin, k, k))
-            got = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
-            ref = conv2d_loops(x, w, stride=stride, padding=padding)
+            got = ad.conv2d(Tensor(x), Tensor(w), padding=padding).data
+            ref = conv2d_loops(x, w, padding=padding)
             np.testing.assert_allclose(got, ref, atol=1e-12)
+
+    def test_batched_loop_oracle(self, rng):
+        for k in (1, 3, 5):
+            for padding in range(3):
+                n = int(rng.integers(1, 4))
+                cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                h = int(rng.integers(max(1, k - 2 * padding), 9))
+                wd = int(rng.integers(max(1, k - 2 * padding), 9))
+                x = rng.standard_normal((n, cin, h, wd))
+                w = rng.standard_normal((cout, cin, k, k))
+                got = ad.conv2d(Tensor(x), Tensor(w), padding=padding).data
+                ref = np.stack([conv2d_loops(xi, w, padding=padding) for xi in x])
+                np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_bias(self, rng):
         x = rng.standard_normal((2, 4, 4))
@@ -241,6 +253,10 @@ def _op_cases(rng):
     xp = t((2, 4, 6))
     xu = t((1, 3, 3))
     xcat, ycat = t((2, 3)), t((1, 3))
+    xb = t((2, 3, 4, 5))
+    wb = t((2, 3, 3, 3))
+    xs, ys = t((2, 3, 4)), t((2, 4, 2))
+    xcb, ycb = t((2, 2, 3, 3)), t((2, 1, 3, 3))
     return [
         ("add", [x23a, x23b], lambda: ad.sumsq(ad.add(x23a, x23b))),
         ("sub", [x23a, x23b], lambda: ad.sumsq(ad.sub(x23a, x23b))),
@@ -259,6 +275,11 @@ def _op_cases(rng):
         ("reshape", [xc], lambda: ad.sumsq(ad.reshape(xc, (4, 8)))),
         ("concat", [xcat, ycat], lambda: ad.sumsq(ad.concat([xcat, ycat], axis=0))),
         ("conv2d", [xc, wc, bc], lambda: ad.sumsq(ad.conv2d(xc, wc, bc, padding=1))),
+        ("conv2d batched", [xb, wb], lambda: ad.sumsq(ad.conv2d(xb, wb, padding=1))),
+        ("matmul stacked", [xs, ys], lambda: ad.sumsq(ad.matmul(xs, ys))),
+        ("transpose2d stacked", [xs], lambda: ad.sumsq(ad.transpose2d(xs))),
+        ("concat axis -3", [xcb, ycb],
+         lambda: ad.sumsq(ad.concat([xcb, ycb], axis=-3))),
         ("avg_pool2", [xp], lambda: ad.sumsq(ad.avg_pool2(xp))),
         ("upsample2", [xu], lambda: ad.sumsq(ad.upsample2(xu))),
     ]
@@ -270,6 +291,37 @@ def test_every_op_backward_matches_fd(rng):
             check_backward_matches_fd(build, leaves)
         except AssertionError as e:
             raise AssertionError(f"op {name}: {e}") from e
+
+
+def _batched_cases(rng):
+    """(name, leaf shapes, op) for the ops that take a leading batch axis."""
+    return [
+        ("conv2d k3", [(3, 2, 5, 4), (4, 2, 3, 3), (4,)],
+         lambda x, w, b: ad.conv2d(x, w, b, padding=1)),
+        ("conv2d k1", [(2, 3, 4, 4), (5, 3, 1, 1)], lambda x, w: ad.conv2d(x, w)),
+        ("matmul stacked", [(3, 2, 4), (3, 4, 5)], ad.matmul),
+        ("transpose2d stacked", [(3, 2, 4)], ad.transpose2d),
+        ("concat axis -3", [(2, 3, 4, 4), (2, 1, 4, 4)],
+         lambda a, b: ad.concat([a, b], axis=-3)),
+    ]
+
+
+def test_batched_ops_jvp_matches_fd(rng):
+    h = 1e-6
+    for name, shapes, op in _batched_cases(rng):
+        x0 = [rng.standard_normal(s) for s in shapes]
+        leaves = [Tensor(a.copy()) for a in x0]
+        lin = ad.linearize(lambda ps: op(*ps), leaves)
+        v = [rng.standard_normal(s) for s in shapes]
+        fp = op(*[Tensor(a + h * d) for a, d in zip(x0, v)]).data
+        fm = op(*[Tensor(a - h * d) for a, d in zip(x0, v)]).data
+        fd = (fp - fm) / (2 * h)
+        jv = lin.jvp(v)[0]
+        assert np.max(np.abs(jv - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6, name
+        u = rng.standard_normal(jv.shape)          # <u, J v> = <J^T u, v>
+        lhs = np.sum(u * jv)
+        rhs = sum(np.sum(g * d) for g, d in zip(lin.vjp([u]), v))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), name
 
 
 class TestJvpVjp:

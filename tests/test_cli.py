@@ -7,6 +7,7 @@ import pytest
 from flowvos.cli import main
 from flowvos.config import parse_config_file
 from flowvos.data_io import load_sequence, read_pgm, write_pgm
+from flowvos.model import Model
 
 FAST_SET = ["--set", "learner.outer_iters_init=2",
             "--set", "learner.outer_iters_update=1",
@@ -124,6 +125,18 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(bad),
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("cut", [6, 14, 40])
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys, cut):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:cut])
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestAblate:

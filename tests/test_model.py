@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ class TestCheckpointContainer:
         save_named(p, {"x": rng.standard_normal(100)})
         p.write_bytes(p.read_bytes()[:-50])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_named(p)
+
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path, rng):
+        p = tmp_path / "ck.bin"
+        save_named(p, {"a.w": rng.standard_normal((2, 3)), "scalar": np.array(1.5)})
+        blob = p.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_named(cut)
+
+    @pytest.mark.parametrize("entry, match", [
+        (struct.pack("<H", 2) + b"\xff\xfe", "not UTF-8"),
+        (struct.pack("<H", 1) + b"x" + struct.pack("<Bq", 1, -1), "negative extent"),
+    ], ids=["non-utf8-name", "negative-extent"])
+    def test_malformed_entry_is_a_checkpoint_error(self, tmp_path, entry, match):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"FVOS" + struct.pack("<II", 1, 1) + entry + b"\x00" * 16)
+        with pytest.raises(CheckpointError, match=match):
             load_named(p)
 
 

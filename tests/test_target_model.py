@@ -135,3 +135,29 @@ class TestResidualAndLoss:
         for a, n in zip(analytic, numeric):
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
             assert np.max(np.abs(a - n) / denom) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
+    def test_batch_equals_scaled_single_residuals(self, rng, mode):
+        fp = FusionParams.init(rng, mode, 4)
+        if fp.wo is not None:
+            fp.wo.data[:] = rng.standard_normal(fp.wo.shape)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=mode != "none",
+                                           c_mid=3, reg_lambda=0.0)
+        samples = [make_sample(rng, with_flow=mode != "none") for _ in range(3)]
+        weights = [2.0, 0.81, 0.9]
+        r, _ = residual_and_loss(samples, tm, fp, sample_weights=weights)
+        singles = [residual_and_loss([s], tm, fp)[0].data * np.sqrt(sw)
+                   for s, sw in zip(samples, weights)]
+        np.testing.assert_allclose(r.data, np.concatenate(singles), rtol=0, atol=1e-12)
+
+    def test_tape_size_does_not_grow_with_samples(self, rng):
+        fp = FusionParams.init(rng, "attention", 4)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+
+        def nodes(count):
+            samples = [make_sample(rng) for _ in range(count)]
+            with Tape() as tape:
+                residual_and_loss(samples, tm, fp, sample_weights=[0.5] * count)
+            return len(tape.nodes)
+
+        assert nodes(8) == nodes(1)
