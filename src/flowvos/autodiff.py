@@ -553,8 +553,6 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         return wt.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
 
     mats = taps_of(w.data)
-    # the adjoint correlates the output grid with the flipped, transposed taps
-    mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
 
     def from_out_grid(y, bias):
         res = _from_grid(y, n, ph, pw, oh, ow)
@@ -566,15 +564,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                                None if b is None else b.data))
 
     def vjp(g):
-        g4 = g if batched else g[None]
-        gg = _to_grid(g4, ph, pw, 0, span)
+        # input column c of the grid collects output columns c - o_t: the
+        # output grid, shifted by the largest offset, correlated with the
+        # flipped, transposed taps
+        gpad = _to_grid(g if batched else g[None], ph, pw, offsets[-1],
+                        offsets[-1] + span + lead)
+        gg = gpad[:, offsets[-1]:offsets[-1] + span]
         if cols is not None:
             dw = (gg @ cols.T).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
         else:
             dw = np.stack([gg @ grid[:, o:o + span].T for o in offsets]
                           ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
-        # input column c of the grid collects output columns c - o_t
-        gpad = _to_grid(g4, ph, pw, offsets[-1], offsets[-1] + span + lead)
+        mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
         dgrid = _tap_sum(mats_adj, gpad, _gather(gpad, offsets, span + lead, cin),
                          offsets, span + lead)
         dx = _from_grid(dgrid[:, lead:], n, ph, pw, h, wd)
