@@ -8,10 +8,12 @@ propagation over a recorded tape, used for matrix-free Jacobian products).
 
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
-matrices or equally long stacks of them.  ``conv2d`` lays the padded batch
-out once as a channel-major flat grid (C x N*Hp*Wp), where each kernel tap
-is a contiguous column slice; a 1x1 convolution is then one matmul and a
-k x k one a single matmul over the k*k stacked taps.
+matrices or equally long stacks of them.  ``conv2d`` lays the batch out
+once as a channel-major flat grid, C x N*(H+p)*(W+p) for padding p, where
+neighbouring samples share their zero padding and each kernel tap is a
+contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
+one is a single matmul over the k*k stacked taps or one matmul per tap,
+whichever the channel counts make cheaper.
 
 There is no general broadcasting: binary operations require identical shapes,
 and the only mixed form is tensor-with-python-scalar. Shapes are validated
