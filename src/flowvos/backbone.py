@@ -1,15 +1,15 @@
-"""Multi-scale feature extractors and the mask encoders.
+"""Multi-scale feature extractors and the label encoding.
 
 The feature extractor is a small trainable stand-in for a pretrained
 backbone: four stages of [3x3 conv, relu, 2x2 average pool], so level k of
 the pyramid has spatial size H/2^k with channel widths (16, 32, 64, 64).
 Image and flow branches share this architecture but never share parameters.
 
-The label encoder and the importance weight generator share one architecture
-too: three downsampling stages to level-3 resolution followed by a linear
-3x3 projection to the label channels.  The weight generator squares its
-output, which makes the importance weights nonnegative for arbitrary
-parameters rather than as a training outcome.
+The target model's regression target has no parameters: the mask,
+average-pooled to level-3 resolution and tiled to the label channels, under
+importance weights of one.  Learned label and weight encoders, as in LWL,
+would only train through a differentiated inner fit, which the offline
+loop does not do.
 """
 
 from __future__ import annotations
@@ -72,46 +72,17 @@ def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
     return pyramid
 
 
-@dataclass
-class LabelEncoderParams:
-    stages: list          # three downsampling convs
-    proj: tuple           # final 3x3 conv to label channels
-    squared: bool = False  # importance-weight variant
-
-    @classmethod
-    def init(cls, rng, label_channels: int = LABEL_CHANNELS, width: int = 16,
-             squared: bool = False):
-        stages = [he_conv(rng, width, 1, 3),
-                  he_conv(rng, width, width, 3),
-                  he_conv(rng, width, width, 3)]
-        proj = he_conv(rng, label_channels, width, 3)
-        return cls(stages=stages, proj=proj, squared=squared)
-
-    def named_tensors(self, prefix: str):
-        for i, (w, b) in enumerate(self.stages):
-            yield f"{prefix}.stage{i + 1}.w", w
-            yield f"{prefix}.stage{i + 1}.b", b
-        yield f"{prefix}.proj.w", self.proj[0]
-        yield f"{prefix}.proj.b", self.proj[1]
-
-
-def encode_mask(mask: Tensor, params: LabelEncoderParams) -> Tensor:
-    """Map a 1xHxW mask to DxH/8xW/8; squared variant yields nonnegative maps."""
+def encode_label(mask: Tensor, label_channels: int = LABEL_CHANNELS
+                 ) -> tuple[Tensor, Tensor]:
+    """Regression target and importance weights for a 1xHxW mask: the mask
+    average-pooled to level 3 and tiled to ``label_channels``, and weights of
+    one, both label_channels x H/8 x W/8."""
     if mask.ndim != 3 or mask.shape[0] != 1:
-        raise ValueError(f"encode_mask: expected 1xHxW mask, got shape {mask.shape}")
+        raise ValueError(f"encode_label: expected 1xHxW mask, got shape {mask.shape}")
     h, w = mask.shape[1:]
-    if h % 8 or w % 8:
-        raise ValueError(f"encode_mask: spatial size {h}x{w} not divisible by 8")
-    cur = mask
-    for wk, bk in params.stages:
-        cur = ad.avg_pool2(ad.relu(ad.conv2d(cur, wk, bk, padding=1)))
-    out = ad.conv2d(cur, params.proj[0], params.proj[1], padding=1)
-    if params.squared:
-        out = ad.mul(out, out)
-    return out
-
-
-def encode_label(mask: Tensor, enc: LabelEncoderParams,
-                 wgt: LabelEncoderParams) -> tuple[Tensor, Tensor]:
-    """Encoded regression target and nonnegative importance weights for a mask."""
-    return encode_mask(mask, enc), encode_mask(mask, wgt)
+    div = 2 ** TARGET_LEVEL
+    if h % div or w % div:
+        raise ValueError(f"encode_label: spatial size {h}x{w} not divisible by {div}")
+    pooled = mask.data[0].reshape(h // div, div, w // div, div).mean(axis=(1, 3))
+    encoded = np.repeat(pooled[None], label_channels, axis=0)
+    return Tensor(encoded), Tensor(np.ones_like(encoded))

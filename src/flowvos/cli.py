@@ -8,6 +8,7 @@ failure.  All commands accept ``--config FILE`` (line-oriented key=value),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -176,9 +177,7 @@ def cmd_ablate(args) -> int:
 
     table = []
     for mode, label in ABLATION_MODES:
-        mode_cfg = make_config({"seed": str(cfg.seed)},
-                               {k: v for k, v in _cfg_as_raw(cfg).items()}
-                               | {"fusion.mode": mode})
+        mode_cfg = dataclasses.replace(cfg, fusion_mode=mode)
         _progress(f"[{label}] training ({mode}) ...")
         report = _ablate_one(mode, train_seqs, eval_seqs, mode_cfg)
         table.append((label, report))
@@ -200,16 +199,6 @@ def cmd_ablate(args) -> int:
     print(text, end="")
     print(f"report {args.out} (+ {csv_path})")
     return EXIT_OK
-
-
-def _cfg_as_raw(cfg) -> dict:
-    """Back-convert a RunConfig to raw key=value strings (for mode sweeps)."""
-    from .config import SCHEMA, _field_name
-    out = {}
-    for key in SCHEMA:
-        val = getattr(cfg, _field_name(key))
-        out[key] = str(val).lower() if isinstance(val, bool) else str(val)
-    return out
 
 
 def cmd_config(args) -> int:

@@ -55,8 +55,6 @@ SCHEMA = {
     "train.crop": (int, 64, "training crop size (multiple of 16)"),
     "train.aug_copies": (int, 2, "augmented copies of the reference frame"),
     "train.samples_per_seq": (int, 1, "training samples drawn per sequence per epoch"),
-    "train.through_optimizer_steps": (int, 0,
-                                      "unrolled inner steps to backprop through (0 only)"),
 }
 
 
@@ -84,7 +82,6 @@ class RunConfig:
     train_crop: int = 64
     train_aug_copies: int = 2
     train_samples_per_seq: int = 1
-    train_through_optimizer_steps: int = 0
 
 
 def _field_name(key: str) -> str:
@@ -141,11 +138,6 @@ def _validate(cfg: RunConfig) -> None:
             f"decoder.l1_source must be flow or image, got {cfg.decoder_l1_source!r}")
     if cfg.learner_mode not in ("gauss_newton", "steepest_descent"):
         raise ConfigError(f"invalid learner.mode {cfg.learner_mode!r}")
-    if cfg.train_through_optimizer_steps != 0:
-        raise ConfigError(
-            "train.through_optimizer_steps > 0 is not supported: backpropagating "
-            "through inner optimizer steps needs higher-order differentiation, "
-            "which the tensor core deliberately omits")
     if cfg.train_crop % 16 != 0:
         raise ConfigError(f"train.crop must be a multiple of 16, got {cfg.train_crop}")
     if cfg.flow_max_displacement <= 0:

@@ -54,13 +54,6 @@ def _check_finite(flow: FlowField) -> None:
         raise ValueError(f"non-finite flow {comp} component at pixel (x={x}, y={y})")
 
 
-def magnitude_channel(flow: FlowField) -> Tensor:
-    """Per-pixel Euclidean magnitude, 1xHxW."""
-    _check_finite(flow)
-    m = np.sqrt(flow.uv[0] ** 2 + flow.uv[1] ** 2)
-    return Tensor(m[None])
-
-
 def embed_flow(flow: FlowField, prescale: bool = False) -> Tensor:
     """Embed a flow field into the all-positive 3-channel representation."""
     _check_finite(flow)

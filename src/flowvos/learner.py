@@ -231,10 +231,6 @@ class MemoryBuffer:
     def __len__(self):
         return len(self._entries)
 
-    @property
-    def has_pinned(self) -> bool:
-        return any(e.pinned for e in self._entries)
-
     def add(self, sample: TargetSample, pinned: bool = False) -> None:
         if len(self._entries) >= self.capacity:
             for i, e in enumerate(self._entries):

@@ -1,10 +1,12 @@
 """Aggregate of all offline-trained parameters, with checkpoint round-trip.
 
-One model owns the image and flow feature extractors, the label encoder and
-importance weight generator, the fusion instances (one for the target model
-plus one per decoder pyramid level 2-4) and the decoder.  Everything is
-seeded deterministically from one integer, with independent named streams
-per component.
+One model owns the image feature extractor, the flow feature extractor
+(only in the modes that use flow), the fusion instances (one for the target
+model plus one per decoder pyramid level 2-4) and the decoder.  Every
+tensor it owns is trained offline; the target model's regression target is
+the parameter-free ``backbone.encode_label``.  Everything is seeded
+deterministically from one integer, with independent named streams per
+component.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import checkpoint
-from .backbone import (BACKBONE_CHANNELS, LABEL_CHANNELS, FeatureExtractorParams,
-                       LabelEncoderParams)
+from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, FeatureExtractorParams
 from .decoder import DecoderParams
 from .fusion import MODES, FusionParams
 
-_STREAMS = ("backbone_im", "backbone_fl", "label_enc", "weight_gen",
-            "fusion", "decoder")
+# Each component draws from the SeedSequence child at its position among
+# _CHILDREN.  Children 2 and 3 seeded learned label encoders, which are
+# gone; the positions stay so that a seed keeps building the same weights.
+_STREAMS = {"backbone_im": 0, "backbone_fl": 1, "fusion": 4, "decoder": 5}
+_CHILDREN = 6
 
 
 class Model:
@@ -30,17 +34,15 @@ class Model:
         self.fusion_mode = fusion_mode
         self.label_channels = label_channels
         self.channels = tuple(channels)
-        rngs = {name: np.random.default_rng(child) for name, child in
-                zip(_STREAMS, np.random.SeedSequence(seed).spawn(len(_STREAMS)))}
+        children = np.random.SeedSequence(seed).spawn(_CHILDREN)
+        rngs = {name: np.random.default_rng(children[i])
+                for name, i in _STREAMS.items()}
         self.backbone_im = FeatureExtractorParams.init(rngs["backbone_im"],
                                                        channels=self.channels)
-        self.backbone_fl = FeatureExtractorParams.init(rngs["backbone_fl"],
-                                                       channels=self.channels)
-        self.label_enc = LabelEncoderParams.init(rngs["label_enc"],
-                                                 label_channels=label_channels)
-        self.weight_gen = LabelEncoderParams.init(rngs["weight_gen"],
-                                                  label_channels=label_channels,
-                                                  squared=True)
+        self.backbone_fl = None
+        if self.uses_flow:
+            self.backbone_fl = FeatureExtractorParams.init(rngs["backbone_fl"],
+                                                           channels=self.channels)
         self.fusion_tm = FusionParams.init(rngs["fusion"], fusion_mode,
                                            label_channels)
         self.fusion_dec = {k: FusionParams.init(rngs["fusion"], fusion_mode,
@@ -56,9 +58,8 @@ class Model:
 
     def named_tensors(self):
         yield from self.backbone_im.named_tensors("backbone_im")
-        yield from self.backbone_fl.named_tensors("backbone_fl")
-        yield from self.label_enc.named_tensors("label_enc")
-        yield from self.weight_gen.named_tensors("weight_gen")
+        if self.backbone_fl is not None:
+            yield from self.backbone_fl.named_tensors("backbone_fl")
         yield from self.fusion_tm.named_tensors("fusion_tm")
         for k in (2, 3, 4):
             yield from self.fusion_dec[k].named_tensors(f"fusion_dec{k}")
@@ -88,7 +89,13 @@ class Model:
                 f"{path}: missing checkpoint entry {e.args[0]!r}") from None
         model = cls(fusion_mode=mode, seed=0, label_channels=label_channels,
                     channels=channels)
-        for name, t in model.named_tensors():
+        owned = dict(model.named_tensors())
+        for name in items:
+            if not name.startswith("meta/") and name not in owned:
+                raise checkpoint.CheckpointError(
+                    f"{path}: tensor {name!r} is not a parameter of a "
+                    f"{mode!r} model")
+        for name, t in owned.items():
             if name not in items:
                 raise checkpoint.CheckpointError(f"{path}: missing tensor {name!r}")
             if items[name].shape != t.data.shape:

@@ -122,8 +122,7 @@ def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
 
 def _object_sample(model: Model, pyr_im, pyr_fl, mask01: np.ndarray,
                    index: int) -> TargetSample:
-    enc, wgt = encode_label(Tensor(mask01[None]), model.label_enc,
-                            model.weight_gen)
+    enc, wgt = encode_label(Tensor(mask01[None]), model.label_channels)
     return TargetSample(l3_im=pyr_im[3], l3_fl=None if pyr_fl is None else pyr_fl[3],
                         encoded=enc, weights=wgt, frame_index=index)
 

@@ -4,10 +4,13 @@ Per branch the target model is two composed linear filters with no
 nonlinearity in between: a 1x1 channel-reducing convolution followed by a
 3x3 convolution back up to the label channels.  The image- and flow-branch
 outputs are combined by a fusion instance owned by the target model, and the
-result is regressed against the encoded label under per-pixel importance
-weights plus an L2 penalty on the filters.  The loss is represented through
-a stacked residual vector r with L = 0.5 * ||r||^2 exactly, which is what
-the Gauss-Newton learner differentiates.
+result is regressed against the label target of ``backbone.encode_label``
+(the mask pooled to level 3) under per-pixel importance weights, plus an L2
+penalty on the filters.  The importance weights are one until the samples
+are stacked, which folds in the square root of each sample's weight.  The
+loss is represented through a stacked residual vector r with
+L = 0.5 * ||r||^2 exactly, which is what the Gauss-Newton learner
+differentiates.
 """
 
 from __future__ import annotations
@@ -43,17 +46,6 @@ class TargetModelParams:
     tau1: tuple                      # (1x1 reduce, 3x3 expand) image filters
     tau2: Optional[tuple]            # flow filters; absent in mode "none"
     reg_lambda: float = 1e-2
-
-    @classmethod
-    def init_zero(cls, c_in: int, label_channels: int, with_flow: bool,
-                  c_mid: int = MID_CHANNELS, reg_lambda: float = 1e-2):
-        def pair():
-            a = Tensor(np.zeros((c_mid, c_in, 1, 1)), requires_grad=True)
-            b = Tensor(np.zeros((label_channels, c_mid, 3, 3)), requires_grad=True)
-            return a, b
-
-        return cls(tau1=pair(), tau2=pair() if with_flow else None,
-                   reg_lambda=reg_lambda)
 
     @classmethod
     def init_random(cls, rng, c_in: int, label_channels: int, with_flow: bool,

@@ -3,8 +3,7 @@ import pytest
 
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
-from flowvos.backbone import (FeatureExtractorParams, LabelEncoderParams,
-                              encode_label, encode_mask, extract, he_conv)
+from flowvos.backbone import FeatureExtractorParams, encode_label, extract, he_conv
 
 
 @pytest.fixture
@@ -62,39 +61,31 @@ class TestExtract:
 
 
 class TestLabelEncoder:
-    def test_weights_nonnegative_for_arbitrary_params(self, rng):
-        wgt = LabelEncoderParams.init(rng, squared=True)
-        # perturb parameters arbitrarily; nonnegativity is architectural
-        for _, t in wgt.named_tensors("w"):
-            t.data = rng.standard_normal(t.data.shape) * 3.0
-        mask = Tensor(rng.random((1, 32, 32)))
-        out = encode_mask(mask, wgt)
-        assert out.data.min() >= 0.0
+    def test_target_is_the_tiled_pooled_mask(self, rng):
+        mask = rng.random((1, 16, 24))
+        e, _ = encode_label(Tensor(mask), 5)
+        for y in range(2):
+            for x in range(3):
+                ref = mask[0, 8 * y:8 * y + 8, 8 * x:8 * x + 8].mean()
+                np.testing.assert_allclose(e.data[:, y, x], ref, rtol=1e-12)
 
-    def test_output_shape_d16(self, rng):
-        enc = LabelEncoderParams.init(rng)
-        wgt = LabelEncoderParams.init(rng, squared=True)
-        e, w = encode_label(Tensor(np.ones((1, 64, 64))), enc, wgt)
+    def test_weights_are_one(self, rng):
+        _, w = encode_label(Tensor(rng.random((1, 32, 32))), 4)
+        np.testing.assert_array_equal(w.data, 1.0)
+
+    def test_output_shape_d16(self):
+        e, w = encode_label(Tensor(np.ones((1, 64, 64))))
         assert e.shape == (16, 8, 8)
         assert w.shape == (16, 8, 8)
 
-    def test_zero_vs_one_mask_encodings_differ(self, rng):
-        enc = LabelEncoderParams.init(rng)
-        e0 = encode_mask(Tensor(np.zeros((1, 32, 32))), enc)
-        e1 = encode_mask(Tensor(np.ones((1, 32, 32))), enc)
+    def test_zero_vs_one_mask_encodings_differ(self):
+        e0, _ = encode_label(Tensor(np.zeros((1, 32, 32))))
+        e1, _ = encode_label(Tensor(np.ones((1, 32, 32))))
         assert np.linalg.norm(e0.data - e1.data) > 0.0
 
-    def test_encoder_and_generator_share_architecture(self, rng):
-        enc = LabelEncoderParams.init(rng)
-        wgt = LabelEncoderParams.init(rng, squared=True)
-        enc_shapes = [t.data.shape for _, t in enc.named_tensors("e")]
-        wgt_shapes = [t.data.shape for _, t in wgt.named_tensors("w")]
-        assert enc_shapes == wgt_shapes
-
-    def test_resolution_mismatch_rejected(self, rng):
-        enc = LabelEncoderParams.init(rng)
+    def test_resolution_mismatch_rejected(self):
         with pytest.raises(ValueError, match="not divisible by 8"):
-            encode_mask(Tensor(np.zeros((1, 20, 20))), enc)
+            encode_label(Tensor(np.zeros((1, 20, 20))))
 
 
 def test_he_conv_scaling(rng):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from flowvos.checkpoint import load_named, save_named
 from flowvos.cli import main
 from flowvos.config import parse_config_file
 from flowvos.data_io import load_sequence, read_pgm, write_pgm
@@ -137,6 +138,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_checkpoint_with_foreign_tensor_is_data_error(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items["label_enc.stage1.w"] = np.zeros((16, 1, 3, 3))
+        save_named(ckpt, items)
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "label_enc.stage1.w" in err[0]
+        assert err[0].startswith("error:")
 
 
 class TestAblate:

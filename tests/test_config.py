@@ -64,10 +64,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="l1_source"):
             make_config({"seed": "1", "decoder.l1_source": "both"})
 
-    def test_through_optimizer_steps_rejected(self):
-        with pytest.raises(ConfigError, match="higher-order"):
-            make_config({"seed": "1", "train.through_optimizer_steps": "2"})
-
     def test_crop_multiple_of_16(self):
         with pytest.raises(ConfigError, match="multiple of 16"):
             make_config({"seed": "1", "train.crop": "50"})

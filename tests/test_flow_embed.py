@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowvos.flow_embed import ROTATION, FlowField, embed_flow, magnitude_channel
+from flowvos.flow_embed import ROTATION, FlowField, embed_flow
 
 
 def field(u, v):
@@ -74,20 +74,6 @@ class TestEmbedFlow:
 
 
 class TestMagnitude:
-    def test_pythagorean(self):
-        assert magnitude_channel(field(3, 4)).data[0, 0, 0] == 5.0
-
-    def test_zero(self):
-        assert magnitude_channel(field(0, 0)).data[0, 0, 0] == 0.0
-
-    def test_matches_scalar_oracle(self, rng):
-        uv = rng.standard_normal((2, 6, 7)) * 30.0
-        got = magnitude_channel(FlowField(uv)).data[0]
-        for y in range(6):
-            for x in range(7):
-                ref = (uv[0, y, x] ** 2 + uv[1, y, x] ** 2) ** 0.5
-                assert abs(got[y, x] - ref) < 1e-12
-
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="2xHxW"):
             FlowField(np.zeros((3, 4, 4)))

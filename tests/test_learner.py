@@ -120,7 +120,9 @@ class TestMemoryBuffer:
     def test_first_annotated_frame_pinned(self, rng):
         buf = MemoryBuffer()
         buf.add(self.sample(rng, 0), pinned=True)
-        assert len(buf) == 1 and buf.has_pinned
+        buf.add(self.sample(rng, 1))
+        _, weights = buf.samples()
+        assert weights == [buf.pinned_weight, 1.0]
 
     def test_capacity_and_pinned_survival(self, rng):
         buf = MemoryBuffer(capacity=8)

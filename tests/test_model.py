@@ -42,6 +42,15 @@ class TestCheckpointContainer:
             with pytest.raises(CheckpointError):
                 load_named(cut)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, rng):
+        p = tmp_path / "ck.bin"
+        old = {"a": rng.standard_normal(3)}
+        save_named(p, old)
+        with pytest.raises(UnicodeEncodeError):
+            save_named(p, {"a": np.zeros(3), "\udc80": np.zeros(2)})
+        np.testing.assert_array_equal(load_named(p)["a"], old["a"])
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.bin"]
+
     @pytest.mark.parametrize("entry, match", [
         (struct.pack("<H", 2) + b"\xff\xfe", "not UTF-8"),
         (struct.pack("<H", 1) + b"x" + struct.pack("<Bq", 1, -1), "negative extent"),
@@ -92,6 +101,15 @@ class TestModel:
         del items["decoder.head.w"]
         save_named(p, items)
         with pytest.raises(CheckpointError, match="decoder.head.w"):
+            Model.load(p)
+
+    def test_load_rejects_tensor_the_model_does_not_own(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items["label_enc.stage1.w"] = np.zeros((16, 1, 3, 3))
+        save_named(p, items)
+        with pytest.raises(CheckpointError, match="label_enc.stage1.w"):
             Model.load(p)
 
     def test_mode_none_has_no_fusion_tensors(self):

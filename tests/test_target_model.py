@@ -22,7 +22,9 @@ class TestApply:
     def test_zero_filters_zero_wo_gives_zero(self, rng):
         fp = FusionParams.init(rng, "attention", 4)
         fp.wo.data[:] = 0.0
-        tm = TargetModelParams.init_zero(6, 4, with_flow=True, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+        for t in tm.tensors():
+            t.data[:] = 0.0
         s = make_sample(rng)
         out = apply(s.l3_im, s.l3_fl, tm, fp)
         np.testing.assert_array_equal(out.data, 0.0)
