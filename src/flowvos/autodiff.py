@@ -626,51 +626,50 @@ def avg_pool2(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp=vjp, jvp=jvp)
 
 
-def _interp_coeffs(n_out: int, n_in: int):
-    # 2x bilinear, align_corners=False, edge clamped
-    pos = np.arange(n_out) / 2.0 - 0.25
-    i0 = np.floor(pos).astype(np.int64)
-    frac = pos - i0
-    i1 = np.clip(i0 + 1, 0, n_in - 1)
-    i0 = np.clip(i0, 0, n_in - 1)
-    return i0, i1, 1.0 - frac, frac
+def _at(axis: int, start, stop, step=None) -> tuple:
+    """Index of the slice start:stop:step along ``axis``."""
+    return (slice(None),) * axis + (slice(start, stop, step),)
 
 
-def _interp_axis(x: np.ndarray, axis: int, i0, i1, w0, w1) -> np.ndarray:
-    xm = np.moveaxis(x, axis, 0)
-    sh = (-1,) + (1,) * (xm.ndim - 1)
-    ym = w0.reshape(sh) * xm[i0] + w1.reshape(sh) * xm[i1]
-    return np.moveaxis(ym, 0, axis)
+def _up_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    near, far = 0.75 * x, 0.25 * x
+    n = x.shape[axis]
+    y = np.empty(x.shape[:axis] + (2 * n,) + x.shape[axis + 1:])
+    # output 2i is 0.25 x[i-1] + 0.75 x[i], with x[-1] clamped to x[0]
+    np.add(far[_at(axis, None, -1)], near[_at(axis, 1, None)], out=y[_at(axis, 2, None, 2)])
+    np.add(far[_at(axis, 0, 1)], near[_at(axis, 0, 1)], out=y[_at(axis, 0, 1)])
+    # output 2i+1 is 0.75 x[i] + 0.25 x[i+1], with x[n] clamped to x[n-1]
+    np.add(near[_at(axis, None, -1)], far[_at(axis, 1, None)], out=y[_at(axis, 1, -1, 2)])
+    np.add(near[_at(axis, -1, None)], far[_at(axis, -1, None)], out=y[_at(axis, -1, None)])
+    return y
 
 
-def _interp_axis_adj(g: np.ndarray, axis: int, n_in: int, i0, i1, w0, w1) -> np.ndarray:
-    gm = np.moveaxis(g, axis, 0)
-    sh = (-1,) + (1,) * (gm.ndim - 1)
-    res = np.zeros((n_in,) + gm.shape[1:], dtype=np.float64)
-    np.add.at(res, i0, w0.reshape(sh) * gm)
-    np.add.at(res, i1, w1.reshape(sh) * gm)
-    return np.moveaxis(res, 0, axis)
+def _up_axis_adj(g: np.ndarray, axis: int) -> np.ndarray:
+    # the transposed stencil: x[i] takes 0.75 of outputs 2i and 2i+1 and 0.25
+    # of outputs 2i-1 and 2i+2; at the edges the clamped taps land on x[0]
+    # and x[n-1]
+    even, odd = g[_at(axis, 0, None, 2)], g[_at(axis, 1, None, 2)]
+    x = 0.75 * (even + odd)
+    x[_at(axis, None, -1)] += 0.25 * even[_at(axis, 1, None)]
+    x[_at(axis, 1, None)] += 0.25 * odd[_at(axis, None, -1)]
+    x[_at(axis, 0, 1)] += 0.25 * even[_at(axis, 0, 1)]
+    x[_at(axis, -1, None)] += 0.25 * odd[_at(axis, -1, None)]
+    return x
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """2x bilinear upsampling of a CxHxW tensor (align_corners=False)."""
+    """2x bilinear upsampling of a CxHxW tensor (align_corners=False, edges
+    clamped): the two-tap stencil 0.25/0.75 along rows, then along columns."""
     if x.data.ndim != 3:
         raise ValueError(f"upsample2: input must be CxHxW, got shape {x.data.shape}")
-    c, h, w = x.data.shape
-    rid0, rid1, rw0, rw1 = _interp_coeffs(2 * h, h)
-    cid0, cid1, cw0, cw1 = _interp_coeffs(2 * w, w)
 
     def fwd(d):
-        y = _interp_axis(d, 1, rid0, rid1, rw0, rw1)
-        return _interp_axis(y, 2, cid0, cid1, cw0, cw1)
-
-    out = Tensor(fwd(x.data))
+        return _up_axis(_up_axis(d, 1), 2)
 
     def vjp(g):
-        y = _interp_axis_adj(g, 2, w, cid0, cid1, cw0, cw1)
-        return (_interp_axis_adj(y, 1, h, rid0, rid1, rw0, rw1),)
+        return (_up_axis_adj(_up_axis_adj(g, 2), 1),)
 
-    return _record(out, (x,), vjp=vjp, jvp=lambda t: fwd(t[0]))
+    return _record(Tensor(fwd(x.data)), (x,), vjp=vjp, jvp=lambda t: fwd(t[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,19 @@ class DataFormatError(Exception):
     """A file violates one of the documented on-disk formats."""
 
 
+def _read_payload(fh, size: int, path) -> bytes:
+    """Read the ``size`` payload bytes that follow a header.  The size is
+    checked against the bytes left in the file first, so absurd header
+    extents fail as a truncated payload instead of as a huge allocation."""
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if size > left:
+        raise DataFormatError(
+            f"{path}: truncated payload at byte offset {offset + left}, "
+            f"expected {offset + size} bytes total")
+    return fh.read(size)
+
+
 # ---------------------------------------------------------------------------
 # Middlebury .flo
 
@@ -76,12 +89,7 @@ def read_flo(path) -> FlowField:
         w, h = struct.unpack("<ii", head[4:12])
         if w < 1 or h < 1:
             raise DataFormatError(f"{path}: invalid extents {w}x{h} at byte offset 4")
-        need = 2 * 4 * w * h
-        payload = fh.read(need)
-        if len(payload) < need:
-            raise DataFormatError(
-                f"{path}: truncated payload at byte offset {12 + len(payload)}, "
-                f"expected {12 + need} bytes total")
+        payload = _read_payload(fh, 2 * 4 * w * h, path)
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2)
     uv = np.stack([data[:, :, 0], data[:, :, 1]]).astype(np.float64)
     return FlowField(uv)
@@ -106,12 +114,21 @@ def _read_pnm_header(fh, magic: bytes, path) -> tuple[int, int]:
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
             continue
+        start = fh.tell() - len(ch)
         while ch and not ch.isspace():
             tok += ch
             ch = fh.read(1)
         if not tok:
             raise DataFormatError(f"{path}: truncated header")
-        fields.append(int(tok))
+        try:
+            value = int(tok)
+        except ValueError:      # not a number, or too many digits to parse
+            value = 0
+        if value < 1:
+            raise DataFormatError(
+                f"{path}: header field {tok!r} at byte offset {start} is not a "
+                "positive integer")
+        fields.append(value)
     w, h, maxval = fields
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 supported, got {maxval}")
@@ -135,9 +152,7 @@ def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file as 3xHxW uint8."""
     with open(path, "rb") as fh:
         w, h = _read_pnm_header(fh, b"P6", path)
-        payload = fh.read(3 * w * h)
-        if len(payload) < 3 * w * h:
-            raise DataFormatError(f"{path}: truncated pixel data")
+        payload = _read_payload(fh, 3 * w * h, path)
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
 
 
@@ -156,9 +171,7 @@ def write_pgm(path, img: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         w, h = _read_pnm_header(fh, b"P5", path)
-        payload = fh.read(w * h)
-        if len(payload) < w * h:
-            raise DataFormatError(f"{path}: truncated pixel data")
+        payload = _read_payload(fh, w * h, path)
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 

@@ -3,8 +3,12 @@
 The decoder stem concatenates the (2x average pooled) target representation
 with the fused level-4 feature, then three refinement stages walk back up
 the pyramid, each one upsampling 2x, concatenating the fused skip feature of
-its level and applying two 3x3 conv + relu blocks.  A final 2x upsample and
-a 1x1 head produce one logit channel at the input resolution.
+its level and applying two 3x3 conv + relu blocks.  A 1x1 head then projects
+to one logit channel, and a final 2x upsample brings it to the input
+resolution.  The head is linear per pixel, the upsample is linear per
+channel with weights that sum to one, so this order gives the logits of
+head-after-upsample up to rounding while the last upsample moves one
+channel instead of the decoder width.
 
 Pyramid fusion applies one fusion instance per level to levels 2, 3 and 4.
 Level 1 is passed through unfused; which branch feeds it is a config toggle
@@ -102,5 +106,4 @@ def decode(f_tm: Tensor, fused: dict, params: DecoderParams) -> Tensor:
             raise ValueError(
                 f"decode: level {k} skip {skip.shape} does not match {x.shape}")
         x = _block(ad.concat([x, skip], axis=0), params.refine[k])
-    x = ad.upsample2(x)
-    return ad.conv2d(x, params.head[0], params.head[1])
+    return ad.upsample2(ad.conv2d(x, params.head[0], params.head[1]))

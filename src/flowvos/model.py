@@ -81,7 +81,12 @@ class Model:
     def load(cls, path) -> "Model":
         items = checkpoint.load_named(path)
         try:
-            mode = MODES[int(items["meta/fusion_mode"][0])]
+            code = items["meta/fusion_mode"]
+            if code.shape != (1,) or code[0] not in range(len(MODES)):
+                raise checkpoint.CheckpointError(
+                    f"{path}: meta/fusion_mode {code.tolist()} is not one of "
+                    f"the mode codes 0..{len(MODES) - 1}")
+            mode = MODES[int(code[0])]
             label_channels = int(items["meta/label_channels"][0])
             channels = tuple(int(c) for c in items["meta/channels"])
         except KeyError as e:

@@ -43,7 +43,6 @@ __all__ = [
     "learner_config",
     "infer_sequence",
     "train_offline",
-    "evaluate_offline",
     "Adam",
 ]
 
@@ -472,15 +471,3 @@ def train_offline(sequences: list, model: Model, cfg: RunConfig,
             log(f"epoch {epoch + 1}/{epochs}: loss {history[-1]:.4f}")
     return history
 
-
-def evaluate_offline(sequences: list, model: Model, cfg: RunConfig,
-                     seed: int = 0) -> float:
-    """Mean decoder loss over a deterministic sample draw, without updates."""
-    lcfg = learner_config(cfg)
-    losses = []
-    for i, seq in enumerate(sequences):
-        rng = np.random.default_rng([seed, i])
-        sample = _draw_sample(seq, rng, cfg)
-        tau = _fit_reference(sample, model, cfg, lcfg, rng)
-        losses.append(_sample_loss(sample, tau, model, cfg).item())
-    return float(np.mean(losses))

@@ -29,6 +29,34 @@ def conv2d_loops(x, w, padding=0):
     return out
 
 
+def upsample2_loops(x):
+    """Scalar-loop 2x bilinear upsampling (align_corners=False, edges
+    clamped), rows then columns: output j reads input positions
+    floor(j/2 - 1/4) and the next one, clamped, weighted 1 - frac and frac."""
+
+    def taps(n_in, j):
+        pos = j / 2.0 - 0.25
+        i0 = int(np.floor(pos))
+        frac = pos - i0
+        return (min(max(i0, 0), n_in - 1), min(i0 + 1, n_in - 1),
+                1.0 - frac, frac)
+
+    c, h, w = x.shape
+    rows = np.zeros((c, 2 * h, w))
+    for ci in range(c):
+        for j in range(2 * h):
+            i0, i1, w0, w1 = taps(h, j)
+            for k in range(w):
+                rows[ci, j, k] = w0 * x[ci, i0, k] + w1 * x[ci, i1, k]
+    out = np.zeros((c, 2 * h, 2 * w))
+    for ci in range(c):
+        for j in range(2 * h):
+            for k in range(2 * w):
+                i0, i1, w0, w1 = taps(w, k)
+                out[ci, j, k] = w0 * rows[ci, j, i0] + w1 * rows[ci, j, i1]
+    return out
+
+
 def finite_diff_grads(fn, tensors, h=1e-5):
     """Central finite differences of a scalar-valued fn over every entry."""
     grads = []

@@ -4,7 +4,8 @@ import pytest
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 
-from conftest import check_backward_matches_fd, conv2d_loops, finite_diff_grads
+from conftest import (check_backward_matches_fd, conv2d_loops, finite_diff_grads,
+                      upsample2_loops)
 
 
 class TestConv2d:
@@ -154,6 +155,23 @@ class TestPoolUpsample:
         x = Tensor(np.array([[[0.0, 1.0]]]))
         out = ad.upsample2(x)
         np.testing.assert_allclose(out.data[0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 4, 6), (3, 1, 1), (2, 1, 4),
+                                       (1, 5, 1)], ids=str)
+    def test_upsample2_matches_loop_oracle_exactly(self, rng, shape):
+        x = rng.standard_normal(shape)
+        np.testing.assert_array_equal(ad.upsample2(Tensor(x)).data,
+                                      upsample2_loops(x))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 4, 6), (3, 1, 1), (2, 1, 4)],
+                             ids=str)
+    def test_upsample2_vjp_is_the_adjoint(self, rng, shape):
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal((shape[0], 2 * shape[1], 2 * shape[2]))
+        lin = ad.linearize(lambda ps: ad.upsample2(ps[0]), [Tensor(x)])
+        up_x = lin.jvp([x])[0]
+        up_t_g = lin.vjp([g])[0]
+        assert abs(np.vdot(up_x, g) - np.vdot(x, up_t_g)) < 1e-12
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -151,6 +152,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "label_enc.stage1.w" in err[0]
+        assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize("code", [7.0, -1.0, 1.5])
+    def test_checkpoint_with_bad_fusion_mode_is_data_error(self, tmp_path, capsys,
+                                                           code):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items["meta/fusion_mode"] = np.array([code])
+        save_named(ckpt, items)
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "meta/fusion_mode" in err[0]
+        assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize("w, h", [(2 ** 31 - 1, 2 ** 31 - 1), (60000, 60000)])
+    def test_flo_with_extents_beyond_the_file_is_data_error(self, tmp_path, capsys,
+                                                           w, h):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        flo = tmp_path / "d" / "flows" / "00002.flo"
+        raw = flo.read_bytes()
+        flo.write_bytes(raw[:4] + struct.pack("<ii", w, h) + raw[12:])
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "00002.flo" in err[0]
         assert err[0].startswith("error:")
 
 

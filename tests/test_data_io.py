@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ class TestFlo:
         write_flo(p, FlowField(np.zeros((2, 4, 4))))
         p.write_bytes(p.read_bytes()[:30])
         with pytest.raises(DataFormatError, match="truncated payload at byte offset 30"):
+            read_flo(p)
+
+    @pytest.mark.parametrize("w, h", [(2 ** 31 - 1, 2 ** 31 - 1), (60000, 60000),
+                                      (4, 5)])
+    def test_extents_beyond_the_file_rejected(self, tmp_path, w, h):
+        p = tmp_path / "big.flo"
+        p.write_bytes(struct.pack("<fii", 202021.25, w, h) + b"\x00" * 128)
+        with pytest.raises(DataFormatError,
+                           match=f"truncated payload at byte offset 140, "
+                                 f"expected {12 + 8 * w * h} bytes total"):
+            read_flo(p)
+
+    @pytest.mark.parametrize("w, h", [(0, 4), (4, -1)])
+    def test_nonpositive_extents_rejected(self, tmp_path, w, h):
+        p = tmp_path / "neg.flo"
+        p.write_bytes(struct.pack("<fii", 202021.25, w, h) + b"\x00" * 128)
+        with pytest.raises(DataFormatError, match="invalid extents.*byte offset 4"):
             read_flo(p)
 
     def test_2x2_is_44_bytes(self, tmp_path):
@@ -62,6 +81,33 @@ class TestPnm:
         p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
         with pytest.raises(DataFormatError, match="expected P5"):
             read_pgm(p)
+
+    @pytest.mark.parametrize("reader, magic, depth",
+                             [(read_ppm, b"P6", 3), (read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("w, h", [(2 ** 63, 2 ** 63), (60000, 60000), (4, 5)])
+    def test_extents_beyond_the_file_rejected(self, tmp_path, reader, magic,
+                                              depth, w, h):
+        p = tmp_path / "big.pnm"
+        head = magic + f"\n{w} {h}\n255\n".encode()
+        p.write_bytes(head + b"\x00" * 16)
+        with pytest.raises(DataFormatError,
+                           match=f"truncated payload at byte offset "
+                                 f"{len(head) + 16}, expected "
+                                 f"{len(head) + depth * w * h} bytes total"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("header, field, offset", [
+        (b"\n-3 2\n255\n", "-3", 3), (b"\n2 0\n255\n", "0", 5),
+        (b" 2 x2\n255\n", "x2", 5)])
+    def test_nonpositive_header_field_rejected(self, tmp_path, reader, magic,
+                                               header, field, offset):
+        p = tmp_path / "neg.pnm"
+        p.write_bytes(magic + header + b"\x00" * 16)
+        with pytest.raises(DataFormatError,
+                           match=f"header field b'{field}' at byte offset {offset} "
+                                 "is not a positive integer"):
+            reader(p)
 
     def test_header_comments_tolerated(self, tmp_path):
         p = tmp_path / "c.pgm"

@@ -97,6 +97,22 @@ class TestDecode:
         logits = decode(Tensor(rng.random((4, 4, 4))), fused, params)
         np.testing.assert_allclose(logits.data, 0.37, atol=1e-15)
 
+    def test_head_before_upsample_matches_head_after(self, rng):
+        pyr_im, pyr_fl = small_pyramids(rng)
+        fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
+        params = self.decoder(rng)
+        f_tm = Tensor(rng.random((4, 4, 4)))
+        x = ad.relu(ad.conv2d(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0),
+                              *params.stem[0], padding=1))
+        x = ad.relu(ad.conv2d(x, *params.stem[1], padding=1))
+        for k in (3, 2, 1):
+            x = ad.concat([ad.upsample2(x), fused[k]], axis=0)
+            for w, b in params.refine[k]:
+                x = ad.relu(ad.conv2d(x, w, b, padding=1))
+        after = ad.conv2d(ad.upsample2(x), *params.head)
+        np.testing.assert_allclose(decode(f_tm, fused, params).data, after.data,
+                                   rtol=0, atol=1e-12)
+
     def test_wrong_ftm_resolution_rejected(self, rng):
         pyr_im, pyr_fl = small_pyramids(rng)
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "none"))

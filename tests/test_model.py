@@ -112,6 +112,16 @@ class TestModel:
         with pytest.raises(CheckpointError, match="label_enc.stage1.w"):
             Model.load(p)
 
+    @pytest.mark.parametrize("code", [7.0, -1.0, 1.5])
+    def test_load_rejects_a_fusion_mode_code_out_of_range(self, tmp_path, code):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items["meta/fusion_mode"] = np.array([code])
+        save_named(p, items)
+        with pytest.raises(CheckpointError, match=r"meta/fusion_mode \[" + str(code)):
+            Model.load(p)
+
     def test_mode_none_has_no_fusion_tensors(self):
         m = Model(fusion_mode="none", seed=0)
         fusion_names = [n for n, _ in m.named_tensors() if n.startswith("fusion")]

@@ -12,8 +12,8 @@ from flowvos.flow_embed import FlowField
 from flowvos.model import Model
 from flowvos.pipeline import (Adam, FrameSet, TrainingSample, affine_frameset,
                               augment_frameset, balanced_bce_with_logits,
-                              bce_with_logits, evaluate_offline, flip_frameset,
-                              frame_sets, infer_sequence, train_offline,
+                              bce_with_logits, flip_frameset, frame_sets,
+                              infer_sequence, train_offline, _draw_sample,
                               _sample_loss, _detached, _fit_reference,
                               learner_config)
 
@@ -240,6 +240,18 @@ class TestInference:
             np.testing.assert_array_equal(x.probs, y.probs)
 
 
+def _evaluate_offline(sequences, model, cfg, seed=0):
+    """Mean decoder loss over a deterministic sample draw, without updates."""
+    lcfg = learner_config(cfg)
+    losses = []
+    for i, seq in enumerate(sequences):
+        rng = np.random.default_rng([seed, i])
+        sample = _draw_sample(seq, rng, cfg)
+        tau = _fit_reference(sample, model, cfg, lcfg, rng)
+        losses.append(_sample_loss(sample, tau, model, cfg).item())
+    return float(np.mean(losses))
+
+
 class TestTrainOffline:
     def test_loss_decreases_after_training(self, tmp_path):
         seqs = []
@@ -249,9 +261,9 @@ class TestTrainOffline:
             seqs.append(load_sequence(tmp_path / f"s{i}"))
         cfg = base_cfg(**{"train.epochs": 2, "train.lr": 3e-3})
         model = Model(fusion_mode="attention", seed=3)
-        before = evaluate_offline(seqs, model, cfg, seed=99)
+        before = _evaluate_offline(seqs, model, cfg, seed=99)
         history = train_offline(seqs, model, cfg)
-        after = evaluate_offline(seqs, model, cfg, seed=99)
+        after = _evaluate_offline(seqs, model, cfg, seed=99)
         assert len(history) == 2
         assert after < before
 
