@@ -6,6 +6,13 @@ upsampling, matmul), so each operation carries two hand-written rules:
 a VJP (for backward / vector-Jacobian products) and a JVP (forward tangent
 propagation over a recorded tape, used for matrix-free Jacobian products).
 
+A replay (``Tape.vjp``, ``Tape.jvp``, ``Tape.backward``) touches only the
+tape's live nodes: those that depend on the sources (the parameters, or
+every requires_grad leaf for ``backward``) and lead to the outputs.  Each
+VJP rule receives the mask of its inputs that need a gradient, so
+``conv2d`` skips its input correlation on a frozen input, such as features
+or a raw image, and its weight gradient on a constant kernel.
+
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
 matrices or equally long stacks of them.  ``conv2d`` lays the batch out
@@ -127,7 +134,13 @@ class Tensor:
 
 
 class _Node:
-    """One recorded operation: output, inputs, and its VJP/JVP rules."""
+    """One recorded operation: output, inputs, and its VJP/JVP rules.
+
+    ``vjp(g, need)`` returns one gradient per input, where ``need`` holds one
+    bool per input; a rule may skip the work for, and return None in place
+    of, an input whose entry is False.  ``jvp(tangents)`` gets None for every
+    input that carries no tangent.
+    """
 
     __slots__ = ("out", "inputs", "vjp", "jvp")
 
@@ -141,11 +154,26 @@ class _Node:
 _TAPE_STACK: list["Tape"] = []
 
 
+def _pull(plan: list, grads: dict) -> dict:
+    """Reverse sweep over a replay plan: pull the cotangents in ``grads``
+    (keyed by tensor id) back through it, adding to ``grads`` the gradient of
+    every input the plan marks as needing one."""
+    for node, need in reversed(plan):
+        g = grads.pop(id(node.out))      # every plan node leads to an output
+        for inp, n, ig in zip(node.inputs, need, node.vjp(g, need)):
+            if n:
+                key = id(inp)
+                grads[key] = grads[key] + ig if key in grads else ig
+    return grads
+
+
 class Tape:
     """Ordered record of executed operations, usable as a context manager.
 
     Recording order is a topological order of the computation, so one reverse
-    sweep visits every node exactly once after all of its consumers.  A tape
+    sweep visits every node exactly once after all of its consumers.  Every
+    replay (``vjp``, ``jvp``, ``backward``) walks only the plan's live nodes:
+    those that depend on the sources and lead to the outputs.  A tape
     belongs to one logical thread; parallelism is only sound across
     independent tapes.
     """
@@ -162,9 +190,31 @@ class Tape:
         assert popped is self, "tape scopes must nest"
         return False
 
+    def plan(self, sources: Sequence[Tensor], outputs: Sequence[Tensor]) -> list:
+        """The replay plan from ``sources`` to ``outputs``: the nodes that
+        depend on a source and lead to an output, in recording order, each
+        with the mask of its inputs that depend on a source (the inputs that
+        carry a tangent forward and need a gradient back)."""
+        live = {id(s) for s in sources}
+        forward = []
+        for node in self.nodes:
+            need = tuple(id(i) in live for i in node.inputs)
+            if any(need):
+                live.add(id(node.out))
+                forward.append((node, need))
+        wanted = {id(o) for o in outputs}
+        plan = []
+        for node, need in reversed(forward):
+            if id(node.out) in wanted:
+                wanted.update(id(i) for i, n in zip(node.inputs, need) if n)
+                plan.append((node, need))
+        plan.reverse()
+        return plan
+
     def vjp(self, outputs: Sequence[Tensor], cotangents: Sequence[np.ndarray],
-            wrt: Sequence[Tensor]) -> list[np.ndarray]:
-        """Pull cotangents on ``outputs`` back to ``wrt``; pure, grad is untouched."""
+            wrt: Sequence[Tensor], plan: list) -> list[np.ndarray]:
+        """Pull cotangents on ``outputs`` back to ``wrt`` along ``plan``, which
+        is ``self.plan(wrt, outputs)``; pure, grad is untouched."""
         grads: dict[int, np.ndarray] = {}
         for out, cot in zip(outputs, cotangents):
             cot = np.asarray(cot, dtype=np.float64)
@@ -173,34 +223,22 @@ class Tape:
                     f"cotangent shape {cot.shape} != output shape {out.data.shape}")
             key = id(out)
             grads[key] = grads[key] + cot if key in grads else cot.copy()
-        for node in reversed(self.nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
-                continue
-            for inp, ig in zip(node.inputs, node.vjp(g)):
-                if ig is None:
-                    continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + ig
-                else:
-                    grads[key] = ig
+        _pull(plan, grads)
         return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]
 
     def jvp(self, wrt: Sequence[Tensor], tangents: Sequence[np.ndarray],
-            outputs: Sequence[Tensor]) -> list[np.ndarray]:
-        """Push tangents on ``wrt`` forward through the tape to ``outputs``."""
+            outputs: Sequence[Tensor], plan: list) -> list[np.ndarray]:
+        """Push tangents on ``wrt`` forward to ``outputs`` along ``plan``, which
+        is ``self.plan(wrt, outputs)``."""
         tans: dict[int, np.ndarray] = {}
         for w, t in zip(wrt, tangents):
             t = np.asarray(t, dtype=np.float64)
             if t.shape != w.data.shape:
                 raise ValueError(f"tangent shape {t.shape} != leaf shape {w.data.shape}")
             tans[id(w)] = t
-        for node in self.nodes:
-            in_tans = [tans.get(id(i)) for i in node.inputs]
-            if all(t is None for t in in_tans):
-                continue
-            tans[id(node.out)] = node.jvp(in_tans)
+        for node, need in plan:
+            tans[id(node.out)] = node.jvp(
+                [tans[id(i)] if n else None for i, n in zip(node.inputs, need)])
         return [tans.get(id(o), np.zeros_like(o.data)) for o in outputs]
 
     def backward(self, loss: Tensor) -> None:
@@ -209,26 +247,14 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        seen_leaves: dict[int, Tensor] = {}
-        for node in reversed(self.nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
-                continue
-            for inp, ig in zip(node.inputs, node.vjp(g)):
-                if ig is None:
-                    continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + ig
-                else:
-                    grads[key] = ig
-                if inp.requires_grad:
-                    seen_leaves[key] = inp
-        for key, leaf in seen_leaves.items():
-            if leaf.grad is None:
-                leaf.grad = Tensor(np.zeros_like(leaf.data))
-            leaf.grad.data += grads[key]
+        leaves = {id(i): i for node in self.nodes for i in node.inputs if i.requires_grad}
+        grads = _pull(self.plan(leaves.values(), [loss]),
+                      {id(loss): np.ones_like(loss.data)})
+        for key, leaf in leaves.items():
+            if key in grads:
+                if leaf.grad is None:
+                    leaf.grad = Tensor(np.zeros_like(leaf.data))
+                leaf.grad.data += grads[key]
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable) -> Tensor:
@@ -254,7 +280,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
     return _record(out, (a, b),
-                   vjp=lambda g: (g, g),
+                   vjp=lambda g, need: (g, g),
                    jvp=lambda t: _z(t[0], a.data) + _z(t[1], b.data))
 
 
@@ -262,7 +288,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
     return _record(out, (a, b),
-                   vjp=lambda g: (g, -g),
+                   vjp=lambda g, need: (g, -g if need[1] else None),
                    jvp=lambda t: _z(t[0], a.data) - _z(t[1], b.data))
 
 
@@ -271,7 +297,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
     return _record(out, (a, b),
-                   vjp=lambda g: (g * b.data, g * a.data),
+                   vjp=lambda g, need: (g * b.data if need[0] else None,
+                                        g * a.data if need[1] else None),
                    jvp=lambda t: _z(t[0], a.data) * b.data + a.data * _z(t[1], b.data))
 
 
@@ -279,21 +306,21 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data * s)
     return _record(out, (a,),
-                   vjp=lambda g: (g * s,),
+                   vjp=lambda g, need: (g * s,),
                    jvp=lambda t: t[0] * s)
 
 
 def add_scalar(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data + s)
-    return _record(out, (a,), vjp=lambda g: (g,), jvp=lambda t: t[0])
+    return _record(out, (a,), vjp=lambda g, need: (g,), jvp=lambda t: t[0])
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     out = Tensor(np.where(mask, a.data, 0.0))
     return _record(out, (a,),
-                   vjp=lambda g: (g * mask,),
+                   vjp=lambda g, need: (g * mask,),
                    jvp=lambda t: t[0] * mask)
 
 
@@ -305,7 +332,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(s)
     d = s * (1.0 - s)
     return _record(out, (a,),
-                   vjp=lambda g: (g * d,),
+                   vjp=lambda g, need: (g * d,),
                    jvp=lambda t: t[0] * d)
 
 
@@ -316,7 +343,7 @@ def softplus(a: Tensor) -> Tensor:
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return _record(out, (a,),
-                   vjp=lambda g: (g * s,),
+                   vjp=lambda g, need: (g * s,),
                    jvp=lambda t: t[0] * s)
 
 
@@ -329,7 +356,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     s = e / np.sum(e, axis=axis, keepdims=True)
     out = Tensor(s)
 
-    def vjp(g):
+    def vjp(g, need):
         return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
 
     def jvp(t):
@@ -346,7 +373,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(np.sum(a.data))
     return _record(out, (a,),
-                   vjp=lambda g: (np.full_like(a.data, float(g)),),
+                   vjp=lambda g, need: (np.full_like(a.data, float(g)),),
                    jvp=lambda t: np.sum(t[0]))
 
 
@@ -354,7 +381,7 @@ def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(np.mean(a.data))
     return _record(out, (a,),
-                   vjp=lambda g: (np.full_like(a.data, float(g) / n),),
+                   vjp=lambda g, need: (np.full_like(a.data, float(g) / n),),
                    jvp=lambda t: np.mean(t[0]))
 
 
@@ -362,7 +389,7 @@ def sumsq(a: Tensor) -> Tensor:
     """Squared L2 norm, sum(x**2)."""
     out = Tensor(np.sum(a.data * a.data))
     return _record(out, (a,),
-                   vjp=lambda g: (2.0 * float(g) * a.data,),
+                   vjp=lambda g, need: (2.0 * float(g) * a.data,),
                    jvp=lambda t: 2.0 * np.sum(a.data * t[0]))
 
 
@@ -377,7 +404,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     src_shape = a.data.shape
     out = Tensor(a.data.reshape(shape))
     return _record(out, (a,),
-                   vjp=lambda g: (g.reshape(src_shape),),
+                   vjp=lambda g, need: (g.reshape(src_shape),),
                    jvp=lambda t: t[0].reshape(shape))
 
 
@@ -388,7 +415,7 @@ def transpose2d(a: Tensor) -> Tensor:
             f"transpose2d expects a matrix or a stack of them, got shape {a.data.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2).copy())
     return _record(out, (a,),
-                   vjp=lambda g: (np.swapaxes(g, -1, -2),),
+                   vjp=lambda g, need: (np.swapaxes(g, -1, -2),),
                    jvp=lambda t: np.swapaxes(t[0], -1, -2))
 
 
@@ -410,7 +437,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
 
-    def vjp(g):
+    def vjp(g, need):
         return tuple(np.split(g, splits, axis=axis))
 
     def jvp(t):
@@ -434,8 +461,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions differ, {a.data.shape[-1]} vs {b.data.shape[-2]}")
     out = Tensor(a.data @ b.data)
     return _record(out, (a, b),
-                   vjp=lambda g: (g @ np.swapaxes(b.data, -1, -2),
-                                  np.swapaxes(a.data, -1, -2) @ g),
+                   vjp=lambda g, need: (
+                       g @ np.swapaxes(b.data, -1, -2) if need[0] else None,
+                       np.swapaxes(a.data, -1, -2) @ g if need[1] else None),
                    jvp=lambda t: _z(t[0], a.data) @ b.data + a.data @ _z(t[1], b.data))
 
 
@@ -568,23 +596,26 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     out = Tensor(from_out_grid(_tap_sum(mats, grid, cols, offsets, span),
                                None if b is None else b.data))
 
-    def vjp(g):
+    def vjp(g, need):
         # input column c of the grid collects output columns c - o_t: the
         # output grid, shifted by the largest offset, correlated with the
         # flipped, transposed taps
         gpad = _to_grid(g if batched else g[None], ph, pw, offsets[-1],
                         offsets[-1] + span + lead)
         gg = gpad[:, offsets[-1]:offsets[-1] + span]
-        if cols is not None:
-            dw = (gg @ cols.T).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
-        else:
-            dw = np.stack([gg @ grid[:, o:o + span].T for o in offsets]
-                          ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
-        mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
-        dgrid = _tap_sum(mats_adj, gpad, _gather(gpad, offsets, span + lead, cin),
-                         offsets, span + lead)
-        dx = _from_grid(dgrid[:, lead:], n, ph, pw, h, wd)
-        dx = dx if batched else dx[0]
+        dx = dw = None
+        if need[1]:
+            if cols is not None:
+                dw = (gg @ cols.T).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+            else:
+                dw = np.stack([gg @ grid[:, o:o + span].T for o in offsets]
+                              ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+        if need[0]:
+            mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
+            dgrid = _tap_sum(mats_adj, gpad, _gather(gpad, offsets, span + lead, cin),
+                             offsets, span + lead)
+            dx = _from_grid(dgrid[:, lead:], n, ph, pw, h, wd)
+            dx = dx if batched else dx[0]
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3) if batched else (1, 2))
         return dx, dw
@@ -615,7 +646,7 @@ def avg_pool2(x: Tensor) -> Tensor:
     out = Tensor(0.25 * (d[:, 0::2, 0::2] + d[:, 1::2, 0::2]
                          + d[:, 0::2, 1::2] + d[:, 1::2, 1::2]))
 
-    def vjp(g):
+    def vjp(g, need):
         return (0.25 * np.repeat(np.repeat(g, 2, axis=1), 2, axis=2),)
 
     def jvp(t):
@@ -666,7 +697,7 @@ def upsample2(x: Tensor) -> Tensor:
     def fwd(d):
         return _up_axis(_up_axis(d, 1), 2)
 
-    def vjp(g):
+    def vjp(g, need):
         return (_up_axis_adj(_up_axis_adj(g, 2), 1),)
 
     return _record(Tensor(fwd(x.data)), (x,), vjp=vjp, jvp=lambda t: fwd(t[0]))
@@ -679,8 +710,11 @@ def upsample2(x: Tensor) -> Tensor:
 class Linearization:
     """Jacobian products of a residual map at a fixed linearization point.
 
-    Records ``residual_fn(params)`` once on a private tape; ``jvp`` and
-    ``vjp`` then replay it to form J v and J^T u without materializing J.
+    Records ``residual_fn(params)`` once on a private tape and plans its
+    replay once; ``jvp`` and ``vjp`` then walk only the nodes between the
+    parameters and the residual blocks to form J v and J^T u without
+    materializing J.  Nodes recorded after the residual (such as a loss
+    formed from it) or off every path from the parameters are never replayed.
     """
 
     def __init__(self, residual_fn: Callable, params: Sequence[Tensor]):
@@ -689,6 +723,7 @@ class Linearization:
             out = residual_fn(self.params)
         self.tape = tape
         self.outputs: list[Tensor] = list(out) if isinstance(out, (list, tuple)) else [out]
+        self.plan = tape.plan(self.params, self.outputs)
 
     def value(self) -> list[np.ndarray]:
         return [o.data for o in self.outputs]
@@ -697,14 +732,14 @@ class Linearization:
         """J v: push parameter tangents through to the residual blocks."""
         if len(tangents) != len(self.params):
             raise ValueError(f"expected {len(self.params)} tangents, got {len(tangents)}")
-        return self.tape.jvp(self.params, tangents, self.outputs)
+        return self.tape.jvp(self.params, tangents, self.outputs, self.plan)
 
     def vjp(self, cotangents: Sequence[np.ndarray]) -> list[np.ndarray]:
         """J^T u: pull residual cotangents back to the parameters."""
         if len(cotangents) != len(self.outputs):
             raise ValueError(
                 f"expected {len(self.outputs)} cotangents, got {len(cotangents)}")
-        return self.tape.vjp(self.outputs, cotangents, self.params)
+        return self.tape.vjp(self.outputs, cotangents, self.params, self.plan)
 
 
 def linearize(residual_fn: Callable, params: Sequence[Tensor]) -> Linearization:

@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .data_io import atomic_write
+
 MAGIC = b"FVOS"
 VERSION = 1
 
@@ -22,28 +24,20 @@ class CheckpointError(Exception):
 
 
 def save_named(path, items: dict) -> None:
-    """Write a container atomically: a temp file next to ``path`` is renamed
-    over it only once complete, so a failed save leaves any previous file at
-    ``path`` intact."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(items)))
-            for name, arr in items.items():
-                a = np.ascontiguousarray(arr, dtype="<f8")
-                enc = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(enc)))
-                fh.write(enc)
-                fh.write(struct.pack("<B", a.ndim))
-                for d in a.shape:
-                    fh.write(struct.pack("<q", d))
-                fh.write(a.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write a container atomically (``data_io.atomic_write``): a failed save
+    leaves any previous file at ``path`` intact."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(items)))
+        for name, arr in items.items():
+            a = np.ascontiguousarray(arr, dtype="<f8")
+            enc = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(enc)))
+            fh.write(enc)
+            fh.write(struct.pack("<B", a.ndim))
+            for d in a.shape:
+                fh.write(struct.pack("<q", d))
+            fh.write(a.tobytes())
 
 
 def _read(fh, size: int, path, what: str) -> bytes:

@@ -16,8 +16,9 @@ from pathlib import Path
 from .checkpoint import CheckpointError
 from .config import (ConfigError, default_config_text, make_config,
                      parse_config_file)
-from .data_io import (DataFormatError, generate_suite, generate_synthetic,
-                      load_sequence, random_scene, read_pgm, write_pgm)
+from .data_io import (DataFormatError, atomic_write, generate_suite,
+                      generate_synthetic, load_sequence, random_scene, read_pgm,
+                      write_pgm)
 from .learner import NumericalError
 from .metrics import (aggregate, score_label_sequence, write_frame_csv)
 from .model import Model
@@ -144,7 +145,7 @@ def cmd_eval(args) -> int:
                                 pred, gt)
     report = aggregate(rows)
     write_frame_csv(rows, str(args.report) + ".csv")
-    with open(args.report, "w") as fh:
+    with atomic_write(args.report) as fh:
         fh.write(report.to_json() + "\n")
     print(f"J {report.mean_j:.4f}  F {report.mean_f:.4f}  "
           f"J&F {report.mean_jf:.4f}")
@@ -184,7 +185,7 @@ def cmd_ablate(args) -> int:
         _progress(f"[{label}] J&F {report.mean_jf:.4f}")
 
     csv_path = str(args.out) + ".csv"
-    with open(csv_path, "w") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write("mode,J,F,J&F\n")
         for label, rep in table:
             fh.write(f"{label},{rep.mean_j:.6f},{rep.mean_f:.6f},"
@@ -194,7 +195,7 @@ def cmd_ablate(args) -> int:
         lines.append(f"{label:<14}{rep.mean_j:>8.4f}{rep.mean_f:>8.4f}"
                      f"{rep.mean_jf:>8.4f}")
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(text)
     print(text, end="")
     print(f"report {args.out} (+ {csv_path})")

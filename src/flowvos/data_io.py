@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -27,6 +28,7 @@ FLO_MAGIC = 202021.25
 
 __all__ = [
     "DataFormatError",
+    "atomic_write",
     "read_flo",
     "write_flo",
     "read_ppm",
@@ -46,6 +48,22 @@ __all__ = [
 
 class DataFormatError(Exception):
     """A file violates one of the documented on-disk formats."""
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temp file next to ``path`` for writing, and rename it over
+    ``path`` only once the block completes: a failed write leaves any
+    previous file at ``path`` intact and no temp file behind."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, mode)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_payload(fh, size: int, path) -> bytes:
@@ -199,6 +217,17 @@ def write_meta(path, meta: SequenceMeta) -> None:
             fh.write(f"category.{k}={meta.categories[k]}\n")
 
 
+_META_INTS = ("width", "height", "frames", "objects")
+
+
+def _meta_int(text: str, path, ln: int, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}:{ln}: {key} must be an integer, got {text!r}") from None
+
+
 def read_meta(path) -> SequenceMeta:
     vals: dict = {}
     cats: dict = {}
@@ -211,15 +240,13 @@ def read_meta(path) -> SequenceMeta:
                 raise DataFormatError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             if key.startswith("category."):
-                cats[int(key.split(".", 1)[1])] = val
-            else:
-                vals[key] = val
-    try:
-        return SequenceMeta(width=int(vals["width"]), height=int(vals["height"]),
-                            frames=int(vals["frames"]), objects=int(vals["objects"]),
-                            categories=cats)
-    except KeyError as e:
-        raise DataFormatError(f"{path}: missing meta key {e.args[0]}") from None
+                cats[_meta_int(key.split(".", 1)[1], path, ln, key)] = val
+            elif key in _META_INTS:
+                vals[key] = _meta_int(val, path, ln, key)
+    missing = [k for k in _META_INTS if k not in vals]
+    if missing:
+        raise DataFormatError(f"{path}: missing meta key {missing[0]}")
+    return SequenceMeta(**vals, categories=cats)
 
 
 @dataclass

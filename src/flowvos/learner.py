@@ -1,13 +1,18 @@
 """Online optimizer for the target model and its inference-time memory.
 
 The optimizer minimizes 0.5 * ||r(tau)||^2 for a recorded residual map.
-Each outer Gauss-Newton iteration linearizes r once and solves the damped
-normal equations (J^T J + mu I) delta = -J^T r by conjugate gradients using
-only Jacobian-vector products, so J^T J is never materialized.  A halving
-line search accepts the first step length that does not increase the loss
-(at most 8 halvings; the step is rejected outright if none does), which
-makes the loss provably non-increasing across a call.  Steepest descent with
-an exact line search on the quadratic model is available as a fallback mode.
+Each outer Gauss-Newton iteration solves the damped normal equations
+(J^T J + mu I) delta = -J^T r by conjugate gradients using only
+Jacobian-vector products, so J^T J is never materialized; ``cg_residuals``
+reports the relative residual of that solve as CG's own recurrence tracks
+it, at no extra product.  A halving line search accepts the first step
+length that does not increase the loss (at most 8 halvings; the step is
+rejected outright if none does), which makes the loss provably
+non-increasing across a call.  Every trial is recorded as a linearization,
+and the accepted one is the next iteration's, so a call evaluates r once per
+outer iteration plus once at the start when every step is accepted.
+Steepest descent with an exact line search on the quadratic model is
+available as a fallback mode.
 """
 
 from __future__ import annotations
@@ -79,25 +84,20 @@ def _unflatten(vec: np.ndarray, shapes) -> list:
     return out
 
 
-def _as_list(out):
-    return list(out) if isinstance(out, (list, tuple)) else [out]
-
-
 def _loss_of(values) -> float:
     return 0.5 * float(sum(np.sum(v * v) for v in values))
 
 
-def _eval_loss(residual_fn: Callable, params) -> float:
-    return _loss_of([o.data for o in _as_list(residual_fn(params))])
-
-
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
-                       tol_rel: float = 1e-12) -> np.ndarray:
+                       tol_rel: float = 1e-12) -> tuple[np.ndarray, float]:
+    """Approximate solution x of A x = b, and its relative residual
+    ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0)."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    stop = tol_rel * np.sqrt(rs)
+    bnorm = np.sqrt(rs)
+    stop = tol_rel * bnorm
     for _ in range(iters):
         if np.sqrt(rs) <= stop:
             break
@@ -111,23 +111,30 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x, (float(np.sqrt(rs) / bnorm) if bnorm > 0.0 else 0.0)
 
 
 def _line_search(residual_fn, params, direction_blocks, loss0, max_halvings):
-    """First step length in 1, 1/2, ... that does not increase the loss."""
+    """First step length in 1, 1/2, ... that does not increase the loss.
+
+    Each trial is recorded as a Linearization.  Returns the accepted trial's
+    loss and linearization, which the next outer iteration reuses, or
+    ``(loss0, None)`` with the iterate restored when no step is accepted.
+    """
     base = [p.data.copy() for p in params]
     alpha = 1.0
     for _ in range(max_halvings + 1):
         for p, b, d in zip(params, base, direction_blocks):
             p.data = b + alpha * d
-        trial = _eval_loss(residual_fn, params)
+        lin = ad.linearize(residual_fn, params)
+        trial = _loss_of(lin.value())
         if np.isfinite(trial) and trial <= loss0:
-            return trial
+            return trial, lin
+        del lin                          # before the next trial records its tape
         alpha *= 0.5
     for p, b in zip(params, base):   # no acceptable step; keep the iterate
         p.data = b
-    return loss0
+    return loss0, None
 
 
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
@@ -135,17 +142,17 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
     """Damped Gauss-Newton with matrix-free CG inner solves; mutates params."""
     params = list(params)
     shapes = [p.data.shape for p in params]
-    losses = [_eval_loss(residual_fn, params)]
+    lin = ad.linearize(residual_fn, params)
+    losses = [_loss_of(lin.value())]
     cg_resids = []
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at outer iteration 0")
     mu = cfg.damping
     for n in range(outer_iters):
-        lin = ad.linearize(residual_fn, params)
+        if lin is None:                  # every trial step was rejected
+            lin = ad.linearize(residual_fn, params)
         r = lin.value()
-        loss = _loss_of(r)
-        if not np.isfinite(loss):
-            raise NumericalError(f"non-finite loss at outer iteration {n}")
+        loss = losses[-1]
         b = -_flatten(lin.vjp(r))                       # -J^T r
         if not np.all(np.isfinite(b)):
             raise NumericalError(f"non-finite gradient at outer iteration {n}")
@@ -159,10 +166,11 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
             jtjv = _flatten(lin.vjp(jv))
             return jtjv + mu * v
 
-        delta = conjugate_gradient(matvec, b, cfg.cg_iters)
-        cg_resids.append(float(np.linalg.norm(matvec(delta) - b)) / bnorm)
-        new_loss = _line_search(residual_fn, params, _unflatten(delta, shapes),
-                                loss, cfg.max_halvings)
+        delta, resid = conjugate_gradient(matvec, b, cfg.cg_iters)
+        cg_resids.append(resid)
+        lin = None                       # release its tape before the trials
+        new_loss, lin = _line_search(residual_fn, params, _unflatten(delta, shapes),
+                                     loss, cfg.max_halvings)
         losses.append(new_loss)
     for a, bb in zip(losses, losses[1:]):
         assert bb <= a, "line search must keep the loss non-increasing"
@@ -174,15 +182,15 @@ def steepest_descent(residual_fn: Callable, params: Sequence[Tensor], steps: int
     """Gradient steps with the exact line search of the quadratic model."""
     params = list(params)
     shapes = [p.data.shape for p in params]
-    losses = [_eval_loss(residual_fn, params)]
+    lin = ad.linearize(residual_fn, params)
+    losses = [_loss_of(lin.value())]
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at step 0")
-    for n in range(steps):
-        lin = ad.linearize(residual_fn, params)
+    for _ in range(steps):
+        if lin is None:                  # every trial step was rejected
+            lin = ad.linearize(residual_fn, params)
         r = lin.value()
-        loss = _loss_of(r)
-        if not np.isfinite(loss):
-            raise NumericalError(f"non-finite loss at step {n}")
+        loss = losses[-1]
         g = _flatten(lin.vjp(r))                        # J^T r
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
@@ -194,9 +202,10 @@ def steepest_descent(residual_fn: Callable, params: Sequence[Tensor], steps: int
             losses.append(loss)
             break
         eta = gnorm2 / denom
-        new_loss = _line_search(residual_fn, params,
-                                _unflatten(-eta * g, shapes), loss,
-                                cfg.max_halvings)
+        lin = None                       # release its tape before the trials
+        new_loss, lin = _line_search(residual_fn, params,
+                                     _unflatten(-eta * g, shapes), loss,
+                                     cfg.max_halvings)
         losses.append(new_loss)
     for a, b in zip(losses, losses[1:]):
         assert b <= a, "line search must keep the loss non-increasing"

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .data_io import atomic_write
+
 __all__ = [
     "jaccard",
     "boundary_f",
@@ -210,7 +212,7 @@ def score_label_sequence(name: str, pred_labels: list, gt_labels: list,
 
 
 def write_frame_csv(rows: list[FrameScore], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("sequence,frame,object,J,F\n")
         for r in rows:
             fh.write(f"{r.sequence},{r.frame},{r.obj},{r.j:.6f},{r.f:.6f}\n")

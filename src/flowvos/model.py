@@ -25,6 +25,17 @@ _STREAMS = {"backbone_im": 0, "backbone_fl": 1, "fusion": 4, "decoder": 5}
 _CHILDREN = 6
 
 
+def _positive_ints(items: dict, name: str, count: int, path) -> tuple:
+    """Checkpoint entry ``name`` as exactly ``count`` positive integers."""
+    values = items[name]
+    if values.shape != (count,) or not all(
+            v >= 1 and float(v).is_integer() for v in values):
+        raise checkpoint.CheckpointError(
+            f"{path}: {name} {values.tolist()} is not {count} positive "
+            f"integer{'s' if count > 1 else ''}")
+    return tuple(int(v) for v in values)
+
+
 class Model:
     def __init__(self, fusion_mode: str = "attention", seed: int = 0,
                  label_channels: int = LABEL_CHANNELS,
@@ -87,8 +98,9 @@ class Model:
                     f"{path}: meta/fusion_mode {code.tolist()} is not one of "
                     f"the mode codes 0..{len(MODES) - 1}")
             mode = MODES[int(code[0])]
-            label_channels = int(items["meta/label_channels"][0])
-            channels = tuple(int(c) for c in items["meta/channels"])
+            label_channels, = _positive_ints(items, "meta/label_channels", 1, path)
+            channels = _positive_ints(items, "meta/channels",
+                                      len(BACKBONE_CHANNELS), path)
         except KeyError as e:
             raise checkpoint.CheckpointError(
                 f"{path}: missing checkpoint entry {e.args[0]!r}") from None

@@ -93,3 +93,42 @@ def check_backward_matches_fd(build_loss, leaves, h=1e-5, rtol=1e-4):
     analytic = [leaf.grad.data.copy() for leaf in leaves]
     numeric = finite_diff_grads(build_loss, leaves, h=h)
     assert_grads_close(analytic, numeric, rtol=rtol)
+
+
+def _full_pull(tape, grads):
+    for node in reversed(tape.nodes):
+        g = grads.pop(id(node.out), None)
+        if g is None:
+            continue
+        for inp, ig in zip(node.inputs, node.vjp(g, (True,) * len(node.inputs))):
+            key = id(inp)
+            grads[key] = grads[key] + ig if key in grads else ig
+    return grads
+
+
+def full_replay_vjp(tape, outputs, cotangents, wrt):
+    """Tape.vjp without a plan: every node swept, every input gradient formed."""
+    grads = {}
+    for out, cot in zip(outputs, cotangents):
+        key = id(out)
+        grads[key] = grads[key] + cot if key in grads else np.array(cot, dtype=np.float64)
+    _full_pull(tape, grads)
+    return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]
+
+
+def full_replay_jvp(tape, wrt, tangents, outputs):
+    """Tape.jvp without a plan: every node that any tangent reaches."""
+    tans = {id(w): np.asarray(t, dtype=np.float64) for w, t in zip(wrt, tangents)}
+    for node in tape.nodes:
+        in_tans = [tans.get(id(i)) for i in node.inputs]
+        if any(t is not None for t in in_tans):
+            tans[id(node.out)] = node.jvp(in_tans)
+    return [tans.get(id(o), np.zeros_like(o.data)) for o in outputs]
+
+
+def full_replay_backward(tape, loss):
+    """Tape.backward without a plan: d(loss)/d(leaf) by leaf id, for every
+    requires_grad leaf the loss reaches."""
+    grads = _full_pull(tape, {id(loss): np.ones_like(loss.data)})
+    return {id(i): grads[id(i)] for node in tape.nodes for i in node.inputs
+            if i.requires_grad and id(i) in grads}

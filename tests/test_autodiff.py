@@ -5,6 +5,7 @@ from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 
 from conftest import (check_backward_matches_fd, conv2d_loops, finite_diff_grads,
+                      full_replay_backward, full_replay_jvp, full_replay_vjp,
                       upsample2_loops)
 
 
@@ -411,3 +412,80 @@ class TestJvpVjp:
         jv = lin.jvp([v])[0]
         denom = np.maximum(1.0, np.abs(fd))
         assert np.max(np.abs(jv - fd) / denom) < 1e-4
+
+
+def _mixed_graph(rng, a, b, dead):
+    """A residual with frozen inputs, constant kernels and weights, a dead
+    branch and nodes recorded after it; a and b are the parameters."""
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)))             # frozen features
+    k = Tensor(rng.standard_normal((2, 2, 3, 3)))             # detached filter
+    c = Tensor(rng.standard_normal((2, 3, 1, 1)))
+    wts = Tensor(rng.random((2, 2, 5, 5)))
+    target = Tensor(rng.standard_normal((2, 2, 5, 5)))
+    m = Tensor(rng.standard_normal((5, 4)))
+
+    def residual(ps):
+        y = ad.conv2d(ad.conv2d(x, ps[0]), ps[1], padding=1)
+        y = ad.conv2d(ad.relu(y), k, padding=1)
+        ad.sigmoid(ad.add(ad.tsum(ps[1]), ad.tsum(dead)))     # leads nowhere
+        const = ad.relu(ad.conv2d(x, c))                      # no parameter in it
+        r = ad.mul(wts, ad.sub(ad.add(y, const), target))
+        proj = ad.matmul(m, ad.reshape(ps[0], (4, 3)))
+        r = ad.concat([ad.reshape(r, (r.size,)), ad.reshape(proj, (proj.size,)),
+                       ad.reshape(ps[0], (ps[0].size,)) * 0.1], axis=0)
+        ad.sumsq(r) * 0.5                                     # after the output
+        return r
+
+    return residual
+
+
+class TestLivePlan:
+    def params(self, rng):
+        return (Tensor(rng.standard_normal((4, 3, 1, 1)), requires_grad=True),
+                Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True),
+                Tensor(rng.standard_normal(3), requires_grad=True))
+
+    def test_linearization_replays_equal_the_full_tape_bit_for_bit(self, rng):
+        a, b, dead = self.params(rng)
+        lin = ad.linearize(_mixed_graph(rng, a, b, dead), [a, b])
+        assert len(lin.plan) < len(lin.tape.nodes)
+        v = [rng.standard_normal(a.shape), rng.standard_normal(b.shape)]
+        u = [rng.standard_normal(lin.outputs[0].shape)]
+        for got, ref in zip(lin.jvp(v), full_replay_jvp(lin.tape, [a, b], v, lin.outputs)):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(lin.vjp(u), full_replay_vjp(lin.tape, lin.outputs, u, [a, b])):
+            assert np.array_equal(got, ref)
+
+    def test_backward_equals_the_full_tape_bit_for_bit(self, rng):
+        a, b, dead = self.params(rng)
+        residual = _mixed_graph(rng, a, b, dead)
+        with Tape() as tape:
+            loss = ad.sumsq(residual([a, b])) * 0.5
+            ad.tsum(ad.relu(loss))                            # after the loss
+        ref = full_replay_backward(tape, loss)
+        tape.backward(loss)
+        assert set(ref) == {id(a), id(b)}
+        assert np.array_equal(a.grad.data, ref[id(a)])
+        assert np.array_equal(b.grad.data, ref[id(b)])
+        assert dead.grad is None
+
+    @pytest.mark.parametrize("xshape, wshape, padding", [
+        ((2, 3, 6, 5), (4, 3, 1, 1), 0),
+        ((3, 6, 5), (4, 3, 3, 3), 1),          # stacked taps
+        ((2, 12, 6, 5), (4, 12, 3, 3), 1),     # one matmul per tap
+    ], ids=["1x1", "3x3-stacked", "3x3-per-tap"])
+    def test_conv2d_vjp_mask_leaves_the_other_gradient_unchanged(self, rng, xshape,
+                                                                 wshape, padding):
+        x = Tensor(rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal(wshape))
+        bias = Tensor(rng.standard_normal(wshape[0]))
+        with Tape() as tape:
+            out = ad.conv2d(x, w, bias, padding=padding)
+        vjp = tape.nodes[-1].vjp
+        g = rng.standard_normal(out.shape)
+        dx, dw, db = vjp(g, (True, True, True))
+        dw_only = vjp(g, (False, True, True))
+        dx_only = vjp(g, (True, False, False))
+        assert dw_only[0] is None and dx_only[1] is None
+        assert np.array_equal(dw_only[1], dw)
+        assert np.array_equal(dx_only[0], dx)

@@ -1,10 +1,13 @@
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowvos
 from flowvos.checkpoint import load_named, save_named
 from flowvos.cli import main
 from flowvos.config import parse_config_file
@@ -91,6 +94,22 @@ class TestTrainRunEval:
         # frame 0 (the given annotation) is excluded from scoring
         assert len(csv) == 1 + (5 - 1) * 2
 
+    def test_failed_eval_keeps_the_previous_report(self, trained, monkeypatch):
+        tmp_path, _ = trained
+        gt = tmp_path / "data" / "masks"
+        report = tmp_path / "report.json"
+        args = ["eval", "--pred", str(gt), "--gt", str(gt), "--report", str(report)]
+        assert main(args) == 0
+        before = report.read_bytes()
+
+        def fail(_):
+            raise ValueError("report lost")
+
+        monkeypatch.setattr("flowvos.metrics.MetricsReport.to_json", fail)
+        assert main(args) == 2
+        assert report.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_eval_count_mismatch_is_data_error(self, trained, tmp_path):
         t, _ = trained
         pred = tmp_path / "short"
@@ -170,6 +189,37 @@ class TestExitCodes:
         assert len(err) == 1 and "meta/fusion_mode" in err[0]
         assert err[0].startswith("error:")
 
+    @pytest.mark.parametrize("name, value", [
+        ("meta/label_channels", [0.0]), ("meta/channels", [16.0, 32.0]),
+        ("meta/channels", [16.0, -32.0, 64.0, 64.0])],
+        ids=["zero-label-channels", "two-channels", "negative-channel"])
+    def test_checkpoint_with_bad_dimensions_is_data_error(self, tmp_path, capsys,
+                                                          name, value):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items[name] = np.array(value)
+        save_named(ckpt, items)
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in err[0]
+        assert err[0].startswith("error:")
+
+    def test_meta_with_non_integer_width_is_data_error(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        meta = tmp_path / "d" / "meta"
+        meta.write_text(meta.read_text().replace("width=32", "width=3x2"))
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {meta}:2: width must be an integer, got '3x2'"]
+
     @pytest.mark.parametrize("w, h", [(2 ** 31 - 1, 2 ** 31 - 1), (60000, 60000)])
     def test_flo_with_extents_beyond_the_file_is_data_error(self, tmp_path, capsys,
                                                            w, h):
@@ -219,3 +269,11 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s" / "meta").exists()
+
+
+def test_python_dash_m_flowvos_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(flowvos.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "flowvos", "config"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "fusion.mode" in proc.stdout

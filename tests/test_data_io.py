@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowvos.data_io import (DataFormatError, SequenceMeta, ShapeSpec, SynthScene,
-                             generate_suite, generate_synthetic, load_sequence,
+                             atomic_write, generate_suite, generate_synthetic, load_sequence,
                              random_scene, read_flo, read_meta, read_pgm, read_ppm,
                              write_flo, write_meta, write_pgm, write_ppm)
 from flowvos.flow_embed import FlowField
@@ -128,6 +128,41 @@ class TestMeta:
         p.write_text("width=3\nheight=3\nframes=2\n")
         with pytest.raises(DataFormatError, match="missing meta key objects"):
             read_meta(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("width", "3x2"), ("height", ""), ("frames", "2.5"), ("objects", "two"),
+        ("category.x", "twin")])
+    def test_non_integer_names_path_line_and_key(self, tmp_path, key, value):
+        lines = ["# meta", "width=3", "height=3", "frames=2", "objects=1",
+                 "category.1=twin"]
+        ln = next((i for i, s in enumerate(lines) if s.startswith(key + "=")),
+                  len(lines))
+        lines[ln:ln + 1] = [f"{key}={value}"]
+        p = tmp_path / "meta"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_meta(p)
+        assert str(err.value).startswith(f"{p}:{ln + 1}: {key} ")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
+        p = tmp_path / "report.txt"
+        p.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(p) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert p.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_completed_write_replaces_the_file(self, tmp_path):
+        p = tmp_path / "report.txt"
+        p.write_text("old\n")
+        with atomic_write(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
 
 
 def translating_disk(frames=5, velocity=(2, 0)):

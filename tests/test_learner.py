@@ -6,7 +6,8 @@ from flowvos.autodiff import Tensor
 from flowvos.fusion import FusionParams
 from flowvos.learner import (LearnerConfig, MemoryBuffer, NumericalError,
                              gauss_newton, optimize, steepest_descent)
-from flowvos.target_model import TargetModelParams, TargetSample, apply
+from flowvos.target_model import (TargetModelParams, TargetSample, apply,
+                                  residual_and_loss)
 
 
 def linear_residual(A, b):
@@ -75,6 +76,45 @@ class TestGaussNewton:
         res = gauss_newton(linear_residual(A, b), [tau], 1,
                            LearnerConfig(damping=1e-4, cg_iters=10))
         assert res.cg_residuals[0] <= 1e-6
+
+    def test_cg_residual_is_the_damped_normal_equation_residual(self, rng):
+        m, n, mu = 20, 8, 0.1
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        tau0 = rng.standard_normal(n)
+        tau = Tensor(tau0.copy(), requires_grad=True)
+        res = gauss_newton(linear_residual(A, b), [tau], 1,
+                           LearnerConfig(damping=mu, cg_iters=4))
+        delta = tau.data - tau0           # a linear residual accepts the full step
+        rhs = -A.T @ (A @ tau0 - b)
+        true = np.linalg.norm((A.T @ A + mu * np.eye(n)) @ delta - rhs) / np.linalg.norm(rhs)
+        assert true > 1e-3                # four iterations leave a residual
+        assert abs(res.cg_residuals[0] - true) <= 1e-8
+
+    def test_one_forward_per_outer_iteration_and_cg_iters_matvecs(self, rng,
+                                                                  monkeypatch):
+        fp = FusionParams.init(rng, "none", 3)
+        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2)
+        samples = [TargetSample(l3_im=Tensor(rng.standard_normal((5, 4, 4))),
+                                l3_fl=None,
+                                encoded=Tensor(rng.standard_normal((3, 4, 4))),
+                                weights=Tensor(0.2 + rng.random((3, 4, 4))))
+                   for _ in range(8)]
+        forwards, matvecs = [], []
+
+        def residual_fn(_):
+            forwards.append(1)
+            return residual_and_loss(samples, tm, fp)[0]
+
+        jvp = ad.Linearization.jvp
+        monkeypatch.setattr(ad.Linearization, "jvp",
+                            lambda lin, t: matvecs.append(1) or jvp(lin, t))
+        outer, cg = 3, 4
+        res = gauss_newton(residual_fn, tm.tensors(), outer,
+                           LearnerConfig(cg_iters=cg))
+        assert all(y < x for x, y in zip(res.losses, res.losses[1:]))
+        assert len(matvecs) == outer * cg
+        assert len(forwards) == outer + 1
 
     def test_monotone_losses(self, rng):
         def fn(params):

@@ -122,6 +122,21 @@ class TestModel:
         with pytest.raises(CheckpointError, match=r"meta/fusion_mode \[" + str(code)):
             Model.load(p)
 
+    @pytest.mark.parametrize("name, value", [
+        ("meta/label_channels", [1.5]), ("meta/label_channels", [1.0, 1.0]),
+        ("meta/channels", [16.0, 32.0, 64.0, np.nan]),
+        ("meta/channels", [16.0, 32.0, 64.0, np.inf])],
+        ids=["fraction", "two-entries", "nan", "inf"])
+    def test_load_rejects_dimensions_that_are_not_positive_integers(self, tmp_path,
+                                                                    name, value):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items[name] = np.array(value)
+        save_named(p, items)
+        with pytest.raises(CheckpointError, match=f"{name} .* is not"):
+            Model.load(p)
+
     def test_mode_none_has_no_fusion_tensors(self):
         m = Model(fusion_mode="none", seed=0)
         fusion_names = [n for n, _ in m.named_tensors() if n.startswith("fusion")]
