@@ -37,12 +37,11 @@ SCHEMA = {
                               "nominal max displacement used to normalize embedded flow"),
     "decoder.l1_source": (str, "flow",
                           "pyramid level-1 passthrough branch: flow | image"),
-    "learner.mode": (str, "gauss_newton", "gauss_newton | steepest_descent"),
     "learner.outer_iters_init": (int, 5, "outer iterations on the annotated frame"),
     "learner.outer_iters_update": (int, 2, "outer iterations per online update"),
-    "learner.cg_iters": (int, 10, "conjugate-gradient iterations per outer step"),
-    "learner.damping": (float, 1e-4, "Levenberg damping mu"),
-    "learner.sd_steps": (int, 20, "steps in steepest_descent mode"),
+    "learner.cg_iters": (int, 3,
+                         "preconditioned conjugate-gradient iterations per outer step"),
+    "learner.damping": (float, 1e-2, "Levenberg damping mu"),
     "learner.reg_lambda": (float, 1e-2, "L2 penalty on the target-model filters"),
     "learner.update_every": (int, 4, "re-optimize every Nth frame"),
     "learner.update_conf": (float, 0.85,
@@ -65,12 +64,10 @@ class RunConfig:
     flow_prescale: bool = False
     flow_max_displacement: float = 20.0
     decoder_l1_source: str = "flow"
-    learner_mode: str = "gauss_newton"
     learner_outer_iters_init: int = 5
     learner_outer_iters_update: int = 2
-    learner_cg_iters: int = 10
-    learner_damping: float = 1e-4
-    learner_sd_steps: int = 20
+    learner_cg_iters: int = 3
+    learner_damping: float = 1e-2
     learner_reg_lambda: float = 1e-2
     learner_update_every: int = 4
     learner_update_conf: float = 0.85
@@ -136,8 +133,6 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.decoder_l1_source not in ("flow", "image"):
         raise ConfigError(
             f"decoder.l1_source must be flow or image, got {cfg.decoder_l1_source!r}")
-    if cfg.learner_mode not in ("gauss_newton", "steepest_descent"):
-        raise ConfigError(f"invalid learner.mode {cfg.learner_mode!r}")
     if cfg.train_crop % 16 != 0:
         raise ConfigError(f"train.crop must be a multiple of 16, got {cfg.train_crop}")
     if cfg.flow_max_displacement <= 0:

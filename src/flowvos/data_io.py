@@ -217,7 +217,7 @@ def write_meta(path, meta: SequenceMeta) -> None:
             fh.write(f"category.{k}={meta.categories[k]}\n")
 
 
-_META_INTS = ("width", "height", "frames", "objects")
+_META_INTS = {"width": 1, "height": 1, "frames": 1, "objects": 0}   # key -> minimum
 
 
 def _meta_int(text: str, path, ln: int, key: str) -> int:
@@ -243,6 +243,9 @@ def read_meta(path) -> SequenceMeta:
                 cats[_meta_int(key.split(".", 1)[1], path, ln, key)] = val
             elif key in _META_INTS:
                 vals[key] = _meta_int(val, path, ln, key)
+                if vals[key] < _META_INTS[key]:
+                    raise DataFormatError(f"{path}:{ln}: {key} must be >= "
+                                          f"{_META_INTS[key]}, got {vals[key]}")
     missing = [k for k in _META_INTS if k not in vals]
     if missing:
         raise DataFormatError(f"{path}: missing meta key {missing[0]}")

@@ -5,14 +5,17 @@ Each outer Gauss-Newton iteration solves the damped normal equations
 (J^T J + mu I) delta = -J^T r by conjugate gradients using only
 Jacobian-vector products, so J^T J is never materialized; ``cg_residuals``
 reports the relative residual of that solve as CG's own recurrence tracks
-it, at no extra product.  A halving line search accepts the first step
+it, at no extra product.  ``optimize`` preconditions CG with the Kronecker
+structure of the target model's filters (``kronecker_preconditioner``), one
+block per filter, rebuilt at every outer iteration; ``gauss_newton`` without
+a preconditioner is plain CG.  A halving line search accepts the first step
 length that does not increase the loss (at most 8 halvings; the step is
 rejected outright if none does), which makes the loss provably
 non-increasing across a call.  Every trial is recorded as a linearization,
 and the accepted one is the next iteration's, so a call evaluates r once per
 outer iteration plus once at the start when every step is accepted.
-Steepest descent with an exact line search on the quadratic model is
-available as a fallback mode.
+``OptimizeResult`` reports the losses, the CG residuals, the matvec count
+and each step's halvings and rejection.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fusion import FusionParams
+from .fusion import FusionParams, attention_map
 from .target_model import (TargetModelParams, TargetSample, residual_and_loss,
                            stack_samples)
 
@@ -32,8 +35,9 @@ __all__ = [
     "NumericalError",
     "LearnerConfig",
     "OptimizeResult",
+    "conjugate_gradient",
     "gauss_newton",
-    "steepest_descent",
+    "kronecker_preconditioner",
     "MemoryBuffer",
     "optimize",
 ]
@@ -45,30 +49,27 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class LearnerConfig:
-    mode: str = "gauss_newton"        # "gauss_newton" | "steepest_descent"
     outer_iters_init: int = 5
     outer_iters_update: int = 2
-    cg_iters: int = 10
-    damping: float = 1e-4
-    sd_steps: int = 20
+    cg_iters: int = 3
+    damping: float = 1e-2
     max_halvings: int = 8
 
     def __post_init__(self):
-        if self.outer_iters_init < 1 or self.outer_iters_update < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.cg_iters < 1 or self.sd_steps < 1:
+        if min(self.outer_iters_init, self.outer_iters_update, self.cg_iters) < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.damping < 0.0:
             raise ValueError("damping must be >= 0")
-        if self.mode not in ("gauss_newton", "steepest_descent"):
-            raise ValueError(f"unknown learner mode {self.mode!r}")
 
 
 @dataclass
 class OptimizeResult:
     params: object
     losses: list                      # loss before plus after each outer step
-    cg_residuals: list = field(default_factory=list)
+    cg_residuals: list = field(default_factory=list)   # one per solved step
+    halvings: list = field(default_factory=list)       # line-search halvings, per step
+    rejected: list = field(default_factory=list)       # True where no step length was kept
+    matvecs: int = 0                  # (J^T J + mu I) v products over every solve
 
 
 def _flatten(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -89,62 +90,81 @@ def _loss_of(values) -> float:
 
 
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
-                       tol_rel: float = 1e-12) -> tuple[np.ndarray, float]:
+                       tol_rel: float = 1e-12,
+                       preconditioner: Optional[Callable] = None
+                       ) -> tuple[np.ndarray, float]:
     """Approximate solution x of A x = b, and its relative residual
-    ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0)."""
+    ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0).
+
+    ``preconditioner`` maps a residual v to P v for a symmetric positive
+    definite P close to A^-1; without one this is plain CG.
+    """
+    if preconditioner is None:
+        def preconditioner(v):
+            return v
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = np.sqrt(rs)
+    z = preconditioner(r)
+    p = z.copy()
+    rr = float(r @ r)
+    rz = float(r @ z)
+    bnorm = np.sqrt(rr)
     stop = tol_rel * bnorm
     for _ in range(iters):
-        if np.sqrt(rs) <= stop:
+        if np.sqrt(rr) <= stop:
             break
         ap = matvec(p)
         pap = float(p @ ap)
         if pap <= 0.0:
             break
-        alpha = rs / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, (float(np.sqrt(rs) / bnorm) if bnorm > 0.0 else 0.0)
+        rr = float(r @ r)
+        z = preconditioner(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, (float(np.sqrt(rr) / bnorm) if bnorm > 0.0 else 0.0)
 
 
 def _line_search(residual_fn, params, direction_blocks, loss0, max_halvings):
     """First step length in 1, 1/2, ... that does not increase the loss.
 
     Each trial is recorded as a Linearization.  Returns the accepted trial's
-    loss and linearization, which the next outer iteration reuses, or
-    ``(loss0, None)`` with the iterate restored when no step is accepted.
+    loss, its linearization, which the next outer iteration reuses, and the
+    number of halvings before it; or ``(loss0, None, max_halvings)`` with the
+    iterate restored when no step is accepted.
     """
     base = [p.data.copy() for p in params]
     alpha = 1.0
-    for _ in range(max_halvings + 1):
+    for halvings in range(max_halvings + 1):
         for p, b, d in zip(params, base, direction_blocks):
             p.data = b + alpha * d
         lin = ad.linearize(residual_fn, params)
         trial = _loss_of(lin.value())
         if np.isfinite(trial) and trial <= loss0:
-            return trial, lin
+            return trial, lin, halvings
         del lin                          # before the next trial records its tape
         alpha *= 0.5
     for p, b in zip(params, base):   # no acceptable step; keep the iterate
         p.data = b
-    return loss0, None
+    return loss0, None, max_halvings
 
 
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
-                 cfg: LearnerConfig) -> OptimizeResult:
-    """Damped Gauss-Newton with matrix-free CG inner solves; mutates params."""
+                 cfg: LearnerConfig,
+                 make_preconditioner: Optional[Callable] = None) -> OptimizeResult:
+    """Damped Gauss-Newton with matrix-free CG inner solves; mutates params.
+
+    ``make_preconditioner()`` is called once per outer iteration, at the
+    current iterate, and its result is passed to ``conjugate_gradient``.
+    """
     params = list(params)
     shapes = [p.data.shape for p in params]
     lin = ad.linearize(residual_fn, params)
-    losses = [_loss_of(lin.value())]
-    cg_resids = []
+    res = OptimizeResult(params=params, losses=[_loss_of(lin.value())])
+    losses = res.losses
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at outer iteration 0")
     mu = cfg.damping
@@ -162,54 +182,138 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
             break
 
         def matvec(v):
+            res.matvecs += 1
             jv = lin.jvp(_unflatten(v, shapes))
             jtjv = _flatten(lin.vjp(jv))
             return jtjv + mu * v
 
-        delta, resid = conjugate_gradient(matvec, b, cfg.cg_iters)
-        cg_resids.append(resid)
+        precond = None if make_preconditioner is None else make_preconditioner()
+        delta, resid = conjugate_gradient(matvec, b, cfg.cg_iters,
+                                          preconditioner=precond)
+        res.cg_residuals.append(resid)
         lin = None                       # release its tape before the trials
-        new_loss, lin = _line_search(residual_fn, params, _unflatten(delta, shapes),
-                                     loss, cfg.max_halvings)
+        new_loss, lin, halvings = _line_search(
+            residual_fn, params, _unflatten(delta, shapes), loss, cfg.max_halvings)
         losses.append(new_loss)
+        res.halvings.append(halvings)
+        res.rejected.append(lin is None)
     for a, bb in zip(losses, losses[1:]):
         assert bb <= a, "line search must keep the loss non-increasing"
-    return OptimizeResult(params=params, losses=losses, cg_residuals=cg_resids)
+    return res
 
 
-def steepest_descent(residual_fn: Callable, params: Sequence[Tensor], steps: int,
-                     cfg: LearnerConfig) -> OptimizeResult:
-    """Gradient steps with the exact line search of the quadratic model."""
-    params = list(params)
-    shapes = [p.data.shape for p in params]
-    lin = ad.linearize(residual_fn, params)
-    losses = [_loss_of(lin.value())]
-    if not np.isfinite(losses[0]):
-        raise NumericalError("non-finite loss at step 0")
-    for _ in range(steps):
-        if lin is None:                  # every trial step was rejected
-            lin = ad.linearize(residual_fn, params)
-        r = lin.value()
-        loss = losses[-1]
-        g = _flatten(lin.vjp(r))                        # J^T r
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
-            losses.append(loss)
-            break
-        jg = lin.jvp(_unflatten(g, shapes))
-        denom = float(sum(np.sum(v * v) for v in jg)) + cfg.damping * gnorm2
-        if denom <= 0.0:
-            losses.append(loss)
-            break
-        eta = gnorm2 / denom
-        lin = None                       # release its tape before the trials
-        new_loss, lin = _line_search(residual_fn, params,
-                                     _unflatten(-eta * g, shapes), loss,
-                                     cfg.max_halvings)
-        losses.append(new_loss)
-    for a, b in zip(losses, losses[1:]):
-        assert b <= a, "line search must keep the loss non-increasing"
-    return OptimizeResult(params=params, losses=losses)
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clipped at 0) and eigenvectors of a symmetric PSD matrix."""
+    vals, vecs = np.linalg.eigh(m)
+    return np.maximum(vals, 0.0), vecs
+
+
+def _positive(denom: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a damped block, floored so that the block inverts."""
+    top = float(denom.max())
+    return np.maximum(denom, 1e-10 * top) if top > 0.0 else np.ones_like(denom)
+
+
+def _branch_inverse(x: np.ndarray, w2: np.ndarray, pair, s_out: np.ndarray,
+                    damp: float) -> Callable:
+    """v_a, v_b -> the approximate inverse curvature of one branch's filters
+    applied to v_a (reduce filter A) and v_b (expand filter B), each shaped
+    like its filter.
+
+    x is the branch's N x C x H x W input, w2 the N x H x W squared
+    importance weights and s_out the L x L Gram of the fusion's linear map of
+    the branch output.  Block B inverts S_out (x) G_c (x) G_t + damp I, the
+    Kronecker split of the weighted im2col Gram of Y = A x into its channel
+    (M x M) and tap (9 x 9) factors; block A inverts the K-FAC factors
+    (sum_t B_t^T S_out B_t) (x) G_x + damp I.  With S_out = 0 both blocks
+    are damp I.
+    """
+    if not np.any(s_out):
+        scale = 1.0 / damp if damp > 0.0 else 1.0
+        return lambda va, vb: (scale * va, scale * vb)
+    a, b = pair[0].data[:, :, 0, 0], pair[1].data
+    (n, c, h, wd), m, lab = x.shape, a.shape[0], b.shape[0]
+    root = np.sqrt(w2)[:, None]                        # N x 1 x H x W
+    xw = (x * root).transpose(1, 0, 2, 3).reshape(c, -1)
+    y = np.matmul(a, x.reshape(n, c, h * wd)).reshape(n, m, h, wd)
+    ypad = np.pad(y, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = np.stack([ypad[:, :, i:i + h, j:j + wd] * root
+                     for i in range(3) for j in range(3)])   # 9 x N x M x H x W
+    centre = taps[4].transpose(1, 0, 2, 3).reshape(m, -1)
+    g_c = centre @ centre.T
+    flat = taps.reshape(9, -1)
+    trace = float(np.trace(g_c))
+    g_t = flat @ flat.T / (trace if trace > 0.0 else 1.0)
+
+    (ls, us), (lc, uc), (lt, ut) = _eigh(s_out), _eigh(g_c), _eigh(g_t)
+    den_b = _positive(ls[:, None, None] * lc[None, :, None] * lt + damp)
+    rows = b.reshape(lab, m, 9).transpose(0, 2, 1).reshape(lab * 9, m)   # B_t over (l, t)
+    s_rows = (s_out @ b.reshape(lab, -1)).reshape(lab, m, 9).transpose(0, 2, 1)
+    lf, uf = _eigh(rows.T @ s_rows.reshape(lab * 9, m))
+    lx, ux = _eigh(xw @ xw.T)
+    den_a = _positive(lf[:, None] * lx + damp)
+
+    def inverse(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = np.matmul(uc.T, (us.T @ vb.reshape(lab, -1)).reshape(lab, m, 9)) @ ut
+        t = np.matmul(uc, t / den_b) @ ut.T
+        out_b = us @ t.reshape(lab, -1)
+        out_a = uf @ ((uf.T @ va.reshape(m, c) @ ux) / den_a) @ ux.T
+        return out_a, out_b
+
+    return inverse
+
+
+def _flow_gram(batch: TargetSample, params: TargetModelParams,
+               fusion: FusionParams) -> np.ndarray:
+    """S_out of the attention flow branch: T^T T for its first-order map
+    T = wo M wq, with M the attention map averaged over the batch."""
+    wo = fusion.wo.data[:, :, 0, 0]
+    lab = wo.shape[0]
+    if not np.any(wo):
+        return np.zeros((lab, lab))
+    z_im, z_fl = (ad.conv2d(ad.conv2d(x, pair[0]), pair[1], padding=1)
+                  for x, pair in ((batch.l3_im, params.tau1),
+                                  (batch.l3_fl, params.tau2)))
+    mean_map = attention_map(z_im, z_fl, fusion).data.mean(axis=0)
+    t = wo @ mean_map @ fusion.wq.data[:, :, 0, 0]
+    return t.T @ t
+
+
+def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
+                             fusion: FusionParams, mu: float) -> Callable:
+    """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
+    J^T J + mu I of ``residual_and_loss`` at the current filters.
+
+    ``batch`` is a stacked N x C x H x W batch.  One Kronecker block per
+    filter (see ``_branch_inverse``), damped by reg_lambda + mu; the
+    importance weights enter as w^2 averaged over the label channels at each
+    pixel.  The fusion's output Gram S_out is the identity in mode "none" and
+    for the attention image branch, W_b^T W_b for branch b's half of the
+    concat projection, and ``_flow_gram`` for the attention flow branch.  P
+    is symmetric positive definite.  The flow features are read only in the
+    modes that use them.
+    """
+    damp = params.reg_lambda + mu
+    w2 = np.mean(batch.weights.data ** 2, axis=1)
+    eye = np.eye(params.tau1[1].shape[0])
+    branches = [(batch.l3_im, params.tau1, eye)]
+    if fusion.mode == "concat":
+        wc = fusion.wc.data[:, :, 0, 0]
+        w_im, w_fl = np.split(wc, 2, axis=1)
+        branches = [(batch.l3_im, params.tau1, w_im.T @ w_im),
+                    (batch.l3_fl, params.tau2, w_fl.T @ w_fl)]
+    elif fusion.mode == "attention":
+        branches.append((batch.l3_fl, params.tau2, _flow_gram(batch, params, fusion)))
+    inverses = [_branch_inverse(x.data, w2, pair, s_out, damp)
+                for x, pair, s_out in branches]
+    shapes = [t.shape for t in params.tensors()]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        blocks = _unflatten(v, shapes)
+        return _flatten([out for k, inverse in enumerate(inverses)
+                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])])
+
+    return apply
 
 
 @dataclass
@@ -277,10 +381,10 @@ def optimize(params: TargetModelParams, buffer: MemoryBuffer,
         r, _loss = residual_and_loss([batch], params, fusion)
         return r
 
-    if cfg.mode == "steepest_descent":
-        res = steepest_descent(residual_fn, tensors, cfg.sd_steps, cfg)
-    else:
-        iters = outer_iters if outer_iters is not None else cfg.outer_iters_init
-        res = gauss_newton(residual_fn, tensors, iters, cfg)
+    def make_preconditioner():
+        return kronecker_preconditioner(batch, params, fusion, cfg.damping)
+
+    iters = outer_iters if outer_iters is not None else cfg.outer_iters_init
+    res = gauss_newton(residual_fn, tensors, iters, cfg, make_preconditioner)
     res.params = params
     return res

@@ -73,12 +73,10 @@ def frame_sets(seq: Sequence) -> list:
 
 
 def learner_config(cfg: RunConfig) -> LearnerConfig:
-    return LearnerConfig(mode=cfg.learner_mode,
-                         outer_iters_init=cfg.learner_outer_iters_init,
+    return LearnerConfig(outer_iters_init=cfg.learner_outer_iters_init,
                          outer_iters_update=cfg.learner_outer_iters_update,
                          cg_iters=cfg.learner_cg_iters,
-                         damping=cfg.learner_damping,
-                         sd_steps=cfg.learner_sd_steps)
+                         damping=cfg.learner_damping)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,61 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from flowvos import autodiff as ad
+from flowvos import pipeline
+from flowvos.config import RunConfig
+from flowvos.data_io import generate_synthetic, load_sequence, random_scene
+from flowvos.fusion import FusionParams
+from flowvos.model import Model
+from flowvos.target_model import TargetModelParams, TargetSample, stack_samples
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@dataclass
+class FitProblem:
+    """One ``optimize`` call as the pipeline made it: the starting filters,
+    the stacked buffer, the fusion and the outer-iteration budget."""
+
+    params: TargetModelParams
+    batch: TargetSample
+    fusion: FusionParams
+    outer_iters: int
+
+
+def capture_fit_problems(tmp_dir, seed: int = 3, frames: int = 9,
+                         size: int = 64) -> list:
+    """The fit problems of ``infer_sequence`` on a seeded size x size twin
+    sequence (two identical objects told apart only by motion) with an
+    untrained attention model and default learner settings."""
+    scene = random_scene(size, size, frames, 2, seed, distractors=True)
+    seq = load_sequence(generate_synthetic(scene, tmp_dir / "twins"))
+    problems = []
+    fit = pipeline.optimize
+
+    def record(params, buffer, fusion, cfg, outer_iters=None):
+        problems.append(FitProblem(params.copy(), stack_samples(*buffer.samples()),
+                                   fusion, outer_iters))
+        return fit(params, buffer, fusion, cfg, outer_iters)
+
+    pipeline.optimize = record
+    try:
+        pipeline.infer_sequence(pipeline.frame_sets(seq), seq.masks[0],
+                                Model(fusion_mode="attention", seed=7),
+                                RunConfig(seed=seed))
+    finally:
+        pipeline.optimize = fit
+    return problems
+
+
+@pytest.fixture(scope="session")
+def fit_problems(tmp_path_factory):
+    return capture_fit_problems(tmp_path_factory.mktemp("fit_problems"))
 
 
 def conv2d_loops(x, w, padding=0):

@@ -220,6 +220,18 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {meta}:2: width must be an integer, got '3x2'"]
 
+    def test_meta_with_negative_frames_is_data_error(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=4)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        meta = tmp_path / "d" / "meta"
+        meta.write_text(meta.read_text().replace("frames=4", "frames=-2"))
+        capsys.readouterr()
+        assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {meta}:4: frames must be >= 1, got -2"]
+
     @pytest.mark.parametrize("w, h", [(2 ** 31 - 1, 2 ** 31 - 1), (60000, 60000)])
     def test_flo_with_extents_beyond_the_file_is_data_error(self, tmp_path, capsys,
                                                            w, h):

@@ -35,7 +35,8 @@ class TestParsing:
     def test_defaults(self):
         cfg = make_config({"seed": "0"})
         assert cfg.fusion_mode == "attention"
-        assert cfg.learner_mode == "gauss_newton"
+        assert cfg.learner_cg_iters == 3
+        assert cfg.learner_damping == 1e-2
         assert cfg.learner_update_every == 4
         assert cfg.flow_max_displacement == 20.0
         assert cfg.decoder_l1_source == "flow"

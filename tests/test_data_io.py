@@ -145,6 +145,25 @@ class TestMeta:
         assert str(err.value).startswith(f"{p}:{ln + 1}: {key} ")
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", "0"), ("height", "-3"), ("frames", "-2"), ("frames", "0"),
+        ("objects", "-1")])
+    def test_out_of_range_names_path_line_and_key(self, tmp_path, key, value):
+        lines = ["width=3", "height=3", "frames=2", "objects=1"]
+        ln = next(i for i, s in enumerate(lines) if s.startswith(key + "="))
+        lines[ln] = f"{key}={value}"
+        p = tmp_path / "meta"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_meta(p)
+        assert str(err.value).startswith(f"{p}:{ln + 1}: {key} must be >= ")
+
+    def test_zero_objects_accepted(self, tmp_path):
+        p = tmp_path / "meta"
+        p.write_text("width=3\nheight=3\nframes=2\nobjects=0\n")
+        assert read_meta(p).objects == 0
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "report.txt"

@@ -5,7 +5,8 @@ from flowvos import autodiff as ad
 from flowvos.autodiff import Tensor
 from flowvos.fusion import FusionParams
 from flowvos.learner import (LearnerConfig, MemoryBuffer, NumericalError,
-                             gauss_newton, optimize, steepest_descent)
+                             conjugate_gradient, gauss_newton,
+                             kronecker_preconditioner, optimize)
 from flowvos.target_model import (TargetModelParams, TargetSample, apply,
                                   residual_and_loss)
 
@@ -113,8 +114,26 @@ class TestGaussNewton:
         res = gauss_newton(residual_fn, tm.tensors(), outer,
                            LearnerConfig(cg_iters=cg))
         assert all(y < x for x, y in zip(res.losses, res.losses[1:]))
-        assert len(matvecs) == outer * cg
+        assert len(matvecs) == outer * cg == res.matvecs
         assert len(forwards) == outer + 1
+        assert res.halvings == [0] * outer and res.rejected == [False] * outer
+
+    def test_line_search_halvings_and_rejection(self):
+        # r = sigmoid(t) - 1/2 at t = 3: the full Gauss-Newton step lands at
+        # t = -7.0, which raises the loss; half of it lowers the loss
+        def fn(params):
+            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
+
+        tau = Tensor(np.full(1, 3.0), requires_grad=True)
+        res = gauss_newton(fn, [tau], 1, LearnerConfig(damping=0.0, cg_iters=1))
+        assert res.halvings == [1] and res.rejected == [False]
+        assert res.losses[1] < res.losses[0]
+
+        tau = Tensor(np.full(1, 3.0), requires_grad=True)
+        res = gauss_newton(fn, [tau], 1,
+                           LearnerConfig(damping=0.0, cg_iters=1, max_halvings=0))
+        assert res.halvings == [0] and res.rejected == [True]
+        assert res.losses == [res.losses[0]] * 2 and tau.data[0] == 3.0
 
     def test_monotone_losses(self, rng):
         def fn(params):
@@ -134,20 +153,95 @@ class TestGaussNewton:
             gauss_newton(fn, [tau], 2, LearnerConfig())
 
 
-class TestSteepestDescent:
-    def test_converges_to_gn_minimizer_on_convex_instance(self, rng):
-        n = 5
-        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        A = q @ np.diag(np.linspace(1.0, 2.5, n))     # mild conditioning
-        b = rng.standard_normal(n)
-        tau_gn = Tensor(np.zeros(n), requires_grad=True)
-        gauss_newton(linear_residual(A, b), [tau_gn], 1,
-                     LearnerConfig(damping=0.0, cg_iters=n))
-        tau_sd = Tensor(np.zeros(n), requires_grad=True)
-        res = steepest_descent(linear_residual(A, b), [tau_sd], 200,
-                               LearnerConfig(damping=0.0))
-        assert np.linalg.norm(tau_sd.data - tau_gn.data) < 1e-4
-        assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
+class TestConjugateGradient:
+    def test_exact_preconditioner_solves_in_one_iteration(self, rng):
+        q = rng.standard_normal((6, 6))
+        a = q @ q.T + 0.1 * np.eye(6)
+        b = rng.standard_normal(6)
+        a_inv = np.linalg.inv(a)
+        x, resid = conjugate_gradient(lambda v: a @ v, b, 1,
+                                      preconditioner=lambda v: a_inv @ v)
+        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
+        assert resid < 1e-10
+
+    def test_residual_is_unpreconditioned(self, rng):
+        q = rng.standard_normal((8, 8))
+        a = q @ q.T + 0.1 * np.eye(8)
+        b = rng.standard_normal(8)
+        diag = 1.0 / np.diag(a)
+        x, resid = conjugate_gradient(lambda v: a @ v, b, 3,
+                                      preconditioner=lambda v: diag * v)
+        true = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+        assert abs(resid - true) < 1e-10
+
+
+def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3):
+    fp = FusionParams.init(rng, mode, d)
+    if mode == "attention":
+        fp.wo.data = rng.standard_normal(fp.wo.data.shape)
+    tm = TargetModelParams.init_random(rng, c_in, d, with_flow=mode != "none",
+                                       c_mid=c_mid)
+    batch = TargetSample(l3_im=Tensor(rng.standard_normal((n, c_in, 5, 4))),
+                         l3_fl=Tensor(rng.standard_normal((n, c_in, 5, 4))),
+                         encoded=Tensor(rng.standard_normal((n, d, 5, 4))),
+                         weights=Tensor(rng.random((n, d, 5, 4))))
+    return tm, batch, fp
+
+
+class TestKroneckerPreconditioner:
+    @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
+    def test_symmetric_positive_definite(self, rng, mode):
+        tm, batch, fp = _preconditioner_case(rng, mode)
+        apply_p = kronecker_preconditioner(batch, tm, fp, 1e-2)
+        size = sum(t.size for t in tm.tensors())
+        dense = np.stack([apply_p(e) for e in np.eye(size)], axis=1)
+        assert np.allclose(dense, dense.T, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+        u, v = rng.standard_normal(size), rng.standard_normal(size)
+        assert np.isclose(u @ apply_p(v), apply_p(u) @ v, rtol=1e-9)
+        assert v @ apply_p(v) > 0.0
+
+    def test_mode_none_ignores_flow_features(self, rng):
+        tm, batch, fp = _preconditioner_case(rng, "none")
+        v = rng.standard_normal(sum(t.size for t in tm.tensors()))
+        ref = kronecker_preconditioner(batch, tm, fp, 1e-2)(v)
+        batch.l3_fl = Tensor(-3.0 * batch.l3_fl.data + 1.0)
+        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2)(v), ref)
+        batch.l3_fl = None
+        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2)(v), ref)
+
+    def test_flow_block_is_exact_while_attention_output_is_zero(self, rng):
+        # with wo = 0 the flow filters only meet the regularizer, so their
+        # damped GN block is (lambda + mu) I and P inverts it exactly
+        tm, batch, fp = _preconditioner_case(rng, "attention")
+        fp.wo.data[:] = 0.0
+        sizes = [t.size for t in tm.tensors()]
+        v = rng.standard_normal(sum(sizes))
+        out = kronecker_preconditioner(batch, tm, fp, 0.05)(v)
+        flow = slice(sizes[0] + sizes[1], None)
+        assert np.allclose(out[flow], v[flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
+
+    def test_fewer_matvecs_lower_loss_on_captured_fits(self, fit_problems):
+        assert len(fit_problems) >= 4
+
+        def solve(problem, cfg, preconditioned):
+            tm = problem.params.copy()
+
+            def residual_fn(_):
+                return residual_and_loss([problem.batch], tm, problem.fusion)[0]
+
+            def make():
+                return kronecker_preconditioner(problem.batch, tm, problem.fusion,
+                                                cfg.damping)
+
+            return gauss_newton(residual_fn, tm.tensors(), problem.outer_iters, cfg,
+                                make if preconditioned else None)
+
+        plain = [solve(p, LearnerConfig(cg_iters=10, damping=1e-4), False)
+                 for p in fit_problems]
+        ours = [solve(p, LearnerConfig(), True) for p in fit_problems]
+        assert sum(r.losses[-1] for r in ours) < sum(r.losses[-1] for r in plain)
+        assert sum(r.matvecs for r in ours) <= 0.4 * sum(r.matvecs for r in plain)
 
 
 class TestMemoryBuffer:
@@ -246,14 +340,6 @@ class TestOptimize:
                  outer_iters=1)
         assert np.linalg.norm(tm.tau1[1].data.reshape(-1) - ref) < 1e-8
 
-    def test_steepest_descent_mode(self, rng):
-        fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2)
-        buf = self.make_buffer(rng)
-        res = optimize(tm, buf, fp, LearnerConfig(mode="steepest_descent",
-                                                  sd_steps=10))
-        assert res.losses[-1] < res.losses[0]
-
     def test_attention_mode_decreases(self, rng):
         fp = FusionParams.init(rng, "attention", 3)
         tm = TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2)
@@ -272,7 +358,5 @@ class TestOptimize:
 def test_config_validation():
     with pytest.raises(ValueError, match="damping"):
         LearnerConfig(damping=-1.0)
-    with pytest.raises(ValueError, match="unknown learner mode"):
-        LearnerConfig(mode="adam")
     with pytest.raises(ValueError, match=">= 1"):
         LearnerConfig(cg_iters=0)
