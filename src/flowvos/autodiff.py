@@ -6,12 +6,12 @@ upsampling, matmul), so each operation carries two hand-written rules:
 a VJP (for backward / vector-Jacobian products) and a JVP (forward tangent
 propagation over a recorded tape, used for matrix-free Jacobian products).
 
-A replay (``Tape.vjp``, ``Tape.jvp``, ``Tape.backward``) touches only the
-tape's live nodes: those that depend on the sources (the parameters, or
-every requires_grad leaf for ``backward``) and lead to the outputs.  Each
-VJP rule receives the mask of its inputs that need a gradient, so
-``conv2d`` skips its input correlation on a frozen input, such as features
-or a raw image, and its weight gradient on a constant kernel.
+A replay (``Linearization.vjp``, ``Linearization.jvp``, ``Tape.backward``)
+touches only the tape's live nodes: those that depend on the sources (the
+parameters, or every requires_grad leaf for ``backward``) and lead to the
+outputs.  Each VJP rule receives the mask of its inputs that need a
+gradient, so ``conv2d`` skips its input correlation on a frozen input, such
+as features or a raw image, and its weight gradient on a constant kernel.
 
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
@@ -55,7 +55,6 @@ __all__ = [
     "conv2d",
     "avg_pool2",
     "upsample2",
-    "linearize",
     "Linearization",
 ]
 
@@ -171,11 +170,11 @@ class Tape:
     """Ordered record of executed operations, usable as a context manager.
 
     Recording order is a topological order of the computation, so one reverse
-    sweep visits every node exactly once after all of its consumers.  Every
-    replay (``vjp``, ``jvp``, ``backward``) walks only the plan's live nodes:
-    those that depend on the sources and lead to the outputs.  A tape
-    belongs to one logical thread; parallelism is only sound across
-    independent tapes.
+    sweep visits every node exactly once after all of its consumers.  A
+    replay (``backward`` here, ``Linearization.jvp`` and ``vjp``) walks only
+    the live nodes of a ``plan``: those that depend on the sources and lead
+    to the outputs.  A tape belongs to one logical thread; parallelism is
+    only sound across independent tapes.
     """
 
     def __init__(self):
@@ -210,36 +209,6 @@ class Tape:
                 plan.append((node, need))
         plan.reverse()
         return plan
-
-    def vjp(self, outputs: Sequence[Tensor], cotangents: Sequence[np.ndarray],
-            wrt: Sequence[Tensor], plan: list) -> list[np.ndarray]:
-        """Pull cotangents on ``outputs`` back to ``wrt`` along ``plan``, which
-        is ``self.plan(wrt, outputs)``; pure, grad is untouched."""
-        grads: dict[int, np.ndarray] = {}
-        for out, cot in zip(outputs, cotangents):
-            cot = np.asarray(cot, dtype=np.float64)
-            if cot.shape != out.data.shape:
-                raise ValueError(
-                    f"cotangent shape {cot.shape} != output shape {out.data.shape}")
-            key = id(out)
-            grads[key] = grads[key] + cot if key in grads else cot.copy()
-        _pull(plan, grads)
-        return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]
-
-    def jvp(self, wrt: Sequence[Tensor], tangents: Sequence[np.ndarray],
-            outputs: Sequence[Tensor], plan: list) -> list[np.ndarray]:
-        """Push tangents on ``wrt`` forward to ``outputs`` along ``plan``, which
-        is ``self.plan(wrt, outputs)``."""
-        tans: dict[int, np.ndarray] = {}
-        for w, t in zip(wrt, tangents):
-            t = np.asarray(t, dtype=np.float64)
-            if t.shape != w.data.shape:
-                raise ValueError(f"tangent shape {t.shape} != leaf shape {w.data.shape}")
-            tans[id(w)] = t
-        for node, need in plan:
-            tans[id(node.out)] = node.jvp(
-                [tans[id(i)] if n else None for i, n in zip(node.inputs, need)])
-        return [tans.get(id(o), np.zeros_like(o.data)) for o in outputs]
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf."""
@@ -732,15 +701,30 @@ class Linearization:
         """J v: push parameter tangents through to the residual blocks."""
         if len(tangents) != len(self.params):
             raise ValueError(f"expected {len(self.params)} tangents, got {len(tangents)}")
-        return self.tape.jvp(self.params, tangents, self.outputs, self.plan)
+        tans: dict[int, np.ndarray] = {}
+        for w, t in zip(self.params, tangents):
+            t = np.asarray(t, dtype=np.float64)
+            if t.shape != w.data.shape:
+                raise ValueError(f"tangent shape {t.shape} != leaf shape {w.data.shape}")
+            tans[id(w)] = t
+        for node, need in self.plan:
+            tans[id(node.out)] = node.jvp(
+                [tans[id(i)] if n else None for i, n in zip(node.inputs, need)])
+        return [tans.get(id(o), np.zeros_like(o.data)) for o in self.outputs]
 
     def vjp(self, cotangents: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """J^T u: pull residual cotangents back to the parameters."""
+        """J^T u: pull residual cotangents back to the parameters; pure, grad
+        is untouched."""
         if len(cotangents) != len(self.outputs):
             raise ValueError(
                 f"expected {len(self.outputs)} cotangents, got {len(cotangents)}")
-        return self.tape.vjp(self.outputs, cotangents, self.params, self.plan)
-
-
-def linearize(residual_fn: Callable, params: Sequence[Tensor]) -> Linearization:
-    return Linearization(residual_fn, params)
+        grads: dict[int, np.ndarray] = {}
+        for out, cot in zip(self.outputs, cotangents):
+            cot = np.asarray(cot, dtype=np.float64)
+            if cot.shape != out.data.shape:
+                raise ValueError(
+                    f"cotangent shape {cot.shape} != output shape {out.data.shape}")
+            key = id(out)
+            grads[key] = grads[key] + cot if key in grads else cot.copy()
+        _pull(self.plan, grads)
+        return [grads.get(id(w), np.zeros_like(w.data)) for w in self.params]

@@ -1,14 +1,21 @@
 """Line-oriented key=value run configuration with typed defaults.
 
-Every tunable of the learner, fusion, decoder, training loop and flow
-handling lives here under a dotted key; ``seed`` is mandatory and has no
-default.  Files may contain blank lines and ``#`` comments; unknown keys are
-rejected.  Command-line overrides win over file values.
+``RunConfig`` declares every setting of the learner, fusion, training loop
+and flow handling once: each field carries its default, a one-line doc and
+its valid values, an interval such as ``[1, inf)`` or a tuple of choices.
+The dotted key replaces the first ``_`` of the field name with ``.``
+(``learner.cg_iters`` is ``learner_cg_iters``), and the field's type parses
+the key's string value.  ``seed`` is mandatory and has no default.
+
+Constructing a ``RunConfig`` in any way, ``make_config``, a direct call or
+``dataclasses.replace``, checks every value and raises ``ConfigError``
+naming the key of the first one out of range; an interval rejects nan and
+an open ``inf`` end rejects inf.  Files may contain blank lines and ``#``
+comments; unknown keys are rejected.  Command-line overrides win over file
+values.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .fusion import MODES
@@ -18,75 +25,68 @@ class ConfigError(Exception):
     pass
 
 
-def _bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+def _setting(doc: str, valid, default=MISSING):
+    return field(default=default, metadata={"doc": doc, "valid": valid})
 
 
-# key -> (type converter, default, documentation); None default = required
-SCHEMA = {
-    "seed": (int, None, "master RNG seed (required)"),
-    "fusion.mode": (str, "attention", "none | concat | attention"),
-    "flow.prescale": (_bool, False,
-                      "apply the cone transform to (u, v, sqrt(2) m) instead of (u, v, m)"),
-    "flow.max_displacement": (float, 20.0,
-                              "nominal max displacement used to normalize embedded flow"),
-    "decoder.l1_source": (str, "flow",
-                          "pyramid level-1 passthrough branch: flow | image"),
-    "learner.outer_iters_init": (int, 5, "outer iterations on the annotated frame"),
-    "learner.outer_iters_update": (int, 2, "outer iterations per online update"),
-    "learner.cg_iters": (int, 3,
-                         "preconditioned conjugate-gradient iterations per outer step"),
-    "learner.damping": (float, 1e-2, "Levenberg damping mu"),
-    "learner.reg_lambda": (float, 1e-2, "L2 penalty on the target-model filters"),
-    "learner.update_every": (int, 4, "re-optimize every Nth frame"),
-    "learner.update_conf": (float, 0.85,
-                            "also re-optimize when mean mask confidence exceeds this"),
-    "learner.buffer_capacity": (int, 8, "memory buffer capacity"),
-    "learner.buffer_decay": (float, 0.9, "per-frame geometric sample-weight decay"),
-    "learner.pinned_weight": (float, 2.0, "sample weight of the pinned first frame"),
-    "train.epochs": (int, 3, "offline training epochs"),
-    "train.lr": (float, 1e-3, "Adam learning rate"),
-    "train.crop": (int, 64, "training crop size (multiple of 16)"),
-    "train.aug_copies": (int, 2, "augmented copies of the reference frame"),
-    "train.samples_per_seq": (int, 1, "training samples drawn per sequence per epoch"),
-}
+def _key(f) -> str:
+    return f.name.replace("_", ".", 1)
+
+
+def _within(value, interval: str) -> bool:
+    """Whether value lies in an interval written like "[0, 1]" or "(0, inf)"."""
+    lo, hi = (float(s) for s in interval[1:-1].split(","))
+    above = value > lo if interval[0] == "(" else value >= lo
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
 
 
 @dataclass
 class RunConfig:
-    seed: int
-    fusion_mode: str = "attention"
-    flow_prescale: bool = False
-    flow_max_displacement: float = 20.0
-    decoder_l1_source: str = "flow"
-    learner_outer_iters_init: int = 5
-    learner_outer_iters_update: int = 2
-    learner_cg_iters: int = 3
-    learner_damping: float = 1e-2
-    learner_reg_lambda: float = 1e-2
-    learner_update_every: int = 4
-    learner_update_conf: float = 0.85
-    learner_buffer_capacity: int = 8
-    learner_buffer_decay: float = 0.9
-    learner_pinned_weight: float = 2.0
-    train_epochs: int = 3
-    train_lr: float = 1e-3
-    train_crop: int = 64
-    train_aug_copies: int = 2
-    train_samples_per_seq: int = 1
+    seed: int = _setting("master RNG seed (required)", "[0, inf)")
+    fusion_mode: str = _setting("none | concat | attention", MODES, "attention")
+    flow_max_displacement: float = _setting(
+        "nominal max displacement used to normalize embedded flow", "(0, inf)", 20.0)
+    learner_outer_iters_init: int = _setting(
+        "outer iterations on the annotated frame", "[1, inf)", 5)
+    learner_outer_iters_update: int = _setting(
+        "outer iterations per online update", "[1, inf)", 2)
+    learner_cg_iters: int = _setting(
+        "preconditioned conjugate-gradient iterations per outer step", "[1, inf)", 3)
+    learner_damping: float = _setting("Levenberg damping mu", "[0, inf)", 1e-2)
+    learner_reg_lambda: float = _setting(
+        "L2 penalty on the target-model filters", "[0, inf)", 1e-2)
+    learner_update_every: int = _setting("re-optimize every Nth frame", "[1, inf)", 4)
+    learner_update_conf: float = _setting(
+        "also re-optimize when mean mask confidence exceeds this", "[0, 1]", 0.85)
+    learner_buffer_capacity: int = _setting(
+        "memory buffer capacity", "[2, inf)", 8)   # the pinned frame and one more
+    learner_buffer_decay: float = _setting(
+        "per-frame geometric sample-weight decay", "(0, 1]", 0.9)
+    learner_pinned_weight: float = _setting(
+        "sample weight of the pinned first frame", "(0, inf)", 2.0)
+    train_epochs: int = _setting("offline training epochs", "[1, inf)", 3)
+    train_lr: float = _setting("Adam learning rate", "(0, inf)", 1e-3)
+    train_crop: int = _setting("training crop size (multiple of 16)", "[16, inf)", 64)
+    train_aug_copies: int = _setting(
+        "augmented copies of the reference frame", "[0, inf)", 2)
+    train_samples_per_seq: int = _setting(
+        "training samples drawn per sequence per epoch", "[1, inf)", 1)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, valid = getattr(self, f.name), f.metadata["valid"]
+            if isinstance(valid, tuple):
+                if value not in valid:
+                    raise ConfigError(f"{_key(f)} must be one of {valid}, got {value!r}")
+            elif not _within(value, valid):
+                raise ConfigError(f"{_key(f)} must be in {valid}, got {value}")
+        if self.train_crop % 16 != 0:
+            raise ConfigError(
+                f"train.crop must be a multiple of 16, got {self.train_crop}")
 
 
-def _field_name(key: str) -> str:
-    return key.replace(".", "_")
-
-
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-assert all(_field_name(k) in _FIELD_NAMES for k in SCHEMA)
+_FIELDS = {_key(f): f for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -100,7 +100,7 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in SCHEMA:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
             out[key] = val
     return out
@@ -113,40 +113,22 @@ def make_config(values: Optional[dict] = None,
     merged.update(overrides or {})
     kwargs = {}
     for key, raw in merged.items():
-        if key not in SCHEMA:
+        f = _FIELDS.get(key)
+        if f is None:
             raise ConfigError(f"unknown config key {key!r}")
-        conv = SCHEMA[key][0]
         try:
-            kwargs[_field_name(key)] = conv(raw) if isinstance(raw, str) else raw
+            kwargs[f.name] = f.type(raw) if isinstance(raw, str) else raw
         except ValueError as e:
             raise ConfigError(f"config key {key}: {e}") from None
     if "seed" not in kwargs:
         raise ConfigError("config requires a seed (key 'seed' or --seed)")
-    cfg = RunConfig(**kwargs)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.fusion_mode not in MODES:
-        raise ConfigError(f"fusion.mode must be one of {MODES}, got {cfg.fusion_mode!r}")
-    if cfg.decoder_l1_source not in ("flow", "image"):
-        raise ConfigError(
-            f"decoder.l1_source must be flow or image, got {cfg.decoder_l1_source!r}")
-    if cfg.train_crop % 16 != 0:
-        raise ConfigError(f"train.crop must be a multiple of 16, got {cfg.train_crop}")
-    if cfg.flow_max_displacement <= 0:
-        raise ConfigError("flow.max_displacement must be positive")
-    if not 0.0 < cfg.learner_buffer_decay <= 1.0:
-        raise ConfigError("learner.buffer_decay must be in (0, 1]")
+    return RunConfig(**kwargs)
 
 
 def default_config_text() -> str:
     """A documented config file with every key at its default."""
     lines = ["# flowvos run configuration; flags override file values"]
-    for key, (_, default, doc) in SCHEMA.items():
-        shown = "REQUIRED" if default is None else str(default).lower() \
-            if isinstance(default, bool) else str(default)
-        lines.append(f"# {doc}")
-        lines.append(f"{key} = {shown}")
+    for key, f in _FIELDS.items():
+        lines.append(f"# {f.metadata['doc']}")
+        lines.append(f"{key} = {'REQUIRED' if f.default is MISSING else f.default}")
     return "\n".join(lines) + "\n"

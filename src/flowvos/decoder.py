@@ -11,10 +11,9 @@ head-after-upsample up to rounding while the last upsample moves one
 channel instead of the decoder width.
 
 Pyramid fusion applies one fusion instance per level to levels 2, 3 and 4.
-Level 1 is passed through unfused; which branch feeds it is a config toggle
-(``decoder.l1_source``), defaulting to the flow branch.  In fusion mode
-"none" the whole pyramid comes from the image branch and the flow branch is
-never consulted.
+Level 1 is the flow branch's feature, passed through unfused.  In fusion
+mode "none" the whole pyramid comes from the image branch and the flow
+branch is never consulted.
 """
 
 from __future__ import annotations
@@ -62,10 +61,9 @@ class DecoderParams:
         yield f"{prefix}.head.b", self.head[1]
 
 
-def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict,
-                 l1_source: str = "flow") -> dict:
+def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict) -> dict:
     """Per-level fused decoder features {1..4}; levels 2-4 get their own
-    fusion instance, level 1 is a plain passthrough."""
+    fusion instance, level 1 is a plain passthrough of the flow branch."""
     for k in (1, 2, 3, 4):
         if k not in pyr_im:
             raise ValueError(f"fuse_pyramid: missing image pyramid level {k}")
@@ -77,10 +75,8 @@ def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict,
     for k in (1, 2, 3, 4):
         if k not in pyr_fl:
             raise ValueError(f"fuse_pyramid: missing flow pyramid level {k}")
-    if l1_source not in ("flow", "image"):
-        raise ValueError(f"decoder.l1_source must be flow or image, got {l1_source!r}")
     out = {k: fuse(pyr_im[k], pyr_fl[k], fusion_levels[k]) for k in (2, 3, 4)}
-    out[1] = pyr_fl[1] if l1_source == "flow" else pyr_im[1]
+    out[1] = pyr_fl[1]
     return out
 
 

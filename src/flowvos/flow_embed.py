@@ -5,9 +5,8 @@ the lifted points live on a cone around the z axis.  A fixed linear map then
 tilts that cone onto the positive octant so the channels behave like image
 intensities.  The map factors as Q diag(1, 1, sqrt(2)) with Q a proper
 rotation, i.e. the magnitude scaling is already folded into its third column,
-so it is applied to the unscaled triple.  Set ``prescale=True`` to feed
-(u, v, sqrt(2) m) instead, which reproduces the alternative scale-then-rotate
-reading (and breaks the sqrt(3) norm law).
+so it is applied to the unscaled triple.  Feeding (u, v, sqrt(2) m) instead,
+the scale-then-rotate reading, would break the sqrt(3) norm law.
 """
 
 from dataclasses import dataclass
@@ -54,13 +53,11 @@ def _check_finite(flow: FlowField) -> None:
         raise ValueError(f"non-finite flow {comp} component at pixel (x={x}, y={y})")
 
 
-def embed_flow(flow: FlowField, prescale: bool = False) -> Tensor:
+def embed_flow(flow: FlowField) -> Tensor:
     """Embed a flow field into the all-positive 3-channel representation."""
     _check_finite(flow)
     u, v = flow.uv[0], flow.uv[1]
     m = np.sqrt(u * u + v * v)
-    if prescale:
-        m = m * np.sqrt(2.0)
     p = np.stack([u, v, m])
     out = np.einsum("ij,jhw->ihw", ROTATION, p)
     return Tensor(out)

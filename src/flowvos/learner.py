@@ -15,7 +15,9 @@ non-increasing across a call.  Every trial is recorded as a linearization,
 and the accepted one is the next iteration's, so a call evaluates r once per
 outer iteration plus once at the start when every step is accepted.
 ``OptimizeResult`` reports the losses, the CG residuals, the matvec count
-and each step's halvings and rejection.
+and each step's halvings and rejection.  ``gauss_newton`` takes its CG
+budget and damping as arguments; ``optimize`` reads them from the
+``RunConfig``, whose check bounds them.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Linearization, Tensor
+from .config import RunConfig
 from .fusion import FusionParams, attention_map
 from .target_model import (TargetModelParams, TargetSample, residual_and_loss,
                            stack_samples)
 
 __all__ = [
     "NumericalError",
-    "LearnerConfig",
     "OptimizeResult",
     "conjugate_gradient",
     "gauss_newton",
@@ -45,21 +47,6 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """The optimization produced a non-finite quantity."""
-
-
-@dataclass
-class LearnerConfig:
-    outer_iters_init: int = 5
-    outer_iters_update: int = 2
-    cg_iters: int = 3
-    damping: float = 1e-2
-    max_halvings: int = 8
-
-    def __post_init__(self):
-        if min(self.outer_iters_init, self.outer_iters_update, self.cg_iters) < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.damping < 0.0:
-            raise ValueError("damping must be >= 0")
 
 
 @dataclass
@@ -141,7 +128,7 @@ def _line_search(residual_fn, params, direction_blocks, loss0, max_halvings):
     for halvings in range(max_halvings + 1):
         for p, b, d in zip(params, base, direction_blocks):
             p.data = b + alpha * d
-        lin = ad.linearize(residual_fn, params)
+        lin = Linearization(residual_fn, params)
         trial = _loss_of(lin.value())
         if np.isfinite(trial) and trial <= loss0:
             return trial, lin, halvings
@@ -153,24 +140,26 @@ def _line_search(residual_fn, params, direction_blocks, loss0, max_halvings):
 
 
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
-                 cfg: LearnerConfig,
-                 make_preconditioner: Optional[Callable] = None) -> OptimizeResult:
+                 cg_iters: int, damping: float,
+                 make_preconditioner: Optional[Callable] = None,
+                 max_halvings: int = 8) -> OptimizeResult:
     """Damped Gauss-Newton with matrix-free CG inner solves; mutates params.
 
-    ``make_preconditioner()`` is called once per outer iteration, at the
-    current iterate, and its result is passed to ``conjugate_gradient``.
+    Each outer iteration runs ``cg_iters`` CG iterations on the normal
+    equations damped by ``damping``.  ``make_preconditioner()`` is called once
+    per outer iteration, at the current iterate, and its result is passed to
+    ``conjugate_gradient``.
     """
     params = list(params)
     shapes = [p.data.shape for p in params]
-    lin = ad.linearize(residual_fn, params)
+    lin = Linearization(residual_fn, params)
     res = OptimizeResult(params=params, losses=[_loss_of(lin.value())])
     losses = res.losses
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at outer iteration 0")
-    mu = cfg.damping
     for n in range(outer_iters):
         if lin is None:                  # every trial step was rejected
-            lin = ad.linearize(residual_fn, params)
+            lin = Linearization(residual_fn, params)
         r = lin.value()
         loss = losses[-1]
         b = -_flatten(lin.vjp(r))                       # -J^T r
@@ -185,15 +174,15 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
             res.matvecs += 1
             jv = lin.jvp(_unflatten(v, shapes))
             jtjv = _flatten(lin.vjp(jv))
-            return jtjv + mu * v
+            return jtjv + damping * v
 
         precond = None if make_preconditioner is None else make_preconditioner()
-        delta, resid = conjugate_gradient(matvec, b, cfg.cg_iters,
+        delta, resid = conjugate_gradient(matvec, b, cg_iters,
                                           preconditioner=precond)
         res.cg_residuals.append(resid)
         lin = None                       # release its tape before the trials
         new_loss, lin, halvings = _line_search(
-            residual_fn, params, _unflatten(delta, shapes), loss, cfg.max_halvings)
+            residual_fn, params, _unflatten(delta, shapes), loss, max_halvings)
         losses.append(new_loss)
         res.halvings.append(halvings)
         res.rejected.append(lin is None)
@@ -331,10 +320,7 @@ class MemoryBuffer:
     weight throughout.
     """
 
-    def __init__(self, capacity: int = 8, decay: float = 0.9,
-                 pinned_weight: float = 2.0):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, capacity: int, decay: float, pinned_weight: float):
         self.capacity = capacity
         self.decay = decay
         self.pinned_weight = pinned_weight
@@ -369,22 +355,22 @@ class MemoryBuffer:
 
 
 def optimize(params: TargetModelParams, buffer: MemoryBuffer,
-             fusion: FusionParams, cfg: LearnerConfig,
-             outer_iters: Optional[int] = None) -> OptimizeResult:
-    """Fit the target model to the buffer contents; loss never increases."""
+             fusion: FusionParams, cfg: RunConfig, *,
+             outer_iters: int) -> OptimizeResult:
+    """Fit the target model to the buffer contents in ``outer_iters`` outer
+    iterations; loss never increases."""
     if len(buffer) == 0:
         raise ValueError("optimize: empty buffer")
     batch = stack_samples(*buffer.samples())
-    tensors = params.tensors()
 
     def residual_fn(_):
-        r, _loss = residual_and_loss([batch], params, fusion)
+        r, _loss = residual_and_loss(batch, params, fusion)
         return r
 
     def make_preconditioner():
-        return kronecker_preconditioner(batch, params, fusion, cfg.damping)
+        return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping)
 
-    iters = outer_iters if outer_iters is not None else cfg.outer_iters_init
-    res = gauss_newton(residual_fn, tensors, iters, cfg, make_preconditioner)
+    res = gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
+                       cfg.learner_damping, make_preconditioner)
     res.params = params
     return res

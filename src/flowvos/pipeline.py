@@ -32,7 +32,7 @@ from .config import RunConfig
 from .data_io import Sequence
 from .decoder import decode, fuse_pyramid
 from .flow_embed import FlowField, embed_flow
-from .learner import LearnerConfig, MemoryBuffer, optimize
+from .learner import MemoryBuffer, optimize
 from .model import Model
 from .target_model import TargetModelParams, TargetSample, apply
 
@@ -40,7 +40,6 @@ __all__ = [
     "FrameSet",
     "SegResult",
     "frame_sets",
-    "learner_config",
     "infer_sequence",
     "train_offline",
     "Adam",
@@ -72,19 +71,12 @@ def frame_sets(seq: Sequence) -> list:
                      index=t) for t in range(len(seq))]
 
 
-def learner_config(cfg: RunConfig) -> LearnerConfig:
-    return LearnerConfig(outer_iters_init=cfg.learner_outer_iters_init,
-                         outer_iters_update=cfg.learner_outer_iters_update,
-                         cg_iters=cfg.learner_cg_iters,
-                         damping=cfg.learner_damping)
-
-
 # ---------------------------------------------------------------------------
 # feature plumbing
 
 
 def _flow_input(fs: FrameSet, cfg: RunConfig) -> Tensor:
-    emb = embed_flow(fs.flow, prescale=cfg.flow_prescale)
+    emb = embed_flow(fs.flow)
     return Tensor(emb.data / cfg.flow_max_displacement)
 
 
@@ -134,11 +126,6 @@ def _new_target_model(model: Model, cfg: RunConfig, seed_tail) -> TargetModelPar
         with_flow=model.uses_flow, reg_lambda=cfg.learner_reg_lambda)
 
 
-def bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
-    y = Tensor(target01)
-    return ad.tmean(ad.sub(ad.softplus(logits), ad.mul(logits, y)))
-
-
 def balanced_bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
     """Per-pixel BCE with the two classes reweighted to equal total mass.
 
@@ -160,13 +147,8 @@ def balanced_bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
 # inference
 
 
-def _tau_snapshot(taus: dict) -> dict:
-    return {k: np.concatenate([t.data.reshape(-1).copy() for t in tau.tensors()])
-            for k, tau in taus.items()}
-
-
 def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
-                   cfg: RunConfig, diagnostics: Optional[dict] = None) -> list:
+                   cfg: RunConfig) -> list:
     """Segment a sequence given the first frame's label image."""
     if len(framesets) < 2:
         raise ValueError("inference needs at least two frames")
@@ -177,7 +159,6 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     objects = sorted(int(k) for k in np.unique(annotation) if k > 0)
     if not objects:
         raise ValueError("annotation contains no objects")
-    lcfg = learner_config(cfg)
     h0, w0 = annotation.shape
 
     t_start = time.perf_counter()
@@ -188,18 +169,14 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     for k in objects:
         sample = _object_sample(model, pyr_im, pyr_fl,
                                 (ann == k).astype(np.float64), 0)
-        buf = MemoryBuffer(capacity=cfg.learner_buffer_capacity,
-                           decay=cfg.learner_buffer_decay,
-                           pinned_weight=cfg.learner_pinned_weight)
+        buf = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
+                           cfg.learner_pinned_weight)
         buf.add(sample, pinned=True)
         tau = _new_target_model(model, cfg, (_SEED_INFER, k))
-        optimize(tau, buf, model.fusion_tm, lcfg,
+        optimize(tau, buf, model.fusion_tm, cfg,
                  outer_iters=cfg.learner_outer_iters_init)
         taus[k] = tau
         buffers[k] = buf
-
-    if diagnostics is not None:
-        diagnostics["tau_after_init"] = _tau_snapshot(taus)
 
     probs0 = np.stack([(annotation == k).astype(np.float64) for k in objects])
     results = [SegResult(probs=probs0, labels=annotation.astype(np.uint8),
@@ -211,8 +188,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         tic = time.perf_counter()
         fs, _ = _pad_frameset(fs_raw)
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec,
-                             l1_source=cfg.decoder_l1_source)
+        fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
         prob_list = []
         for k in objects:
             f_tm = apply(pyr_im[3], None if pyr_fl is None else pyr_fl[3],
@@ -236,7 +212,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         if (fs_raw.index % cfg.learner_update_every == 0
                 or confidence > cfg.learner_update_conf):
             for k in objects:
-                optimize(taus[k], buffers[k], model.fusion_tm, lcfg,
+                optimize(taus[k], buffers[k], model.fusion_tm, cfg,
                          outer_iters=cfg.learner_outer_iters_update)
             updated = True
         results.append(SegResult(probs=probs, labels=labels,
@@ -245,8 +221,6 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
                                  updated=updated,
                                  meta={"pad": (ph, pw),
                                        "confidence": confidence}))
-    if diagnostics is not None:
-        diagnostics["tau_final"] = _tau_snapshot(taus)
     return results
 
 
@@ -336,7 +310,7 @@ def _crop_frameset(fs: FrameSet, y0: int, x0: int, size: int) -> FrameSet:
 class Adam:
     """First-order adaptive-moment update with bias correction."""
 
-    def __init__(self, params: list, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: list, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = lr
@@ -396,7 +370,7 @@ def _draw_sample(seq: Sequence, rng, cfg: RunConfig) -> TrainingSample:
 
 
 def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
-                   lcfg: LearnerConfig, rng) -> TargetModelParams:
+                   rng) -> TargetModelParams:
     """Inner loop: fit the target model on the (augmented) reference frame."""
     refs = [sample.reference]
     for _ in range(cfg.train_aug_copies):
@@ -407,7 +381,7 @@ def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
         mask01 = (fs.mask == sample.object_id).astype(np.float64)
         buf.add(_object_sample(model, pyr_im, pyr_fl, mask01, fs.index))
     tau = _new_target_model(model, cfg, (_SEED_TRAIN, int(rng.integers(2 ** 31))))
-    optimize(tau, buf, model.fusion_tm, lcfg,
+    optimize(tau, buf, model.fusion_tm, cfg,
              outer_iters=cfg.learner_outer_iters_init)
     return tau
 
@@ -429,8 +403,7 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
         f_tm = apply(pyr_im[3], None if pyr_fl is None else pyr_fl[3], tau,
                      model.fusion_tm)
-        fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec,
-                             l1_source=cfg.decoder_l1_source)
+        fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
         logits = decode(f_tm, fused, model.decoder)
         target = (fs.mask == sample.object_id).astype(np.float64)[None]
         terms.append(balanced_bce_with_logits(logits, target))
@@ -448,7 +421,6 @@ def train_offline(sequences: list, model: Model, cfg: RunConfig,
     epochs = cfg.train_epochs if epochs is None else epochs
     params = model.offline_parameters()
     adam = Adam(params, lr=cfg.train_lr)
-    lcfg = learner_config(cfg)
     rng = np.random.default_rng([cfg.seed, 0xDA7A])
     history = []
     for epoch in range(epochs):
@@ -457,7 +429,7 @@ def train_offline(sequences: list, model: Model, cfg: RunConfig,
             seq = sequences[int(si)]
             for _ in range(cfg.train_samples_per_seq):
                 sample = _draw_sample(seq, rng, cfg)
-                tau = _detached(_fit_reference(sample, model, cfg, lcfg, rng))
+                tau = _detached(_fit_reference(sample, model, cfg, rng))
                 adam.zero_grad()
                 with Tape() as tape:
                     loss = _sample_loss(sample, tau, model, cfg)

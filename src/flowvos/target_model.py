@@ -45,11 +45,11 @@ class TargetSample:
 class TargetModelParams:
     tau1: tuple                      # (1x1 reduce, 3x3 expand) image filters
     tau2: Optional[tuple]            # flow filters; absent in mode "none"
-    reg_lambda: float = 1e-2
+    reg_lambda: float
 
     @classmethod
     def init_random(cls, rng, c_in: int, label_channels: int, with_flow: bool,
-                    c_mid: int = MID_CHANNELS, reg_lambda: float = 1e-2):
+                    reg_lambda: float, c_mid: int = MID_CHANNELS):
         """He-scaled filters; both layers nonzero so the composed map has a
         nonzero Jacobian in every parameter block at the starting point."""
         def pair():
@@ -101,12 +101,9 @@ def stack_samples(samples: list, sample_weights: Optional[list] = None) -> Targe
     """The samples as one N x C x H x W batch, with the square root of each
     sample weight folded into its importance weights.
 
-    A single batch with no sample weights comes back as it is.  The stacked
-    tensors are constants: no gradient flows back to the sample tensors.
+    The stacked tensors are constants: no gradient flows back to the sample
+    tensors.
     """
-    if len(samples) == 1 and sample_weights is None and samples[0].l3_im.ndim == 4:
-        return samples[0]
-
     def stack(tensors, scales=None):
         arrs = [t.data if t.ndim == 4 else t.data[None] for t in tensors]
         if scales is not None:
@@ -121,19 +118,17 @@ def stack_samples(samples: list, sample_weights: Optional[list] = None) -> Targe
                         weights=stack([s.weights for s in samples], roots))
 
 
-def residual_and_loss(samples: list, params: TargetModelParams,
-                      fusion: FusionParams,
-                      sample_weights: Optional[list] = None) -> tuple[Tensor, Tensor]:
-    """Stacked residual r and the loss 0.5 * ||r||^2 over the sample set.
+def residual_and_loss(batch: TargetSample, params: TargetModelParams,
+                      fusion: FusionParams) -> tuple[Tensor, Tensor]:
+    """Stacked residual r and the loss 0.5 * ||r||^2 over a batch from
+    ``stack_samples``.
 
-    Each sample contributes weights * (f_tm - encoded), scaled by the square
-    root of its sample weight; the regularizer contributes sqrt(lambda) times
-    the flattened filters.  The samples run as one batch, so the recorded
-    tape has the same nodes for any number of samples.
+    Each sample contributes weights * (f_tm - encoded), where the weights
+    already hold the square root of its sample weight; the regularizer
+    contributes sqrt(lambda) times the flattened filters.  The samples run as
+    one batch, so the recorded tape has the same nodes for any number of
+    samples.
     """
-    if not samples:
-        raise ValueError("residual_and_loss: empty sample set")
-    batch = stack_samples(samples, sample_weights)
     f_tm = apply(batch.l3_im, batch.l3_fl, params, fusion)
     block = ad.mul(batch.weights, ad.sub(f_tm, batch.encoded))
     blocks = [ad.reshape(block, (block.size,))]

@@ -38,10 +38,10 @@ def capture_fit_problems(tmp_dir, seed: int = 3, frames: int = 9,
     problems = []
     fit = pipeline.optimize
 
-    def record(params, buffer, fusion, cfg, outer_iters=None):
+    def record(params, buffer, fusion, cfg, *, outer_iters):
         problems.append(FitProblem(params.copy(), stack_samples(*buffer.samples()),
                                    fusion, outer_iters))
-        return fit(params, buffer, fusion, cfg, outer_iters)
+        return fit(params, buffer, fusion, cfg, outer_iters=outer_iters)
 
     pipeline.optimize = record
     try:

@@ -13,12 +13,12 @@ import pytest
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 from flowvos.cli import main as cli_main
-from flowvos.config import make_config
+from flowvos.config import RunConfig, make_config
 from flowvos.data_io import (ShapeSpec, SynthScene, generate_suite,
                              generate_synthetic, load_sequence)
 from flowvos.flow_embed import ROTATION, FlowField, embed_flow
 from flowvos.fusion import FusionParams, attention_map, fuse
-from flowvos.learner import LearnerConfig, MemoryBuffer, gauss_newton, optimize
+from flowvos.learner import MemoryBuffer, gauss_newton, optimize
 from flowvos.metrics import aggregate, boundary_f, jaccard, score_label_sequence
 from flowvos.model import Model
 from flowvos.pipeline import FrameSet, frame_sets, infer_sequence, train_offline
@@ -144,7 +144,7 @@ def test_c04_gauss_newton_exactness():
             return ad.sub(ad.matmul(At, tau), bt)
 
         tau = Tensor(rng.standard_normal(n), requires_grad=True)
-        gauss_newton(lin_fn, [tau], 1, LearnerConfig(damping=0.0, cg_iters=2 * n))
+        gauss_newton(lin_fn, [tau], 1, cg_iters=2 * n, damping=0.0)
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(tau.data - ref) < 1e-8
 
@@ -156,8 +156,7 @@ def test_c04_gauss_newton_exactness():
             return [ad.sub(ad.matmul(At, t), bt), params[0] * root]
 
         tau_r = Tensor(np.zeros(n), requires_grad=True)
-        gauss_newton(ridge_fn, [tau_r], 1,
-                     LearnerConfig(damping=0.0, cg_iters=2 * n))
+        gauss_newton(ridge_fn, [tau_r], 1, cg_iters=2 * n, damping=0.0)
         ref_r = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau_r.data - ref_r) < 1e-8
     _report("C4 Gauss-Newton exactness (50 linear + ridge instances)", t0, 30.0)
@@ -179,7 +178,7 @@ def test_c05_monotone_online_loss():
             tm = TargetModelParams.init_random(rng, 5, 6, with_flow=with_flow,
                                                c_mid=3,
                                                reg_lambda=float(rng.uniform(0, 0.1)))
-            buf = MemoryBuffer()
+            buf = MemoryBuffer(8, 0.9, 2.0)
             for t in range(int(rng.integers(1, 5))):
                 buf.add(TargetSample(
                     l3_im=Tensor(rng.standard_normal((5, 4, 4))),
@@ -187,7 +186,7 @@ def test_c05_monotone_online_loss():
                     encoded=Tensor(rng.standard_normal((6, 4, 4))),
                     weights=Tensor(rng.random((6, 4, 4))),
                     frame_index=t), pinned=(t == 0))
-            res = optimize(tm, buf, fp, LearnerConfig(), outer_iters=4)
+            res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=4)
             traces.append(res.losses)
     assert len(traces) == 12
     for losses in traces:

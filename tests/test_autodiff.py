@@ -169,7 +169,7 @@ class TestPoolUpsample:
     def test_upsample2_vjp_is_the_adjoint(self, rng, shape):
         x = rng.standard_normal(shape)
         g = rng.standard_normal((shape[0], 2 * shape[1], 2 * shape[2]))
-        lin = ad.linearize(lambda ps: ad.upsample2(ps[0]), [Tensor(x)])
+        lin = ad.Linearization(lambda ps: ad.upsample2(ps[0]), [Tensor(x)])
         up_x = lin.jvp([x])[0]
         up_t_g = lin.vjp([g])[0]
         assert abs(np.vdot(up_x, g) - np.vdot(x, up_t_g)) < 1e-12
@@ -330,7 +330,7 @@ def test_batched_ops_jvp_matches_fd(rng):
     for name, shapes, op in _batched_cases(rng):
         x0 = [rng.standard_normal(s) for s in shapes]
         leaves = [Tensor(a.copy()) for a in x0]
-        lin = ad.linearize(lambda ps: op(*ps), leaves)
+        lin = ad.Linearization(lambda ps: op(*ps), leaves)
         v = [rng.standard_normal(s) for s in shapes]
         fp = op(*[Tensor(a + h * d) for a, d in zip(x0, v)]).data
         fm = op(*[Tensor(a - h * d) for a, d in zip(x0, v)]).data
@@ -353,7 +353,7 @@ class TestJvpVjp:
             return ad.sub(ad.matmul(Tensor(A), ad.reshape(params[0], (3, 1))),
                           Tensor(b.reshape(5, 1)))
 
-        lin = ad.linearize(residual, [tau])
+        lin = ad.Linearization(residual, [tau])
         v = rng.standard_normal(3)
         u = rng.standard_normal((5, 1))
         np.testing.assert_allclose(lin.jvp([v])[0].reshape(5), A @ v, atol=1e-12)
@@ -366,7 +366,7 @@ class TestJvpVjp:
             p = params[0]
             return ad.sigmoid(ad.mul(p, p))
 
-        lin = ad.linearize(residual, [x])
+        lin = ad.Linearization(residual, [x])
         v = rng.standard_normal((2, 3))
         vp = rng.standard_normal((2, 3))
         jv = lin.jvp([v])[0]
@@ -383,7 +383,7 @@ class TestJvpVjp:
             p = params[0]
             return ad.softmax(ad.mul(ad.sigmoid(p), p), axis=0)
 
-        lin = ad.linearize(residual, [x])
+        lin = ad.Linearization(residual, [x])
         v = rng.standard_normal((3, 3))
         h = 1e-5
 
@@ -403,7 +403,7 @@ class TestJvpVjp:
         def residual(params):
             return ad.relu(ad.conv2d(x, params[0], padding=1))
 
-        lin = ad.linearize(residual, [w])
+        lin = ad.Linearization(residual, [w])
         v = rng.standard_normal(w0.shape)
         h = 1e-5
         fp = ad.relu(ad.conv2d(x, Tensor(w0 + h * v), padding=1)).data
@@ -447,7 +447,7 @@ class TestLivePlan:
 
     def test_linearization_replays_equal_the_full_tape_bit_for_bit(self, rng):
         a, b, dead = self.params(rng)
-        lin = ad.linearize(_mixed_graph(rng, a, b, dead), [a, b])
+        lin = ad.Linearization(_mixed_graph(rng, a, b, dead), [a, b])
         assert len(lin.plan) < len(lin.tape.nodes)
         v = [rng.standard_normal(a.shape), rng.standard_normal(b.shape)]
         u = [rng.standard_normal(lin.outputs[0].shape)]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import flowvos
 from flowvos.checkpoint import load_named, save_named
 from flowvos.cli import main
-from flowvos.config import parse_config_file
+from flowvos.config import RunConfig, parse_config_file
 from flowvos.data_io import load_sequence, read_pgm, write_pgm
 from flowvos.model import Model
 
@@ -50,6 +51,45 @@ class TestConfigCommand:
         values = parse_config_file(path)
         assert values["fusion.mode"] == "attention"
         assert values["seed"] == "1"
+
+
+KEY_TYPES = {f.name.replace("_", ".", 1): f.type for f in dataclasses.fields(RunConfig)}
+# one out-of-range value per key, then nan for every float key
+OUT_OF_RANGE = [
+    ("seed", "-1"), ("fusion.mode", "blend"), ("flow.max_displacement", "0"),
+    ("learner.outer_iters_init", "0"), ("learner.outer_iters_update", "0"),
+    ("learner.cg_iters", "0"), ("learner.damping", "-1"), ("learner.reg_lambda", "-1"),
+    ("learner.update_every", "0"), ("learner.update_conf", "1.5"),
+    ("learner.buffer_capacity", "1"), ("learner.buffer_decay", "0"),
+    ("learner.pinned_weight", "-1"), ("train.epochs", "0"), ("train.lr", "-1"),
+    ("train.crop", "0"), ("train.aug_copies", "-1"), ("train.samples_per_seq", "0"),
+] + [(key, "nan") for key, kind in KEY_TYPES.items() if kind is float]
+
+
+class TestConfigRejection:
+    def test_every_key_has_a_case(self):
+        assert {key for key, _ in OUT_OF_RANGE} == set(KEY_TYPES)
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command,
+                                               key, value):
+        # the paths do not exist: a config that got through would exit 2
+        paths = {"train": ["--data", str(tmp_path / "none"), "--out",
+                           str(tmp_path / "c")],
+                 "run": ["--seq", str(tmp_path / "none"), "--ckpt",
+                         str(tmp_path / "none.ckpt"), "--out", str(tmp_path / "o")]}
+        setting = (["--seed", value] if key == "seed"
+                   else ["--seed", "1", "--set", f"{key}={value}"])
+        assert main([command] + paths[command] + setting) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+    def test_zero_epochs_flag_is_usage_error(self, tmp_path, capsys):
+        assert main(["train", "--data", str(tmp_path / "none"), "--out",
+                     str(tmp_path / "c"), "--seed", "1", "--epochs", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: train.epochs")
 
 
 class TestTrainRunEval:

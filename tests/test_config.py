@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from flowvos.config import (ConfigError, RunConfig, default_config_text,
@@ -8,12 +10,12 @@ class TestParsing:
     def test_file_with_comments_and_blanks(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# a comment\n\nseed = 5\nfusion.mode = concat\n"
-                     "learner.damping = 1e-3\nflow.prescale = true\n")
+                     "learner.damping = 1e-3\ntrain.crop = 32\n")
         cfg = make_config(parse_config_file(p))
         assert cfg.seed == 5
         assert cfg.fusion_mode == "concat"
         assert cfg.learner_damping == 1e-3
-        assert cfg.flow_prescale is True
+        assert cfg.train_crop == 32
 
     def test_unknown_key_in_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -39,12 +41,11 @@ class TestParsing:
         assert cfg.learner_damping == 1e-2
         assert cfg.learner_update_every == 4
         assert cfg.flow_max_displacement == 20.0
-        assert cfg.decoder_l1_source == "flow"
 
     def test_default_text_covers_schema(self):
         text = default_config_text()
         for key in ("fusion.mode", "learner.cg_iters", "train.lr",
-                    "decoder.l1_source", "flow.prescale"):
+                    "learner.buffer_capacity", "flow.max_displacement"):
             assert f"\n{key} = " in text
 
 
@@ -53,17 +54,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="requires a seed"):
             make_config({})
 
-    def test_bad_boolean(self):
-        with pytest.raises(ConfigError, match="flow.prescale"):
-            make_config({"seed": "1", "flow.prescale": "maybe"})
+    def test_bad_integer(self):
+        with pytest.raises(ConfigError, match="learner.cg_iters"):
+            make_config({"seed": "1", "learner.cg_iters": "three"})
 
     def test_bad_fusion_mode(self):
         with pytest.raises(ConfigError, match="fusion.mode"):
             make_config({"seed": "1", "fusion.mode": "blend"})
-
-    def test_bad_l1_source(self):
-        with pytest.raises(ConfigError, match="l1_source"):
-            make_config({"seed": "1", "decoder.l1_source": "both"})
 
     def test_crop_multiple_of_16(self):
         with pytest.raises(ConfigError, match="multiple of 16"):
@@ -76,3 +73,22 @@ class TestValidation:
     def test_max_displacement_positive(self):
         with pytest.raises(ConfigError, match="max_displacement"):
             make_config({"seed": "1", "flow.max_displacement": "-2"})
+
+    def test_replace_is_checked(self):
+        cfg = RunConfig(seed=1)
+        with pytest.raises(ConfigError, match="learner.update_every"):
+            dataclasses.replace(cfg, learner_update_every=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learner.damping", "inf"), ("train.lr", "-inf"), ("flow.max_displacement", "inf")])
+    def test_infinite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            make_config({"seed": "1", key: value})
+
+    def test_interval_ends(self):
+        assert make_config({"seed": "0", "learner.update_conf": "1.0",
+                            "learner.buffer_decay": "1", "learner.damping": "0",
+                            "learner.buffer_capacity": "2",
+                            "train.aug_copies": "0"}).learner_update_conf == 1.0
+        with pytest.raises(ConfigError, match="learner.buffer_decay"):
+            make_config({"seed": "0", "learner.buffer_decay": "1.5"})

@@ -6,7 +6,7 @@ from flowvos.autodiff import Tape, Tensor
 from flowvos.backbone import FeatureExtractorParams, extract
 from flowvos.decoder import DecoderParams, decode, fuse_pyramid
 from flowvos.fusion import FusionParams
-from flowvos.pipeline import bce_with_logits
+from flowvos.pipeline import balanced_bce_with_logits
 
 SMALL = (4, 6, 8, 8)  # compact channel config to keep tests quick
 
@@ -46,23 +46,11 @@ class TestFusePyramid:
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
         assert fused[1] is pyr_fl[1]
 
-    def test_level1_image_toggle(self, rng):
-        pyr_im, pyr_fl = small_pyramids(rng)
-        fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "concat"),
-                             l1_source="image")
-        assert fused[1] is pyr_im[1]
-
     def test_missing_level_rejected(self, rng):
         pyr_im, pyr_fl = small_pyramids(rng)
         del pyr_im[2]
         with pytest.raises(ValueError, match="missing image pyramid level 2"):
             fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
-
-    def test_bad_l1_source_rejected(self, rng):
-        pyr_im, pyr_fl = small_pyramids(rng)
-        with pytest.raises(ValueError, match="l1_source"):
-            fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "concat"),
-                         l1_source="both")
 
 
 class TestDecode:
@@ -128,7 +116,7 @@ class TestDecode:
 
         def build():
             fused = fuse_pyramid(pyr_im, pyr_fl, fused_params)
-            return bce_with_logits(decode(f_tm, fused, params), target)
+            return balanced_bce_with_logits(decode(f_tm, fused, params), target)
 
         leaves = [t for _, t in params.named_tensors("d")]
         for leaf in leaves:

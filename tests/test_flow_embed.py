@@ -57,13 +57,6 @@ class TestEmbedFlow:
         two = embed_flow(FlowField(2.0 * uv)).data
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=1e-12)
 
-    def test_prescale_variant_scales_third_component(self):
-        plain = embed_flow(field(3, -4)).data[:, 0, 0]
-        pre = embed_flow(field(3, -4), prescale=True).data[:, 0, 0]
-        ref = ROTATION @ np.array([3.0, -4.0, 5.0 * np.sqrt(2.0)])
-        np.testing.assert_allclose(pre, ref, atol=1e-12)
-        assert not np.allclose(pre, plain)
-
     @given(u=st.floats(-100, 100), v=st.floats(-100, 100))
     @settings(max_examples=300, deadline=None)
     def test_nonnegativity_and_norm_law(self, u, v):

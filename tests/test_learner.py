@@ -3,12 +3,12 @@ import pytest
 
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tensor
+from flowvos.config import ConfigError, RunConfig
 from flowvos.fusion import FusionParams
-from flowvos.learner import (LearnerConfig, MemoryBuffer, NumericalError,
-                             conjugate_gradient, gauss_newton,
-                             kronecker_preconditioner, optimize)
-from flowvos.target_model import (TargetModelParams, TargetSample, apply,
-                                  residual_and_loss)
+from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
+                             gauss_newton, kronecker_preconditioner, optimize)
+from flowvos.target_model import (TargetModelParams, TargetSample,
+                                  residual_and_loss, stack_samples)
 
 
 def linear_residual(A, b):
@@ -29,8 +29,7 @@ class TestGaussNewton:
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
             tau = Tensor(rng.standard_normal(n), requires_grad=True)
-            cfg = LearnerConfig(damping=0.0, cg_iters=n)
-            res = gauss_newton(linear_residual(A, b), [tau], 1, cfg)
+            res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=n, damping=0.0)
             ref = np.linalg.lstsq(A, b, rcond=None)[0]
             assert np.linalg.norm(tau.data - ref) < 1e-8
             assert res.losses[-1] <= res.losses[0]
@@ -50,8 +49,7 @@ class TestGaussNewton:
             return [data, reg]
 
         tau = Tensor(np.zeros(n), requires_grad=True)
-        cfg = LearnerConfig(damping=0.0, cg_iters=n)
-        gauss_newton(fn, [tau], 1, cfg)
+        gauss_newton(fn, [tau], 1, cg_iters=n, damping=0.0)
         ref = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau.data - ref) < 1e-8
 
@@ -64,7 +62,7 @@ class TestGaussNewton:
             return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
 
         tau = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-        res = gauss_newton(fn, [tau], 10, LearnerConfig())
+        res = gauss_newton(fn, [tau], 10, cg_iters=3, damping=1e-2)
         r_final = np.concatenate([v.reshape(-1) for v in
                                   [o.data for o in fn([tau])]])
         assert np.linalg.norm(r_final) < 1e-6
@@ -74,8 +72,7 @@ class TestGaussNewton:
         A = rng.standard_normal((14, 7))
         b = rng.standard_normal(14)
         tau = Tensor(rng.standard_normal(7), requires_grad=True)
-        res = gauss_newton(linear_residual(A, b), [tau], 1,
-                           LearnerConfig(damping=1e-4, cg_iters=10))
+        res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=10, damping=1e-4)
         assert res.cg_residuals[0] <= 1e-6
 
     def test_cg_residual_is_the_damped_normal_equation_residual(self, rng):
@@ -84,8 +81,7 @@ class TestGaussNewton:
         b = rng.standard_normal(m)
         tau0 = rng.standard_normal(n)
         tau = Tensor(tau0.copy(), requires_grad=True)
-        res = gauss_newton(linear_residual(A, b), [tau], 1,
-                           LearnerConfig(damping=mu, cg_iters=4))
+        res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=4, damping=mu)
         delta = tau.data - tau0           # a linear residual accepts the full step
         rhs = -A.T @ (A @ tau0 - b)
         true = np.linalg.norm((A.T @ A + mu * np.eye(n)) @ delta - rhs) / np.linalg.norm(rhs)
@@ -95,24 +91,25 @@ class TestGaussNewton:
     def test_one_forward_per_outer_iteration_and_cg_iters_matvecs(self, rng,
                                                                   monkeypatch):
         fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2)
+        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
+                                           reg_lambda=1e-2)
         samples = [TargetSample(l3_im=Tensor(rng.standard_normal((5, 4, 4))),
                                 l3_fl=None,
                                 encoded=Tensor(rng.standard_normal((3, 4, 4))),
                                 weights=Tensor(0.2 + rng.random((3, 4, 4))))
                    for _ in range(8)]
+        batch = stack_samples(samples)
         forwards, matvecs = [], []
 
         def residual_fn(_):
             forwards.append(1)
-            return residual_and_loss(samples, tm, fp)[0]
+            return residual_and_loss(batch, tm, fp)[0]
 
         jvp = ad.Linearization.jvp
         monkeypatch.setattr(ad.Linearization, "jvp",
                             lambda lin, t: matvecs.append(1) or jvp(lin, t))
         outer, cg = 3, 4
-        res = gauss_newton(residual_fn, tm.tensors(), outer,
-                           LearnerConfig(cg_iters=cg))
+        res = gauss_newton(residual_fn, tm.tensors(), outer, cg_iters=cg, damping=1e-2)
         assert all(y < x for x, y in zip(res.losses, res.losses[1:]))
         assert len(matvecs) == outer * cg == res.matvecs
         assert len(forwards) == outer + 1
@@ -125,13 +122,12 @@ class TestGaussNewton:
             return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
 
         tau = Tensor(np.full(1, 3.0), requires_grad=True)
-        res = gauss_newton(fn, [tau], 1, LearnerConfig(damping=0.0, cg_iters=1))
+        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0)
         assert res.halvings == [1] and res.rejected == [False]
         assert res.losses[1] < res.losses[0]
 
         tau = Tensor(np.full(1, 3.0), requires_grad=True)
-        res = gauss_newton(fn, [tau], 1,
-                           LearnerConfig(damping=0.0, cg_iters=1, max_halvings=0))
+        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, max_halvings=0)
         assert res.halvings == [0] and res.rejected == [True]
         assert res.losses == [res.losses[0]] * 2 and tau.data[0] == 3.0
 
@@ -141,7 +137,7 @@ class TestGaussNewton:
             return ad.sub(ad.sigmoid(p), Tensor(np.full(4, 0.2)))
 
         tau = Tensor(rng.standard_normal(4) * 2.0, requires_grad=True)
-        res = gauss_newton(fn, [tau], 6, LearnerConfig())
+        res = gauss_newton(fn, [tau], 6, cg_iters=3, damping=1e-2)
         assert all(b <= a for a, b in zip(res.losses, res.losses[1:]))
 
     def test_nonfinite_loss_reports_iteration(self):
@@ -150,7 +146,7 @@ class TestGaussNewton:
 
         tau = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(NumericalError, match="iteration 0"):
-            gauss_newton(fn, [tau], 2, LearnerConfig())
+            gauss_newton(fn, [tau], 2, cg_iters=3, damping=1e-2)
 
 
 class TestConjugateGradient:
@@ -180,7 +176,7 @@ def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3):
     if mode == "attention":
         fp.wo.data = rng.standard_normal(fp.wo.data.shape)
     tm = TargetModelParams.init_random(rng, c_in, d, with_flow=mode != "none",
-                                       c_mid=c_mid)
+                                       c_mid=c_mid, reg_lambda=1e-2)
     batch = TargetSample(l3_im=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          l3_fl=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          encoded=Tensor(rng.standard_normal((n, d, 5, 4))),
@@ -224,22 +220,23 @@ class TestKroneckerPreconditioner:
     def test_fewer_matvecs_lower_loss_on_captured_fits(self, fit_problems):
         assert len(fit_problems) >= 4
 
-        def solve(problem, cfg, preconditioned):
+        def solve(problem, cg_iters, damping, preconditioned):
             tm = problem.params.copy()
 
             def residual_fn(_):
-                return residual_and_loss([problem.batch], tm, problem.fusion)[0]
+                return residual_and_loss(problem.batch, tm, problem.fusion)[0]
 
             def make():
                 return kronecker_preconditioner(problem.batch, tm, problem.fusion,
-                                                cfg.damping)
+                                                damping)
 
-            return gauss_newton(residual_fn, tm.tensors(), problem.outer_iters, cfg,
-                                make if preconditioned else None)
+            return gauss_newton(residual_fn, tm.tensors(), problem.outer_iters,
+                                cg_iters, damping, make if preconditioned else None)
 
-        plain = [solve(p, LearnerConfig(cg_iters=10, damping=1e-4), False)
-                 for p in fit_problems]
-        ours = [solve(p, LearnerConfig(), True) for p in fit_problems]
+        cfg = RunConfig(seed=0)
+        plain = [solve(p, 10, 1e-4, False) for p in fit_problems]
+        ours = [solve(p, cfg.learner_cg_iters, cfg.learner_damping, True)
+                for p in fit_problems]
         assert sum(r.losses[-1] for r in ours) < sum(r.losses[-1] for r in plain)
         assert sum(r.matvecs for r in ours) <= 0.4 * sum(r.matvecs for r in plain)
 
@@ -252,14 +249,14 @@ class TestMemoryBuffer:
                             frame_index=t)
 
     def test_first_annotated_frame_pinned(self, rng):
-        buf = MemoryBuffer()
+        buf = MemoryBuffer(8, 0.9, 2.0)
         buf.add(self.sample(rng, 0), pinned=True)
         buf.add(self.sample(rng, 1))
         _, weights = buf.samples()
         assert weights == [buf.pinned_weight, 1.0]
 
     def test_capacity_and_pinned_survival(self, rng):
-        buf = MemoryBuffer(capacity=8)
+        buf = MemoryBuffer(8, 0.9, 2.0)
         buf.add(self.sample(rng, 0), pinned=True)
         for t in range(1, 10):
             buf.add(self.sample(rng, t))
@@ -270,7 +267,7 @@ class TestMemoryBuffer:
         assert frames == [0, 3, 4, 5, 6, 7, 8, 9]   # oldest unpinned evicted
 
     def test_decay_weights(self, rng):
-        buf = MemoryBuffer(decay=0.9, pinned_weight=2.0)
+        buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
         buf.add(self.sample(rng, 0), pinned=True)
         for t in (1, 2, 3):
             buf.add(self.sample(rng, t))
@@ -279,7 +276,7 @@ class TestMemoryBuffer:
         assert w[0] == max(w)
 
     def test_weights_positive(self, rng):
-        buf = MemoryBuffer()
+        buf = MemoryBuffer(8, 0.9, 2.0)
         for t in range(5):
             buf.add(self.sample(rng, t), pinned=(t == 0))
         _, w = buf.samples()
@@ -288,7 +285,7 @@ class TestMemoryBuffer:
 
 class TestOptimize:
     def make_buffer(self, rng, n=3, with_flow=False, c_in=5, d=3):
-        buf = MemoryBuffer()
+        buf = MemoryBuffer(8, 0.9, 2.0)
         for t in range(n):
             l3 = Tensor(rng.standard_normal((c_in, 4, 4)))
             l3f = Tensor(rng.standard_normal((c_in, 4, 4))) if with_flow else None
@@ -304,7 +301,7 @@ class TestOptimize:
         tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
                                            reg_lambda=1e-3)
         buf = self.make_buffer(rng)
-        res = optimize(tm, buf, fp, LearnerConfig(), outer_iters=5)
+        res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=5)
         assert res.losses[-1] < res.losses[0]
         assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
 
@@ -336,27 +333,28 @@ class TestOptimize:
         y = np.array(targets)
         ref = np.linalg.lstsq(A, y, rcond=None)[0]
 
-        optimize(tm, buf, fp, LearnerConfig(damping=0.0, cg_iters=100),
-                 outer_iters=1)
+        cfg = RunConfig(seed=0, learner_damping=0.0, learner_cg_iters=100)
+        optimize(tm, buf, fp, cfg, outer_iters=1)
         assert np.linalg.norm(tm.tau1[1].data.reshape(-1) - ref) < 1e-8
 
     def test_attention_mode_decreases(self, rng):
         fp = FusionParams.init(rng, "attention", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2)
+        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2,
+                                           reg_lambda=1e-2)
         buf = self.make_buffer(rng, with_flow=True)
-        res = optimize(tm, buf, fp, LearnerConfig(), outer_iters=3)
+        res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=3)
         assert res.losses[-1] < res.losses[0]
         assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
 
     def test_empty_buffer_rejected(self, rng):
         fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False)
+        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, reg_lambda=1e-2)
         with pytest.raises(ValueError, match="empty buffer"):
-            optimize(tm, MemoryBuffer(), fp, LearnerConfig())
+            optimize(tm, MemoryBuffer(8, 0.9, 2.0), fp, RunConfig(seed=0), outer_iters=1)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="damping"):
-        LearnerConfig(damping=-1.0)
-    with pytest.raises(ValueError, match=">= 1"):
-        LearnerConfig(cg_iters=0)
+    with pytest.raises(ConfigError, match="learner.damping"):
+        RunConfig(seed=1, learner_damping=-1.0)
+    with pytest.raises(ConfigError, match=r"learner.cg_iters must be in \[1, inf\)"):
+        RunConfig(seed=1, learner_cg_iters=0)

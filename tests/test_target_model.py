@@ -4,7 +4,7 @@ import pytest
 from flowvos.autodiff import Tape, Tensor
 from flowvos.fusion import FusionParams
 from flowvos.target_model import (TargetModelParams, TargetSample, apply,
-                                  residual_and_loss)
+                                  residual_and_loss, stack_samples)
 
 from conftest import conv2d_loops, finite_diff_grads
 
@@ -22,7 +22,8 @@ class TestApply:
     def test_zero_filters_zero_wo_gives_zero(self, rng):
         fp = FusionParams.init(rng, "attention", 4)
         fp.wo.data[:] = 0.0
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                           reg_lambda=1e-2)
         for t in tm.tensors():
             t.data[:] = 0.0
         s = make_sample(rng)
@@ -31,7 +32,8 @@ class TestApply:
 
     def test_bilinearity_doubling(self, rng):
         fp = FusionParams.init(rng, "none", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+                                           reg_lambda=1e-2)
         s = make_sample(rng, with_flow=False)
         base = apply(s.l3_im, None, tm, fp).data
         tm.tau1[0].data *= 2.0
@@ -40,20 +42,22 @@ class TestApply:
 
     def test_shape_for_64px_input(self, rng):
         fp = FusionParams.init(rng, "attention", 16)
-        tm = TargetModelParams.init_random(rng, 64, 16, with_flow=True)
+        tm = TargetModelParams.init_random(rng, 64, 16, with_flow=True, reg_lambda=1e-2)
         l3 = Tensor(rng.standard_normal((64, 8, 8)))
         l3f = Tensor(rng.standard_normal((64, 8, 8)))
         assert apply(l3, l3f, tm, fp).shape == (16, 8, 8)
 
     def test_missing_flow_rejected(self, rng):
         fp = FusionParams.init(rng, "concat", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                           reg_lambda=1e-2)
         with pytest.raises(ValueError, match="requires flow features"):
             apply(Tensor(np.zeros((6, 4, 4))), None, tm, fp)
 
     def test_channel_mismatch_between_filters_and_fusion(self, rng):
         fp = FusionParams.init(rng, "attention", 8)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                           reg_lambda=1e-2)
         s = make_sample(rng)
         with pytest.raises(ValueError, match="expected 8 channels"):
             apply(s.l3_im, s.l3_fl, tm, fp)
@@ -66,7 +70,7 @@ class TestResidualAndLoss:
                                            reg_lambda=0.0)
         s = make_sample(rng, with_flow=False)
         s.encoded = apply(s.l3_im, None, tm, fp).detach()
-        r, loss = residual_and_loss([s], tm, fp)
+        r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
     def test_zero_weights_zero_loss(self, rng):
@@ -75,7 +79,7 @@ class TestResidualAndLoss:
                                            reg_lambda=0.0)
         s = make_sample(rng, with_flow=False)
         s.weights = Tensor(np.zeros((4, 4, 4)))
-        _, loss = residual_and_loss([s], tm, fp)
+        _, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() == 0.0
 
     def test_half_rsq_equals_loss(self, rng):
@@ -83,8 +87,8 @@ class TestResidualAndLoss:
         tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
                                            reg_lambda=0.05)
         s = make_sample(rng)
-        r, loss = residual_and_loss([s, make_sample(rng)], tm, fp,
-                                    sample_weights=[1.0, 0.5])
+        r, loss = residual_and_loss(stack_samples([s, make_sample(rng)], [1.0, 0.5]),
+                                    tm, fp)
         assert abs(0.5 * np.sum(r.data ** 2) - loss.item()) < 1e-12
 
     def test_toy_sample_matches_hand_expansion(self, rng):
@@ -97,7 +101,7 @@ class TestResidualAndLoss:
         w = rng.random((1, 2, 2))
         s = TargetSample(l3_im=Tensor(x), l3_fl=None, encoded=Tensor(e),
                          weights=Tensor(w))
-        _, loss = residual_and_loss([s], tm, fp)
+        _, loss = residual_and_loss(stack_samples([s]), tm, fp)
 
         a1 = tm.tau1[0].data
         b1 = tm.tau1[1].data
@@ -110,11 +114,9 @@ class TestResidualAndLoss:
         expected += 0.25 * (np.sum(a1 ** 2) + np.sum(b1 ** 2))
         assert abs(loss.item() - 0.5 * expected) < 1e-12
 
-    def test_empty_samples_rejected(self, rng):
-        fp = FusionParams.init(rng, "none", 1)
-        tm = TargetModelParams.init_random(rng, 2, 1, with_flow=False, c_mid=1)
-        with pytest.raises(ValueError, match="empty sample set"):
-            residual_and_loss([], tm, fp)
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError):
+            stack_samples([])
 
     def test_loss_gradient_matches_fd(self, rng):
         fp = FusionParams.init(rng, "attention", 4)
@@ -123,7 +125,7 @@ class TestResidualAndLoss:
         samples = [make_sample(rng, c_in=5, d=4, hw=4) for _ in range(2)]
 
         def build():
-            _, loss = residual_and_loss(samples, tm, fp)
+            _, loss = residual_and_loss(stack_samples(samples), tm, fp)
             return loss
 
         leaves = tm.tensors()
@@ -147,19 +149,21 @@ class TestResidualAndLoss:
                                            c_mid=3, reg_lambda=0.0)
         samples = [make_sample(rng, with_flow=mode != "none") for _ in range(3)]
         weights = [2.0, 0.81, 0.9]
-        r, _ = residual_and_loss(samples, tm, fp, sample_weights=weights)
-        singles = [residual_and_loss([s], tm, fp)[0].data * np.sqrt(sw)
+        r, _ = residual_and_loss(stack_samples(samples, weights), tm, fp)
+        singles = [residual_and_loss(stack_samples([s]), tm, fp)[0].data * np.sqrt(sw)
                    for s, sw in zip(samples, weights)]
         np.testing.assert_allclose(r.data, np.concatenate(singles), rtol=0, atol=1e-12)
 
     def test_tape_size_does_not_grow_with_samples(self, rng):
         fp = FusionParams.init(rng, "attention", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3)
+        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                           reg_lambda=1e-2)
 
         def nodes(count):
             samples = [make_sample(rng) for _ in range(count)]
+            batch = stack_samples(samples, [0.5] * count)
             with Tape() as tape:
-                residual_and_loss(samples, tm, fp, sample_weights=[0.5] * count)
+                residual_and_loss(batch, tm, fp)
             return len(tape.nodes)
 
         assert nodes(8) == nodes(1)
