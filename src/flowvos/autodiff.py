@@ -40,12 +40,10 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "add_scalar",
     "relu",
     "sigmoid",
     "softplus",
     "softmax",
-    "tsum",
     "tmean",
     "sumsq",
     "matmul",
@@ -93,43 +91,13 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; all defined in terms of the module-level ops
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), float(other))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -279,12 +247,6 @@ def scale(a: Tensor, s: float) -> Tensor:
                    jvp=lambda t: t[0] * s)
 
 
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(a.data + s)
-    return _record(out, (a,), vjp=lambda g, need: (g,), jvp=lambda t: t[0])
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     out = Tensor(np.where(mask, a.data, 0.0))
@@ -337,13 +299,6 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data))
-    return _record(out, (a,),
-                   vjp=lambda g, need: (np.full_like(a.data, float(g)),),
-                   jvp=lambda t: np.sum(t[0]))
 
 
 def tmean(a: Tensor) -> Tensor:

@@ -79,7 +79,14 @@ def _discover_sequences(root: Path) -> list:
 # subcommands
 
 
+_SYNTH_MINIMUM = {"seed": 0, "frames": 1, "objects": 1, "width": 1,
+                  "height": 1, "count": 1}
+
+
 def cmd_synth(args) -> int:
+    for name, low in _SYNTH_MINIMUM.items():
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
     if args.count > 1:
         paths = generate_suite(args.out, count=args.count, width=args.width,
                                height=args.height, frames=args.frames,

@@ -16,9 +16,8 @@ from __future__ import annotations
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -203,7 +202,6 @@ class SequenceMeta:
     height: int
     frames: int
     objects: int
-    categories: dict = field(default_factory=dict)   # object id -> tag string
 
 
 def write_meta(path, meta: SequenceMeta) -> None:
@@ -213,24 +211,13 @@ def write_meta(path, meta: SequenceMeta) -> None:
         fh.write(f"height={meta.height}\n")
         fh.write(f"frames={meta.frames}\n")
         fh.write(f"objects={meta.objects}\n")
-        for k in sorted(meta.categories):
-            fh.write(f"category.{k}={meta.categories[k]}\n")
 
 
 _META_INTS = {"width": 1, "height": 1, "frames": 1, "objects": 0}   # key -> minimum
 
 
-def _meta_int(text: str, path, ln: int, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}:{ln}: {key} must be an integer, got {text!r}") from None
-
-
 def read_meta(path) -> SequenceMeta:
     vals: dict = {}
-    cats: dict = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -239,17 +226,19 @@ def read_meta(path) -> SequenceMeta:
             if "=" not in line:
                 raise DataFormatError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key.startswith("category."):
-                cats[_meta_int(key.split(".", 1)[1], path, ln, key)] = val
-            elif key in _META_INTS:
-                vals[key] = _meta_int(val, path, ln, key)
+            if key in _META_INTS:
+                try:
+                    vals[key] = int(val)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{ln}: {key} must be an "
+                                          f"integer, got {val!r}") from None
                 if vals[key] < _META_INTS[key]:
                     raise DataFormatError(f"{path}:{ln}: {key} must be >= "
                                           f"{_META_INTS[key]}, got {vals[key]}")
     missing = [k for k in _META_INTS if k not in vals]
     if missing:
         raise DataFormatError(f"{path}: missing meta key {missing[0]}")
-    return SequenceMeta(**vals, categories=cats)
+    return SequenceMeta(**vals)
 
 
 @dataclass
@@ -291,10 +280,6 @@ def load_sequence(path) -> Sequence:
             raise DataFormatError(f"{lp}: flow size mismatch with meta")
         if mask.shape != (meta.height, meta.width):
             raise DataFormatError(f"{mp}: mask size mismatch with meta")
-        if t == 0:
-            flow.src_index, flow.dst_index = 0, 1
-        else:
-            flow.src_index, flow.dst_index = t - 1, t
         images.append(img.astype(np.float64) / 255.0)
         flows.append(flow)
         masks.append(mask)
@@ -329,7 +314,6 @@ class SynthScene:
     shapes: list                   # back to front; object k is shapes[k-1]
     background: str = "noise"      # "noise" | "flat"
     bg_level: float = 0.15
-    categories: dict = field(default_factory=dict)
 
 
 def _shape_mask(spec: ShapeSpec, cx: float, cy: float, h: int, w: int) -> np.ndarray:
@@ -433,12 +417,10 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
             dy = tracks[k][dst][1] - tracks[k][src][1]
             uv[0][sel] = dx
             uv[1][sel] = dy
-        write_flo(root / "flows" / f"{t:05d}.flo",
-                  FlowField(uv, src_index=src, dst_index=dst))
+        write_flo(root / "flows" / f"{t:05d}.flo", FlowField(uv))
 
     write_meta(root / "meta", SequenceMeta(width=w, height=h, frames=scene.frames,
-                                           objects=len(scene.shapes),
-                                           categories=dict(scene.categories)))
+                                           objects=len(scene.shapes)))
     return root
 
 
@@ -484,12 +466,11 @@ def random_scene(width: int, height: int, frames: int, objects: int, seed: int,
         shapes.append(ShapeSpec(kind=skind, size=size, color=color,
                                 start=(cx, cy), velocity=(vx, vy),
                                 textured=True, texture_seed=tex_seed))
-    cats = {k + 1: ("twin" if distractors else "solo") for k in range(objects)}
     # a textured background would leak object position into the appearance
     # features and let an appearance-only model tell identical twins apart
     background = "flat" if distractors else "noise"
     return SynthScene(width=width, height=height, frames=frames, seed=seed,
-                      shapes=shapes, background=background, categories=cats)
+                      shapes=shapes, background=background)
 
 
 def generate_suite(out_dir, count: int, width: int, height: int, frames: int,

@@ -30,8 +30,6 @@ class FlowField:
     """Per-pixel displacement from a source frame to a target frame, 2xHxW."""
 
     uv: np.ndarray
-    src_index: int = 0
-    dst_index: int = 1
 
     def __post_init__(self):
         self.uv = np.asarray(self.uv, dtype=np.float64)

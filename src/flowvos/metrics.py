@@ -11,7 +11,7 @@ then sequences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,40 +108,23 @@ class FrameScore:
 
 @dataclass
 class MetricsReport:
-    rows: list[FrameScore]
-    per_object: dict          # (sequence, obj) -> {"J": , "F": }
     per_sequence: dict        # sequence -> {"J": , "F": , "J&F": }
     mean_j: float
     mean_f: float
     mean_jf: float
-    seen_unseen: Optional[dict] = field(default=None)
-
-    def summary_dict(self) -> dict:
-        d = {
-            "J": self.mean_j,
-            "F": self.mean_f,
-            "J&F": self.mean_jf,
-            "sequences": self.per_sequence,
-        }
-        if self.seen_unseen is not None:
-            d["seen_unseen"] = self.seen_unseen
-        return d
 
     def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True)
+        return json.dumps({"J": self.mean_j, "F": self.mean_f,
+                           "J&F": self.mean_jf, "sequences": self.per_sequence},
+                          indent=2, sort_keys=True)
 
 
 def _mean(vals):
     return float(sum(vals) / len(vals))
 
 
-def aggregate(rows: list[FrameScore], tags: Optional[dict] = None,
-              seen: Optional[set] = None) -> MetricsReport:
-    """Average frame scores over frames, then objects, then sequences.
-
-    ``tags`` optionally maps (sequence, obj) to a category string; with
-    ``seen`` (set of category names) the report gains a seen/unseen split.
-    """
+def aggregate(rows: list[FrameScore]) -> MetricsReport:
+    """Average frame scores over frames, then objects, then sequences."""
     if not rows:
         raise ValueError("aggregate of zero frame scores")
     by_obj: dict = {}
@@ -163,51 +146,32 @@ def aggregate(rows: list[FrameScore], tags: Optional[dict] = None,
         per_sequence[seq] = {"J": j, "F": f, "J&F": (j + f) / 2.0}
     mean_j = _mean([s["J"] for s in per_sequence.values()])
     mean_f = _mean([s["F"] for s in per_sequence.values()])
-
-    seen_unseen = None
-    if tags is not None and seen is not None:
-        split: dict = {"seen": {"J": [], "F": []}, "unseen": {"J": [], "F": []}}
-        for key, sc in per_object.items():
-            bucket = "seen" if tags.get(key) in seen else "unseen"
-            split[bucket]["J"].append(sc["J"])
-            split[bucket]["F"].append(sc["F"])
-        seen_unseen = {
-            b: {m: _mean(v) if v else float("nan") for m, v in d.items()}
-            for b, d in split.items()
-        }
-
     return MetricsReport(
-        rows=rows,
-        per_object=per_object,
         per_sequence=per_sequence,
         mean_j=mean_j,
         mean_f=mean_f,
         mean_jf=(mean_j + mean_f) / 2.0,
-        seen_unseen=seen_unseen,
     )
 
 
-def score_label_sequence(name: str, pred_labels: list, gt_labels: list,
-                         objects: Optional[list] = None,
-                         tol_radius: Optional[int] = None,
-                         skip_first: bool = True) -> list[FrameScore]:
+def score_label_sequence(name: str, pred_labels: list,
+                         gt_labels: list) -> list[FrameScore]:
     """Per-frame, per-object J/F rows for two aligned lists of label images.
 
-    Frame 0 (the given annotation) is excluded from scoring by default.
+    The objects are those of frame 0's ground truth.  Frame 0 (the given
+    annotation) is not scored.
     """
     if len(pred_labels) != len(gt_labels):
         raise ValueError(
             f"{name}: {len(pred_labels)} predictions vs {len(gt_labels)} labels")
-    if objects is None:
-        objects = sorted(int(k) for k in np.unique(gt_labels[0]) if k > 0)
+    objects = sorted(int(k) for k in np.unique(gt_labels[0]) if k > 0)
     rows = []
-    start = 1 if skip_first else 0
-    for t in range(start, len(gt_labels)):
+    for t in range(1, len(gt_labels)):
         pred, gt = pred_labels[t], gt_labels[t]
         for k in objects:
             rows.append(FrameScore(name, t, k,
                                    jaccard(pred == k, gt == k),
-                                   boundary_f(pred == k, gt == k, tol_radius)))
+                                   boundary_f(pred == k, gt == k)))
     return rows
 
 

@@ -6,7 +6,9 @@ model plus one per decoder pyramid level 2-4) and the decoder.  Every
 tensor it owns is trained offline; the target model's regression target is
 the parameter-free ``backbone.encode_label``.  Everything is seeded
 deterministically from one integer, with independent named streams per
-component.
+component.  A checkpoint holds every tensor by name plus ``meta/fusion_mode``;
+the widths are those of the fixed architecture, so loading checks each
+tensor's shape against it and skips any other ``meta/`` entry.
 """
 
 from __future__ import annotations
@@ -25,43 +27,24 @@ _STREAMS = {"backbone_im": 0, "backbone_fl": 1, "fusion": 4, "decoder": 5}
 _CHILDREN = 6
 
 
-def _positive_ints(items: dict, name: str, count: int, path) -> tuple:
-    """Checkpoint entry ``name`` as exactly ``count`` positive integers."""
-    values = items[name]
-    if values.shape != (count,) or not all(
-            v >= 1 and float(v).is_integer() for v in values):
-        raise checkpoint.CheckpointError(
-            f"{path}: {name} {values.tolist()} is not {count} positive "
-            f"integer{'s' if count > 1 else ''}")
-    return tuple(int(v) for v in values)
-
-
 class Model:
-    def __init__(self, fusion_mode: str = "attention", seed: int = 0,
-                 label_channels: int = LABEL_CHANNELS,
-                 channels=BACKBONE_CHANNELS):
+    def __init__(self, fusion_mode: str = "attention", seed: int = 0):
         if fusion_mode not in MODES:
             raise ValueError(f"unknown fusion mode {fusion_mode!r}")
         self.fusion_mode = fusion_mode
-        self.label_channels = label_channels
-        self.channels = tuple(channels)
         children = np.random.SeedSequence(seed).spawn(_CHILDREN)
         rngs = {name: np.random.default_rng(children[i])
                 for name, i in _STREAMS.items()}
-        self.backbone_im = FeatureExtractorParams.init(rngs["backbone_im"],
-                                                       channels=self.channels)
+        self.backbone_im = FeatureExtractorParams.init(rngs["backbone_im"])
         self.backbone_fl = None
         if self.uses_flow:
-            self.backbone_fl = FeatureExtractorParams.init(rngs["backbone_fl"],
-                                                           channels=self.channels)
+            self.backbone_fl = FeatureExtractorParams.init(rngs["backbone_fl"])
         self.fusion_tm = FusionParams.init(rngs["fusion"], fusion_mode,
-                                           label_channels)
+                                           LABEL_CHANNELS)
         self.fusion_dec = {k: FusionParams.init(rngs["fusion"], fusion_mode,
-                                                self.channels[k - 1])
+                                                BACKBONE_CHANNELS[k - 1])
                            for k in (2, 3, 4)}
-        self.decoder = DecoderParams.init(rngs["decoder"],
-                                          label_channels=label_channels,
-                                          channels=self.channels)
+        self.decoder = DecoderParams.init(rngs["decoder"])
 
     @property
     def uses_flow(self) -> bool:
@@ -83,29 +66,21 @@ class Model:
         items = {name: t.data for name, t in self.named_tensors()}
         items["meta/fusion_mode"] = np.array([MODES.index(self.fusion_mode)],
                                              dtype=np.float64)
-        items["meta/label_channels"] = np.array([self.label_channels],
-                                                dtype=np.float64)
-        items["meta/channels"] = np.array(self.channels, dtype=np.float64)
         checkpoint.save_named(path, items)
 
     @classmethod
     def load(cls, path) -> "Model":
         items = checkpoint.load_named(path)
-        try:
-            code = items["meta/fusion_mode"]
-            if code.shape != (1,) or code[0] not in range(len(MODES)):
-                raise checkpoint.CheckpointError(
-                    f"{path}: meta/fusion_mode {code.tolist()} is not one of "
-                    f"the mode codes 0..{len(MODES) - 1}")
-            mode = MODES[int(code[0])]
-            label_channels, = _positive_ints(items, "meta/label_channels", 1, path)
-            channels = _positive_ints(items, "meta/channels",
-                                      len(BACKBONE_CHANNELS), path)
-        except KeyError as e:
+        code = items.get("meta/fusion_mode")
+        if code is None:
             raise checkpoint.CheckpointError(
-                f"{path}: missing checkpoint entry {e.args[0]!r}") from None
-        model = cls(fusion_mode=mode, seed=0, label_channels=label_channels,
-                    channels=channels)
+                f"{path}: missing checkpoint entry 'meta/fusion_mode'")
+        if code.shape != (1,) or code[0] not in range(len(MODES)):
+            raise checkpoint.CheckpointError(
+                f"{path}: meta/fusion_mode {code.tolist()} is not one of "
+                f"the mode codes 0..{len(MODES) - 1}")
+        mode = MODES[int(code[0])]
+        model = cls(fusion_mode=mode, seed=0)
         owned = dict(model.named_tensors())
         for name in items:
             if not name.startswith("meta/") and name not in owned:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .backbone import encode_label, extract
+from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, encode_label, extract
 from .config import RunConfig
 from .data_io import Sequence
 from .decoder import decode, fuse_pyramid
@@ -97,8 +97,8 @@ def _pad_frameset(fs: FrameSet, mult: int = 16) -> tuple:
     mask = None
     if fs.mask is not None:
         mask = np.pad(fs.mask, ((0, ph), (0, pw)))
-    flow = FlowField(uv, fs.flow.src_index, fs.flow.dst_index)
-    return FrameSet(image=image, flow=flow, mask=mask, index=fs.index), (ph, pw)
+    return FrameSet(image=image, flow=FlowField(uv), mask=mask,
+                    index=fs.index), (ph, pw)
 
 
 def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
@@ -109,11 +109,10 @@ def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
     return pyr_im, pyr_fl
 
 
-def _object_sample(model: Model, pyr_im, pyr_fl, mask01: np.ndarray,
-                   index: int) -> TargetSample:
-    enc, wgt = encode_label(Tensor(mask01[None]), model.label_channels)
+def _object_sample(pyr_im, pyr_fl, mask01: np.ndarray) -> TargetSample:
+    enc, wgt = encode_label(Tensor(mask01[None]))
     return TargetSample(l3_im=pyr_im[3], l3_fl=None if pyr_fl is None else pyr_fl[3],
-                        encoded=enc, weights=wgt, frame_index=index)
+                        encoded=enc, weights=wgt)
 
 
 _SEED_INFER, _SEED_TRAIN = 101, 202
@@ -122,7 +121,7 @@ _SEED_INFER, _SEED_TRAIN = 101, 202
 def _new_target_model(model: Model, cfg: RunConfig, seed_tail) -> TargetModelParams:
     rng = np.random.default_rng([cfg.seed, *(int(s) for s in seed_tail)])
     return TargetModelParams.init_random(
-        rng, c_in=model.channels[2], label_channels=model.label_channels,
+        rng, c_in=BACKBONE_CHANNELS[2], label_channels=LABEL_CHANNELS,
         with_flow=model.uses_flow, reg_lambda=cfg.learner_reg_lambda)
 
 
@@ -167,8 +166,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     pyr_im, pyr_fl = _pyramids(model, fs0, cfg)
     taus, buffers = {}, {}
     for k in objects:
-        sample = _object_sample(model, pyr_im, pyr_fl,
-                                (ann == k).astype(np.float64), 0)
+        sample = _object_sample(pyr_im, pyr_fl, (ann == k).astype(np.float64))
         buf = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
                            cfg.learner_pinned_weight)
         buf.add(sample, pinned=True)
@@ -203,10 +201,8 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
 
         padded_labels = np.pad(labels, ((0, ph), (0, pw)))
         for k in objects:
-            sample = _object_sample(model, pyr_im, pyr_fl,
-                                    (padded_labels == k).astype(np.float64),
-                                    fs_raw.index)
-            buffers[k].add(sample)
+            buffers[k].add(_object_sample(
+                pyr_im, pyr_fl, (padded_labels == k).astype(np.float64)))
         confidence = float(np.mean(np.maximum(probs, 1.0 - probs)))
         updated = False
         if (fs_raw.index % cfg.learner_update_every == 0
@@ -233,7 +229,7 @@ def flip_frameset(fs: FrameSet) -> FrameSet:
     uv = fs.flow.uv[:, :, ::-1].copy()
     uv[0] = -uv[0]
     return FrameSet(image=fs.image[:, :, ::-1].copy(),
-                    flow=FlowField(uv, fs.flow.src_index, fs.flow.dst_index),
+                    flow=FlowField(uv),
                     mask=None if fs.mask is None else fs.mask[:, ::-1].copy(),
                     index=fs.index)
 
@@ -282,9 +278,7 @@ def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0,
     uv = np.empty_like(uv_src)
     uv[0] = a[0, 0] * uv_src[0] + a[0, 1] * uv_src[1]
     uv[1] = a[1, 0] * uv_src[0] + a[1, 1] * uv_src[1]
-    return FrameSet(image=image,
-                    flow=FlowField(uv, fs.flow.src_index, fs.flow.dst_index),
-                    mask=mask, index=fs.index)
+    return FrameSet(image=image, flow=FlowField(uv), mask=mask, index=fs.index)
 
 
 def augment_frameset(fs: FrameSet, rng) -> FrameSet:
@@ -294,11 +288,10 @@ def augment_frameset(fs: FrameSet, rng) -> FrameSet:
     return affine_frameset(out, rng)
 
 
-def _crop_frameset(fs: FrameSet, y0: int, x0: int, size: int) -> FrameSet:
-    sl = (slice(y0, y0 + size), slice(x0, x0 + size))
+def _crop_frameset(fs: FrameSet, y0: int, x0: int, h: int, w: int) -> FrameSet:
+    sl = (slice(y0, y0 + h), slice(x0, x0 + w))
     return FrameSet(image=fs.image[:, sl[0], sl[1]].copy(),
-                    flow=FlowField(fs.flow.uv[:, sl[0], sl[1]].copy(),
-                                   fs.flow.src_index, fs.flow.dst_index),
+                    flow=FlowField(fs.flow.uv[:, sl[0], sl[1]].copy()),
                     mask=fs.mask[sl].copy() if fs.mask is not None else None,
                     index=fs.index)
 
@@ -357,12 +350,15 @@ def _draw_sample(seq: Sequence, rng, cfg: RunConfig) -> TrainingSample:
         idx = rng.choice(n, size=4, replace=True)
     sets = [frame_sets(seq)[i] for i in idx]
 
+    # crop each axis to at most train.crop (a multiple of 16), then pad a
+    # shorter one to a multiple of 16 as inference does
     h, w = sets[0].image.shape[1:]
-    size = cfg.train_crop
-    if h > size or w > size:
-        y0 = int(rng.integers(0, h - size + 1))
-        x0 = int(rng.integers(0, w - size + 1))
-        sets = [_crop_frameset(fs, y0, x0, size) for fs in sets]
+    ch, cw = min(h, cfg.train_crop), min(w, cfg.train_crop)
+    if h > ch or w > cw:
+        y0 = int(rng.integers(0, h - ch + 1))
+        x0 = int(rng.integers(0, w - cw + 1))
+        sets = [_crop_frameset(fs, y0, x0, ch, cw) for fs in sets]
+    sets = [_pad_frameset(fs)[0] for fs in sets]
 
     present = [int(k) for k in np.unique(sets[0].mask) if k > 0]
     obj = int(rng.choice(present)) if present else 1
@@ -379,7 +375,7 @@ def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
     for fs in refs:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
         mask01 = (fs.mask == sample.object_id).astype(np.float64)
-        buf.add(_object_sample(model, pyr_im, pyr_fl, mask01, fs.index))
+        buf.add(_object_sample(pyr_im, pyr_fl, mask01))
     tau = _new_target_model(model, cfg, (_SEED_TRAIN, int(rng.integers(2 ** 31))))
     optimize(tau, buf, model.fusion_tm, cfg,
              outer_iters=cfg.learner_outer_iters_init)
@@ -415,15 +411,19 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
 
 def train_offline(sequences: list, model: Model, cfg: RunConfig,
                   epochs: Optional[int] = None, log=None) -> list:
-    """Train decoder, fusion and backbone parameters; returns per-epoch means."""
+    """Train decoder, fusion and backbone parameters; returns per-epoch means.
+
+    ``epochs`` overrides ``train.epochs`` and is range-checked like it.
+    """
     if not sequences:
         raise ValueError("train_offline: no sequences")
-    epochs = cfg.train_epochs if epochs is None else epochs
+    if epochs is not None:
+        cfg = replace(cfg, train_epochs=epochs)
     params = model.offline_parameters()
     adam = Adam(params, lr=cfg.train_lr)
     rng = np.random.default_rng([cfg.seed, 0xDA7A])
     history = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.train_epochs):
         losses = []
         for si in rng.permutation(len(sequences)):
             seq = sequences[int(si)]
@@ -438,6 +438,6 @@ def train_offline(sequences: list, model: Model, cfg: RunConfig,
                 losses.append(loss.item())
         history.append(float(np.mean(losses)))
         if log is not None:
-            log(f"epoch {epoch + 1}/{epochs}: loss {history[-1]:.4f}")
+            log(f"epoch {epoch + 1}/{cfg.train_epochs}: loss {history[-1]:.4f}")
     return history
 

@@ -38,7 +38,6 @@ class TargetSample:
     l3_fl: Optional[Tensor]
     encoded: Tensor
     weights: Tensor
-    frame_index: int = 0
 
 
 @dataclass

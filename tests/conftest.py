@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowvos import autodiff as ad
 from flowvos import pipeline
@@ -10,6 +11,10 @@ from flowvos.data_io import generate_synthetic, load_sequence, random_scene
 from flowvos.fusion import FusionParams
 from flowvos.model import Model
 from flowvos.target_model import TargetModelParams, TargetSample, stack_samples
+
+# every run draws the same examples, and nothing is written to .hypothesis/
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture
@@ -135,7 +140,7 @@ def assert_grads_close(analytic, numeric, rtol=1e-4):
 def check_backward_matches_fd(build_loss, leaves, h=1e-5, rtol=1e-4):
     """Record build_loss() on a tape, backward, and compare against central FD."""
     for leaf in leaves:
-        leaf.zero_grad()
+        leaf.grad = None
     with ad.Tape() as tape:
         loss = build_loss()
     tape.backward(loss)

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowvos
 from flowvos.checkpoint import load_named, save_named
@@ -40,6 +45,16 @@ class TestSynth:
         synth(tmp_path / "suite", count=3, extra=["--distractors"])
         assert sorted(p.name for p in (tmp_path / "suite").iterdir()) == \
             ["seq_000", "seq_001", "seq_002"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--frames", "0"), ("--objects", "0"), ("--width", "0"),
+        ("--height", "0"), ("--count", "0")])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        args = {"--out": str(tmp_path / "s"), "--seed": "1", flag: value}
+        assert main(["synth", *(x for kv in args.items() for x in kv)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} must be >= ")
+        assert not (tmp_path / "s").exists()
 
 
 class TestConfigCommand:
@@ -229,23 +244,18 @@ class TestExitCodes:
         assert len(err) == 1 and "meta/fusion_mode" in err[0]
         assert err[0].startswith("error:")
 
-    @pytest.mark.parametrize("name, value", [
-        ("meta/label_channels", [0.0]), ("meta/channels", [16.0, 32.0]),
-        ("meta/channels", [16.0, -32.0, 64.0, 64.0])],
-        ids=["zero-label-channels", "two-channels", "negative-channel"])
-    def test_checkpoint_with_bad_dimensions_is_data_error(self, tmp_path, capsys,
-                                                          name, value):
+    def test_checkpoint_tensor_with_wrong_shape_is_data_error(self, tmp_path, capsys):
         synth(tmp_path / "d", frames=4)
         ckpt = tmp_path / "model.ckpt"
         Model(seed=1).save(ckpt)
         items = load_named(ckpt)
-        items[name] = np.array(value)
+        items["decoder.head.w"] = np.zeros((1, 8, 1, 1))
         save_named(ckpt, items)
         capsys.readouterr()
         assert main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and name in err[0]
+        assert len(err) == 1 and "'decoder.head.w' has shape" in err[0]
         assert err[0].startswith("error:")
 
     def test_meta_with_non_integer_width_is_data_error(self, tmp_path, capsys):
@@ -287,6 +297,58 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "00002.flo" in err[0]
         assert err[0].startswith("error:")
+
+
+# one file of each on-disk format, frame 0 and frame 1 for the per-frame ones
+CORRUPTIBLE = ["seq/meta", "seq/frames/00000.ppm", "seq/frames/00001.ppm",
+               "seq/flows/00000.flo", "seq/flows/00001.flo",
+               "seq/masks/00000.pgm", "seq/masks/00001.pgm", "model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory):
+    """A 16x16 two-frame sequence, a copy of its masks and a checkpoint."""
+    root = tmp_path_factory.mktemp("corruptible")
+    with contextlib.redirect_stdout(io.StringIO()):
+        synth(root / "seq", frames=2, size=16)
+    shutil.copytree(root / "seq" / "masks", root / "gt")
+    Model(seed=1).save(root / "model.ckpt")
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract(corruptible,
+                                                                    data):
+    rel = data.draw(st.sampled_from(CORRUPTIBLE), label="file")
+    path = corruptible / rel
+    blob = path.read_bytes()
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:offset]
+    else:
+        bad = bytearray(blob)
+        bad[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    commands = [["run", "--seq", str(corruptible / "seq"), "--ckpt",
+                 str(corruptible / "model.ckpt"), "--out",
+                 str(corruptible / "out"), "--seed", "1"]]
+    if rel.startswith("seq/masks/"):
+        commands.append(["eval", "--pred", str(corruptible / "seq" / "masks"),
+                         "--gt", str(corruptible / "gt"), "--report",
+                         str(corruptible / "report.json")])
+    path.write_bytes(bytes(bad))
+    try:
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+    finally:
+        path.write_bytes(blob)
 
 
 class TestAblate:

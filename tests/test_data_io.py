@@ -117,8 +117,7 @@ class TestPnm:
 
 class TestMeta:
     def test_roundtrip(self, tmp_path):
-        m = SequenceMeta(width=32, height=24, frames=7, objects=2,
-                         categories={1: "twin", 2: "twin"})
+        m = SequenceMeta(width=32, height=24, frames=7, objects=2)
         p = tmp_path / "meta"
         write_meta(p, m)
         assert read_meta(p) == m
@@ -130,14 +129,11 @@ class TestMeta:
             read_meta(p)
 
     @pytest.mark.parametrize("key, value", [
-        ("width", "3x2"), ("height", ""), ("frames", "2.5"), ("objects", "two"),
-        ("category.x", "twin")])
+        ("width", "3x2"), ("height", ""), ("frames", "2.5"), ("objects", "two")])
     def test_non_integer_names_path_line_and_key(self, tmp_path, key, value):
-        lines = ["# meta", "width=3", "height=3", "frames=2", "objects=1",
-                 "category.1=twin"]
-        ln = next((i for i, s in enumerate(lines) if s.startswith(key + "=")),
-                  len(lines))
-        lines[ln:ln + 1] = [f"{key}={value}"]
+        lines = ["# meta", "width=3", "height=3", "frames=2", "objects=1"]
+        ln = next(i for i, s in enumerate(lines) if s.startswith(key + "="))
+        lines[ln] = f"{key}={value}"
         p = tmp_path / "meta"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
@@ -157,6 +153,12 @@ class TestMeta:
         with pytest.raises(DataFormatError) as err:
             read_meta(p)
         assert str(err.value).startswith(f"{p}:{ln + 1}: {key} must be >= ")
+
+    def test_unknown_keys_skipped(self, tmp_path):
+        p = tmp_path / "meta"
+        p.write_text("width=3\nheight=3\nframes=2\nobjects=2\n"
+                     "category.1=twin\ncategory.x=solo\n")
+        assert read_meta(p) == SequenceMeta(width=3, height=3, frames=2, objects=2)
 
     def test_zero_objects_accepted(self, tmp_path):
         p = tmp_path / "meta"

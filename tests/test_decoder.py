@@ -120,7 +120,7 @@ class TestDecode:
 
         leaves = [t for _, t in params.named_tensors("d")]
         for leaf in leaves:
-            leaf.zero_grad()
+            leaf.grad = None
         with Tape() as tape:
             loss = build()
         tape.backward(loss)

@@ -56,8 +56,8 @@ class TestGaussNewton:
     def test_nonlinear_valley_within_ten_iters(self):
         def fn(params):
             t = params[0]
-            t1 = ad.reshape(t, (1, 2)) @ Tensor([[1.0], [0.0]])
-            t2 = ad.reshape(t, (1, 2)) @ Tensor([[0.0], [1.0]])
+            t1 = ad.matmul(ad.reshape(t, (1, 2)), Tensor([[1.0], [0.0]]))
+            t2 = ad.matmul(ad.reshape(t, (1, 2)), Tensor([[0.0], [1.0]]))
             r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
             return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
 
@@ -242,35 +242,35 @@ class TestKroneckerPreconditioner:
 
 
 class TestMemoryBuffer:
-    def sample(self, rng, t=0):
+    def sample(self, rng):
         return TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
                             encoded=Tensor(rng.random((1, 2, 2))),
-                            weights=Tensor(rng.random((1, 2, 2))),
-                            frame_index=t)
+                            weights=Tensor(rng.random((1, 2, 2))))
 
     def test_first_annotated_frame_pinned(self, rng):
         buf = MemoryBuffer(8, 0.9, 2.0)
-        buf.add(self.sample(rng, 0), pinned=True)
-        buf.add(self.sample(rng, 1))
+        buf.add(self.sample(rng), pinned=True)
+        buf.add(self.sample(rng))
         _, weights = buf.samples()
         assert weights == [buf.pinned_weight, 1.0]
 
     def test_capacity_and_pinned_survival(self, rng):
         buf = MemoryBuffer(8, 0.9, 2.0)
-        buf.add(self.sample(rng, 0), pinned=True)
-        for t in range(1, 10):
-            buf.add(self.sample(rng, t))
+        added = [self.sample(rng) for _ in range(10)]
+        buf.add(added[0], pinned=True)
+        for s in added[1:]:
+            buf.add(s)
         assert len(buf) == 8
         samples, _ = buf.samples()
-        assert samples[0].frame_index == 0          # pinned survived
-        frames = [s.frame_index for s in samples]
-        assert frames == [0, 3, 4, 5, 6, 7, 8, 9]   # oldest unpinned evicted
+        assert samples[0] is added[0]               # pinned survived
+        kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]
+        assert all(s is k for s, k in zip(samples, kept))   # oldest unpinned evicted
 
     def test_decay_weights(self, rng):
         buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
-        buf.add(self.sample(rng, 0), pinned=True)
-        for t in (1, 2, 3):
-            buf.add(self.sample(rng, t))
+        buf.add(self.sample(rng), pinned=True)
+        for _ in range(3):
+            buf.add(self.sample(rng))
         _, w = buf.samples()
         np.testing.assert_allclose(w, [2.0, 0.9 ** 2, 0.9, 1.0], atol=1e-15)
         assert w[0] == max(w)
@@ -278,7 +278,7 @@ class TestMemoryBuffer:
     def test_weights_positive(self, rng):
         buf = MemoryBuffer(8, 0.9, 2.0)
         for t in range(5):
-            buf.add(self.sample(rng, t), pinned=(t == 0))
+            buf.add(self.sample(rng), pinned=(t == 0))
         _, w = buf.samples()
         assert all(x > 0 for x in w)
 
@@ -291,8 +291,7 @@ class TestOptimize:
             l3f = Tensor(rng.standard_normal((c_in, 4, 4))) if with_flow else None
             buf.add(TargetSample(l3_im=l3, l3_fl=l3f,
                                  encoded=Tensor(rng.standard_normal((d, 4, 4))),
-                                 weights=Tensor(0.2 + rng.random((d, 4, 4))),
-                                 frame_index=t),
+                                 weights=Tensor(0.2 + rng.random((d, 4, 4)))),
                     pinned=(t == 0))
         return buf
 

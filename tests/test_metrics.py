@@ -141,13 +141,6 @@ class TestAggregate:
         assert abs(rep.mean_f - 0.40) < 1e-12
         assert abs(rep.mean_jf - 0.425) < 1e-12
 
-    def test_seen_unseen_split(self):
-        rows = [FrameScore("a", 1, 1, 1.0, 1.0), FrameScore("a", 1, 2, 0.0, 0.0)]
-        tags = {("a", 1): "cat", ("a", 2): "bird"}
-        rep = aggregate(rows, tags=tags, seen={"cat"})
-        assert rep.seen_unseen["seen"]["J"] == 1.0
-        assert rep.seen_unseen["unseen"]["J"] == 0.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero frame scores"):
             aggregate([])

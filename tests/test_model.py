@@ -84,7 +84,6 @@ class TestModel:
         m.save(p)
         back = Model.load(p)
         assert back.fusion_mode == "concat"
-        assert back.label_channels == m.label_channels
         names_a = dict(m.named_tensors())
         names_b = dict(back.named_tensors())
         assert set(names_a) == set(names_b)
@@ -96,8 +95,6 @@ class TestModel:
         p = tmp_path / "model.ckpt"
         items = {name: t.data for name, t in m.named_tensors()}
         items["meta/fusion_mode"] = np.array([2.0])
-        items["meta/label_channels"] = np.array([16.0])
-        items["meta/channels"] = np.array([16.0, 32.0, 64.0, 64.0])
         del items["decoder.head.w"]
         save_named(p, items)
         with pytest.raises(CheckpointError, match="decoder.head.w"):
@@ -122,20 +119,28 @@ class TestModel:
         with pytest.raises(CheckpointError, match=r"meta/fusion_mode \[" + str(code)):
             Model.load(p)
 
-    @pytest.mark.parametrize("name, value", [
-        ("meta/label_channels", [1.5]), ("meta/label_channels", [1.0, 1.0]),
-        ("meta/channels", [16.0, 32.0, 64.0, np.nan]),
-        ("meta/channels", [16.0, 32.0, 64.0, np.inf])],
-        ids=["fraction", "two-entries", "nan", "inf"])
-    def test_load_rejects_dimensions_that_are_not_positive_integers(self, tmp_path,
-                                                                    name, value):
+    def test_load_rejects_a_tensor_of_the_wrong_shape(self, tmp_path):
         p = tmp_path / "model.ckpt"
         Model(seed=0).save(p)
         items = load_named(p)
-        items[name] = np.array(value)
+        items["backbone_im.stage1.w"] = np.zeros((16, 3, 1, 1))
         save_named(p, items)
-        with pytest.raises(CheckpointError, match=f"{name} .* is not"):
+        with pytest.raises(CheckpointError,
+                           match=r"'backbone_im.stage1.w' has shape \(16, 3, 1, 1\)"):
             Model.load(p)
+
+    def test_load_skips_unknown_meta_entries(self, tmp_path):
+        # checkpoints that also store the architecture's widths still load
+        m = Model(fusion_mode="none", seed=4)
+        p = tmp_path / "model.ckpt"
+        m.save(p)
+        items = load_named(p)
+        items["meta/label_channels"] = np.array([16.0])
+        items["meta/channels"] = np.array([16.0, 32.0, 64.0, 64.0])
+        save_named(p, items)
+        back = dict(Model.load(p).named_tensors())
+        for name, t in m.named_tensors():
+            np.testing.assert_array_equal(back[name].data, t.data)
 
     def test_mode_none_has_no_fusion_tensors(self):
         m = Model(fusion_mode="none", seed=0)

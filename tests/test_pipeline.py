@@ -6,7 +6,7 @@ import pytest
 from flowvos import autodiff as ad
 from flowvos import pipeline
 from flowvos.autodiff import Tensor
-from flowvos.config import make_config
+from flowvos.config import ConfigError, make_config
 from flowvos.data_io import (ShapeSpec, SynthScene, generate_synthetic, load_sequence,
                              random_scene)
 from flowvos.flow_embed import FlowField
@@ -44,11 +44,10 @@ def base_cfg(**over):
 
 
 class TestFrameSets:
-    def test_count_and_flow_indices(self, tiny_seq):
+    def test_count_and_indices(self, tiny_seq):
         sets = frame_sets(tiny_seq)
-        assert len(sets) == 6
-        assert sets[0].flow.src_index == 0 and sets[0].flow.dst_index == 1
-        assert sets[3].flow.src_index == 2 and sets[3].flow.dst_index == 3
+        assert [fs.index for fs in sets] == list(range(6))
+        assert sets[3].flow is tiny_seq.flows[3]
 
 
 class TestAugmentation:
@@ -298,3 +297,18 @@ class TestTrainOffline:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="no sequences"):
             train_offline([], Model(seed=0), base_cfg())
+
+    def test_epochs_keyword_is_range_checked(self, tiny_seq):
+        with pytest.raises(ConfigError, match="train.epochs"):
+            train_offline([tiny_seq], Model(seed=0), base_cfg(), epochs=0)
+
+    @pytest.mark.parametrize("width, height, drawn", [(40, 40, (48, 48)),
+                                                      (72, 40, (48, 64))])
+    def test_trains_on_frames_that_inference_pads(self, tmp_path, width, height,
+                                                  drawn):
+        scene = random_scene(width, height, 5, 2, seed=1)
+        seq = load_sequence(generate_synthetic(scene, tmp_path / "s"))
+        sample = _draw_sample(seq, np.random.default_rng(0), base_cfg())
+        assert {fs.image.shape[1:] for fs in [sample.reference, *sample.tests]} == {drawn}
+        history = train_offline([seq], Model(seed=1), base_cfg(), epochs=1)
+        assert len(history) == 1 and np.isfinite(history[0])

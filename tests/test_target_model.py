@@ -130,7 +130,7 @@ class TestResidualAndLoss:
 
         leaves = tm.tensors()
         for leaf in leaves:
-            leaf.zero_grad()
+            leaf.grad = None
         with Tape() as tape:
             loss = build()
         tape.backward(loss)
