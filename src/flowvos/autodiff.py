@@ -7,11 +7,12 @@ a VJP (for backward / vector-Jacobian products) and a JVP (forward tangent
 propagation over a recorded tape, used for matrix-free Jacobian products).
 
 A replay (``Linearization.vjp``, ``Linearization.jvp``, ``Tape.backward``)
-touches only the tape's live nodes: those that depend on the sources (the
-parameters, or every requires_grad leaf for ``backward``) and lead to the
-outputs.  Each VJP rule receives the mask of its inputs that need a
-gradient, so ``conv2d`` skips its input correlation on a frozen input, such
-as features or a raw image, and its weight gradient on a constant kernel.
+touches only the tape's live nodes: those that depend on the sources it is
+given (the parameters of a linearization, the tensors that ``backward``
+differentiates) and lead to the outputs.  Each VJP rule receives the mask of
+its inputs that need a gradient, so ``conv2d`` skips its input correlation
+on a frozen input, such as features or a raw image, and its weight gradient
+on a constant kernel.
 
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
@@ -64,11 +65,10 @@ class Tensor:
     mutation is accumulation into ``grad`` during backward passes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: Optional[Tensor] = None
 
     @property
@@ -88,11 +88,8 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -178,20 +175,21 @@ class Tape:
         plan.reverse()
         return plan
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf."""
+    def backward(self, loss: Tensor, sources: Sequence[Tensor]) -> None:
+        """Accumulate d(loss)/d(s) into ``s.grad`` for each source s that the
+        loss depends on; a source it does not reach keeps its ``grad``.  The
+        sources must be leaves of the tape, tensors that no recorded node made."""
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        leaves = {id(i): i for node in self.nodes for i in node.inputs if i.requires_grad}
-        grads = _pull(self.plan(leaves.values(), [loss]),
-                      {id(loss): np.ones_like(loss.data)})
-        for key, leaf in leaves.items():
-            if key in grads:
-                if leaf.grad is None:
-                    leaf.grad = Tensor(np.zeros_like(leaf.data))
-                leaf.grad.data += grads[key]
+        grads = _pull(self.plan(sources, [loss]), {id(loss): np.ones_like(loss.data)})
+        for s in sources:
+            g = grads.pop(id(s), None)
+            if g is not None:
+                if s.grad is None:
+                    s.grad = Tensor(np.zeros_like(s.data))
+                s.grad.data += g
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable) -> Tensor:

@@ -29,9 +29,7 @@ TARGET_LEVEL = 3  # pyramid level consumed by the target model
 def he_conv(rng, c_out: int, c_in: int, k: int) -> tuple[Tensor, Tensor]:
     """He fan-in initialized conv weight plus a zero bias."""
     std = np.sqrt(2.0 / (c_in * k * k))
-    w = Tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
-    b = Tensor(np.zeros(c_out), requires_grad=True)
-    return w, b
+    return Tensor(rng.standard_normal((c_out, c_in, k, k)) * std), Tensor(np.zeros(c_out))
 
 
 @dataclass

@@ -135,19 +135,28 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_mask_dir(path: Path) -> list:
+def _mask_files(path: Path) -> list:
     files = sorted(path.glob("*.pgm"))
     if not files:
         raise DataFormatError(f"{path}: no .pgm masks found")
-    return [read_pgm(f) for f in files]
+    return files
 
 
 def cmd_eval(args) -> int:
-    pred = _load_mask_dir(Path(args.pred))
-    gt = _load_mask_dir(Path(args.gt))
-    if len(pred) != len(gt):
-        raise DataFormatError(
-            f"{args.pred} has {len(pred)} masks but {args.gt} has {len(gt)}")
+    pred_files = _mask_files(Path(args.pred))
+    gt_files = _mask_files(Path(args.gt))
+    if len(pred_files) != len(gt_files):
+        raise DataFormatError(f"{args.pred} has {len(pred_files)} masks but "
+                              f"{args.gt} has {len(gt_files)}")
+    pred, gt = ([read_pgm(f) for f in files] for files in (pred_files, gt_files))
+    for pf, gf, p, g in zip(pred_files, gt_files, pred, gt):
+        if p.shape != g.shape:
+            raise DataFormatError(f"{pf} is {p.shape[1]}x{p.shape[0]} but {gf} is "
+                                  f"{g.shape[1]}x{g.shape[0]}")
+    if len(gt) < 2:
+        raise DataFormatError(f"{args.gt}: scoring needs at least two masks")
+    if not gt[0].any():
+        raise DataFormatError(f"{gt_files[0]}: first mask contains no objects")
     rows = score_label_sequence(Path(args.gt).parent.name or "sequence",
                                 pred, gt)
     report = aggregate(rows)
@@ -275,8 +284,8 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CheckpointError, FileNotFoundError, NotADirectoryError,
-            ValueError) as e:
+    except (DataFormatError, CheckpointError, FileNotFoundError,
+            NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, FloatingPointError) as e:

@@ -18,6 +18,7 @@ values.
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
+from .data_io import key_value_lines
 from .fusion import MODES
 
 
@@ -92,17 +93,10 @@ _FIELDS = {_key(f): f for f in fields(RunConfig)}
 def parse_config_file(path) -> dict:
     """Raw key -> string mapping from a config file."""
     out = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-            out[key] = val
+    for ln, key, val in key_value_lines(path, ConfigError):
+        if key not in _FIELDS:
+            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        out[key] = val
     return out
 
 

@@ -28,6 +28,7 @@ FLO_MAGIC = 202021.25
 __all__ = [
     "DataFormatError",
     "atomic_write",
+    "key_value_lines",
     "read_flo",
     "write_flo",
     "read_ppm",
@@ -63,6 +64,25 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def key_value_lines(path, error):
+    """(line number, key, value) for each ``key=value`` line of a UTF-8 text
+    file, skipping blank lines and ``#`` comments.  Text that is not UTF-8
+    and a line without ``=`` raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        yield ln, key, val
 
 
 def _read_payload(fh, size: int, path) -> bytes:
@@ -108,6 +128,11 @@ def read_flo(path) -> FlowField:
             raise DataFormatError(f"{path}: invalid extents {w}x{h} at byte offset 4")
         payload = _read_payload(fh, 2 * 4 * w * h, path)
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        y, x, c = (int(i[0]) for i in np.nonzero(bad))
+        raise DataFormatError(f"{path}: non-finite flow {'uv'[c]} component at "
+                              f"pixel (x={x}, y={y})")
     uv = np.stack([data[:, :, 0], data[:, :, 1]]).astype(np.float64)
     return FlowField(uv)
 
@@ -218,23 +243,16 @@ _META_INTS = {"width": 1, "height": 1, "frames": 1, "objects": 0}   # key -> min
 
 def read_meta(path) -> SequenceMeta:
     vals: dict = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key in _META_INTS:
-                try:
-                    vals[key] = int(val)
-                except ValueError:
-                    raise DataFormatError(f"{path}:{ln}: {key} must be an "
-                                          f"integer, got {val!r}") from None
-                if vals[key] < _META_INTS[key]:
-                    raise DataFormatError(f"{path}:{ln}: {key} must be >= "
-                                          f"{_META_INTS[key]}, got {vals[key]}")
+    for ln, key, val in key_value_lines(path, DataFormatError):
+        if key in _META_INTS:
+            try:
+                vals[key] = int(val)
+            except ValueError:
+                raise DataFormatError(f"{path}:{ln}: {key} must be an "
+                                      f"integer, got {val!r}") from None
+            if vals[key] < _META_INTS[key]:
+                raise DataFormatError(f"{path}:{ln}: {key} must be >= "
+                                      f"{_META_INTS[key]}, got {vals[key]}")
     missing = [k for k in _META_INTS if k not in vals]
     if missing:
         raise DataFormatError(f"{path}: missing meta key {missing[0]}")

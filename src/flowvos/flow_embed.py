@@ -43,17 +43,8 @@ class FlowField:
         return self.uv.shape[1:]
 
 
-def _check_finite(flow: FlowField) -> None:
-    bad = ~np.isfinite(flow.uv)
-    if bad.any():
-        c, y, x = (int(i[0]) for i in np.nonzero(bad))
-        comp = "u" if c == 0 else "v"
-        raise ValueError(f"non-finite flow {comp} component at pixel (x={x}, y={y})")
-
-
 def embed_flow(flow: FlowField) -> Tensor:
     """Embed a flow field into the all-positive 3-channel representation."""
-    _check_finite(flow)
     u, v = flow.uv[0], flow.uv[1]
     m = np.sqrt(u * u + v * v)
     p = np.stack([u, v, m])

@@ -44,18 +44,17 @@ class FusionParams:
 
             def proj(c_out, c_src):
                 return Tensor(rng.standard_normal((c_out, c_src, 1, 1))
-                              * np.sqrt(2.0 / c_src), requires_grad=True)
+                              * np.sqrt(2.0 / c_src))
 
             p.wq = proj(c_bottleneck, c_in)
             p.wk = proj(c_bottleneck, c_in)
             p.wv = proj(c_bottleneck, c_in)
             # zero output projection: the block starts as the identity skip
             # and the flow pathway only grows as training demands it
-            p.wo = Tensor(np.zeros((c_in, c_bottleneck, 1, 1)),
-                          requires_grad=True)
+            p.wo = Tensor(np.zeros((c_in, c_bottleneck, 1, 1)))
         elif mode == "concat":
             p.wc = Tensor(rng.standard_normal((c_in, 2 * c_in, 1, 1))
-                          * np.sqrt(2.0 / (2 * c_in)), requires_grad=True)
+                          * np.sqrt(2.0 / (2 * c_in)))
         return p
 
     def named_tensors(self, prefix: str):

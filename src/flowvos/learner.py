@@ -1,4 +1,4 @@
-"""Online optimizer for the target model and its inference-time memory.
+"""Online Gauss-Newton learner for the target model, and its window memory.
 
 The optimizer minimizes 0.5 * ||r(tau)||^2 for a recorded residual map.
 Each outer Gauss-Newton iteration solves the damped normal equations
@@ -18,21 +18,25 @@ outer iteration plus once at the start when every step is accepted.
 and each step's halvings and rejection.  ``gauss_newton`` takes its CG
 budget and damping as arguments; ``optimize`` reads them from the
 ``RunConfig``, whose check bounds them.
+
+At inference each object's fits read a ``MemoryBuffer``: the annotated
+first-frame sample, pinned, and a window of the newest predicted samples
+under geometrically decaying weights.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Linearization, Tensor
 from .config import RunConfig
 from .fusion import FusionParams, attention_map
-from .target_model import (TargetModelParams, TargetSample, residual_and_loss,
-                           stack_samples)
+from .target_model import (TargetModelParams, TargetSample, branch_filters,
+                           residual_and_loss, stack_samples)
 
 __all__ = [
     "NumericalError",
@@ -51,7 +55,6 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class OptimizeResult:
-    params: object
     losses: list                      # loss before plus after each outer step
     cg_residuals: list = field(default_factory=list)   # one per solved step
     halvings: list = field(default_factory=list)       # line-search halvings, per step
@@ -77,11 +80,11 @@ def _loss_of(values) -> float:
 
 
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
-                       tol_rel: float = 1e-12,
                        preconditioner: Optional[Callable] = None
                        ) -> tuple[np.ndarray, float]:
     """Approximate solution x of A x = b, and its relative residual
     ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0).
+    It stops early once that residual falls to 1e-12.
 
     ``preconditioner`` maps a residual v to P v for a symmetric positive
     definite P close to A^-1; without one this is plain CG.
@@ -96,7 +99,7 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
     rr = float(r @ r)
     rz = float(r @ z)
     bnorm = np.sqrt(rr)
-    stop = tol_rel * bnorm
+    stop = 1e-12 * bnorm
     for _ in range(iters):
         if np.sqrt(rr) <= stop:
             break
@@ -153,7 +156,7 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
     params = list(params)
     shapes = [p.data.shape for p in params]
     lin = Linearization(residual_fn, params)
-    res = OptimizeResult(params=params, losses=[_loss_of(lin.value())])
+    res = OptimizeResult(losses=[_loss_of(lin.value())])
     losses = res.losses
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at outer iteration 0")
@@ -260,9 +263,8 @@ def _flow_gram(batch: TargetSample, params: TargetModelParams,
     lab = wo.shape[0]
     if not np.any(wo):
         return np.zeros((lab, lab))
-    z_im, z_fl = (ad.conv2d(ad.conv2d(x, pair[0]), pair[1], padding=1)
-                  for x, pair in ((batch.l3_im, params.tau1),
-                                  (batch.l3_fl, params.tau2)))
+    z_im = branch_filters(batch.l3_im, params.tau1)
+    z_fl = branch_filters(batch.l3_fl, params.tau2)
     mean_map = attention_map(z_im, z_fl, fusion).data.mean(axis=0)
     t = wo @ mean_map @ fusion.wq.data[:, :, 0, 0]
     return t.T @ t
@@ -305,72 +307,42 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
     return apply
 
 
-@dataclass
-class _Entry:
-    sample: TargetSample
-    pinned: bool
-    order: int
-
-
 class MemoryBuffer:
-    """Bounded store of regression samples; the pinned entry is never evicted.
+    """The learner's memory of one object: the annotated first-frame sample,
+    pinned, and a window of the newest ``capacity - 1`` predicted samples.
 
-    Unpinned sample weights decay geometrically with age relative to the
-    newest insertion; the pinned (first annotated) entry keeps the maximal
-    weight throughout.
+    The pinned sample weighs ``pinned_weight``; a windowed one weighs
+    ``decay ** age``, where the newest sample has age 0.
     """
 
-    def __init__(self, capacity: int, decay: float, pinned_weight: float):
-        self.capacity = capacity
+    def __init__(self, pinned: TargetSample, capacity: int, decay: float,
+                 pinned_weight: float):
+        self.pinned = pinned
         self.decay = decay
         self.pinned_weight = pinned_weight
-        self._entries: list[_Entry] = []
-        self._counter = 0
+        self.recent: deque = deque(maxlen=capacity - 1)
 
-    def __len__(self):
-        return len(self._entries)
+    def add(self, sample: TargetSample) -> None:
+        self.recent.append(sample)
 
-    def add(self, sample: TargetSample, pinned: bool = False) -> None:
-        if len(self._entries) >= self.capacity:
-            for i, e in enumerate(self._entries):
-                if not e.pinned:
-                    del self._entries[i]
-                    break
-            else:
-                raise ValueError("buffer full of pinned entries")
-        self._entries.append(_Entry(sample=sample, pinned=pinned,
-                                    order=self._counter))
-        self._counter += 1
-
-    def samples(self) -> tuple[list, list]:
-        newest = max(e.order for e in self._entries)
-        out, weights = [], []
-        for e in self._entries:
-            out.append(e.sample)
-            if e.pinned:
-                weights.append(self.pinned_weight)
-            else:
-                weights.append(self.decay ** (newest - e.order))
-        return out, weights
+    def batch(self) -> TargetSample:
+        """The pinned and the windowed samples, stacked with their weights."""
+        n = len(self.recent)
+        weights = [self.pinned_weight] + [self.decay ** (n - 1 - i) for i in range(n)]
+        return stack_samples([self.pinned, *self.recent], weights)
 
 
-def optimize(params: TargetModelParams, buffer: MemoryBuffer,
+def optimize(params: TargetModelParams, batch: TargetSample,
              fusion: FusionParams, cfg: RunConfig, *,
              outer_iters: int) -> OptimizeResult:
-    """Fit the target model to the buffer contents in ``outer_iters`` outer
-    iterations; loss never increases."""
-    if len(buffer) == 0:
-        raise ValueError("optimize: empty buffer")
-    batch = stack_samples(*buffer.samples())
+    """Fit the target model to a batch from ``stack_samples`` in
+    ``outer_iters`` outer iterations; loss never increases."""
 
     def residual_fn(_):
-        r, _loss = residual_and_loss(batch, params, fusion)
-        return r
+        return residual_and_loss(batch, params, fusion)[0]
 
     def make_preconditioner():
         return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping)
 
-    res = gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
-                       cfg.learner_damping, make_preconditioner)
-    res.params = params
-    return res
+    return gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
+                        cfg.learner_damping, make_preconditioner)

@@ -8,7 +8,8 @@ the parameter-free ``backbone.encode_label``.  Everything is seeded
 deterministically from one integer, with independent named streams per
 component.  A checkpoint holds every tensor by name plus ``meta/fusion_mode``;
 the widths are those of the fixed architecture, so loading checks each
-tensor's shape against it and skips any other ``meta/`` entry.
+tensor's shape against it, rejects nan and infinite values and skips any
+other ``meta/`` entry.
 """
 
 from __future__ import annotations
@@ -94,5 +95,8 @@ class Model:
                 raise checkpoint.CheckpointError(
                     f"{path}: tensor {name!r} has shape {items[name].shape}, "
                     f"expected {t.data.shape}")
+            if not np.all(np.isfinite(items[name])):
+                raise checkpoint.CheckpointError(
+                    f"{path}: tensor {name!r} holds a nan or infinite value")
             t.data = items[name]
         return model

@@ -11,16 +11,17 @@ Offline training draws four frames per sample from one sequence: the
 reference (plus flip/affine augmented copies, with flow vectors transformed
 by the same linear map) trains the few-shot learner; the other three frames
 are decoded against ground truth with per-pixel binary cross-entropy and
-averaged.  Gradients stop at the learned filters (the inner loop is not
-differentiated through) and flow into decoder, fusion and backbone
-parameters via a native Adam update.
+averaged.  The reverse sweep takes the model's offline parameters as its
+sources, so gradients stop at the fitted filters (the inner loop is not
+differentiated through) and reach the decoder, fusion and backbone
+parameters, which a native Adam update then moves.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,12 +30,12 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, encode_label, extract
 from .config import RunConfig
-from .data_io import Sequence
+from .data_io import DataFormatError, Sequence
 from .decoder import decode, fuse_pyramid
 from .flow_embed import FlowField, embed_flow
 from .learner import MemoryBuffer, optimize
 from .model import Model
-from .target_model import TargetModelParams, TargetSample, apply
+from .target_model import TargetModelParams, TargetSample, apply, stack_samples
 
 __all__ = [
     "FrameSet",
@@ -63,7 +64,6 @@ class SegResult:
     frame_index: int
     seconds: float = 0.0
     updated: bool = False
-    meta: dict = field(default_factory=dict)
 
 
 def frame_sets(seq: Sequence) -> list:
@@ -80,20 +80,17 @@ def _flow_input(fs: FrameSet, cfg: RunConfig) -> Tensor:
     return Tensor(emb.data / cfg.flow_max_displacement)
 
 
-def _pad3(arr: np.ndarray, ph: int, pw: int, mode: str) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return arr
-    return np.pad(arr, ((0, 0), (0, ph), (0, pw)), mode=mode)
-
-
-def _pad_frameset(fs: FrameSet, mult: int = 16) -> tuple:
+def _pad_frameset(fs: FrameSet) -> tuple:
+    """The frame padded below and to the right to a multiple of the
+    backbone's total downsampling, and the padding (rows, columns)."""
+    mult = 2 ** len(BACKBONE_CHANNELS)
     h, w = fs.image.shape[1:]
     ph = (-h) % mult
     pw = (-w) % mult
     if ph == 0 and pw == 0:
         return fs, (0, 0)
-    image = _pad3(fs.image, ph, pw, "edge")
-    uv = _pad3(fs.flow.uv, ph, pw, "edge")
+    image = np.pad(fs.image, ((0, 0), (0, ph), (0, pw)), mode="edge")
+    uv = np.pad(fs.flow.uv, ((0, 0), (0, ph), (0, pw)), mode="edge")
     mask = None
     if fs.mask is not None:
         mask = np.pad(fs.mask, ((0, ph), (0, pw)))
@@ -150,14 +147,14 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
                    cfg: RunConfig) -> list:
     """Segment a sequence given the first frame's label image."""
     if len(framesets) < 2:
-        raise ValueError("inference needs at least two frames")
+        raise DataFormatError("inference needs at least two frames")
     if annotation.shape != framesets[0].image.shape[1:]:
-        raise ValueError(
+        raise DataFormatError(
             f"annotation shape {annotation.shape} does not match frames "
             f"{framesets[0].image.shape[1:]}")
     objects = sorted(int(k) for k in np.unique(annotation) if k > 0)
     if not objects:
-        raise ValueError("annotation contains no objects")
+        raise DataFormatError("annotation contains no objects")
     h0, w0 = annotation.shape
 
     t_start = time.perf_counter()
@@ -167,11 +164,10 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     taus, buffers = {}, {}
     for k in objects:
         sample = _object_sample(pyr_im, pyr_fl, (ann == k).astype(np.float64))
-        buf = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
-                           cfg.learner_pinned_weight)
-        buf.add(sample, pinned=True)
+        buf = MemoryBuffer(sample, cfg.learner_buffer_capacity,
+                           cfg.learner_buffer_decay, cfg.learner_pinned_weight)
         tau = _new_target_model(model, cfg, (_SEED_INFER, k))
-        optimize(tau, buf, model.fusion_tm, cfg,
+        optimize(tau, buf.batch(), model.fusion_tm, cfg,
                  outer_iters=cfg.learner_outer_iters_init)
         taus[k] = tau
         buffers[k] = buf
@@ -179,8 +175,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     probs0 = np.stack([(annotation == k).astype(np.float64) for k in objects])
     results = [SegResult(probs=probs0, labels=annotation.astype(np.uint8),
                          frame_index=framesets[0].index,
-                         seconds=time.perf_counter() - t_start, updated=True,
-                         meta={"pad": (ph, pw)})]
+                         seconds=time.perf_counter() - t_start, updated=True)]
 
     for fs_raw in framesets[1:]:
         tic = time.perf_counter()
@@ -208,15 +203,13 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         if (fs_raw.index % cfg.learner_update_every == 0
                 or confidence > cfg.learner_update_conf):
             for k in objects:
-                optimize(taus[k], buffers[k], model.fusion_tm, cfg,
+                optimize(taus[k], buffers[k].batch(), model.fusion_tm, cfg,
                          outer_iters=cfg.learner_outer_iters_update)
             updated = True
         results.append(SegResult(probs=probs, labels=labels,
                                  frame_index=fs_raw.index,
                                  seconds=time.perf_counter() - tic,
-                                 updated=updated,
-                                 meta={"pad": (ph, pw),
-                                       "confidence": confidence}))
+                                 updated=updated))
     return results
 
 
@@ -254,13 +247,12 @@ def _nearest_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarr
     return img[..., yi, xi]
 
 
-def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0,
-                    scale_range: tuple = (0.9, 1.1),
-                    max_shift: float = 4.0) -> FrameSet:
-    """Random rotation/scale/shift; flow vectors transform by the linear part."""
+def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0) -> FrameSet:
+    """Random rotation, scale in [0.9, 1.1] and shift of up to 4 pixels per
+    axis; flow vectors transform by the linear part."""
     ang = np.deg2rad(rng.uniform(-max_rot_deg, max_rot_deg))
-    s = rng.uniform(*scale_range)
-    tx, ty = rng.uniform(-max_shift, max_shift, size=2)
+    s = rng.uniform(0.9, 1.1)
+    tx, ty = rng.uniform(-4.0, 4.0, size=2)
     a = s * np.array([[np.cos(ang), -np.sin(ang)],
                       [np.sin(ang), np.cos(ang)]])
     ainv = np.linalg.inv(a)
@@ -301,15 +293,14 @@ def _crop_frameset(fs: FrameSet, y0: int, x0: int, h: int, w: int) -> FrameSet:
 
 
 class Adam:
-    """First-order adaptive-moment update with bias correction."""
+    """First-order adaptive-moment update with bias correction, with the
+    usual moment decays 0.9 and 0.999 and epsilon 1e-8."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -371,24 +362,15 @@ def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
     refs = [sample.reference]
     for _ in range(cfg.train_aug_copies):
         refs.append(augment_frameset(sample.reference, rng))
-    buf = MemoryBuffer(capacity=len(refs), decay=1.0, pinned_weight=1.0)
+    samples = []
     for fs in refs:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
         mask01 = (fs.mask == sample.object_id).astype(np.float64)
-        buf.add(_object_sample(pyr_im, pyr_fl, mask01))
+        samples.append(_object_sample(pyr_im, pyr_fl, mask01))
     tau = _new_target_model(model, cfg, (_SEED_TRAIN, int(rng.integers(2 ** 31))))
-    optimize(tau, buf, model.fusion_tm, cfg,
+    optimize(tau, stack_samples(samples), model.fusion_tm, cfg,
              outer_iters=cfg.learner_outer_iters_init)
     return tau
-
-
-def _detached(tau: TargetModelParams) -> TargetModelParams:
-    def d(pair):
-        return (pair[0].detach(), pair[1].detach())
-
-    return TargetModelParams(tau1=d(tau.tau1),
-                             tau2=None if tau.tau2 is None else d(tau.tau2),
-                             reg_lambda=tau.reg_lambda)
 
 
 def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
@@ -429,11 +411,11 @@ def train_offline(sequences: list, model: Model, cfg: RunConfig,
             seq = sequences[int(si)]
             for _ in range(cfg.train_samples_per_seq):
                 sample = _draw_sample(seq, rng, cfg)
-                tau = _detached(_fit_reference(sample, model, cfg, rng))
+                tau = _fit_reference(sample, model, cfg, rng)
                 adam.zero_grad()
                 with Tape() as tape:
                     loss = _sample_loss(sample, tau, model, cfg)
-                tape.backward(loss)
+                tape.backward(loss, params)
                 adam.step()
                 losses.append(loss.item())
         history.append(float(np.mean(losses)))

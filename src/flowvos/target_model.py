@@ -52,10 +52,9 @@ class TargetModelParams:
         """He-scaled filters; both layers nonzero so the composed map has a
         nonzero Jacobian in every parameter block at the starting point."""
         def pair():
-            a = Tensor(rng.standard_normal((c_mid, c_in, 1, 1))
-                       * np.sqrt(2.0 / c_in), requires_grad=True)
+            a = Tensor(rng.standard_normal((c_mid, c_in, 1, 1)) * np.sqrt(2.0 / c_in))
             b = Tensor(rng.standard_normal((label_channels, c_mid, 3, 3))
-                       * np.sqrt(2.0 / (c_mid * 9)), requires_grad=True)
+                       * np.sqrt(2.0 / (c_mid * 9)))
             return a, b
 
         return cls(tau1=pair(), tau2=pair() if with_flow else None,
@@ -67,17 +66,8 @@ class TargetModelParams:
             ts += [self.tau2[0], self.tau2[1]]
         return ts
 
-    def copy(self) -> "TargetModelParams":
-        def dup(pair):
-            return (Tensor(pair[0].data.copy(), requires_grad=True),
-                    Tensor(pair[1].data.copy(), requires_grad=True))
 
-        return TargetModelParams(tau1=dup(self.tau1),
-                                 tau2=dup(self.tau2) if self.tau2 else None,
-                                 reg_lambda=self.reg_lambda)
-
-
-def _filters(feat: Tensor, pair) -> Tensor:
+def branch_filters(feat: Tensor, pair) -> Tensor:
     return ad.conv2d(ad.conv2d(feat, pair[0]), pair[1], padding=1)
 
 
@@ -85,36 +75,35 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
           fusion: FusionParams) -> Tensor:
     """Target representation f_tm from the level-3 features of both branches,
     one sample (C x H x W) or a batch (N x C x H x W)."""
-    f_x = _filters(l3_im, params.tau1)
+    f_x = branch_filters(l3_im, params.tau1)
     if fusion.mode == "none":
         return fuse(f_x, None, fusion)
     if params.tau2 is None:
         raise ValueError(f"fusion mode {fusion.mode!r} requires flow filters")
     if l3_fl is None:
         raise ValueError(f"fusion mode {fusion.mode!r} requires flow features")
-    f_f = _filters(l3_fl, params.tau2)
+    f_f = branch_filters(l3_fl, params.tau2)
     return fuse(f_x, f_f, fusion)
 
 
 def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
-    """The samples as one N x C x H x W batch, with the square root of each
-    sample weight folded into its importance weights.
+    """The C x H x W samples as one N x C x H x W batch, with the square root
+    of each sample weight folded into its importance weights.
 
     The stacked tensors are constants: no gradient flows back to the sample
     tensors.
     """
-    def stack(tensors, scales=None):
-        arrs = [t.data if t.ndim == 4 else t.data[None] for t in tensors]
-        if scales is not None:
-            arrs = [a * sc for a, sc in zip(arrs, scales)]
-        return Tensor(np.concatenate(arrs))
+    def stack(arrays):
+        return Tensor(np.stack(arrays))
 
-    roots = None if sample_weights is None else [float(np.sqrt(w)) for w in sample_weights]
+    weights = [s.weights.data for s in samples]
+    if sample_weights is not None:
+        weights = [a * float(np.sqrt(w)) for a, w in zip(weights, sample_weights)]
     with_flow = all(s.l3_fl is not None for s in samples)
-    return TargetSample(l3_im=stack([s.l3_im for s in samples]),
-                        l3_fl=stack([s.l3_fl for s in samples]) if with_flow else None,
-                        encoded=stack([s.encoded for s in samples]),
-                        weights=stack([s.weights for s in samples], roots))
+    return TargetSample(l3_im=stack([s.l3_im.data for s in samples]),
+                        l3_fl=stack([s.l3_fl.data for s in samples]) if with_flow else None,
+                        encoded=stack([s.encoded.data for s in samples]),
+                        weights=stack(weights))
 
 
 def residual_and_loss(batch: TargetSample, params: TargetModelParams,

@@ -10,7 +10,7 @@ from flowvos.config import RunConfig
 from flowvos.data_io import generate_synthetic, load_sequence, random_scene
 from flowvos.fusion import FusionParams
 from flowvos.model import Model
-from flowvos.target_model import TargetModelParams, TargetSample, stack_samples
+from flowvos.target_model import TargetModelParams, TargetSample
 
 # every run draws the same examples, and nothing is written to .hypothesis/
 settings.register_profile("derandomized", derandomize=True, database=None)
@@ -22,10 +22,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def snapshot(params: TargetModelParams) -> TargetModelParams:
+    """A copy of the filters that later fits leave untouched."""
+    def dup(pair):
+        return ad.Tensor(pair[0].data.copy()), ad.Tensor(pair[1].data.copy())
+
+    return TargetModelParams(tau1=dup(params.tau1),
+                             tau2=None if params.tau2 is None else dup(params.tau2),
+                             reg_lambda=params.reg_lambda)
+
+
 @dataclass
 class FitProblem:
     """One ``optimize`` call as the pipeline made it: the starting filters,
-    the stacked buffer, the fusion and the outer-iteration budget."""
+    the stacked batch, the fusion and the outer-iteration budget."""
 
     params: TargetModelParams
     batch: TargetSample
@@ -43,10 +53,9 @@ def capture_fit_problems(tmp_dir, seed: int = 3, frames: int = 9,
     problems = []
     fit = pipeline.optimize
 
-    def record(params, buffer, fusion, cfg, *, outer_iters):
-        problems.append(FitProblem(params.copy(), stack_samples(*buffer.samples()),
-                                   fusion, outer_iters))
-        return fit(params, buffer, fusion, cfg, outer_iters=outer_iters)
+    def record(params, batch, fusion, cfg, *, outer_iters):
+        problems.append(FitProblem(snapshot(params), batch, fusion, outer_iters))
+        return fit(params, batch, fusion, cfg, outer_iters=outer_iters)
 
     pipeline.optimize = record
     try:
@@ -138,12 +147,13 @@ def assert_grads_close(analytic, numeric, rtol=1e-4):
 
 
 def check_backward_matches_fd(build_loss, leaves, h=1e-5, rtol=1e-4):
-    """Record build_loss() on a tape, backward, and compare against central FD."""
+    """Record build_loss() on a tape, backward to the leaves, and compare
+    against central FD."""
     for leaf in leaves:
         leaf.grad = None
     with ad.Tape() as tape:
         loss = build_loss()
-    tape.backward(loss)
+    tape.backward(loss, leaves)
     analytic = [leaf.grad.data.copy() for leaf in leaves]
     numeric = finite_diff_grads(build_loss, leaves, h=h)
     assert_grads_close(analytic, numeric, rtol=rtol)
@@ -180,9 +190,8 @@ def full_replay_jvp(tape, wrt, tangents, outputs):
     return [tans.get(id(o), np.zeros_like(o.data)) for o in outputs]
 
 
-def full_replay_backward(tape, loss):
-    """Tape.backward without a plan: d(loss)/d(leaf) by leaf id, for every
-    requires_grad leaf the loss reaches."""
+def full_replay_backward(tape, loss, sources):
+    """Tape.backward without a plan: d(loss)/d(s) by source id, for every
+    source the loss reaches."""
     grads = _full_pull(tape, {id(loss): np.ones_like(loss.data)})
-    return {id(i): grads[id(i)] for node in tape.nodes for i in node.inputs
-            if i.requires_grad and id(i) in grads}
+    return {id(s): grads[id(s)] for s in sources if id(s) in grads}

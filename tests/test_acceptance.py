@@ -63,7 +63,7 @@ def _fd_matches(build, leaves, h=1e-5, rtol=1e-4):
         leaf.grad = None
     with Tape() as tape:
         loss = build()
-    tape.backward(loss)
+    tape.backward(loss, leaves)
     for leaf in leaves:
         flat = leaf.data.reshape(-1)
         gflat = leaf.grad.data.reshape(-1)
@@ -85,7 +85,7 @@ def test_c03_autodiff_soundness():
     rng = np.random.default_rng(3)
 
     def rt(shape, off=0.0):
-        return Tensor(rng.standard_normal(shape) + off, requires_grad=True)
+        return Tensor(rng.standard_normal(shape) + off)
 
     def rdim(lo=1, hi=5):
         return int(rng.integers(lo, hi))
@@ -94,7 +94,7 @@ def test_c03_autodiff_soundness():
         m, n, p = rdim(), rdim(), rdim()
         a, b = rt((m, n)), rt((m, n))
         away = Tensor(np.sign(rng.standard_normal((m, n)))
-                      * (0.2 + rng.random((m, n))), requires_grad=True)
+                      * (0.2 + rng.random((m, n))))
         x2, y2 = rt((m, n)), rt((n, p))
         cin, cout = rdim(1, 4), rdim(1, 4)
         k = int(rng.choice([1, 3]))
@@ -143,7 +143,7 @@ def test_c04_gauss_newton_exactness():
             tau = ad.reshape(params[0], (n, 1))
             return ad.sub(ad.matmul(At, tau), bt)
 
-        tau = Tensor(rng.standard_normal(n), requires_grad=True)
+        tau = Tensor(rng.standard_normal(n))
         gauss_newton(lin_fn, [tau], 1, cg_iters=2 * n, damping=0.0)
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -155,7 +155,7 @@ def test_c04_gauss_newton_exactness():
             t = ad.reshape(params[0], (n, 1))
             return [ad.sub(ad.matmul(At, t), bt), params[0] * root]
 
-        tau_r = Tensor(np.zeros(n), requires_grad=True)
+        tau_r = Tensor(np.zeros(n))
         gauss_newton(ridge_fn, [tau_r], 1, cg_iters=2 * n, damping=0.0)
         ref_r = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau_r.data - ref_r) < 1e-8
@@ -178,14 +178,16 @@ def test_c05_monotone_online_loss():
             tm = TargetModelParams.init_random(rng, 5, 6, with_flow=with_flow,
                                                c_mid=3,
                                                reg_lambda=float(rng.uniform(0, 0.1)))
-            buf = MemoryBuffer(8, 0.9, 2.0)
-            for t in range(int(rng.integers(1, 5))):
-                buf.add(TargetSample(
-                    l3_im=Tensor(rng.standard_normal((5, 4, 4))),
-                    l3_fl=Tensor(rng.standard_normal((5, 4, 4))) if with_flow else None,
-                    encoded=Tensor(rng.standard_normal((6, 4, 4))),
-                    weights=Tensor(rng.random((6, 4, 4)))), pinned=(t == 0))
-            res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=4)
+            samples = [TargetSample(
+                l3_im=Tensor(rng.standard_normal((5, 4, 4))),
+                l3_fl=Tensor(rng.standard_normal((5, 4, 4))) if with_flow else None,
+                encoded=Tensor(rng.standard_normal((6, 4, 4))),
+                weights=Tensor(rng.random((6, 4, 4))))
+                for _ in range(int(rng.integers(1, 5)))]
+            buf = MemoryBuffer(samples[0], 8, 0.9, 2.0)
+            for sample in samples[1:]:
+                buf.add(sample)
+            res = optimize(tm, buf.batch(), fp, RunConfig(seed=0), outer_iters=4)
             traces.append(res.losses)
     assert len(traces) == 12
     for losses in traces:

@@ -175,33 +175,41 @@ class TestPoolUpsample:
 
 class TestBackward:
     def test_mean_gives_uniform_gradient(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)))
         with Tape() as tape:
             loss = ad.tmean(x)
-        tape.backward(loss)
+        tape.backward(loss, [x])
         np.testing.assert_array_equal(x.grad.data, np.full((3, 4), 1.0 / 12.0))
 
     def test_half_sumsq_gives_x(self, rng):
-        x = Tensor(rng.standard_normal(7), requires_grad=True)
+        x = Tensor(rng.standard_normal(7))
         with Tape() as tape:
             loss = ad.sumsq(x) * 0.5
-        tape.backward(loss)
+        tape.backward(loss, [x])
         np.testing.assert_allclose(x.grad.data, x.data, atol=1e-12)
 
     def test_nonscalar_loss_rejected(self, rng):
-        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        x = Tensor(rng.standard_normal(3))
         with Tape() as tape:
             y = x * 2.0
         with pytest.raises(ValueError, match="scalar"):
-            tape.backward(y)
+            tape.backward(y, [x])
+
+    def test_only_the_sources_get_a_gradient(self, rng):
+        x, y = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
+        with Tape() as tape:
+            loss = ad.sumsq(ad.mul(x, y))
+        tape.backward(loss, [x])
+        np.testing.assert_allclose(x.grad.data, 2.0 * x.data * y.data ** 2, rtol=1e-12)
+        assert y.grad is None
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError, match="empty tape"):
-            Tape().backward(Tensor(0.0))
+            Tape().backward(Tensor(0.0), [])
 
     def test_composite_graph_matches_fd(self, rng):
-        x = Tensor(rng.standard_normal((2, 3)) + 0.1, requires_grad=True)
-        y = Tensor(rng.standard_normal((2, 3)) + 0.1, requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3)) + 0.1)
+        y = Tensor(rng.standard_normal((2, 3)) + 0.1)
 
         def build():
             a = ad.mul(x, y)
@@ -213,22 +221,22 @@ class TestBackward:
         check_backward_matches_fd(build, [x, y])
 
     def test_grad_accumulates_across_backward_calls(self, rng):
-        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        x = Tensor(rng.standard_normal(4))
         with Tape() as tape:
             loss = ad.tmean(x)
-        tape.backward(loss)
-        tape.backward(loss)
+        tape.backward(loss, [x])
+        tape.backward(loss, [x])
         np.testing.assert_array_equal(x.grad.data, np.full(4, 0.5))
 
     def test_adjoint_linearity(self, rng):
-        x = Tensor(rng.standard_normal(6), requires_grad=True)
+        x = Tensor(rng.standard_normal(6))
         a, b = 2.5, -1.25
 
         def run(fn):
             x.grad = None
             with Tape() as tape:
                 loss = fn()
-            tape.backward(loss)
+            tape.backward(loss, [x])
             return x.grad.data.copy()
 
         gf = run(lambda: ad.sumsq(x))
@@ -241,11 +249,11 @@ class TestBackward:
         w = rng.standard_normal((4, 3, 3, 3))
 
         def run():
-            xt = Tensor(x, requires_grad=True)
-            wt = Tensor(w, requires_grad=True)
+            xt = Tensor(x)
+            wt = Tensor(w)
             with Tape() as tape:
                 loss = ad.sumsq(ad.relu(ad.conv2d(xt, wt, padding=1)))
-            tape.backward(loss)
+            tape.backward(loss, [xt, wt])
             return loss.item(), xt.grad.data.copy(), wt.grad.data.copy()
 
         l1, gx1, gw1 = run()
@@ -258,11 +266,11 @@ class TestBackward:
 def _op_cases(rng):
     """(name, leaves, loss builder) triples covering every differentiable op."""
     def t(shape, off=0.0):
-        return Tensor(rng.standard_normal(shape) + off, requires_grad=True)
+        return Tensor(rng.standard_normal(shape) + off)
 
     x23a, x23b = t((2, 3)), t((2, 3))
-    xr = Tensor(np.sign(rng.standard_normal((2, 3))) * (0.2 + rng.random((2, 3))),
-                requires_grad=True)  # keep relu inputs away from the kink
+    # keep relu inputs away from the kink
+    xr = Tensor(np.sign(rng.standard_normal((2, 3))) * (0.2 + rng.random((2, 3))))
     xm, ym = t((3, 4)), t((4, 2))
     xc = t((2, 4, 4))
     wc = t((3, 2, 3, 3))
@@ -343,7 +351,7 @@ class TestJvpVjp:
     def test_linear_map_exact(self, rng):
         A = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
-        tau = Tensor(rng.standard_normal(3), requires_grad=True)
+        tau = Tensor(rng.standard_normal(3))
 
         def residual(params):
             return ad.sub(ad.matmul(Tensor(A), ad.reshape(params[0], (3, 1))),
@@ -356,7 +364,7 @@ class TestJvpVjp:
         np.testing.assert_allclose(lin.vjp([u])[0], A.T @ u.reshape(5), atol=1e-12)
 
     def test_adjoint_identity(self, rng):
-        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3)))
 
         def residual(params):
             p = params[0]
@@ -373,7 +381,7 @@ class TestJvpVjp:
 
     def test_jvp_matches_directional_fd(self, rng):
         x0 = rng.standard_normal((3, 3)) * 0.5
-        x = Tensor(x0.copy(), requires_grad=True)
+        x = Tensor(x0.copy())
 
         def residual(params):
             p = params[0]
@@ -394,7 +402,7 @@ class TestJvpVjp:
     def test_jvp_matches_fd_through_conv_pipeline(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 4)))
         w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
-        w = Tensor(w0.copy(), requires_grad=True)
+        w = Tensor(w0.copy())
 
         def residual(params):
             return ad.relu(ad.conv2d(x, params[0], padding=1))
@@ -437,9 +445,9 @@ def _mixed_graph(rng, a, b, dead):
 
 class TestLivePlan:
     def params(self, rng):
-        return (Tensor(rng.standard_normal((4, 3, 1, 1)), requires_grad=True),
-                Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True),
-                Tensor(rng.standard_normal(3), requires_grad=True))
+        return (Tensor(rng.standard_normal((4, 3, 1, 1))),
+                Tensor(rng.standard_normal((2, 4, 3, 3))),
+                Tensor(rng.standard_normal(3)))
 
     def test_linearization_replays_equal_the_full_tape_bit_for_bit(self, rng):
         a, b, dead = self.params(rng)
@@ -458,8 +466,8 @@ class TestLivePlan:
         with Tape() as tape:
             loss = ad.sumsq(residual([a, b])) * 0.5
             ad.tmean(ad.relu(loss))                           # after the loss
-        ref = full_replay_backward(tape, loss)
-        tape.backward(loss)
+        ref = full_replay_backward(tape, loss, [a, b, dead])
+        tape.backward(loss, [a, b, dead])
         assert set(ref) == {id(a), id(b)}
         assert np.array_equal(a.grad.data, ref[id(a)])
         assert np.array_equal(b.grad.data, ref[id(b)])

@@ -54,7 +54,7 @@ class TestExtract:
         with Tape() as tape:
             pyr = extract(x, params)
             loss = ad.sumsq(pyr[4])
-        tape.backward(loss)
+        tape.backward(loss, [t for _, t in params.named_tensors("bb")])
         for name, t in params.named_tensors("bb"):
             if name.endswith(".w"):
                 assert t.grad is not None and np.any(t.grad.data != 0.0), name

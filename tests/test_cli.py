@@ -160,8 +160,11 @@ class TestTrainRunEval:
         def fail(_):
             raise ValueError("report lost")
 
+        # an internal error is no data error: it propagates, and the
+        # half-written report never replaces the previous one
         monkeypatch.setattr("flowvos.metrics.MetricsReport.to_json", fail)
-        assert main(args) == 2
+        with pytest.raises(ValueError, match="report lost"):
+            main(args)
         assert report.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -185,6 +188,16 @@ class TestExitCodes:
         code = main(["train", "--data", str(tmp_path / "d"), "--out",
                      str(tmp_path / "c"), "--seed", "1", "--set", "bogus.key=1"])
         assert code == 1
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=4)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+        code = main(["train", "--data", str(tmp_path / "d"), "--out",
+                     str(tmp_path / "c"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: not UTF-8 text (invalid continuation byte)"]
 
     def test_missing_seed(self, tmp_path):
         synth(tmp_path / "d", frames=4)
@@ -297,6 +310,95 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "00002.flo" in err[0]
         assert err[0].startswith("error:")
+
+
+class TestBadDataIsExitTwo:
+    """Input data that the program cannot segment or score ends in exit 2
+    and one error line, never in a traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        if not ckpt.exists():
+            Model(seed=1).save(ckpt)
+        capsys.readouterr()
+        code = main(["run", "--seq", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o"), "--seed", "1"])
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_one_frame_sequence(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=1)
+        assert self.run(tmp_path, capsys) == (
+            2, ["error: inference needs at least two frames"])
+
+    def test_first_mask_without_an_object(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=3)
+        write_pgm(tmp_path / "d" / "masks" / "00000.pgm", np.zeros((32, 32), np.uint8))
+        assert self.run(tmp_path, capsys) == (2, ["error: annotation contains no objects"])
+
+    def test_nan_in_a_flow_file(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=3)
+        flo = tmp_path / "d" / "flows" / "00001.flo"
+        raw = bytearray(flo.read_bytes())
+        at = 12 + 4 * (2 * (2 * 32 + 3) + 1)        # v at x=3, y=2 of a 32-wide field
+        raw[at:at + 4] = struct.pack("<f", float("nan"))
+        flo.write_bytes(bytes(raw))
+        assert self.run(tmp_path, capsys) == (
+            2, [f"error: {flo}: non-finite flow v component at pixel (x=3, y=2)"])
+
+    def test_nan_in_a_checkpoint_tensor(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=3)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items["fusion_tm.wq"].flat[0] = np.nan
+        save_named(ckpt, items)
+        assert self.run(tmp_path, capsys) == (
+            2, [f"error: {ckpt}: tensor 'fusion_tm.wq' holds a nan or infinite value"])
+
+    def test_meta_that_is_not_utf8(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=3)
+        meta = tmp_path / "d" / "meta"
+        meta.write_bytes(meta.read_bytes().replace(b"width", b"wi\xe6th"))
+        assert self.run(tmp_path, capsys) == (
+            2, [f"error: {meta}: not UTF-8 text (invalid continuation byte)"])
+
+    def test_eval_of_masks_with_different_sizes(self, tmp_path, capsys):
+        for name, shape in (("pred", (32, 32)), ("gt", (32, 48))):
+            (tmp_path / name).mkdir()
+            for t in range(2):
+                write_pgm(tmp_path / name / f"{t:05d}.pgm", np.zeros(shape, np.uint8))
+        code = main(["eval", "--pred", str(tmp_path / "pred"), "--gt",
+                     str(tmp_path / "gt"), "--report", str(tmp_path / "r.json")])
+        pred, gt = tmp_path / "pred" / "00000.pgm", tmp_path / "gt" / "00000.pgm"
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pred} is 32x32 but {gt} is 48x32"]
+
+    @staticmethod
+    def evaluate(tmp_path, capsys, gt_masks):
+        for name in ("pred", "gt"):
+            (tmp_path / name).mkdir()
+            for t, mask in enumerate(gt_masks):
+                write_pgm(tmp_path / name / f"{t:05d}.pgm", mask)
+        capsys.readouterr()
+        code = main(["eval", "--pred", str(tmp_path / "pred"), "--gt",
+                     str(tmp_path / "gt"), "--report", str(tmp_path / "r.json")])
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_eval_of_a_single_mask(self, tmp_path, capsys):
+        one = np.zeros((16, 16), np.uint8)
+        one[4:8, 4:8] = 1
+        assert self.evaluate(tmp_path, capsys, [one]) == (
+            2, [f"error: {tmp_path / 'gt'}: scoring needs at least two masks"])
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_of_a_first_mask_without_an_object(self, tmp_path, capsys):
+        masks = [np.zeros((16, 16), np.uint8), np.ones((16, 16), np.uint8)]
+        first = tmp_path / "gt" / "00000.pgm"
+        assert self.evaluate(tmp_path, capsys, masks) == (
+            2, [f"error: {first}: first mask contains no objects"])
+        assert not (tmp_path / "r.json").exists()
 
 
 # one file of each on-disk format, frame 0 and frame 1 for the per-frame ones

@@ -48,6 +48,17 @@ class TestFlo:
         with pytest.raises(DataFormatError, match="invalid extents.*byte offset 4"):
             read_flo(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_names_path_and_pixel(self, tmp_path, value):
+        uv = np.zeros((2, 3, 4))
+        uv[1, 2, 1] = value
+        p = tmp_path / "bad.flo"
+        write_flo(p, FlowField(uv))
+        with pytest.raises(DataFormatError,
+                           match=r"bad\.flo: non-finite flow v component at pixel "
+                                 r"\(x=1, y=2\)"):
+            read_flo(p)
+
     def test_2x2_is_44_bytes(self, tmp_path):
         p = tmp_path / "tiny.flo"
         write_flo(p, FlowField(np.ones((2, 2, 2))))

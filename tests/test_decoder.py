@@ -123,7 +123,7 @@ class TestDecode:
             leaf.grad = None
         with Tape() as tape:
             loss = build()
-        tape.backward(loss)
+        tape.backward(loss, leaves)
         h = 1e-5
         for leaf in leaves:
             flat = leaf.data.reshape(-1)
@@ -150,7 +150,8 @@ class TestDecode:
             pyr_fl = extract(Tensor(rng.random((3, 32, 32))), fl)
             fused = fuse_pyramid(pyr_im, pyr_fl, fusion_set)
             loss = ad.sumsq(decode(Tensor(rng.random((4, 4, 4))), fused, params))
-        tape.backward(loss)
+        owners = [im, fl, params, *fusion_set.values()]
+        tape.backward(loss, [t for o in owners for _, t in o.named_tensors("p")])
         assert any(t.grad is not None and np.any(t.grad.data != 0)
                    for _, t in fusion_set[3].named_tensors("f"))
         assert any(t.grad is not None and np.any(t.grad.data != 0)

@@ -45,12 +45,6 @@ class TestEmbedFlow:
         np.testing.assert_allclose(out, [2.0556, 0.0556, 2.7878], atol=1.5e-4)
         assert abs(np.linalg.norm(out) - 2.0 * np.sqrt(3.0)) < 1e-9
 
-    def test_nonfinite_names_pixel(self):
-        uv = np.zeros((2, 3, 4))
-        uv[1, 2, 1] = np.nan
-        with pytest.raises(ValueError, match=r"v component at pixel \(x=1, y=2\)"):
-            embed_flow(FlowField(uv))
-
     def test_linearity_doubling(self, rng):
         uv = rng.standard_normal((2, 5, 5)) * 10.0
         one = embed_flow(FlowField(uv)).data

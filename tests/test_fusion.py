@@ -52,7 +52,7 @@ class TestAttention:
         p.wo.data = rng.standard_normal(p.wo.data.shape)
         with Tape() as tape:
             loss = ad.sumsq(fuse(f_im, f_fl, p))
-        tape.backward(loss)
+        tape.backward(loss, [p.wq, p.wk, p.wv, p.wo])
         for name in ("wq", "wk", "wv", "wo"):
             g = getattr(p, name).grad
             assert g is not None and np.any(g.data != 0.0), name

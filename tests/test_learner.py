@@ -10,6 +10,8 @@ from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
 from flowvos.target_model import (TargetModelParams, TargetSample,
                                   residual_and_loss, stack_samples)
 
+from conftest import snapshot
+
 
 def linear_residual(A, b):
     At = Tensor(A)
@@ -28,7 +30,7 @@ class TestGaussNewton:
             m, n = 12, 6
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
-            tau = Tensor(rng.standard_normal(n), requires_grad=True)
+            tau = Tensor(rng.standard_normal(n))
             res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=n, damping=0.0)
             ref = np.linalg.lstsq(A, b, rcond=None)[0]
             assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -48,7 +50,7 @@ class TestGaussNewton:
             reg = params[0] * root
             return [data, reg]
 
-        tau = Tensor(np.zeros(n), requires_grad=True)
+        tau = Tensor(np.zeros(n))
         gauss_newton(fn, [tau], 1, cg_iters=n, damping=0.0)
         ref = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -61,7 +63,7 @@ class TestGaussNewton:
             r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
             return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
 
-        tau = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+        tau = Tensor(np.array([1.0, 1.0]))
         res = gauss_newton(fn, [tau], 10, cg_iters=3, damping=1e-2)
         r_final = np.concatenate([v.reshape(-1) for v in
                                   [o.data for o in fn([tau])]])
@@ -71,7 +73,7 @@ class TestGaussNewton:
     def test_cg_normal_equation_residual(self, rng):
         A = rng.standard_normal((14, 7))
         b = rng.standard_normal(14)
-        tau = Tensor(rng.standard_normal(7), requires_grad=True)
+        tau = Tensor(rng.standard_normal(7))
         res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=10, damping=1e-4)
         assert res.cg_residuals[0] <= 1e-6
 
@@ -80,7 +82,7 @@ class TestGaussNewton:
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         tau0 = rng.standard_normal(n)
-        tau = Tensor(tau0.copy(), requires_grad=True)
+        tau = Tensor(tau0.copy())
         res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=4, damping=mu)
         delta = tau.data - tau0           # a linear residual accepts the full step
         rhs = -A.T @ (A @ tau0 - b)
@@ -121,12 +123,12 @@ class TestGaussNewton:
         def fn(params):
             return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
 
-        tau = Tensor(np.full(1, 3.0), requires_grad=True)
+        tau = Tensor(np.full(1, 3.0))
         res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0)
         assert res.halvings == [1] and res.rejected == [False]
         assert res.losses[1] < res.losses[0]
 
-        tau = Tensor(np.full(1, 3.0), requires_grad=True)
+        tau = Tensor(np.full(1, 3.0))
         res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, max_halvings=0)
         assert res.halvings == [0] and res.rejected == [True]
         assert res.losses == [res.losses[0]] * 2 and tau.data[0] == 3.0
@@ -136,7 +138,7 @@ class TestGaussNewton:
             p = params[0]
             return ad.sub(ad.sigmoid(p), Tensor(np.full(4, 0.2)))
 
-        tau = Tensor(rng.standard_normal(4) * 2.0, requires_grad=True)
+        tau = Tensor(rng.standard_normal(4) * 2.0)
         res = gauss_newton(fn, [tau], 6, cg_iters=3, damping=1e-2)
         assert all(b <= a for a, b in zip(res.losses, res.losses[1:]))
 
@@ -144,7 +146,7 @@ class TestGaussNewton:
         def fn(params):
             return params[0] * np.inf
 
-        tau = Tensor(np.ones(2), requires_grad=True)
+        tau = Tensor(np.ones(2))
         with pytest.raises(NumericalError, match="iteration 0"):
             gauss_newton(fn, [tau], 2, cg_iters=3, damping=1e-2)
 
@@ -221,7 +223,7 @@ class TestKroneckerPreconditioner:
         assert len(fit_problems) >= 4
 
         def solve(problem, cg_iters, damping, preconditioned):
-            tm = problem.params.copy()
+            tm = snapshot(problem.params)
 
             def residual_fn(_):
                 return residual_and_loss(problem.batch, tm, problem.fusion)[0]
@@ -243,64 +245,98 @@ class TestKroneckerPreconditioner:
 
 class TestMemoryBuffer:
     def sample(self, rng):
+        """A sample under unit importance weights, so that a stacked batch
+        holds the square root of each sample weight."""
         return TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
                             encoded=Tensor(rng.random((1, 2, 2))),
-                            weights=Tensor(rng.random((1, 2, 2))))
+                            weights=Tensor(np.ones((1, 2, 2))))
+
+    @staticmethod
+    def sample_weights(buf):
+        return list(buf.batch().weights.data[:, 0, 0, 0] ** 2)
 
     def test_first_annotated_frame_pinned(self, rng):
-        buf = MemoryBuffer(8, 0.9, 2.0)
-        buf.add(self.sample(rng), pinned=True)
+        pinned = self.sample(rng)
+        buf = MemoryBuffer(pinned, 8, 0.9, 2.0)
         buf.add(self.sample(rng))
-        _, weights = buf.samples()
-        assert weights == [buf.pinned_weight, 1.0]
+        assert np.array_equal(buf.batch().l3_im.data[0], pinned.l3_im.data)
+        np.testing.assert_allclose(self.sample_weights(buf), [buf.pinned_weight, 1.0],
+                                   atol=1e-15)
 
     def test_capacity_and_pinned_survival(self, rng):
-        buf = MemoryBuffer(8, 0.9, 2.0)
         added = [self.sample(rng) for _ in range(10)]
-        buf.add(added[0], pinned=True)
+        buf = MemoryBuffer(added[0], 8, 0.9, 2.0)
         for s in added[1:]:
             buf.add(s)
-        assert len(buf) == 8
-        samples, _ = buf.samples()
-        assert samples[0] is added[0]               # pinned survived
-        kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]
-        assert all(s is k for s, k in zip(samples, kept))   # oldest unpinned evicted
+        stacked = buf.batch().l3_im.data
+        assert stacked.shape[0] == 8
+        kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]   # oldest evicted
+        assert np.array_equal(stacked, np.stack([k.l3_im.data for k in kept]))
 
     def test_decay_weights(self, rng):
-        buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
-        buf.add(self.sample(rng), pinned=True)
+        buf = MemoryBuffer(self.sample(rng), 8, decay=0.9, pinned_weight=2.0)
         for _ in range(3):
             buf.add(self.sample(rng))
-        _, w = buf.samples()
+        w = self.sample_weights(buf)
         np.testing.assert_allclose(w, [2.0, 0.9 ** 2, 0.9, 1.0], atol=1e-15)
         assert w[0] == max(w)
 
     def test_weights_positive(self, rng):
-        buf = MemoryBuffer(8, 0.9, 2.0)
-        for t in range(5):
-            buf.add(self.sample(rng), pinned=(t == 0))
-        _, w = buf.samples()
-        assert all(x > 0 for x in w)
+        buf = MemoryBuffer(self.sample(rng), 8, 0.9, 2.0)
+        for _ in range(4):
+            buf.add(self.sample(rng))
+        assert all(x > 0 for x in self.sample_weights(buf))
+
+    def test_window_matches_the_eviction_rule_bit_for_bit(self, rng):
+        # the oracle: a list of (sample, pinned, insertion order) that evicts
+        # the oldest unpinned entry when full and weighs an unpinned entry
+        # decay ** (newest order - its order)
+        capacity, decay, pinned_weight = 8, 0.9, 2.0
+        pinned = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
+                              encoded=Tensor(rng.random((1, 2, 2))),
+                              weights=Tensor(rng.random((1, 2, 2))))
+        buf = MemoryBuffer(pinned, capacity, decay, pinned_weight)
+        entries = [(pinned, True, 0)]
+        for order in range(1, 12):
+            sample = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
+                                  encoded=Tensor(rng.random((1, 2, 2))),
+                                  weights=Tensor(rng.random((1, 2, 2))))
+            buf.add(sample)
+            if len(entries) >= capacity:
+                del entries[next(i for i, e in enumerate(entries) if not e[1])]
+            entries.append((sample, False, order))
+            weights = [pinned_weight if is_pinned else decay ** (order - o)
+                       for _, is_pinned, o in entries]
+            ref = stack_samples([e[0] for e in entries], weights)
+            got = buf.batch()
+            assert got.l3_im.data.shape[0] == min(order + 1, capacity)
+            assert np.array_equal(got.l3_im.data[0], pinned.l3_im.data)
+            for name in ("l3_im", "encoded", "weights"):
+                assert np.array_equal(getattr(got, name).data, getattr(ref, name).data)
 
 
 class TestOptimize:
-    def make_buffer(self, rng, n=3, with_flow=False, c_in=5, d=3):
-        buf = MemoryBuffer(8, 0.9, 2.0)
-        for t in range(n):
+    def make_batch(self, rng, n=3, with_flow=False, c_in=5, d=3):
+        """A stacked batch of n samples, the first pinned, as a buffer holds
+        them."""
+        samples = []
+        for _ in range(n):
             l3 = Tensor(rng.standard_normal((c_in, 4, 4)))
             l3f = Tensor(rng.standard_normal((c_in, 4, 4))) if with_flow else None
-            buf.add(TargetSample(l3_im=l3, l3_fl=l3f,
-                                 encoded=Tensor(rng.standard_normal((d, 4, 4))),
-                                 weights=Tensor(0.2 + rng.random((d, 4, 4)))),
-                    pinned=(t == 0))
-        return buf
+            samples.append(TargetSample(l3_im=l3, l3_fl=l3f,
+                                        encoded=Tensor(rng.standard_normal((d, 4, 4))),
+                                        weights=Tensor(0.2 + rng.random((d, 4, 4)))))
+        buf = MemoryBuffer(samples[0], 8, 0.9, 2.0)
+        for sample in samples[1:]:
+            buf.add(sample)
+        return samples, buf.batch()
 
     def test_loss_decreases_mode_none(self, rng):
         fp = FusionParams.init(rng, "none", 3)
         tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
                                            reg_lambda=1e-3)
-        buf = self.make_buffer(rng)
-        res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=5)
+        _, batch = self.make_batch(rng)
+        res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=5)
         assert res.losses[-1] < res.losses[0]
         assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
 
@@ -311,9 +347,8 @@ class TestOptimize:
         tm = TargetModelParams.init_random(rng, 3, 2, with_flow=False, c_mid=2,
                                            reg_lambda=0.0)
         tm.tau1[1].data[:] = 0.0
-        buf = self.make_buffer(rng, n=2, c_in=3, d=2)
-        buf._entries = buf._entries[:2]
-        samples, sw = buf.samples()
+        samples, batch = self.make_batch(rng, n=2, c_in=3, d=2)
+        sw = [2.0, 1.0]                      # the pinned and the newest sample
 
         rows, targets = [], []
         for s, w_s in zip(samples, sw):
@@ -333,23 +368,17 @@ class TestOptimize:
         ref = np.linalg.lstsq(A, y, rcond=None)[0]
 
         cfg = RunConfig(seed=0, learner_damping=0.0, learner_cg_iters=100)
-        optimize(tm, buf, fp, cfg, outer_iters=1)
+        optimize(tm, batch, fp, cfg, outer_iters=1)
         assert np.linalg.norm(tm.tau1[1].data.reshape(-1) - ref) < 1e-8
 
     def test_attention_mode_decreases(self, rng):
         fp = FusionParams.init(rng, "attention", 3)
         tm = TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2,
                                            reg_lambda=1e-2)
-        buf = self.make_buffer(rng, with_flow=True)
-        res = optimize(tm, buf, fp, RunConfig(seed=0), outer_iters=3)
+        _, batch = self.make_batch(rng, with_flow=True)
+        res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=3)
         assert res.losses[-1] < res.losses[0]
         assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
-
-    def test_empty_buffer_rejected(self, rng):
-        fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, reg_lambda=1e-2)
-        with pytest.raises(ValueError, match="empty buffer"):
-            optimize(tm, MemoryBuffer(8, 0.9, 2.0), fp, RunConfig(seed=0), outer_iters=1)
 
 
 def test_config_validation():

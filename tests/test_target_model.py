@@ -69,7 +69,7 @@ class TestResidualAndLoss:
         tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
                                            reg_lambda=0.0)
         s = make_sample(rng, with_flow=False)
-        s.encoded = apply(s.l3_im, None, tm, fp).detach()
+        s.encoded = apply(s.l3_im, None, tm, fp)
         r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
@@ -133,7 +133,7 @@ class TestResidualAndLoss:
             leaf.grad = None
         with Tape() as tape:
             loss = build()
-        tape.backward(loss)
+        tape.backward(loss, leaves)
         analytic = [t.grad.data.copy() for t in leaves]
         numeric = finite_diff_grads(build, leaves)
         for a, n in zip(analytic, numeric):
