@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The model code only needs a small closed set of operations (convolution,
 elementwise arithmetic, a few reductions, softmax, pooling and bilinear
@@ -23,9 +23,18 @@ contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
 one is a single matmul over the k*k stacked taps or one matmul per tap,
 whichever the channel counts make cheaper.
 
-There is no general broadcasting: binary operations require identical shapes,
-and the only mixed form is tensor-with-python-scalar. Shapes are validated
-eagerly with errors naming the offending dimension.
+There is no general broadcasting: binary operations require identical shapes
+and dtypes, and the only mixed form is tensor-with-python-scalar.  Shapes
+and dtypes are validated eagerly with errors naming the offending dimension
+or both dtypes.
+
+A tensor keeps the dtype of a floating input, and every array an operation
+or a replay allocates takes its input's dtype, so a float32 graph stays
+float32 and a float64 one float64.  ``DTYPE``, float32, is the program's
+working precision: the readers return it and the model is built in it.
+Float64 inputs give float64 arithmetic throughout, which checks of
+exactness rely on.  Rejecting mixed dtypes keeps a stray float64 array from
+silently promoting a float32 pass.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "DTYPE",
     "Tensor",
     "Tape",
     "add",
@@ -58,17 +68,23 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A dense float64 array with optional gradient accumulation.
+DTYPE = np.float32
 
-    Tensors are treated as immutable after construction; the only sanctioned
+
+class Tensor:
+    """A dense array with optional gradient accumulation.
+
+    A floating input keeps its dtype, and is not copied if it is already an
+    array; any other input (integers, booleans) becomes ``DTYPE``.  Tensors
+    are treated as immutable after construction; the only sanctioned
     mutation is accumulation into ``grad`` during backward passes.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(DTYPE)
         self.grad: Optional[Tensor] = None
 
     @property
@@ -198,9 +214,17 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable)
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
+def _check_same_dtype(tensors: Sequence[Tensor], opname: str) -> None:
+    first = tensors[0].data.dtype
+    for t in tensors[1:]:
+        if t.data.dtype != first:
+            raise ValueError(f"{opname}: dtype mismatch {first} vs {t.data.dtype}")
+
+
+def _check_operands(a: Tensor, b: Tensor, opname: str) -> None:
     if a.data.shape != b.data.shape:
         raise ValueError(f"{opname}: shape mismatch {a.data.shape} vs {b.data.shape}")
+    _check_same_dtype((a, b), opname)
 
 
 def _z(t, like):
@@ -212,7 +236,7 @@ def _z(t, like):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    _check_operands(a, b, "add")
     out = Tensor(a.data + b.data)
     return _record(out, (a, b),
                    vjp=lambda g, need: (g, g),
@@ -220,7 +244,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
+    _check_operands(a, b, "sub")
     out = Tensor(a.data - b.data)
     return _record(out, (a, b),
                    vjp=lambda g, need: (g, -g if need[1] else None),
@@ -229,7 +253,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of same-shape tensors."""
-    _check_same_shape(a, b, "mul")
+    _check_operands(a, b, "mul")
     out = Tensor(a.data * b.data)
     return _record(out, (a, b),
                    vjp=lambda g, need: (g * b.data if need[0] else None,
@@ -348,6 +372,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not -nd <= axis < nd:
         raise ValueError(f"concat: axis {axis} out of range for rank {nd}")
     axis = axis % nd
+    _check_same_dtype(tensors, "concat")
     for t in tensors[1:]:
         if t.data.ndim != nd:
             raise ValueError("concat: rank mismatch")
@@ -381,6 +406,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul: inner dimensions differ, {a.data.shape[-1]} vs {b.data.shape[-2]}")
+    _check_same_dtype((a, b), "matmul")
     out = Tensor(a.data @ b.data)
     return _record(out, (a, b),
                    vjp=lambda g, need: (
@@ -405,7 +431,7 @@ def _to_grid(a: np.ndarray, ph: int, pw: int, lead: int, length: int) -> np.ndar
     n, c, h, w = a.shape
     if lead == 0 and length == n * h * w and (h, w) == (ph, pw):
         return a.transpose(1, 0, 2, 3).reshape(c, length)
-    g = np.zeros((c, length))
+    g = np.zeros((c, length), dtype=a.dtype)
     cells = g[:, lead:lead + n * ph * pw].reshape(c, n, ph, pw)
     cells[:, :, :h, :w] = a.transpose(1, 0, 2, 3)
     return g
@@ -479,6 +505,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         raise ValueError(f"conv2d: input has {cin} channels but kernel expects {cin_k}")
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.data.shape} != ({cout},)")
+    _check_same_dtype((x, w) if b is None else (x, w, b), "conv2d")
     k, p = kh, int(padding)
     if p < 0:
         raise ValueError(f"conv2d: padding must be nonnegative, got {p}")
@@ -544,7 +571,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     def jvp(t):
         dx, dw = t[0], t[1]
-        acc = np.zeros((cout, span))
+        acc = np.zeros((cout, span), dtype=x.data.dtype)
         if dx is not None:
             dgrid = _to_grid(dx if batched else dx[None], ph, pw, lead,
                              span + max(lead, offsets[-1]))
@@ -587,7 +614,7 @@ def _at(axis: int, start, stop, step=None) -> tuple:
 def _up_axis(x: np.ndarray, axis: int) -> np.ndarray:
     near, far = 0.75 * x, 0.25 * x
     n = x.shape[axis]
-    y = np.empty(x.shape[:axis] + (2 * n,) + x.shape[axis + 1:])
+    y = np.empty(x.shape[:axis] + (2 * n,) + x.shape[axis + 1:], dtype=x.dtype)
     # output 2i is 0.25 x[i-1] + 0.75 x[i], with x[-1] clamped to x[0]
     np.add(far[_at(axis, None, -1)], near[_at(axis, 1, None)], out=y[_at(axis, 2, None, 2)])
     np.add(far[_at(axis, 0, 1)], near[_at(axis, 0, 1)], out=y[_at(axis, 0, 1)])
@@ -651,12 +678,13 @@ class Linearization:
         return [o.data for o in self.outputs]
 
     def jvp(self, tangents: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """J v: push parameter tangents through to the residual blocks."""
+        """J v: push parameter tangents, cast to their parameter's dtype,
+        through to the residual blocks."""
         if len(tangents) != len(self.params):
             raise ValueError(f"expected {len(self.params)} tangents, got {len(tangents)}")
         tans: dict[int, np.ndarray] = {}
         for w, t in zip(self.params, tangents):
-            t = np.asarray(t, dtype=np.float64)
+            t = np.asarray(t, dtype=w.data.dtype)
             if t.shape != w.data.shape:
                 raise ValueError(f"tangent shape {t.shape} != leaf shape {w.data.shape}")
             tans[id(w)] = t
@@ -666,14 +694,14 @@ class Linearization:
         return [tans.get(id(o), np.zeros_like(o.data)) for o in self.outputs]
 
     def vjp(self, cotangents: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """J^T u: pull residual cotangents back to the parameters; pure, grad
-        is untouched."""
+        """J^T u: pull residual cotangents, cast to their output's dtype,
+        back to the parameters; pure, grad is untouched."""
         if len(cotangents) != len(self.outputs):
             raise ValueError(
                 f"expected {len(self.outputs)} cotangents, got {len(cotangents)}")
         grads: dict[int, np.ndarray] = {}
         for out, cot in zip(self.outputs, cotangents):
-            cot = np.asarray(cot, dtype=np.float64)
+            cot = np.asarray(cot, dtype=out.data.dtype)
             if cot.shape != out.data.shape:
                 raise ValueError(
                     f"cotangent shape {cot.shape} != output shape {out.data.shape}")

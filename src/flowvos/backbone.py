@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DTYPE, Tensor
 
 BACKBONE_CHANNELS = (16, 32, 64, 64)
 LABEL_CHANNELS = 16
@@ -27,9 +27,10 @@ TARGET_LEVEL = 3  # pyramid level consumed by the target model
 
 
 def he_conv(rng, c_out: int, c_in: int, k: int) -> tuple[Tensor, Tensor]:
-    """He fan-in initialized conv weight plus a zero bias."""
-    std = np.sqrt(2.0 / (c_in * k * k))
-    return Tensor(rng.standard_normal((c_out, c_in, k, k)) * std), Tensor(np.zeros(c_out))
+    """He fan-in initialized conv weight plus a zero bias, in ``DTYPE``; the
+    weight is the float64 draw rounded."""
+    w = rng.standard_normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
+    return Tensor(w.astype(DTYPE)), Tensor(np.zeros(c_out, dtype=DTYPE))
 
 
 @dataclass

@@ -1,8 +1,12 @@
-"""Versioned binary container for named float64 tensors.
+"""Versioned binary container for named tensors, stored as float64.
 
 Layout (all little-endian): 4-byte magic ``FVOS``, uint32 format version,
 uint32 tensor count; then per tensor a uint16 name length, the UTF-8 name,
-a uint8 rank, int64 extents, and the row-major float64 payload.
+a uint8 rank, int64 extents, and the row-major float64 (``<f8``) payload.
+Saving widens any float dtype to float64 exactly; ``load_named`` returns
+float64 arrays, which ``Model.load`` rounds to the working dtype
+(``autodiff.DTYPE``, float32), so a float32 model survives the round trip
+bit for bit.
 """
 
 from __future__ import annotations
@@ -76,5 +80,9 @@ def load_named(path) -> dict:
             if nbytes > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
             payload = _read(fh, nbytes, path, f"payload for tensor {name!r}")
-            items[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            try:
+                items[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            except ValueError:      # an empty shape whose other extents numpy cannot index
+                raise CheckpointError(f"{path}: shape {shape} of tensor {name!r} is "
+                                      "too large for an array") from None
         return items

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import CheckpointError
 from .config import (ConfigError, default_config_text, make_config,
                      parse_config_file)
@@ -280,7 +282,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # a finite input can still overflow float32 arithmetic: that ends the
+        # command with exit 3 and one error line, not with warnings on
+        # stderr and a result computed from inf and nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

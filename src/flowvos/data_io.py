@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import DTYPE
 from .flow_embed import FlowField
 
 FLO_MAGIC = 202021.25
@@ -133,8 +134,7 @@ def read_flo(path) -> FlowField:
         y, x, c = (int(i[0]) for i in np.nonzero(bad))
         raise DataFormatError(f"{path}: non-finite flow {'uv'[c]} component at "
                               f"pixel (x={x}, y={y})")
-    uv = np.stack([data[:, :, 0], data[:, :, 1]]).astype(np.float64)
-    return FlowField(uv)
+    return FlowField(np.ascontiguousarray(data.transpose(2, 0, 1), dtype=DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ class Sequence:
 
     name: str
     meta: SequenceMeta
-    images: list        # of 3xHxW float64 in [0,1]
+    images: list        # of 3xHxW DTYPE (float32) in [0,1]
     flows: list         # of FlowField
     masks: list         # of HxW uint8 label images
 
@@ -298,7 +298,7 @@ def load_sequence(path) -> Sequence:
             raise DataFormatError(f"{lp}: flow size mismatch with meta")
         if mask.shape != (meta.height, meta.width):
             raise DataFormatError(f"{mp}: mask size mismatch with meta")
-        images.append(img.astype(np.float64) / 255.0)
+        images.append(img.astype(DTYPE) / 255.0)
         flows.append(flow)
         masks.append(mask)
     extra = root / "frames" / f"{meta.frames:05d}.ppm"

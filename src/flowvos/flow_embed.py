@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import DTYPE, Tensor
 
 _S3 = np.sqrt(3.0)
 
@@ -27,12 +27,15 @@ ROTATION = np.array([
 
 @dataclass
 class FlowField:
-    """Per-pixel displacement from a source frame to a target frame, 2xHxW."""
+    """Per-pixel displacement from a source frame to a target frame, 2xHxW;
+    floating displacements keep their dtype, others become ``DTYPE``."""
 
     uv: np.ndarray
 
     def __post_init__(self):
-        self.uv = np.asarray(self.uv, dtype=np.float64)
+        self.uv = np.asarray(self.uv)
+        if self.uv.dtype.kind != "f":
+            self.uv = self.uv.astype(DTYPE)
         if self.uv.ndim != 3 or self.uv.shape[0] != 2:
             raise ValueError(f"flow field must be 2xHxW, got shape {self.uv.shape}")
         if self.uv.shape[1] < 1 or self.uv.shape[2] < 1:
@@ -44,9 +47,9 @@ class FlowField:
 
 
 def embed_flow(flow: FlowField) -> Tensor:
-    """Embed a flow field into the all-positive 3-channel representation."""
+    """Embed a flow field into the all-positive 3-channel representation, in
+    the flow's dtype."""
     u, v = flow.uv[0], flow.uv[1]
     m = np.sqrt(u * u + v * v)
     p = np.stack([u, v, m])
-    out = np.einsum("ij,jhw->ihw", ROTATION, p)
-    return Tensor(out)
+    return Tensor(np.einsum("ij,jhw->ihw", ROTATION.astype(p.dtype), p))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DTYPE, Tensor
 
 MODES = ("none", "concat", "attention")
 
@@ -43,18 +43,18 @@ class FusionParams:
             c_bottleneck = max(4, c_in // 2)
 
             def proj(c_out, c_src):
-                return Tensor(rng.standard_normal((c_out, c_src, 1, 1))
-                              * np.sqrt(2.0 / c_src))
+                w = rng.standard_normal((c_out, c_src, 1, 1)) * np.sqrt(2.0 / c_src)
+                return Tensor(w.astype(DTYPE))
 
             p.wq = proj(c_bottleneck, c_in)
             p.wk = proj(c_bottleneck, c_in)
             p.wv = proj(c_bottleneck, c_in)
             # zero output projection: the block starts as the identity skip
             # and the flow pathway only grows as training demands it
-            p.wo = Tensor(np.zeros((c_in, c_bottleneck, 1, 1)))
+            p.wo = Tensor(np.zeros((c_in, c_bottleneck, 1, 1), dtype=DTYPE))
         elif mode == "concat":
-            p.wc = Tensor(rng.standard_normal((c_in, 2 * c_in, 1, 1))
-                          * np.sqrt(2.0 / (2 * c_in)))
+            w = rng.standard_normal((c_in, 2 * c_in, 1, 1)) * np.sqrt(2.0 / (2 * c_in))
+            p.wc = Tensor(w.astype(DTYPE))
         return p
 
     def named_tensors(self, prefix: str):

@@ -262,7 +262,7 @@ def _flow_gram(batch: TargetSample, params: TargetModelParams,
     wo = fusion.wo.data[:, :, 0, 0]
     lab = wo.shape[0]
     if not np.any(wo):
-        return np.zeros((lab, lab))
+        return np.zeros((lab, lab), dtype=wo.dtype)
     z_im = branch_filters(batch.l3_im, params.tau1)
     z_fl = branch_filters(batch.l3_fl, params.tau2)
     mean_map = attention_map(z_im, z_fl, fusion).data.mean(axis=0)
@@ -286,7 +286,7 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
     """
     damp = params.reg_lambda + mu
     w2 = np.mean(batch.weights.data ** 2, axis=1)
-    eye = np.eye(params.tau1[1].shape[0])
+    eye = np.eye(params.tau1[1].shape[0], dtype=params.tau1[1].data.dtype)
     branches = [(batch.l3_im, params.tau1, eye)]
     if fusion.mode == "concat":
         wc = fusion.wc.data[:, :, 0, 0]

@@ -8,8 +8,10 @@ the parameter-free ``backbone.encode_label``.  Everything is seeded
 deterministically from one integer, with independent named streams per
 component.  A checkpoint holds every tensor by name plus ``meta/fusion_mode``;
 the widths are those of the fixed architecture, so loading checks each
-tensor's shape against it, rejects nan and infinite values and skips any
-other ``meta/`` entry.
+tensor's shape against it, rejects nan and infinite values and values that
+overflow the working dtype, and skips any other ``meta/`` entry.  Tensors are
+built and loaded in ``autodiff.DTYPE``; the checkpoint stores them as
+float64, which holds every float32 value exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import checkpoint
+from .autodiff import DTYPE
 from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, FeatureExtractorParams
 from .decoder import DecoderParams
 from .fusion import MODES, FusionParams
@@ -98,5 +101,11 @@ class Model:
             if not np.all(np.isfinite(items[name])):
                 raise checkpoint.CheckpointError(
                     f"{path}: tensor {name!r} holds a nan or infinite value")
-            t.data = items[name]
+            with np.errstate(over="ignore"):
+                data = items[name].astype(DTYPE)
+            if not np.all(np.isfinite(data)):
+                raise checkpoint.CheckpointError(
+                    f"{path}: tensor {name!r} holds a value outside the "
+                    f"{np.dtype(DTYPE).name} range")
+            t.data = data
         return model

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import DTYPE, Tape, Tensor
 from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, encode_label, extract
 from .config import RunConfig
 from .data_io import DataFormatError, Sequence
@@ -51,7 +51,7 @@ __all__ = [
 class FrameSet:
     """One frame with the flow arriving at it and an optional label mask."""
 
-    image: np.ndarray            # 3xHxW float64 in [0, 1]
+    image: np.ndarray            # 3xHxW DTYPE (float32) in [0, 1]
     flow: FlowField              # from frame t-1 to t (frame 0: flow 0 -> 1)
     mask: Optional[np.ndarray]   # HxW uint8 label image
     index: int
@@ -59,7 +59,7 @@ class FrameSet:
 
 @dataclass
 class SegResult:
-    probs: np.ndarray            # K_obj x H x W in [0, 1]
+    probs: np.ndarray            # K_obj x H x W DTYPE in [0, 1]
     labels: np.ndarray           # HxW uint8, 0 = background
     frame_index: int
     seconds: float = 0.0
@@ -123,7 +123,8 @@ def _new_target_model(model: Model, cfg: RunConfig, seed_tail) -> TargetModelPar
 
 
 def balanced_bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
-    """Per-pixel BCE with the two classes reweighted to equal total mass.
+    """Per-pixel BCE with the two classes reweighted to equal total mass;
+    the weights take the target's dtype.
 
     Plain mean BCE under a few-percent foreground fraction drives every
     logit below the 0.5 binarization threshold at toy training budgets;
@@ -133,7 +134,7 @@ def balanced_bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
     eps = 1.0 / target01.size
     w_fg = 0.5 / max(frac, eps)
     w_bg = 0.5 / max(1.0 - frac, eps)
-    weights = np.where(target01 > 0.5, w_fg, w_bg)
+    weights = np.where(target01 > 0.5, w_fg, w_bg).astype(target01.dtype)
     y = Tensor(target01)
     per_pixel = ad.sub(ad.softplus(logits), ad.mul(logits, y))
     return ad.tmean(ad.mul(per_pixel, Tensor(weights)))
@@ -163,7 +164,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     pyr_im, pyr_fl = _pyramids(model, fs0, cfg)
     taus, buffers = {}, {}
     for k in objects:
-        sample = _object_sample(pyr_im, pyr_fl, (ann == k).astype(np.float64))
+        sample = _object_sample(pyr_im, pyr_fl, (ann == k).astype(DTYPE))
         buf = MemoryBuffer(sample, cfg.learner_buffer_capacity,
                            cfg.learner_buffer_decay, cfg.learner_pinned_weight)
         tau = _new_target_model(model, cfg, (_SEED_INFER, k))
@@ -172,7 +173,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         taus[k] = tau
         buffers[k] = buf
 
-    probs0 = np.stack([(annotation == k).astype(np.float64) for k in objects])
+    probs0 = np.stack([(annotation == k).astype(DTYPE) for k in objects])
     results = [SegResult(probs=probs0, labels=annotation.astype(np.uint8),
                          frame_index=framesets[0].index,
                          seconds=time.perf_counter() - t_start, updated=True)]
@@ -197,7 +198,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         padded_labels = np.pad(labels, ((0, ph), (0, pw)))
         for k in objects:
             buffers[k].add(_object_sample(
-                pyr_im, pyr_fl, (padded_labels == k).astype(np.float64)))
+                pyr_im, pyr_fl, (padded_labels == k).astype(DTYPE)))
         confidence = float(np.mean(np.maximum(probs, 1.0 - probs)))
         updated = False
         if (fs_raw.index % cfg.learner_update_every == 0
@@ -228,13 +229,14 @@ def flip_frameset(fs: FrameSet) -> FrameSet:
 
 
 def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """img read at the points (sy, sx), in img's dtype."""
     h, w = img.shape[1:]
     y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
     x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
     y1 = np.clip(y0 + 1, 0, h - 1)
     x1 = np.clip(x0 + 1, 0, w - 1)
-    fy = np.clip(sy, 0, h - 1) - y0
-    fx = np.clip(sx, 0, w - 1) - x0
+    fy = (np.clip(sy, 0, h - 1) - y0).astype(img.dtype)
+    fx = (np.clip(sx, 0, w - 1) - x0).astype(img.dtype)
     top = img[:, y0, x0] * (1 - fx) + img[:, y0, x1] * fx
     bot = img[:, y1, x0] * (1 - fx) + img[:, y1, x1] * fx
     return top * (1 - fy) + bot * fy
@@ -365,7 +367,7 @@ def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
     samples = []
     for fs in refs:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        mask01 = (fs.mask == sample.object_id).astype(np.float64)
+        mask01 = (fs.mask == sample.object_id).astype(DTYPE)
         samples.append(_object_sample(pyr_im, pyr_fl, mask01))
     tau = _new_target_model(model, cfg, (_SEED_TRAIN, int(rng.integers(2 ** 31))))
     optimize(tau, stack_samples(samples), model.fusion_tm, cfg,
@@ -383,7 +385,7 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
                      model.fusion_tm)
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
         logits = decode(f_tm, fused, model.decoder)
-        target = (fs.mask == sample.object_id).astype(np.float64)[None]
+        target = (fs.mask == sample.object_id).astype(DTYPE)[None]
         terms.append(balanced_bce_with_logits(logits, target))
     total = terms[0]
     for t in terms[1:]:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DTYPE, Tensor
 from .fusion import FusionParams, fuse
 
 MID_CHANNELS = 32
@@ -49,13 +49,13 @@ class TargetModelParams:
     @classmethod
     def init_random(cls, rng, c_in: int, label_channels: int, with_flow: bool,
                     reg_lambda: float, c_mid: int = MID_CHANNELS):
-        """He-scaled filters; both layers nonzero so the composed map has a
-        nonzero Jacobian in every parameter block at the starting point."""
+        """He-scaled filters in ``DTYPE`` (float64 draws, rounded); both
+        layers nonzero so the composed map has a nonzero Jacobian in every
+        parameter block at the starting point."""
         def pair():
-            a = Tensor(rng.standard_normal((c_mid, c_in, 1, 1)) * np.sqrt(2.0 / c_in))
-            b = Tensor(rng.standard_normal((label_channels, c_mid, 3, 3))
-                       * np.sqrt(2.0 / (c_mid * 9)))
-            return a, b
+            a = rng.standard_normal((c_mid, c_in, 1, 1)) * np.sqrt(2.0 / c_in)
+            b = rng.standard_normal((label_channels, c_mid, 3, 3)) * np.sqrt(2.0 / (c_mid * 9))
+            return Tensor(a.astype(DTYPE)), Tensor(b.astype(DTYPE))
 
         return cls(tau1=pair(), tau2=pair() if with_flow else None,
                    reg_lambda=reg_lambda)

@@ -22,6 +22,25 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def float64(owner):
+    """``owner``, a model or parameter set, with every tensor it holds cast
+    to float64 in place.
+
+    The program builds its parameters in float32 (``autodiff.DTYPE``).  A
+    check whose tolerance was set for float64 arithmetic casts them and feeds
+    float64 inputs, so its whole graph runs in float64.
+    """
+    if isinstance(owner, TargetModelParams):
+        tensors = owner.tensors()
+    elif isinstance(owner, Model):
+        tensors = owner.offline_parameters()
+    else:
+        tensors = [t for _, t in owner.named_tensors("")]
+    for t in tensors:
+        t.data = t.data.astype(np.float64)
+    return owner
+
+
 def snapshot(params: TargetModelParams) -> TargetModelParams:
     """A copy of the filters that later fits leave untouched."""
     def dup(pair):

@@ -24,7 +24,7 @@ from flowvos.model import Model
 from flowvos.pipeline import FrameSet, frame_sets, infer_sequence, train_offline
 from flowvos.target_model import TargetModelParams, TargetSample
 
-from conftest import conv2d_loops
+from conftest import conv2d_loops, float64
 from test_metrics import brute_force_f
 
 
@@ -171,13 +171,13 @@ def test_c05_monotone_online_loss():
     traces = []
     for mode in ("none", "concat", "attention"):
         for trial in range(4):
-            fp = FusionParams.init(rng, mode, 6)
+            fp = float64(FusionParams.init(rng, mode, 6))
             if mode == "attention":
                 fp.wo.data = 0.3 * rng.standard_normal(fp.wo.data.shape)
             with_flow = mode != "none"
-            tm = TargetModelParams.init_random(rng, 5, 6, with_flow=with_flow,
-                                               c_mid=3,
-                                               reg_lambda=float(rng.uniform(0, 0.1)))
+            tm = float64(TargetModelParams.init_random(
+                rng, 5, 6, with_flow=with_flow, c_mid=3,
+                reg_lambda=float(rng.uniform(0, 0.1))))
             samples = [TargetSample(
                 l3_im=Tensor(rng.standard_normal((5, 4, 4))),
                 l3_fl=Tensor(rng.standard_normal((5, 4, 4))) if with_flow else None,
@@ -201,14 +201,14 @@ def test_c06_attention_contract():
     rng = np.random.default_rng(6)
     for _ in range(10):
         c = int(rng.choice([6, 8, 16]))
-        p = FusionParams.init(rng, "attention", c)
+        p = float64(FusionParams.init(rng, "attention", c))
         p.wo.data = rng.standard_normal(p.wo.data.shape)
         f_im = Tensor(rng.standard_normal((c, 4, 4)))
         f_fl = Tensor(rng.standard_normal((c, 4, 4)))
         m = attention_map(f_im, f_fl, p)
         assert np.max(np.abs(m.data.sum(axis=1) - 1.0)) < 1e-12
 
-        p0 = FusionParams.init(rng, "attention", c)
+        p0 = float64(FusionParams.init(rng, "attention", c))
         p0.wo.data = np.zeros_like(p0.wo.data)
         out = fuse(f_im, f_fl, p0)
         assert np.array_equal(out.data, f_im.data)

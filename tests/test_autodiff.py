@@ -316,6 +316,48 @@ def test_every_op_backward_matches_fd(rng):
             raise AssertionError(f"op {name}: {e}") from e
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_every_op_keeps_its_input_dtype(rng, dtype):
+    """Forward values, JVP and VJP replays and Tape.backward all stay in the
+    leaves' dtype, with no float64 array promoting a float32 graph."""
+    for name, leaves, build in _op_cases(rng):
+        for leaf in leaves:
+            leaf.data = leaf.data.astype(dtype)
+            leaf.grad = None
+        with Tape() as tape:
+            loss = build()
+        assert {n.out.data.dtype for n in tape.nodes} == {np.dtype(dtype)}, name
+        tape.backward(loss, leaves)
+        assert all(leaf.grad.data.dtype == dtype for leaf in leaves), name
+        lin = ad.Linearization(lambda _: build(), leaves)
+        jv = lin.jvp([rng.standard_normal(leaf.shape).astype(dtype) for leaf in leaves])
+        assert jv[0].dtype == dtype, name
+        assert all(g.dtype == dtype for g in lin.vjp([np.ones_like(jv[0])])), name
+
+
+def test_every_binary_op_rejects_mixed_dtypes(rng):
+    """A float32/float64 pair fails loudly, naming both dtypes, whichever
+    operand is the odd one out (for conv2d: the input, or the bias)."""
+    binary = [case for case in _op_cases(rng) if len(case[1]) > 1]
+    assert {name for name, _, _ in binary} >= {"add", "sub", "mul", "matmul",
+                                               "concat", "conv2d"}
+    for name, leaves, build in binary:
+        for odd in (0, len(leaves) - 1):
+            for i, leaf in enumerate(leaves):
+                leaf.data = leaf.data.astype(np.float64 if i == odd else np.float32)
+            with pytest.raises(ValueError, match="dtype mismatch float(32 vs float64|"
+                                                 "64 vs float32)"):
+                build()
+
+
+def test_tensor_keeps_a_floating_dtype_and_converts_the_rest():
+    f32 = np.ones(3, dtype=np.float32)
+    assert Tensor(f32).data is f32
+    assert Tensor(np.ones(3)).data.dtype == np.float64
+    assert Tensor(np.arange(3)).data.dtype == ad.DTYPE == np.float32
+    assert Tensor(np.array([True, False])).data.dtype == ad.DTYPE
+
+
 def _batched_cases(rng):
     """(name, leaf shapes, op) for the ops that take a leading batch axis."""
     return [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowvos import autodiff as ad
-from flowvos.autodiff import Tape, Tensor
+from flowvos.autodiff import DTYPE, Tape, Tensor
 from flowvos.backbone import FeatureExtractorParams, encode_label, extract, he_conv
 
 
@@ -13,24 +13,24 @@ def params(rng):
 
 class TestExtract:
     def test_level3_shape_64(self, params, rng):
-        pyr = extract(Tensor(rng.random((3, 64, 64))), params)
+        pyr = extract(Tensor(rng.random((3, 64, 64), dtype=DTYPE)), params)
         assert pyr[3].shape == (64, 8, 8)
 
     def test_pyramid_shape_law(self, params, rng):
         for hw in (32, 64, 96):
-            pyr = extract(Tensor(rng.random((3, hw, hw))), params)
+            pyr = extract(Tensor(rng.random((3, hw, hw), dtype=DTYPE)), params)
             for k, c in zip((1, 2, 3, 4), (16, 32, 64, 64)):
                 assert pyr[k].shape == (c, hw // 2 ** k, hw // 2 ** k)
 
     def test_deterministic(self, params, rng):
-        x = rng.random((3, 32, 32))
+        x = rng.random((3, 32, 32), dtype=DTYPE)
         a = extract(Tensor(x), params)
         b = extract(Tensor(x), params)
         for k in range(1, 5):
             assert np.array_equal(a[k].data, b[k].data)
 
     def test_zero_input_zero_biases_gives_zero_pyramid(self, params):
-        pyr = extract(Tensor(np.zeros((3, 32, 32))), params)
+        pyr = extract(Tensor(np.zeros((3, 32, 32), dtype=DTYPE)), params)
         for k in range(1, 5):
             np.testing.assert_array_equal(pyr[k].data, 0.0)
 
@@ -50,7 +50,7 @@ class TestExtract:
         assert not im_ids & fl_ids
 
     def test_gradient_reaches_stage_weights(self, params, rng):
-        x = Tensor(rng.random((3, 32, 32)))
+        x = Tensor(rng.random((3, 32, 32), dtype=DTYPE))
         with Tape() as tape:
             pyr = extract(x, params)
             loss = ad.sumsq(pyr[4])

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,17 @@ class TestBadDataIsExitTwo:
         assert self.run(tmp_path, capsys) == (
             2, [f"error: {ckpt}: tensor 'fusion_tm.wq' holds a nan or infinite value"])
 
+    def test_checkpoint_value_beyond_float32(self, tmp_path, capsys):
+        synth(tmp_path / "d", frames=3)
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items["fusion_tm.wq"].flat[0] = 1e39
+        save_named(ckpt, items)
+        assert self.run(tmp_path, capsys) == (
+            2, [f"error: {ckpt}: tensor 'fusion_tm.wq' holds a value outside the "
+                "float32 range"])
+
     def test_meta_that_is_not_utf8(self, tmp_path, capsys):
         synth(tmp_path / "d", frames=3)
         meta = tmp_path / "d" / "meta"
@@ -399,6 +411,29 @@ class TestBadDataIsExitTwo:
         assert self.evaluate(tmp_path, capsys, masks) == (
             2, [f"error: {first}: first mask contains no objects"])
         assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["weight 1e20", "flow 5.5e19"])
+def test_float32_overflow_is_a_numerical_failure(tmp_path, capsys, damage):
+    """Finite inputs too large for float32 arithmetic end in exit 3 and one
+    error line, not in runtime warnings and a result made of inf and nan."""
+    synth(tmp_path / "d", frames=3)
+    if damage == "weight 1e20":
+        ckpt = tmp_path / "model.ckpt"
+        Model(seed=1).save(ckpt)
+        items = load_named(ckpt)
+        items["backbone_im.stage1.w"].flat[0] = 1e20
+        save_named(ckpt, items)
+    else:
+        flo = tmp_path / "d" / "flows" / "00001.flo"
+        raw = bytearray(flo.read_bytes())
+        raw[12:16] = struct.pack("<f", 5.5e19)       # u at pixel (0, 0)
+        flo.write_bytes(bytes(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = TestBadDataIsExitTwo.run(tmp_path, capsys)
+    assert code == 3 and caught == []
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # one file of each on-disk format, frame 0 and frame 1 for the per-frame ones

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from flowvos.autodiff import DTYPE
 from flowvos.data_io import (DataFormatError, SequenceMeta, ShapeSpec, SynthScene,
                              atomic_write, generate_suite, generate_synthetic, load_sequence,
                              random_scene, read_flo, read_meta, read_pgm, read_ppm,
@@ -16,6 +17,7 @@ class TestFlo:
         p = tmp_path / "f.flo"
         write_flo(p, FlowField(uv))
         back = read_flo(p).uv
+        assert back.dtype == DTYPE
         assert np.max(np.abs(back - uv)) <= np.max(np.spacing(uv.astype(np.float32)))
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -255,7 +257,7 @@ class TestGenerator:
         root = generate_synthetic(scene, tmp_path / "s")
         seq = load_sequence(root)
         img0 = read_ppm(root / "frames" / "00000.ppm")
-        np.testing.assert_array_equal(seq.images[0], img0.astype(np.float64) / 255.0)
+        np.testing.assert_array_equal(seq.images[0], img0.astype(DTYPE) / 255.0)
 
     def test_determinism_per_seed(self, tmp_path):
         scene = random_scene(40, 40, 5, 2, seed=99, distractors=True)
@@ -294,7 +296,7 @@ class TestLoadSequence:
     def test_images_normalized(self, tmp_path):
         root = generate_synthetic(translating_disk(), tmp_path / "s")
         seq = load_sequence(root)
-        assert seq.images[0].dtype == np.float64
+        assert seq.images[0].dtype == DTYPE
         assert 0.0 <= seq.images[0].min() and seq.images[0].max() <= 1.0
 
 

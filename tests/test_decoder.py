@@ -8,19 +8,21 @@ from flowvos.decoder import DecoderParams, decode, fuse_pyramid
 from flowvos.fusion import FusionParams
 from flowvos.pipeline import balanced_bce_with_logits
 
+from conftest import float64
+
 SMALL = (4, 6, 8, 8)  # compact channel config to keep tests quick
 
 
 def small_pyramids(rng, hw=32):
-    im = FeatureExtractorParams.init(rng, channels=SMALL)
-    fl = FeatureExtractorParams.init(rng, channels=SMALL)
+    im = float64(FeatureExtractorParams.init(rng, channels=SMALL))
+    fl = float64(FeatureExtractorParams.init(rng, channels=SMALL))
     x = Tensor(rng.random((3, hw, hw)))
     f = Tensor(rng.random((3, hw, hw)))
     return extract(x, im), extract(f, fl)
 
 
 def fusion_levels(rng, mode):
-    return {k: FusionParams.init(rng, mode, SMALL[k - 1]) for k in (2, 3, 4)}
+    return {k: float64(FusionParams.init(rng, mode, SMALL[k - 1])) for k in (2, 3, 4)}
 
 
 class TestFusePyramid:
@@ -55,8 +57,8 @@ class TestFusePyramid:
 
 class TestDecode:
     def decoder(self, rng, d=4, width=8):
-        return DecoderParams.init(rng, label_channels=d, channels=SMALL,
-                                  width=width)
+        return float64(DecoderParams.init(rng, label_channels=d, channels=SMALL,
+                                          width=width))
 
     def test_output_shape_full_resolution(self, rng):
         pyr_im, pyr_fl = small_pyramids(rng, hw=64)
@@ -141,8 +143,8 @@ class TestDecode:
                 assert abs(gflat[i] - fd) / denom < 1e-4
 
     def test_gradients_reach_fusion_and_backbone_through_decode(self, rng):
-        im = FeatureExtractorParams.init(rng, channels=SMALL)
-        fl = FeatureExtractorParams.init(rng, channels=SMALL)
+        im = float64(FeatureExtractorParams.init(rng, channels=SMALL))
+        fl = float64(FeatureExtractorParams.init(rng, channels=SMALL))
         fusion_set = fusion_levels(rng, "attention")
         params = self.decoder(rng)
         with Tape() as tape:

@@ -5,6 +5,8 @@ from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 from flowvos.fusion import FusionParams, attention_map, fuse
 
+from conftest import float64
+
 
 @pytest.fixture
 def feats(rng):
@@ -14,26 +16,26 @@ def feats(rng):
 class TestAttention:
     def test_zero_output_projection_is_identity(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         p.wo.data[:] = 0.0
         out = fuse(f_im, f_fl, p)
         assert np.array_equal(out.data, f_im.data)
 
     def test_attention_rows_sum_to_one(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         m = attention_map(f_im, f_fl, p)
         np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_map_shape_cv_by_ck(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         m = attention_map(f_im, f_fl, p)
         assert m.shape == (p.wv.data.shape[0], p.wk.data.shape[0])
 
     def test_spatial_permutation_equivariance(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         perm = rng.permutation(16)
 
         def permute(t):
@@ -46,7 +48,7 @@ class TestAttention:
 
     def test_gradient_reaches_all_four_projections(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         # the output projection initializes at zero (identity start); give it
         # mass so the architectural gradient path to q/k/v is observable
         p.wo.data = rng.standard_normal(p.wo.data.shape)
@@ -59,13 +61,13 @@ class TestAttention:
 
     def test_fresh_attention_block_is_identity(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "attention", 8)
+        p = float64(FusionParams.init(rng, "attention", 8))
         assert np.array_equal(fuse(f_im, f_fl, p).data, f_im.data)
 
     def test_default_bottleneck_channels(self, rng):
-        p = FusionParams.init(rng, "attention", 64)
+        p = float64(FusionParams.init(rng, "attention", 64))
         assert p.wq.data.shape[0] == 32
-        p4 = FusionParams.init(rng, "attention", 6)
+        p4 = float64(FusionParams.init(rng, "attention", 6))
         assert p4.wq.data.shape[0] == 4
         assert p.wq.data.shape[0] == p.wk.data.shape[0]  # C_q == C_k
 
@@ -74,17 +76,17 @@ class TestModes:
     def test_shape_preserved_all_modes(self, rng, feats):
         f_im, f_fl = feats
         for mode in ("none", "concat", "attention"):
-            p = FusionParams.init(rng, mode, 8)
+            p = float64(FusionParams.init(rng, mode, 8))
             assert fuse(f_im, f_fl, p).shape == f_im.shape
 
     def test_none_is_bit_identical_bypass(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "none", 8)
+        p = float64(FusionParams.init(rng, "none", 8))
         assert fuse(f_im, f_fl, p) is f_im
 
     def test_concat_applies_projection(self, rng, feats):
         f_im, f_fl = feats
-        p = FusionParams.init(rng, "concat", 8)
+        p = float64(FusionParams.init(rng, "concat", 8))
         out = fuse(f_im, f_fl, p)
         stacked = np.concatenate([f_im.data, f_fl.data])
         ref = np.einsum("oc,chw->ohw", p.wc.data[:, :, 0, 0], stacked)
@@ -96,12 +98,12 @@ class TestModes:
 
     def test_shape_mismatch_rejected(self, rng, feats):
         f_im, _ = feats
-        p = FusionParams.init(rng, "concat", 8)
+        p = float64(FusionParams.init(rng, "concat", 8))
         with pytest.raises(ValueError, match="shape mismatch"):
             fuse(f_im, Tensor(np.zeros((8, 2, 2))), p)
 
     def test_channel_mismatch_rejected(self, rng):
-        p = FusionParams.init(rng, "attention", 16)
+        p = float64(FusionParams.init(rng, "attention", 16))
         x = Tensor(np.zeros((8, 4, 4)))
         with pytest.raises(ValueError, match="expected 16 channels"):
             fuse(x, x, p)

@@ -10,7 +10,7 @@ from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
 from flowvos.target_model import (TargetModelParams, TargetSample,
                                   residual_and_loss, stack_samples)
 
-from conftest import snapshot
+from conftest import float64, snapshot
 
 
 def linear_residual(A, b):
@@ -92,9 +92,9 @@ class TestGaussNewton:
 
     def test_one_forward_per_outer_iteration_and_cg_iters_matvecs(self, rng,
                                                                   monkeypatch):
-        fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "none", 3))
+        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
+                                                   reg_lambda=1e-2))
         samples = [TargetSample(l3_im=Tensor(rng.standard_normal((5, 4, 4))),
                                 l3_fl=None,
                                 encoded=Tensor(rng.standard_normal((3, 4, 4))),
@@ -174,11 +174,11 @@ class TestConjugateGradient:
 
 
 def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3):
-    fp = FusionParams.init(rng, mode, d)
+    fp = float64(FusionParams.init(rng, mode, d))
     if mode == "attention":
         fp.wo.data = rng.standard_normal(fp.wo.data.shape)
-    tm = TargetModelParams.init_random(rng, c_in, d, with_flow=mode != "none",
-                                       c_mid=c_mid, reg_lambda=1e-2)
+    tm = float64(TargetModelParams.init_random(rng, c_in, d, with_flow=mode != "none",
+                                               c_mid=c_mid, reg_lambda=1e-2))
     batch = TargetSample(l3_im=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          l3_fl=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          encoded=Tensor(rng.standard_normal((n, d, 5, 4))),
@@ -332,9 +332,9 @@ class TestOptimize:
         return samples, buf.batch()
 
     def test_loss_decreases_mode_none(self, rng):
-        fp = FusionParams.init(rng, "none", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
-                                           reg_lambda=1e-3)
+        fp = float64(FusionParams.init(rng, "none", 3))
+        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
+                                                   reg_lambda=1e-3))
         _, batch = self.make_batch(rng)
         res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=5)
         assert res.losses[-1] < res.losses[0]
@@ -343,9 +343,9 @@ class TestOptimize:
     def test_first_step_solves_linear_subproblem(self, rng):
         # with the expand filter at zero and no regularizer the data term is
         # linear in that filter, so one GN step must match the dense solve
-        fp = FusionParams.init(rng, "none", 2)
-        tm = TargetModelParams.init_random(rng, 3, 2, with_flow=False, c_mid=2,
-                                           reg_lambda=0.0)
+        fp = float64(FusionParams.init(rng, "none", 2))
+        tm = float64(TargetModelParams.init_random(rng, 3, 2, with_flow=False, c_mid=2,
+                                                   reg_lambda=0.0))
         tm.tau1[1].data[:] = 0.0
         samples, batch = self.make_batch(rng, n=2, c_in=3, d=2)
         sw = [2.0, 1.0]                      # the pinned and the newest sample
@@ -372,9 +372,9 @@ class TestOptimize:
         assert np.linalg.norm(tm.tau1[1].data.reshape(-1) - ref) < 1e-8
 
     def test_attention_mode_decreases(self, rng):
-        fp = FusionParams.init(rng, "attention", 3)
-        tm = TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "attention", 3))
+        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2,
+                                                   reg_lambda=1e-2))
         _, batch = self.make_batch(rng, with_flow=True)
         res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=3)
         assert res.losses[-1] < res.losses[0]

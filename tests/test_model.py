@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from flowvos.autodiff import DTYPE
 from flowvos.checkpoint import CheckpointError, load_named, save_named
 from flowvos.model import Model
 
@@ -54,7 +55,10 @@ class TestCheckpointContainer:
     @pytest.mark.parametrize("entry, match", [
         (struct.pack("<H", 2) + b"\xff\xfe", "not UTF-8"),
         (struct.pack("<H", 1) + b"x" + struct.pack("<Bq", 1, -1), "negative extent"),
-    ], ids=["non-utf8-name", "negative-extent"])
+        (struct.pack("<H", 1) + b"x" + struct.pack("<B2q", 2, 2 ** 62, 0), "too large"),
+        (struct.pack("<H", 1) + b"x" + struct.pack("<B3q", 3, 2 ** 40, 2 ** 40, 0),
+         "too large"),
+    ], ids=["non-utf8-name", "negative-extent", "empty-but-huge", "empty-2d-huge"])
     def test_malformed_entry_is_a_checkpoint_error(self, tmp_path, entry, match):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"FVOS" + struct.pack("<II", 1, 1) + entry + b"\x00" * 16)
@@ -139,13 +143,40 @@ class TestModel:
         with pytest.raises(CheckpointError, match="'decoder.head.w' holds a nan"):
             Model.load(p)
 
-    def test_load_keeps_huge_finite_values(self, tmp_path):
+    def test_load_keeps_values_near_the_float32_limit(self, tmp_path):
         p = tmp_path / "model.ckpt"
         Model(seed=0).save(p)
         items = load_named(p)
-        items["decoder.head.w"].flat[3] = 1e300
+        items["decoder.head.w"].flat[3] = -3e38
         save_named(p, items)
-        assert dict(Model.load(p).named_tensors())["decoder.head.w"].data.flat[3] == 1e300
+        loaded = dict(Model.load(p).named_tensors())["decoder.head.w"].data
+        assert loaded.dtype == DTYPE and loaded.flat[3] == np.float32(-3e38)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+    def test_load_rejects_a_value_that_overflows_float32(self, tmp_path, value):
+        p = tmp_path / "model.ckpt"
+        Model(seed=0).save(p)
+        items = load_named(p)
+        items["decoder.head.w"].flat[3] = value
+        save_named(p, items)
+        with pytest.raises(CheckpointError,
+                           match="'decoder.head.w' holds a value outside the float32 range"):
+            Model.load(p)
+
+    @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
+    def test_float32_model_survives_the_float64_payload_bit_for_bit(self, tmp_path, mode):
+        m = Model(fusion_mode=mode, seed=5)
+        rng = np.random.default_rng(5)
+        for _, t in m.named_tensors():        # zero biases and wo included
+            t.data = rng.standard_normal(t.shape).astype(DTYPE)
+        p = tmp_path / "model.ckpt"
+        m.save(p)
+        payload = load_named(p)
+        back = dict(Model.load(p).named_tensors())
+        for name, t in m.named_tensors():
+            assert t.data.dtype == back[name].data.dtype == DTYPE
+            assert payload[name].dtype == np.float64
+            assert back[name].data.tobytes() == t.data.tobytes(), name
 
     def test_load_skips_unknown_meta_entries(self, tmp_path):
         # checkpoints that also store the architecture's widths still load

@@ -5,7 +5,7 @@ import pytest
 
 from flowvos import autodiff as ad
 from flowvos import pipeline
-from flowvos.autodiff import Tensor
+from flowvos.autodiff import DTYPE, Tensor
 from flowvos.config import ConfigError, make_config
 from flowvos.data_io import (DataFormatError, ShapeSpec, SynthScene, generate_synthetic,
                              load_sequence, random_scene)
@@ -146,7 +146,9 @@ class TestLosses:
         for fs in sample.tests:
             one = TrainingSample(reference=sets[0], tests=[fs], object_id=1)
             singles.append(_sample_loss(one, tau, model, cfg).item())
-        assert abs(total - np.mean(singles)) < 1e-12
+        # the float32 mean of the three losses, summed in order, bit for bit
+        s = np.asarray(singles, dtype=DTYPE)
+        assert total == (s[0] + s[1] + s[2]) * DTYPE(1.0 / 3.0)
 
 
 class TestInference:
@@ -240,6 +242,37 @@ class TestInference:
                            Model(fusion_mode="attention", seed=9), cfg)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.probs, y.probs)
+
+
+class TestWorkingDtype:
+    """The program computes in the working dtype end to end: no array it
+    builds along the way promotes a pass to float64."""
+
+    def test_inference_gives_working_dtype_probs_on_every_frame(self, tmp_path):
+        scene = random_scene(40, 36, 5, 2, seed=4)          # padded on both axes
+        seq = load_sequence(generate_synthetic(scene, tmp_path / "s"))
+        results = infer_sequence(frame_sets(seq), seq.masks[0],
+                                 Model(fusion_mode="attention", seed=1), base_cfg())
+        assert [r.probs.dtype for r in results] == [DTYPE] * len(seq)
+
+    @pytest.mark.parametrize("mode", ["none", "attention"])
+    def test_training_keeps_tensors_gradients_and_moments_in_working_dtype(
+            self, tiny_seq, monkeypatch, mode):
+        adams = []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                adams.append(self)
+
+        monkeypatch.setattr(pipeline, "Adam", Recorded)
+        model = Model(fusion_mode=mode, seed=1)
+        train_offline([tiny_seq], model, base_cfg(**{"fusion.mode": mode}), epochs=2)
+        params = model.offline_parameters()
+        assert {t.data.dtype for t in params} == {np.dtype(DTYPE)}
+        assert {t.grad.data.dtype for t in params} == {np.dtype(DTYPE)}
+        (adam,) = adams
+        assert {m.dtype for m in adam._m + adam._v} == {np.dtype(DTYPE)}
 
 
 def _evaluate_offline(sequences, model, cfg, seed=0):

@@ -6,7 +6,7 @@ from flowvos.fusion import FusionParams
 from flowvos.target_model import (TargetModelParams, TargetSample, apply,
                                   residual_and_loss, stack_samples)
 
-from conftest import conv2d_loops, finite_diff_grads
+from conftest import conv2d_loops, finite_diff_grads, float64
 
 
 def make_sample(rng, c_in=6, d=4, hw=4, with_flow=True):
@@ -20,10 +20,10 @@ def make_sample(rng, c_in=6, d=4, hw=4, with_flow=True):
 
 class TestApply:
     def test_zero_filters_zero_wo_gives_zero(self, rng):
-        fp = FusionParams.init(rng, "attention", 4)
+        fp = float64(FusionParams.init(rng, "attention", 4))
         fp.wo.data[:] = 0.0
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                           reg_lambda=1e-2)
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                                   reg_lambda=1e-2))
         for t in tm.tensors():
             t.data[:] = 0.0
         s = make_sample(rng)
@@ -31,9 +31,9 @@ class TestApply:
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_bilinearity_doubling(self, rng):
-        fp = FusionParams.init(rng, "none", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "none", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+                                                   reg_lambda=1e-2))
         s = make_sample(rng, with_flow=False)
         base = apply(s.l3_im, None, tm, fp).data
         tm.tau1[0].data *= 2.0
@@ -41,23 +41,24 @@ class TestApply:
         np.testing.assert_allclose(doubled, 4.0 * base, rtol=1e-12)
 
     def test_shape_for_64px_input(self, rng):
-        fp = FusionParams.init(rng, "attention", 16)
-        tm = TargetModelParams.init_random(rng, 64, 16, with_flow=True, reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "attention", 16))
+        tm = float64(TargetModelParams.init_random(rng, 64, 16, with_flow=True,
+                                                   reg_lambda=1e-2))
         l3 = Tensor(rng.standard_normal((64, 8, 8)))
         l3f = Tensor(rng.standard_normal((64, 8, 8)))
         assert apply(l3, l3f, tm, fp).shape == (16, 8, 8)
 
     def test_missing_flow_rejected(self, rng):
-        fp = FusionParams.init(rng, "concat", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "concat", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                                   reg_lambda=1e-2))
         with pytest.raises(ValueError, match="requires flow features"):
             apply(Tensor(np.zeros((6, 4, 4))), None, tm, fp)
 
     def test_channel_mismatch_between_filters_and_fusion(self, rng):
-        fp = FusionParams.init(rng, "attention", 8)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "attention", 8))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                                   reg_lambda=1e-2))
         s = make_sample(rng)
         with pytest.raises(ValueError, match="expected 8 channels"):
             apply(s.l3_im, s.l3_fl, tm, fp)
@@ -65,27 +66,27 @@ class TestApply:
 
 class TestResidualAndLoss:
     def test_perfect_fit_zero_loss(self, rng):
-        fp = FusionParams.init(rng, "none", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
-                                           reg_lambda=0.0)
+        fp = float64(FusionParams.init(rng, "none", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+                                                   reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
         s.encoded = apply(s.l3_im, None, tm, fp)
         r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
     def test_zero_weights_zero_loss(self, rng):
-        fp = FusionParams.init(rng, "none", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
-                                           reg_lambda=0.0)
+        fp = float64(FusionParams.init(rng, "none", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+                                                   reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
         s.weights = Tensor(np.zeros((4, 4, 4)))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() == 0.0
 
     def test_half_rsq_equals_loss(self, rng):
-        fp = FusionParams.init(rng, "attention", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                           reg_lambda=0.05)
+        fp = float64(FusionParams.init(rng, "attention", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                                   reg_lambda=0.05))
         s = make_sample(rng)
         r, loss = residual_and_loss(stack_samples([s, make_sample(rng)], [1.0, 0.5]),
                                     tm, fp)
@@ -93,9 +94,9 @@ class TestResidualAndLoss:
 
     def test_toy_sample_matches_hand_expansion(self, rng):
         # 2x2 spatial, 2 input channels, c_mid 1, one label channel, mode none
-        fp = FusionParams.init(rng, "none", 1)
-        tm = TargetModelParams.init_random(rng, 2, 1, with_flow=False, c_mid=1,
-                                           reg_lambda=0.25)
+        fp = float64(FusionParams.init(rng, "none", 1))
+        tm = float64(TargetModelParams.init_random(rng, 2, 1, with_flow=False, c_mid=1,
+                                                   reg_lambda=0.25))
         x = rng.standard_normal((2, 2, 2))
         e = rng.standard_normal((1, 2, 2))
         w = rng.random((1, 2, 2))
@@ -119,9 +120,9 @@ class TestResidualAndLoss:
             stack_samples([])
 
     def test_loss_gradient_matches_fd(self, rng):
-        fp = FusionParams.init(rng, "attention", 4)
-        tm = TargetModelParams.init_random(rng, 5, 4, with_flow=True, c_mid=2,
-                                           reg_lambda=0.1)
+        fp = float64(FusionParams.init(rng, "attention", 4))
+        tm = float64(TargetModelParams.init_random(rng, 5, 4, with_flow=True, c_mid=2,
+                                                   reg_lambda=0.1))
         samples = [make_sample(rng, c_in=5, d=4, hw=4) for _ in range(2)]
 
         def build():
@@ -142,11 +143,11 @@ class TestResidualAndLoss:
 
     @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
     def test_batch_equals_scaled_single_residuals(self, rng, mode):
-        fp = FusionParams.init(rng, mode, 4)
+        fp = float64(FusionParams.init(rng, mode, 4))
         if fp.wo is not None:
             fp.wo.data[:] = rng.standard_normal(fp.wo.shape)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=mode != "none",
-                                           c_mid=3, reg_lambda=0.0)
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=mode != "none",
+                                                   c_mid=3, reg_lambda=0.0))
         samples = [make_sample(rng, with_flow=mode != "none") for _ in range(3)]
         weights = [2.0, 0.81, 0.9]
         r, _ = residual_and_loss(stack_samples(samples, weights), tm, fp)
@@ -155,9 +156,9 @@ class TestResidualAndLoss:
         np.testing.assert_allclose(r.data, np.concatenate(singles), rtol=0, atol=1e-12)
 
     def test_tape_size_does_not_grow_with_samples(self, rng):
-        fp = FusionParams.init(rng, "attention", 4)
-        tm = TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                           reg_lambda=1e-2)
+        fp = float64(FusionParams.init(rng, "attention", 4))
+        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+                                                   reg_lambda=1e-2))
 
         def nodes(count):
             samples = [make_sample(rng) for _ in range(count)]
