@@ -38,9 +38,9 @@ class FeatureExtractorParams:
     stages: list  # [(w, b)] per stage, 3x3 kernels
 
     @classmethod
-    def init(cls, rng, in_channels: int = 3, channels=BACKBONE_CHANNELS):
+    def init(cls, rng, channels=BACKBONE_CHANNELS):
         stages = []
-        c_prev = in_channels
+        c_prev = 3                   # an RGB image or an embedded flow
         for c in channels:
             stages.append(he_conv(rng, c, c_prev, 3))
             c_prev = c
@@ -53,16 +53,8 @@ class FeatureExtractorParams:
 
 
 def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
-    """Feature pyramid {1: ..., 4: ...} of a 3xHxW input; level k is CxH/2^k."""
-    if x.ndim != 3 or x.shape[0] != len(params.stages[0][0].data[0]):
-        expected = params.stages[0][0].data.shape[1]
-        raise ValueError(
-            f"extract: expected {expected}-channel CxHxW input, got shape {x.shape}")
-    h, w = x.shape[1:]
-    div = 2 ** len(params.stages)
-    if h % div or w % div:
-        raise ValueError(
-            f"extract: spatial size {h}x{w} not divisible by {div}")
+    """Feature pyramid {1: ..., 4: ...} of a 3xHxW input whose sides are
+    multiples of 16; level k is CxH/2^k."""
     pyramid = {}
     cur = x
     for k, (wk, bk) in enumerate(params.stages, start=1):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -37,9 +36,8 @@ class UsageError(Exception):
 
 
 def _progress(msg: str) -> None:
-    """Progress lines on stderr; FLOWVOS_VERBOSE=0 silences them."""
-    if os.environ.get("FLOWVOS_VERBOSE", "1") != "0":
-        print(msg, file=sys.stderr)
+    """Progress lines on stderr."""
+    print(msg, file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):

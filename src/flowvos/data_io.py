@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DTYPE
-from .flow_embed import FlowField
 
 FLO_MAGIC = 202021.25
 
@@ -103,9 +102,9 @@ def _read_payload(fh, size: int, path) -> bytes:
 # Middlebury .flo
 
 
-def write_flo(path, flow: FlowField) -> None:
-    h, w = flow.shape
-    uv = flow.uv.astype(np.float32)
+def write_flo(path, uv: np.ndarray) -> None:
+    """Write a 2xHxW flow field, rounded to float32."""
+    h, w = uv.shape[1:]
     interleaved = np.empty((h, w, 2), dtype="<f4")
     interleaved[:, :, 0] = uv[0]
     interleaved[:, :, 1] = uv[1]
@@ -115,7 +114,8 @@ def write_flo(path, flow: FlowField) -> None:
         fh.write(interleaved.tobytes())
 
 
-def read_flo(path) -> FlowField:
+def read_flo(path) -> np.ndarray:
+    """The 2xHxW ``DTYPE`` flow field stored at ``path``."""
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12:
@@ -134,7 +134,7 @@ def read_flo(path) -> FlowField:
         y, x, c = (int(i[0]) for i in np.nonzero(bad))
         raise DataFormatError(f"{path}: non-finite flow {'uv'[c]} component at "
                               f"pixel (x={x}, y={y})")
-    return FlowField(np.ascontiguousarray(data.transpose(2, 0, 1), dtype=DTYPE))
+    return np.ascontiguousarray(data.transpose(2, 0, 1), dtype=DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ class Sequence:
     name: str
     meta: SequenceMeta
     images: list        # of 3xHxW DTYPE (float32) in [0,1]
-    flows: list         # of FlowField
+    flows: list         # of 2xHxW DTYPE (float32) flow fields
     masks: list         # of HxW uint8 label images
 
     def __len__(self):
@@ -294,7 +294,7 @@ def load_sequence(path) -> Sequence:
             raise DataFormatError(
                 f"{fp}: size {img.shape[2]}x{img.shape[1]} != meta "
                 f"{meta.width}x{meta.height}")
-        if flow.shape != (meta.height, meta.width):
+        if flow.shape[1:] != (meta.height, meta.width):
             raise DataFormatError(f"{lp}: flow size mismatch with meta")
         if mask.shape != (meta.height, meta.width):
             raise DataFormatError(f"{mp}: mask size mismatch with meta")
@@ -323,6 +323,10 @@ class ShapeSpec:
     bounce: bool = True
 
 
+# intensity of a flat background; a noise background spans 0.6-1.0 of it
+_BG_LEVEL = 0.15
+
+
 @dataclass
 class SynthScene:
     width: int
@@ -331,7 +335,6 @@ class SynthScene:
     seed: int
     shapes: list                   # back to front; object k is shapes[k-1]
     background: str = "noise"      # "noise" | "flat"
-    bg_level: float = 0.15
 
 
 def _shape_mask(spec: ShapeSpec, cx: float, cy: float, h: int, w: int) -> np.ndarray:
@@ -412,9 +415,9 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
     rng = np.random.default_rng(scene.seed)
     h, w = scene.height, scene.width
     if scene.background == "noise":
-        bg = scene.bg_level * (0.6 + 0.4 * rng.random((3, h, w)))
+        bg = _BG_LEVEL * (0.6 + 0.4 * rng.random((3, h, w)))
     else:
-        bg = np.full((3, h, w), scene.bg_level)
+        bg = np.full((3, h, w), _BG_LEVEL)
 
     tracks = _simulate_tracks(scene)
     masks = []
@@ -435,7 +438,7 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
             dy = tracks[k][dst][1] - tracks[k][src][1]
             uv[0][sel] = dx
             uv[1][sel] = dy
-        write_flo(root / "flows" / f"{t:05d}.flo", FlowField(uv))
+        write_flo(root / "flows" / f"{t:05d}.flo", uv)
 
     write_meta(root / "meta", SequenceMeta(width=w, height=h, frames=scene.frames,
                                            objects=len(scene.shapes)))

@@ -11,9 +11,9 @@ head-after-upsample up to rounding while the last upsample moves one
 channel instead of the decoder width.
 
 Pyramid fusion applies one fusion instance per level to levels 2, 3 and 4.
-Level 1 is the flow branch's feature, passed through unfused.  In fusion
-mode "none" the whole pyramid comes from the image branch and the flow
-branch is never consulted.
+Level 1 is the flow branch's feature, passed through unfused.  A model
+without a flow branch has no flow pyramid, and its image pyramid passes
+through whole.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS
-from .fusion import FusionParams, fuse
+from .fusion import fuse
 
 DECODER_WIDTH = 32
 
@@ -63,18 +63,10 @@ class DecoderParams:
 
 def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict) -> dict:
     """Per-level fused decoder features {1..4}; levels 2-4 get their own
-    fusion instance, level 1 is a plain passthrough of the flow branch."""
-    for k in (1, 2, 3, 4):
-        if k not in pyr_im:
-            raise ValueError(f"fuse_pyramid: missing image pyramid level {k}")
-    mode = fusion_levels[2].mode
-    if mode == "none":
-        return {k: pyr_im[k] for k in (1, 2, 3, 4)}
+    fusion instance, level 1 is a plain passthrough of the flow branch.
+    Without a flow pyramid (``pyr_fl`` None) the image pyramid is returned."""
     if pyr_fl is None:
-        raise ValueError(f"fuse_pyramid: fusion mode {mode!r} needs a flow pyramid")
-    for k in (1, 2, 3, 4):
-        if k not in pyr_fl:
-            raise ValueError(f"fuse_pyramid: missing flow pyramid level {k}")
+        return pyr_im
     out = {k: fuse(pyr_im[k], pyr_fl[k], fusion_levels[k]) for k in (2, 3, 4)}
     out[1] = pyr_fl[1]
     return out
@@ -89,17 +81,8 @@ def _block(x: Tensor, pairs) -> Tensor:
 def decode(f_tm: Tensor, fused: dict, params: DecoderParams) -> Tensor:
     """One logit channel at the frame resolution from f_tm (level-3 sized)
     and the fused pyramid."""
-    l4 = fused[4]
-    if (f_tm.shape[1] != 2 * l4.shape[1]) or (f_tm.shape[2] != 2 * l4.shape[2]):
-        raise ValueError(
-            f"decode: f_tm {f_tm.shape} is not at level-3 resolution for "
-            f"level-4 feature {l4.shape}")
-    x = _block(ad.concat([ad.avg_pool2(f_tm), l4], axis=0), params.stem)
+    x = _block(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0), params.stem)
     for k in (3, 2, 1):
-        x = ad.upsample2(x)
-        skip = fused[k]
-        if x.shape[1:] != skip.shape[1:]:
-            raise ValueError(
-                f"decode: level {k} skip {skip.shape} does not match {x.shape}")
-        x = _block(ad.concat([x, skip], axis=0), params.refine[k])
+        x = _block(ad.concat([ad.upsample2(x), fused[k]], axis=0),
+                   params.refine[k])
     return ad.upsample2(ad.conv2d(x, params.head[0], params.head[1]))

@@ -1,19 +1,19 @@
 """All-positive 3-channel embedding of 2-D optical flow fields.
 
-A flow vector (u, v) is lifted to (u, v, m) with m its Euclidean magnitude;
-the lifted points live on a cone around the z axis.  A fixed linear map then
-tilts that cone onto the positive octant so the channels behave like image
-intensities.  The map factors as Q diag(1, 1, sqrt(2)) with Q a proper
-rotation, i.e. the magnitude scaling is already folded into its third column,
-so it is applied to the unscaled triple.  Feeding (u, v, sqrt(2) m) instead,
-the scale-then-rotate reading, would break the sqrt(3) norm law.
+A flow field is a plain 2xHxW floating array: the per-pixel displacement
+(u, v) from a source frame to a target frame.  A flow vector (u, v) is lifted
+to (u, v, m) with m its Euclidean magnitude; the lifted points live on a cone
+around the z axis.  A fixed linear map then tilts that cone onto the
+positive octant so the channels behave like image intensities.  The map
+factors as Q diag(1, 1, sqrt(2)) with Q a proper rotation, i.e. the
+magnitude scaling is already folded into its third column, so it is applied
+to the unscaled triple.  Feeding (u, v, sqrt(2) m) instead, the
+scale-then-rotate reading, would break the sqrt(3) norm law.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DTYPE, Tensor
+from .autodiff import Tensor
 
 _S3 = np.sqrt(3.0)
 
@@ -25,31 +25,10 @@ ROTATION = np.array([
 ])
 
 
-@dataclass
-class FlowField:
-    """Per-pixel displacement from a source frame to a target frame, 2xHxW;
-    floating displacements keep their dtype, others become ``DTYPE``."""
-
-    uv: np.ndarray
-
-    def __post_init__(self):
-        self.uv = np.asarray(self.uv)
-        if self.uv.dtype.kind != "f":
-            self.uv = self.uv.astype(DTYPE)
-        if self.uv.ndim != 3 or self.uv.shape[0] != 2:
-            raise ValueError(f"flow field must be 2xHxW, got shape {self.uv.shape}")
-        if self.uv.shape[1] < 1 or self.uv.shape[2] < 1:
-            raise ValueError(f"flow field has empty spatial extent {self.uv.shape}")
-
-    @property
-    def shape(self):
-        return self.uv.shape[1:]
-
-
-def embed_flow(flow: FlowField) -> Tensor:
-    """Embed a flow field into the all-positive 3-channel representation, in
-    the flow's dtype."""
-    u, v = flow.uv[0], flow.uv[1]
+def embed_flow(uv: np.ndarray) -> Tensor:
+    """Embed a 2xHxW flow field into the all-positive 3-channel
+    representation, in the flow's dtype."""
+    u, v = uv[0], uv[1]
     m = np.sqrt(u * u + v * v)
     p = np.stack([u, v, m])
     return Tensor(np.einsum("ij,jhw->ihw", ROTATION.astype(p.dtype), p))

@@ -27,7 +27,6 @@ MODES = ("none", "concat", "attention")
 @dataclass
 class FusionParams:
     mode: str
-    c_in: int
     wq: Optional[Tensor] = None   # flow -> query, C_in -> C_k
     wk: Optional[Tensor] = None   # image -> key, C_in -> C_k
     wv: Optional[Tensor] = None   # flow -> value, C_in -> C_v
@@ -38,7 +37,7 @@ class FusionParams:
     def init(cls, rng, mode: str, c_in: int):
         if mode not in MODES:
             raise ValueError(f"unknown fusion mode {mode!r}, expected one of {MODES}")
-        p = cls(mode=mode, c_in=c_in)
+        p = cls(mode=mode)
         if mode == "attention":
             c_bottleneck = max(4, c_in // 2)
 
@@ -81,22 +80,16 @@ def attention_map(f_im: Tensor, f_fl: Tensor, params: FusionParams) -> Tensor:
 
 def fuse(f_im: Tensor, f_fl: Optional[Tensor], params: FusionParams) -> Tensor:
     """Combine same-shape image and flow feature maps, C x H x W or batched
-    N x C x H x W; output keeps f_im's shape."""
+    N x C x H x W; output keeps f_im's shape.  ``f_fl`` is None when the
+    model has no flow branch, which only mode "none" accepts."""
     if params.mode == "none":
         return f_im
     if f_fl is None:
         raise ValueError(f"fusion mode {params.mode!r} needs flow features")
-    if f_im.shape != f_fl.shape:
-        raise ValueError(f"fuse: shape mismatch {f_im.shape} vs {f_fl.shape}")
-    if f_im.shape[-3] != params.c_in:
-        raise ValueError(
-            f"fuse: expected {params.c_in} channels, got {f_im.shape[-3]}")
     if params.mode == "concat":
         return ad.conv2d(ad.concat([f_im, f_fl], axis=-3), params.wc)
-    if params.mode == "attention":
-        qf = _flat(ad.conv2d(f_fl, params.wq))
-        m = attention_map(f_im, f_fl, params)
-        remapped = ad.matmul(m, qf)                       # [N x] C_v x HW
-        remapped = ad.reshape(remapped, remapped.shape[:-1] + f_im.shape[-2:])
-        return ad.add(f_im, ad.conv2d(remapped, params.wo))
-    raise ValueError(f"unknown fusion mode {params.mode!r}")
+    qf = _flat(ad.conv2d(f_fl, params.wq))
+    m = attention_map(f_im, f_fl, params)
+    remapped = ad.matmul(m, qf)                           # [N x] C_v x HW
+    remapped = ad.reshape(remapped, remapped.shape[:-1] + f_im.shape[-2:])
+    return ad.add(f_im, ad.conv2d(remapped, params.wo))

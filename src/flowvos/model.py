@@ -33,8 +33,6 @@ _CHILDREN = 6
 
 class Model:
     def __init__(self, fusion_mode: str = "attention", seed: int = 0):
-        if fusion_mode not in MODES:
-            raise ValueError(f"unknown fusion mode {fusion_mode!r}")
         self.fusion_mode = fusion_mode
         children = np.random.SeedSequence(seed).spawn(_CHILDREN)
         rngs = {name: np.random.default_rng(children[i])

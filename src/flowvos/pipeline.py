@@ -32,7 +32,7 @@ from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, encode_label, extract
 from .config import RunConfig
 from .data_io import DataFormatError, Sequence
 from .decoder import decode, fuse_pyramid
-from .flow_embed import FlowField, embed_flow
+from .flow_embed import embed_flow
 from .learner import MemoryBuffer, optimize
 from .model import Model
 from .target_model import TargetModelParams, TargetSample, apply, stack_samples
@@ -52,7 +52,7 @@ class FrameSet:
     """One frame with the flow arriving at it and an optional label mask."""
 
     image: np.ndarray            # 3xHxW DTYPE (float32) in [0, 1]
-    flow: FlowField              # from frame t-1 to t (frame 0: flow 0 -> 1)
+    flow: np.ndarray             # 2xHxW DTYPE, frame t-1 to t (frame 0: 0 -> 1)
     mask: Optional[np.ndarray]   # HxW uint8 label image
     index: int
 
@@ -90,12 +90,11 @@ def _pad_frameset(fs: FrameSet) -> tuple:
     if ph == 0 and pw == 0:
         return fs, (0, 0)
     image = np.pad(fs.image, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    uv = np.pad(fs.flow.uv, ((0, 0), (0, ph), (0, pw)), mode="edge")
+    uv = np.pad(fs.flow, ((0, 0), (0, ph), (0, pw)), mode="edge")
     mask = None
     if fs.mask is not None:
         mask = np.pad(fs.mask, ((0, ph), (0, pw)))
-    return FrameSet(image=image, flow=FlowField(uv), mask=mask,
-                    index=fs.index), (ph, pw)
+    return FrameSet(image=image, flow=uv, mask=mask, index=fs.index), (ph, pw)
 
 
 def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
@@ -106,10 +105,15 @@ def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
     return pyr_im, pyr_fl
 
 
+def _level3(pyr_im, pyr_fl) -> tuple:
+    """The target model's inputs; the flow one is None without a flow branch."""
+    return pyr_im[3], None if pyr_fl is None else pyr_fl[3]
+
+
 def _object_sample(pyr_im, pyr_fl, mask01: np.ndarray) -> TargetSample:
     enc, wgt = encode_label(Tensor(mask01[None]))
-    return TargetSample(l3_im=pyr_im[3], l3_fl=None if pyr_fl is None else pyr_fl[3],
-                        encoded=enc, weights=wgt)
+    l3_im, l3_fl = _level3(pyr_im, pyr_fl)
+    return TargetSample(l3_im=l3_im, l3_fl=l3_fl, encoded=enc, weights=wgt)
 
 
 _SEED_INFER, _SEED_TRAIN = 101, 202
@@ -185,8 +189,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
         prob_list = []
         for k in objects:
-            f_tm = apply(pyr_im[3], None if pyr_fl is None else pyr_fl[3],
-                         taus[k], model.fusion_tm)
+            f_tm = apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
             logits = decode(f_tm, fused, model.decoder)
             prob_list.append(ad.sigmoid(logits).data[0, :h0, :w0])
         probs = np.stack(prob_list)
@@ -220,10 +223,9 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
 
 def flip_frameset(fs: FrameSet) -> FrameSet:
     """Horizontal mirror; the horizontal flow component changes sign."""
-    uv = fs.flow.uv[:, :, ::-1].copy()
+    uv = fs.flow[:, :, ::-1].copy()
     uv[0] = -uv[0]
-    return FrameSet(image=fs.image[:, :, ::-1].copy(),
-                    flow=FlowField(uv),
+    return FrameSet(image=fs.image[:, :, ::-1].copy(), flow=uv,
                     mask=None if fs.mask is None else fs.mask[:, ::-1].copy(),
                     index=fs.index)
 
@@ -268,11 +270,11 @@ def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0) -> FrameSet:
 
     image = _bilinear_sample(fs.image, sy, sx)
     mask = None if fs.mask is None else _nearest_sample(fs.mask, sy, sx)
-    uv_src = _nearest_sample(fs.flow.uv, sy, sx)
+    uv_src = _nearest_sample(fs.flow, sy, sx)
     uv = np.empty_like(uv_src)
     uv[0] = a[0, 0] * uv_src[0] + a[0, 1] * uv_src[1]
     uv[1] = a[1, 0] * uv_src[0] + a[1, 1] * uv_src[1]
-    return FrameSet(image=image, flow=FlowField(uv), mask=mask, index=fs.index)
+    return FrameSet(image=image, flow=uv, mask=mask, index=fs.index)
 
 
 def augment_frameset(fs: FrameSet, rng) -> FrameSet:
@@ -285,7 +287,7 @@ def augment_frameset(fs: FrameSet, rng) -> FrameSet:
 def _crop_frameset(fs: FrameSet, y0: int, x0: int, h: int, w: int) -> FrameSet:
     sl = (slice(y0, y0 + h), slice(x0, x0 + w))
     return FrameSet(image=fs.image[:, sl[0], sl[1]].copy(),
-                    flow=FlowField(fs.flow.uv[:, sl[0], sl[1]].copy()),
+                    flow=fs.flow[:, sl[0], sl[1]].copy(),
                     mask=fs.mask[sl].copy() if fs.mask is not None else None,
                     index=fs.index)
 
@@ -341,7 +343,8 @@ def _draw_sample(seq: Sequence, rng, cfg: RunConfig) -> TrainingSample:
         warnings.warn(f"sequence {seq.name} shorter than 4 frames; "
                       "sampling with replacement")
         idx = rng.choice(n, size=4, replace=True)
-    sets = [frame_sets(seq)[i] for i in idx]
+    frames = frame_sets(seq)
+    sets = [frames[i] for i in idx]
 
     # crop each axis to at most train.crop (a multiple of 16), then pad a
     # shorter one to a multiple of 16 as inference does
@@ -381,8 +384,7 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
     terms = []
     for fs in sample.tests:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        f_tm = apply(pyr_im[3], None if pyr_fl is None else pyr_fl[3], tau,
-                     model.fusion_tm)
+        f_tm = apply(*_level3(pyr_im, pyr_fl), tau, model.fusion_tm)
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
         logits = decode(f_tm, fused, model.decoder)
         target = (fs.mask == sample.object_id).astype(DTYPE)[None]

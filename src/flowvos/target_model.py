@@ -43,7 +43,7 @@ class TargetSample:
 @dataclass
 class TargetModelParams:
     tau1: tuple                      # (1x1 reduce, 3x3 expand) image filters
-    tau2: Optional[tuple]            # flow filters; absent in mode "none"
+    tau2: Optional[tuple]            # flow filters; absent without a flow branch
     reg_lambda: float
 
     @classmethod
@@ -74,15 +74,10 @@ def branch_filters(feat: Tensor, pair) -> Tensor:
 def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
           fusion: FusionParams) -> Tensor:
     """Target representation f_tm from the level-3 features of both branches,
-    one sample (C x H x W) or a batch (N x C x H x W)."""
+    one sample (C x H x W) or a batch (N x C x H x W); the flow filters run
+    when the target model has them."""
     f_x = branch_filters(l3_im, params.tau1)
-    if fusion.mode == "none":
-        return fuse(f_x, None, fusion)
-    if params.tau2 is None:
-        raise ValueError(f"fusion mode {fusion.mode!r} requires flow filters")
-    if l3_fl is None:
-        raise ValueError(f"fusion mode {fusion.mode!r} requires flow features")
-    f_f = branch_filters(l3_fl, params.tau2)
+    f_f = None if params.tau2 is None else branch_filters(l3_fl, params.tau2)
     return fuse(f_x, f_f, fusion)
 
 

@@ -8,23 +8,21 @@ test yet.
 import time
 
 import numpy as np
-import pytest
 
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 from flowvos.cli import main as cli_main
 from flowvos.config import RunConfig, make_config
-from flowvos.data_io import (ShapeSpec, SynthScene, generate_suite,
-                             generate_synthetic, load_sequence)
-from flowvos.flow_embed import ROTATION, FlowField, embed_flow
+from flowvos.data_io import ShapeSpec, SynthScene, generate_synthetic, load_sequence
+from flowvos.flow_embed import ROTATION, embed_flow
 from flowvos.fusion import FusionParams, attention_map, fuse
 from flowvos.learner import MemoryBuffer, gauss_newton, optimize
-from flowvos.metrics import aggregate, boundary_f, jaccard, score_label_sequence
+from flowvos.metrics import boundary_f, jaccard
 from flowvos.model import Model
-from flowvos.pipeline import FrameSet, frame_sets, infer_sequence, train_offline
+from flowvos.pipeline import FrameSet, frame_sets, infer_sequence
 from flowvos.target_model import TargetModelParams, TargetSample
 
-from conftest import conv2d_loops, float64
+from conftest import float64
 from test_metrics import brute_force_f
 
 
@@ -50,7 +48,7 @@ def test_c02_flow_embedding_laws():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
     uv = rng.uniform(-100.0, 100.0, size=(2, 1000, 1000))
-    out = embed_flow(FlowField(uv)).data
+    out = embed_flow(uv).data
     mags = np.sqrt(uv[0] ** 2 + uv[1] ** 2)
     assert out.min() >= -1e-9
     norms = np.sqrt((out ** 2).sum(axis=0))
@@ -273,7 +271,7 @@ def test_c09_causality_and_baseline_isolation(tmp_path):
     for t in (4, 5):
         fs = mutated[t]
         mutated[t] = FrameSet(image=1.0 - fs.image,
-                              flow=FlowField(-2.0 * fs.flow.uv),
+                              flow=-2.0 * fs.flow,
                               mask=fs.mask, index=fs.index)
     out = infer_sequence(mutated, seq.masks[0], model, cfg)
     for t in range(4):
@@ -284,7 +282,7 @@ def test_c09_causality_and_baseline_isolation(tmp_path):
     cfg_none = make_config(dict(raw, **{"fusion.mode": "none"}))
     model_none = Model(fusion_mode="none", seed=9)
     ref_none = infer_sequence(sets, seq.masks[0], model_none, cfg_none)
-    zeroed = [FrameSet(image=fs.image, flow=FlowField(np.zeros_like(fs.flow.uv)),
+    zeroed = [FrameSet(image=fs.image, flow=np.zeros_like(fs.flow),
                        mask=fs.mask, index=fs.index) for fs in sets]
     out_none = infer_sequence(zeroed, seq.masks[0], model_none, cfg_none)
     for a, b in zip(ref_none, out_none):

@@ -4,9 +4,8 @@ import pytest
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 
-from conftest import (check_backward_matches_fd, conv2d_loops, finite_diff_grads,
-                      full_replay_backward, full_replay_jvp, full_replay_vjp,
-                      upsample2_loops)
+from conftest import (check_backward_matches_fd, conv2d_loops, full_replay_backward,
+                      full_replay_jvp, full_replay_vjp, upsample2_loops)
 
 
 class TestConv2d:

@@ -35,12 +35,14 @@ class TestExtract:
             np.testing.assert_array_equal(pyr[k].data, 0.0)
 
     def test_wrong_channel_count(self, params, rng):
-        with pytest.raises(ValueError, match="3-channel"):
+        with pytest.raises(ValueError,
+                           match="conv2d: input has 2 channels but kernel expects 3"):
             extract(Tensor(rng.random((2, 32, 32))), params)
 
     def test_indivisible_size_rejected(self, params, rng):
-        with pytest.raises(ValueError, match="not divisible"):
-            extract(Tensor(rng.random((3, 30, 32))), params)
+        with pytest.raises(ValueError,
+                           match="avg_pool2: spatial size 15x16 not divisible by 2"):
+            extract(Tensor(rng.random((3, 30, 32), dtype=DTYPE)), params)
 
     def test_branches_never_share_parameters(self, rng):
         im = FeatureExtractorParams.init(rng)

@@ -18,7 +18,7 @@ import flowvos
 from flowvos.checkpoint import load_named, save_named
 from flowvos.cli import main
 from flowvos.config import RunConfig, parse_config_file
-from flowvos.data_io import load_sequence, read_pgm, write_pgm
+from flowvos.data_io import load_sequence, write_pgm
 from flowvos.model import Model
 
 FAST_SET = ["--set", "learner.outer_iters_init=2",

@@ -8,15 +8,14 @@ from flowvos.data_io import (DataFormatError, SequenceMeta, ShapeSpec, SynthScen
                              atomic_write, generate_suite, generate_synthetic, load_sequence,
                              random_scene, read_flo, read_meta, read_pgm, read_ppm,
                              write_flo, write_meta, write_pgm, write_ppm)
-from flowvos.flow_embed import FlowField
 
 
 class TestFlo:
     def test_roundtrip(self, tmp_path, rng):
         uv = rng.standard_normal((2, 7, 5)) * 12.3
         p = tmp_path / "f.flo"
-        write_flo(p, FlowField(uv))
-        back = read_flo(p).uv
+        write_flo(p, uv)
+        back = read_flo(p)
         assert back.dtype == DTYPE
         assert np.max(np.abs(back - uv)) <= np.max(np.spacing(uv.astype(np.float32)))
 
@@ -28,7 +27,7 @@ class TestFlo:
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "cut.flo"
-        write_flo(p, FlowField(np.zeros((2, 4, 4))))
+        write_flo(p, np.zeros((2, 4, 4)))
         p.write_bytes(p.read_bytes()[:30])
         with pytest.raises(DataFormatError, match="truncated payload at byte offset 30"):
             read_flo(p)
@@ -55,7 +54,7 @@ class TestFlo:
         uv = np.zeros((2, 3, 4))
         uv[1, 2, 1] = value
         p = tmp_path / "bad.flo"
-        write_flo(p, FlowField(uv))
+        write_flo(p, uv)
         with pytest.raises(DataFormatError,
                            match=r"bad\.flo: non-finite flow v component at pixel "
                                  r"\(x=1, y=2\)"):
@@ -63,7 +62,7 @@ class TestFlo:
 
     def test_2x2_is_44_bytes(self, tmp_path):
         p = tmp_path / "tiny.flo"
-        write_flo(p, FlowField(np.ones((2, 2, 2))))
+        write_flo(p, np.ones((2, 2, 2)))
         assert p.stat().st_size == 12 + 32
 
     def test_layout_is_interleaved_row_major(self, tmp_path):
@@ -71,7 +70,7 @@ class TestFlo:
         uv[0, 0] = [1.0, 3.0]
         uv[1, 0] = [2.0, 4.0]
         p = tmp_path / "lay.flo"
-        write_flo(p, FlowField(uv))
+        write_flo(p, uv)
         raw = np.frombuffer(p.read_bytes()[12:], dtype="<f4")
         np.testing.assert_array_equal(raw, [1.0, 2.0, 3.0, 4.0])
 
@@ -214,18 +213,18 @@ class TestGenerator:
         for t in range(1, 5):
             inside = seq.masks[t - 1] == 1
             assert inside.any()
-            np.testing.assert_array_equal(seq.flows[t].uv[0][inside], 2.0)
-            np.testing.assert_array_equal(seq.flows[t].uv[1][inside], 0.0)
-            np.testing.assert_array_equal(seq.flows[t].uv[:, ~inside], 0.0)
+            np.testing.assert_array_equal(seq.flows[t][0][inside], 2.0)
+            np.testing.assert_array_equal(seq.flows[t][1][inside], 0.0)
+            np.testing.assert_array_equal(seq.flows[t][:, ~inside], 0.0)
         # frame 0 carries the forward flow 0 -> 1
         inside0 = seq.masks[0] == 1
-        np.testing.assert_array_equal(seq.flows[0].uv[0][inside0], 2.0)
+        np.testing.assert_array_equal(seq.flows[0][0][inside0], 2.0)
 
     def test_static_scene_zero_flow(self, tmp_path):
         generate_synthetic(translating_disk(velocity=(0, 0)), tmp_path / "s")
         seq = load_sequence(tmp_path / "s")
         for fl in seq.flows:
-            np.testing.assert_array_equal(fl.uv, 0.0)
+            np.testing.assert_array_equal(fl, 0.0)
 
     def test_crossing_twins_depth_order(self, tmp_path):
         scene = SynthScene(

@@ -1,13 +1,12 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowvos.flow_embed import ROTATION, FlowField, embed_flow
+from flowvos.flow_embed import ROTATION, embed_flow
 
 
 def field(u, v):
-    return FlowField(np.array([[[float(u)]], [[float(v)]]]))
+    return np.array([[[float(u)]], [[float(v)]]])
 
 
 class TestRotationMatrix:
@@ -47,8 +46,8 @@ class TestEmbedFlow:
 
     def test_linearity_doubling(self, rng):
         uv = rng.standard_normal((2, 5, 5)) * 10.0
-        one = embed_flow(FlowField(uv)).data
-        two = embed_flow(FlowField(2.0 * uv)).data
+        one = embed_flow(uv).data
+        two = embed_flow(2.0 * uv).data
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=1e-12)
 
     @given(u=st.floats(-100, 100), v=st.floats(-100, 100))
@@ -58,9 +57,3 @@ class TestEmbedFlow:
         m = np.hypot(u, v)
         assert out.min() >= -1e-9
         assert abs(np.linalg.norm(out) - np.sqrt(3.0) * m) <= 1e-9 * max(1.0, m)
-
-
-class TestMagnitude:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="2xHxW"):
-            FlowField(np.zeros((3, 4, 4)))

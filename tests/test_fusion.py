@@ -84,6 +84,12 @@ class TestModes:
         p = float64(FusionParams.init(rng, "none", 8))
         assert fuse(f_im, f_fl, p) is f_im
 
+    @pytest.mark.parametrize("mode", ["concat", "attention"])
+    def test_flow_mode_needs_flow_features(self, rng, feats, mode):
+        p = float64(FusionParams.init(rng, mode, 8))
+        with pytest.raises(ValueError, match=f"fusion mode '{mode}' needs flow features"):
+            fuse(feats[0], None, p)
+
     def test_concat_applies_projection(self, rng, feats):
         f_im, f_fl = feats
         p = float64(FusionParams.init(rng, "concat", 8))
@@ -99,11 +105,12 @@ class TestModes:
     def test_shape_mismatch_rejected(self, rng, feats):
         f_im, _ = feats
         p = float64(FusionParams.init(rng, "concat", 8))
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match="concat: dimension 1 mismatch"):
             fuse(f_im, Tensor(np.zeros((8, 2, 2))), p)
 
     def test_channel_mismatch_rejected(self, rng):
         p = float64(FusionParams.init(rng, "attention", 16))
         x = Tensor(np.zeros((8, 4, 4)))
-        with pytest.raises(ValueError, match="expected 16 channels"):
+        with pytest.raises(ValueError,
+                           match="conv2d: input has 8 channels but kernel expects 16"):
             fuse(x, x, p)

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from flowvos.autodiff import DTYPE, Tensor
 from flowvos.config import ConfigError, make_config
 from flowvos.data_io import (DataFormatError, ShapeSpec, SynthScene, generate_synthetic,
                              load_sequence, random_scene)
-from flowvos.flow_embed import FlowField
 from flowvos.model import Model
 from flowvos.pipeline import (Adam, FrameSet, TrainingSample, affine_frameset,
                               augment_frameset, balanced_bce_with_logits,
@@ -55,14 +52,14 @@ class TestAugmentation:
         fs = frame_sets(tiny_seq)[1]
         back = flip_frameset(flip_frameset(fs))
         np.testing.assert_array_equal(back.image, fs.image)
-        np.testing.assert_array_equal(back.flow.uv, fs.flow.uv)
+        np.testing.assert_array_equal(back.flow, fs.flow)
         np.testing.assert_array_equal(back.mask, fs.mask)
 
     def test_flip_negates_horizontal_flow(self, tiny_seq):
         fs = frame_sets(tiny_seq)[1]
         flipped = flip_frameset(fs)
-        np.testing.assert_array_equal(flipped.flow.uv[0], -fs.flow.uv[0][:, ::-1])
-        np.testing.assert_array_equal(flipped.flow.uv[1], fs.flow.uv[1][:, ::-1])
+        np.testing.assert_array_equal(flipped.flow[0], -fs.flow[0][:, ::-1])
+        np.testing.assert_array_equal(flipped.flow[1], fs.flow[1][:, ::-1])
 
     def test_affine_keeps_label_values(self, tiny_seq, rng):
         fs = frame_sets(tiny_seq)[1]
@@ -87,18 +84,18 @@ class TestAugmentation:
                 return np.zeros(2)
 
         out = affine_frameset(fs, FixedRng(), max_rot_deg=90.0)
-        moving = np.abs(fs.flow.uv[0]) > 0.5
+        moving = np.abs(fs.flow[0]) > 0.5
         if moving.any():
-            u = fs.flow.uv[0][moving].ravel()[0]
+            u = fs.flow[0][moving].ravel()[0]
             # rotating (u, 0) by +90 degrees gives (0, u)
-            assert np.any(np.abs(out.flow.uv[1] - u) < 1e-9)
+            assert np.any(np.abs(out.flow[1] - u) < 1e-9)
 
     def test_augment_deterministic_per_seed(self, tiny_seq):
         fs = frame_sets(tiny_seq)[2]
         a = augment_frameset(fs, np.random.default_rng(5))
         b = augment_frameset(fs, np.random.default_rng(5))
         np.testing.assert_array_equal(a.image, b.image)
-        np.testing.assert_array_equal(a.flow.uv, b.flow.uv)
+        np.testing.assert_array_equal(a.flow, b.flow)
 
 
 class TestAdam:
@@ -191,7 +188,7 @@ class TestInference:
         for t in (4, 5):
             fs = mutated[t]
             mutated[t] = FrameSet(image=1.0 - fs.image,
-                                  flow=FlowField(-3.0 * fs.flow.uv),
+                                  flow=-3.0 * fs.flow,
                                   mask=fs.mask, index=fs.index)
         out = infer_sequence(mutated, tiny_seq.masks[0], model, cfg)
         for t in range(4):
@@ -204,7 +201,7 @@ class TestInference:
         sets = frame_sets(tiny_seq)
         ref = infer_sequence(sets, tiny_seq.masks[0], model, cfg)
         zeroed = [FrameSet(image=fs.image,
-                           flow=FlowField(np.zeros_like(fs.flow.uv)),
+                           flow=np.zeros_like(fs.flow),
                            mask=fs.mask, index=fs.index) for fs in sets]
         out = infer_sequence(zeroed, tiny_seq.masks[0], model, cfg)
         for a, b in zip(ref, out):

@@ -48,19 +48,13 @@ class TestApply:
         l3f = Tensor(rng.standard_normal((64, 8, 8)))
         assert apply(l3, l3f, tm, fp).shape == (16, 8, 8)
 
-    def test_missing_flow_rejected(self, rng):
-        fp = float64(FusionParams.init(rng, "concat", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
-                                                   reg_lambda=1e-2))
-        with pytest.raises(ValueError, match="requires flow features"):
-            apply(Tensor(np.zeros((6, 4, 4))), None, tm, fp)
-
     def test_channel_mismatch_between_filters_and_fusion(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 8))
         tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
                                                    reg_lambda=1e-2))
         s = make_sample(rng)
-        with pytest.raises(ValueError, match="expected 8 channels"):
+        with pytest.raises(ValueError,
+                           match="conv2d: input has 4 channels but kernel expects 8"):
             apply(s.l3_im, s.l3_fl, tm, fp)
 
 
