@@ -3,11 +3,12 @@
 Synthesizes a 16x16 two-frame sequence and a checkpoint, then damages one
 file at a time, one damage per run: every truncation point and every single
 bit flip in the first ``--header`` bytes of each file, plus ``--samples``
-seeded offsets further in, each both truncated at and bit-flipped.  The
-files are the sequence's meta, frames 0 and 1 (PPM), flows 0 and 1 (.flo),
-masks 0 and 1 (PGM) and the checkpoint.  ``flowvos run`` segments the
-sequence with each damaged file in place, and ``flowvos eval`` also scores
-the masks when a mask is damaged.
+seeded offsets further in, each both truncated at and bit-flipped, and last
+the file replaced by an empty directory.  The files are the sequence's
+meta, frames 0 and 1 (PPM), flows 0 and 1 (.flo), masks 0 and 1 (PGM) and
+the checkpoint.  ``flowvos run`` segments the sequence with each damaged
+file in place, and ``flowvos eval`` also scores the masks when a mask is
+damaged.
 
 The contract: every run ends in exit code 0, 1, 2 or 3, and a nonzero exit
 writes exactly one line, starting with ``error: ``, to stderr.  A traceback,
@@ -18,7 +19,7 @@ Usage, from the root of a checkout:
 
     python3 scripts/corrupt_sweep.py [--header 64] [--samples 40] [--seed 0]
 
-The defaults make 6560 runs, about six minutes on one core.  The property
+The defaults make 6570 runs, about six minutes on one core.  The property
 test ``tests/test_cli.py::test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract``
 draws 40 of these damages in Tier-1; this sweep covers the header bytes
 exhaustively.
@@ -122,16 +123,25 @@ def sweep(root: Path, header: int, samples: int, seed: int) -> int:
         path = root / rel
         blob = path.read_bytes()
         commands = [run] + ([score] if rel.startswith("seq/masks/") else [])
+
+        def run_all(label):
+            for argv in commands:
+                code, lines = run_cli(argv)
+                codes[code if isinstance(code, int) else "exception"] += 1
+                if broken(code, lines):
+                    failures.append(f"{rel}, {label}: {argv[0]} -> {code!r}, "
+                                    f"stderr {lines[:3]!r}")
+
         try:
             for label, bad in damages(blob, header, samples, rng):
                 path.write_bytes(bad)
-                for argv in commands:
-                    code, lines = run_cli(argv)
-                    codes[code if isinstance(code, int) else "exception"] += 1
-                    if broken(code, lines):
-                        failures.append(f"{rel}, {label}: {argv[0]} -> {code!r}, "
-                                        f"stderr {lines[:3]!r}")
+                run_all(label)
+            path.unlink()
+            path.mkdir()
+            run_all("replaced by an empty directory")
         finally:
+            if path.is_dir():
+                path.rmdir()
             path.write_bytes(blob)
     total = sum(codes.values())
     print(f"{total} runs in {time.perf_counter() - t0:.0f} s: "

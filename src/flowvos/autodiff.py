@@ -75,9 +75,11 @@ class Tensor:
     """A dense array with optional gradient accumulation.
 
     A floating input keeps its dtype, and is not copied if it is already an
-    array; any other input (integers, booleans) becomes ``DTYPE``.  Tensors
-    are treated as immutable after construction; the only sanctioned
-    mutation is accumulation into ``grad`` during backward passes.
+    array; any other input (integers, booleans) becomes ``DTYPE``.  No
+    operation writes into an array it was given, so a recorded node keeps
+    the arrays it saw: a tape stays valid when ``data`` is later replaced by
+    a new array, as the line search, ``Adam.step`` and ``Model.load`` do.
+    A backward pass accumulates into ``grad``.
     """
 
     __slots__ = ("data", "grad")
@@ -277,11 +279,14 @@ def relu(a: Tensor) -> Tensor:
                    jvp=lambda t: t[0] * mask)
 
 
+def _logistic(x: np.ndarray) -> tuple:
+    """sigmoid(x), stable in both tails, and the exp(-|x|) it is built from."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), e
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
-    x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s, _ = _logistic(a.data)
     out = Tensor(s)
     d = s * (1.0 - s)
     return _record(out, (a,),
@@ -291,10 +296,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)) computed without overflow."""
-    x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s, e = _logistic(a.data)
+    out = Tensor(np.maximum(a.data, 0.0) + np.log1p(e))
     return _record(out, (a,),
                    vjp=lambda g, need: (g * s,),
                    jvp=lambda t: t[0] * s)

@@ -1,8 +1,10 @@
 """Operator surface: data synthesis, training, inference, evaluation, ablation.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure.  All commands accept ``--config FILE`` (line-oriented key=value),
-``--set key=value`` overrides and ``--seed N``; flags win over file values.
+Exit codes: 0 success, 1 usage/config error, 2 data error (also a path
+that cannot be read or written, such as a directory where a file belongs),
+3 numerical failure.  All commands accept ``--config FILE`` (line-oriented
+key=value), ``--set key=value`` overrides and ``--seed N``; flags win over
+file values.
 """
 
 from __future__ import annotations
@@ -288,8 +290,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CheckpointError, FileNotFoundError,
-            NotADirectoryError) as e:
+    except (DataFormatError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, FloatingPointError) as e:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import DTYPE
 
-FLO_MAGIC = 202021.25
+FLO_MAGIC = b"PIEH"                 # the float32 202021.25, little-endian
 
 __all__ = [
     "DataFormatError",
@@ -109,7 +109,7 @@ def write_flo(path, uv: np.ndarray) -> None:
     interleaved[:, :, 0] = uv[0]
     interleaved[:, :, 1] = uv[1]
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<f", FLO_MAGIC))
+        fh.write(FLO_MAGIC)
         fh.write(struct.pack("<ii", w, h))
         fh.write(interleaved.tobytes())
 
@@ -120,10 +120,9 @@ def read_flo(path) -> np.ndarray:
         head = fh.read(12)
         if len(head) < 12:
             raise DataFormatError(f"{path}: truncated header at byte offset {len(head)}")
-        magic, = struct.unpack("<f", head[:4])
-        if abs(magic - FLO_MAGIC) > 1e-3:
-            raise DataFormatError(
-                f"{path}: bad magic {magic!r} at byte offset 0, expected {FLO_MAGIC}")
+        if head[:4] != FLO_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r} at byte offset 0, "
+                                  f"expected {FLO_MAGIC!r}")
         w, h = struct.unpack("<ii", head[4:12])
         if w < 1 or h < 1:
             raise DataFormatError(f"{path}: invalid extents {w}x{h} at byte offset 4")
@@ -264,13 +263,12 @@ class Sequence:
     """One loaded sequence: [0,1] images, flows, and label masks per frame."""
 
     name: str
-    meta: SequenceMeta
     images: list        # of 3xHxW DTYPE (float32) in [0,1]
     flows: list         # of 2xHxW DTYPE (float32) flow fields
     masks: list         # of HxW uint8 label images
 
     def __len__(self):
-        return self.meta.frames
+        return len(self.images)
 
 
 def load_sequence(path) -> Sequence:
@@ -304,7 +302,7 @@ def load_sequence(path) -> Sequence:
     extra = root / "frames" / f"{meta.frames:05d}.ppm"
     if extra.exists():
         raise DataFormatError(f"{meta_path}: frame count {meta.frames} but {extra} exists")
-    return Sequence(name=root.name, meta=meta, images=images, flows=flows, masks=masks)
+    return Sequence(name=root.name, images=images, flows=flows, masks=masks)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ and each step's halvings and rejection.  ``gauss_newton`` takes its CG
 budget and damping as arguments; ``optimize`` reads them from the
 ``RunConfig``, whose check bounds them.
 
-At inference each object's fits read a ``MemoryBuffer``: the annotated
-first-frame sample, pinned, and a window of the newest predicted samples
-under geometrically decaying weights.
+At inference the fits read a ``MemoryBuffer``, the memory of a sequence:
+the annotated first frame, pinned, and the newest predicted frames under
+decaying weights, each frame holding one sample per object.
 """
 
 from __future__ import annotations
@@ -308,28 +308,32 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
 
 
 class MemoryBuffer:
-    """The learner's memory of one object: the annotated first-frame sample,
-    pinned, and a window of the newest ``capacity - 1`` predicted samples.
+    """The learner's memory of one sequence: the first frame added, pinned,
+    and a window of the newest ``capacity - 1`` frames after it.  A frame
+    maps each object to its sample, so every object's batch stacks the same
+    frames under the same weights.
 
-    The pinned sample weighs ``pinned_weight``; a windowed one weighs
-    ``decay ** age``, where the newest sample has age 0.
+    A pinned sample weighs ``pinned_weight``; a windowed one weighs
+    ``decay ** age``, where the newest frame has age 0.
     """
 
-    def __init__(self, pinned: TargetSample, capacity: int, decay: float,
-                 pinned_weight: float):
-        self.pinned = pinned
+    def __init__(self, capacity: int, decay: float, pinned_weight: float):
         self.decay = decay
         self.pinned_weight = pinned_weight
+        self.pinned: Optional[dict] = None
         self.recent: deque = deque(maxlen=capacity - 1)
 
-    def add(self, sample: TargetSample) -> None:
-        self.recent.append(sample)
+    def add(self, frame: dict) -> None:
+        if self.pinned is None:
+            self.pinned = frame
+        else:
+            self.recent.append(frame)
 
-    def batch(self) -> TargetSample:
-        """The pinned and the windowed samples, stacked with their weights."""
+    def batch(self, key) -> TargetSample:
+        """Object ``key``'s samples, stacked with their weights."""
         n = len(self.recent)
         weights = [self.pinned_weight] + [self.decay ** (n - 1 - i) for i in range(n)]
-        return stack_samples([self.pinned, *self.recent], weights)
+        return stack_samples([self.pinned[key], *(f[key] for f in self.recent)], weights)
 
 
 def optimize(params: TargetModelParams, batch: TargetSample,

@@ -1,11 +1,11 @@
 """Two-stage procedure: offline meta-training and sequential inference.
 
-Inference fits one target model per annotated object on the first frame
-(using the flow between the first two frames), then walks the sequence:
-extract pyramids, apply the target models, fuse, decode, binarize, push the
-prediction into the per-object memory buffer as a pseudo-label, and
-re-optimize on the configured schedule.  Frame results depend only on
-frames up to t.
+Inference keeps one target model per annotated object and makes one pass
+over the frames: pad, extract pyramids, take frame 0's probabilities from
+the annotation or decode a later frame through the target models, binarize,
+add the labels to the sequence's memory as each object's sample, and fit on
+the cadence or confidence rule, which frame 0 meets with the initial budget.
+Frame results depend only on frames up to t.
 
 Offline training draws four frames per sample from one sequence: the
 reference (plus flip/affine augmented copies, with flow vectors transformed
@@ -54,21 +54,20 @@ class FrameSet:
     image: np.ndarray            # 3xHxW DTYPE (float32) in [0, 1]
     flow: np.ndarray             # 2xHxW DTYPE, frame t-1 to t (frame 0: 0 -> 1)
     mask: Optional[np.ndarray]   # HxW uint8 label image
-    index: int
 
 
 @dataclass
 class SegResult:
     probs: np.ndarray            # K_obj x H x W DTYPE in [0, 1]
     labels: np.ndarray           # HxW uint8, 0 = background
-    frame_index: int
+    frame_index: int             # position in the sequence
     seconds: float = 0.0
-    updated: bool = False
+    updated: bool = False        # fitted on this frame (frame 0: the initial fit)
 
 
 def frame_sets(seq: Sequence) -> list:
-    return [FrameSet(image=seq.images[t], flow=seq.flows[t], mask=seq.masks[t],
-                     index=t) for t in range(len(seq))]
+    return [FrameSet(image=image, flow=flow, mask=mask)
+            for image, flow, mask in zip(seq.images, seq.flows, seq.masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +84,13 @@ def _pad_frameset(fs: FrameSet) -> tuple:
     backbone's total downsampling, and the padding (rows, columns)."""
     mult = 2 ** len(BACKBONE_CHANNELS)
     h, w = fs.image.shape[1:]
-    ph = (-h) % mult
-    pw = (-w) % mult
+    ph, pw = (-h) % mult, (-w) % mult
     if ph == 0 and pw == 0:
         return fs, (0, 0)
     image = np.pad(fs.image, ((0, 0), (0, ph), (0, pw)), mode="edge")
     uv = np.pad(fs.flow, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    mask = None
-    if fs.mask is not None:
-        mask = np.pad(fs.mask, ((0, ph), (0, pw)))
-    return FrameSet(image=image, flow=uv, mask=mask, index=fs.index), (ph, pw)
+    mask = None if fs.mask is None else np.pad(fs.mask, ((0, ph), (0, pw)))
+    return FrameSet(image=image, flow=uv, mask=mask), (ph, pw)
 
 
 def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
@@ -162,56 +158,41 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         raise DataFormatError("annotation contains no objects")
     h0, w0 = annotation.shape
 
-    t_start = time.perf_counter()
-    fs0, (ph, pw) = _pad_frameset(framesets[0])
-    ann = np.pad(annotation, ((0, ph), (0, pw)))
-    pyr_im, pyr_fl = _pyramids(model, fs0, cfg)
-    taus, buffers = {}, {}
-    for k in objects:
-        sample = _object_sample(pyr_im, pyr_fl, (ann == k).astype(DTYPE))
-        buf = MemoryBuffer(sample, cfg.learner_buffer_capacity,
-                           cfg.learner_buffer_decay, cfg.learner_pinned_weight)
-        tau = _new_target_model(model, cfg, (_SEED_INFER, k))
-        optimize(tau, buf.batch(), model.fusion_tm, cfg,
-                 outer_iters=cfg.learner_outer_iters_init)
-        taus[k] = tau
-        buffers[k] = buf
-
-    probs0 = np.stack([(annotation == k).astype(DTYPE) for k in objects])
-    results = [SegResult(probs=probs0, labels=annotation.astype(np.uint8),
-                         frame_index=framesets[0].index,
-                         seconds=time.perf_counter() - t_start, updated=True)]
-
-    for fs_raw in framesets[1:]:
+    ids = np.asarray(objects, dtype=np.uint8)
+    taus = {k: _new_target_model(model, cfg, (_SEED_INFER, k)) for k in objects}
+    memory = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
+                          cfg.learner_pinned_weight)
+    results = []
+    for t, fs_raw in enumerate(framesets):
         tic = time.perf_counter()
-        fs, _ = _pad_frameset(fs_raw)
+        fs, (ph, pw) = _pad_frameset(fs_raw)
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-        prob_list = []
-        for k in objects:
-            f_tm = apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
-            logits = decode(f_tm, fused, model.decoder)
-            prob_list.append(ad.sigmoid(logits).data[0, :h0, :w0])
-        probs = np.stack(prob_list)
+        if t == 0:
+            probs = np.stack([(annotation == k).astype(DTYPE) for k in objects])
+        else:
+            fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
+            prob_list = []
+            for k in objects:
+                f_tm = apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
+                logits = decode(f_tm, fused, model.decoder)
+                prob_list.append(ad.sigmoid(logits).data[0, :h0, :w0])
+            probs = np.stack(prob_list)
+        # binarizing frame 0's one-hot probabilities gives back the annotation
         best = np.argmax(probs, axis=0)
-        labels = np.where(probs.max(axis=0) > 0.5,
-                          np.asarray(objects, dtype=np.uint8)[best], 0
-                          ).astype(np.uint8)
+        labels = np.where(probs.max(axis=0) > 0.5, ids[best], 0).astype(np.uint8)
 
         padded_labels = np.pad(labels, ((0, ph), (0, pw)))
-        for k in objects:
-            buffers[k].add(_object_sample(
-                pyr_im, pyr_fl, (padded_labels == k).astype(DTYPE)))
+        memory.add({k: _object_sample(pyr_im, pyr_fl, (padded_labels == k).astype(DTYPE))
+                    for k in objects})
         confidence = float(np.mean(np.maximum(probs, 1.0 - probs)))
-        updated = False
-        if (fs_raw.index % cfg.learner_update_every == 0
-                or confidence > cfg.learner_update_conf):
+        updated = (t % cfg.learner_update_every == 0
+                   or confidence > cfg.learner_update_conf)
+        if updated:
+            iters = cfg.learner_outer_iters_update if t else cfg.learner_outer_iters_init
             for k in objects:
-                optimize(taus[k], buffers[k].batch(), model.fusion_tm, cfg,
-                         outer_iters=cfg.learner_outer_iters_update)
-            updated = True
-        results.append(SegResult(probs=probs, labels=labels,
-                                 frame_index=fs_raw.index,
+                optimize(taus[k], memory.batch(k), model.fusion_tm, cfg,
+                         outer_iters=iters)
+        results.append(SegResult(probs=probs, labels=labels, frame_index=t,
                                  seconds=time.perf_counter() - tic,
                                  updated=updated))
     return results
@@ -226,8 +207,7 @@ def flip_frameset(fs: FrameSet) -> FrameSet:
     uv = fs.flow[:, :, ::-1].copy()
     uv[0] = -uv[0]
     return FrameSet(image=fs.image[:, :, ::-1].copy(), flow=uv,
-                    mask=None if fs.mask is None else fs.mask[:, ::-1].copy(),
-                    index=fs.index)
+                    mask=None if fs.mask is None else fs.mask[:, ::-1].copy())
 
 
 def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -274,7 +254,7 @@ def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0) -> FrameSet:
     uv = np.empty_like(uv_src)
     uv[0] = a[0, 0] * uv_src[0] + a[0, 1] * uv_src[1]
     uv[1] = a[1, 0] * uv_src[0] + a[1, 1] * uv_src[1]
-    return FrameSet(image=image, flow=uv, mask=mask, index=fs.index)
+    return FrameSet(image=image, flow=uv, mask=mask)
 
 
 def augment_frameset(fs: FrameSet, rng) -> FrameSet:
@@ -288,8 +268,7 @@ def _crop_frameset(fs: FrameSet, y0: int, x0: int, h: int, w: int) -> FrameSet:
     sl = (slice(y0, y0 + h), slice(x0, x0 + w))
     return FrameSet(image=fs.image[:, sl[0], sl[1]].copy(),
                     flow=fs.flow[:, sl[0], sl[1]].copy(),
-                    mask=fs.mask[sl].copy() if fs.mask is not None else None,
-                    index=fs.index)
+                    mask=fs.mask[sl].copy() if fs.mask is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,10 @@ def test_c05_monotone_online_loss():
                 encoded=Tensor(rng.standard_normal((6, 4, 4))),
                 weights=Tensor(rng.random((6, 4, 4))))
                 for _ in range(int(rng.integers(1, 5)))]
-            buf = MemoryBuffer(samples[0], 8, 0.9, 2.0)
-            for sample in samples[1:]:
-                buf.add(sample)
-            res = optimize(tm, buf.batch(), fp, RunConfig(seed=0), outer_iters=4)
+            buf = MemoryBuffer(8, 0.9, 2.0)
+            for sample in samples:
+                buf.add({0: sample})
+            res = optimize(tm, buf.batch(0), fp, RunConfig(seed=0), outer_iters=4)
             traces.append(res.losses)
     assert len(traces) == 12
     for losses in traces:
@@ -272,7 +272,7 @@ def test_c09_causality_and_baseline_isolation(tmp_path):
         fs = mutated[t]
         mutated[t] = FrameSet(image=1.0 - fs.image,
                               flow=-2.0 * fs.flow,
-                              mask=fs.mask, index=fs.index)
+                              mask=fs.mask)
     out = infer_sequence(mutated, seq.masks[0], model, cfg)
     for t in range(4):
         assert np.array_equal(out[t].probs, ref[t].probs)
@@ -283,7 +283,7 @@ def test_c09_causality_and_baseline_isolation(tmp_path):
     model_none = Model(fusion_mode="none", seed=9)
     ref_none = infer_sequence(sets, seq.masks[0], model_none, cfg_none)
     zeroed = [FrameSet(image=fs.image, flow=np.zeros_like(fs.flow),
-                       mask=fs.mask, index=fs.index) for fs in sets]
+                       mask=fs.mask) for fs in sets]
     out_none = infer_sequence(zeroed, seq.masks[0], model_none, cfg_none)
     for a, b in zip(ref_none, out_none):
         assert np.array_equal(a.probs, b.probs)

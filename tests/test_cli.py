@@ -413,6 +413,43 @@ class TestBadDataIsExitTwo:
         assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command, where, kind", [
+    ("run", "--ckpt", "DIR"), ("run", "--config", "DIR"), ("run", "--out", "FILE"),
+    ("eval", "--report", "DIR"), ("train", "--out", "DIR"),
+    ("run", "meta", "DIR"), ("run", "frames/00001.ppm", "DIR"),
+    ("run", "flows/00001.flo", "DIR"), ("run", "masks/00001.pgm", "DIR")])
+def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
+                                                  where, kind):
+    """A directory where a file belongs, or a file where a directory
+    belongs, as a flag's value or inside the sequence, ends in exit 2 and
+    one error line, never in a traceback."""
+    seq = tmp_path / "data" / "seq"
+    synth(seq, frames=4, size=16)
+    Model(seed=1).save(tmp_path / "model.ckpt")
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    argv = {
+        "run": ["run", "--seq", str(seq), "--ckpt", str(tmp_path / "model.ckpt"),
+                "--out", str(tmp_path / "out"), "--seed", "1"],
+        "eval": ["eval", "--pred", str(seq / "masks"), "--gt", str(seq / "masks"),
+                 "--report", str(tmp_path / "report.json")],
+        "train": ["train", "--data", str(tmp_path / "data"), "--out",
+                  str(tmp_path / "trained.ckpt"), "--seed", "1"] + FAST_SET,
+    }[command]
+    if not where.startswith("--"):
+        (seq / where).unlink()
+        (seq / where).mkdir()
+    elif where in argv:
+        argv[argv.index(where) + 1] = str(tmp_path / kind)
+    else:
+        argv += [where, str(tmp_path / kind)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("epoch ")]            # train's progress lines
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("damage", ["weight 1e20", "flow 5.5e19"])
 def test_float32_overflow_is_a_numerical_failure(tmp_path, capsys, damage):
     """Finite inputs too large for float32 arithmetic end in exit 3 and one

@@ -253,39 +253,52 @@ class TestMemoryBuffer:
 
     @staticmethod
     def sample_weights(buf):
-        return list(buf.batch().weights.data[:, 0, 0, 0] ** 2)
+        return list(buf.batch(0).weights.data[:, 0, 0, 0] ** 2)
 
     def test_first_annotated_frame_pinned(self, rng):
         pinned = self.sample(rng)
-        buf = MemoryBuffer(pinned, 8, 0.9, 2.0)
-        buf.add(self.sample(rng))
-        assert np.array_equal(buf.batch().l3_im.data[0], pinned.l3_im.data)
+        buf = MemoryBuffer(8, 0.9, 2.0)
+        buf.add({0: pinned})
+        buf.add({0: self.sample(rng)})
+        assert np.array_equal(buf.batch(0).l3_im.data[0], pinned.l3_im.data)
         np.testing.assert_allclose(self.sample_weights(buf), [buf.pinned_weight, 1.0],
                                    atol=1e-15)
 
     def test_capacity_and_pinned_survival(self, rng):
         added = [self.sample(rng) for _ in range(10)]
-        buf = MemoryBuffer(added[0], 8, 0.9, 2.0)
-        for s in added[1:]:
-            buf.add(s)
-        stacked = buf.batch().l3_im.data
+        buf = MemoryBuffer(8, 0.9, 2.0)
+        for s in added:
+            buf.add({0: s})
+        stacked = buf.batch(0).l3_im.data
         assert stacked.shape[0] == 8
         kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]   # oldest evicted
         assert np.array_equal(stacked, np.stack([k.l3_im.data for k in kept]))
 
     def test_decay_weights(self, rng):
-        buf = MemoryBuffer(self.sample(rng), 8, decay=0.9, pinned_weight=2.0)
-        for _ in range(3):
-            buf.add(self.sample(rng))
+        buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
+        for _ in range(4):
+            buf.add({0: self.sample(rng)})
         w = self.sample_weights(buf)
         np.testing.assert_allclose(w, [2.0, 0.9 ** 2, 0.9, 1.0], atol=1e-15)
         assert w[0] == max(w)
 
     def test_weights_positive(self, rng):
-        buf = MemoryBuffer(self.sample(rng), 8, 0.9, 2.0)
-        for _ in range(4):
-            buf.add(self.sample(rng))
+        buf = MemoryBuffer(8, 0.9, 2.0)
+        for _ in range(5):
+            buf.add({0: self.sample(rng)})
         assert all(x > 0 for x in self.sample_weights(buf))
+
+    def test_each_object_stacks_its_own_samples_under_the_shared_weights(self, rng):
+        frames = [{1: self.sample(rng), 2: self.sample(rng)} for _ in range(10)]
+        buf = MemoryBuffer(4, 0.9, 2.0)
+        for frame in frames:
+            buf.add(frame)
+        kept = [frames[i] for i in (0, 7, 8, 9)]
+        for k in (1, 2):
+            got = buf.batch(k)
+            assert np.array_equal(got.l3_im.data,
+                                  np.stack([f[k].l3_im.data for f in kept]))
+            assert np.array_equal(got.weights.data, buf.batch(3 - k).weights.data)
 
     def test_window_matches_the_eviction_rule_bit_for_bit(self, rng):
         # the oracle: a list of (sample, pinned, insertion order) that evicts
@@ -295,20 +308,21 @@ class TestMemoryBuffer:
         pinned = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
                               encoded=Tensor(rng.random((1, 2, 2))),
                               weights=Tensor(rng.random((1, 2, 2))))
-        buf = MemoryBuffer(pinned, capacity, decay, pinned_weight)
+        buf = MemoryBuffer(capacity, decay, pinned_weight)
+        buf.add({0: pinned})
         entries = [(pinned, True, 0)]
         for order in range(1, 12):
             sample = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
                                   encoded=Tensor(rng.random((1, 2, 2))),
                                   weights=Tensor(rng.random((1, 2, 2))))
-            buf.add(sample)
+            buf.add({0: sample})
             if len(entries) >= capacity:
                 del entries[next(i for i, e in enumerate(entries) if not e[1])]
             entries.append((sample, False, order))
             weights = [pinned_weight if is_pinned else decay ** (order - o)
                        for _, is_pinned, o in entries]
             ref = stack_samples([e[0] for e in entries], weights)
-            got = buf.batch()
+            got = buf.batch(0)
             assert got.l3_im.data.shape[0] == min(order + 1, capacity)
             assert np.array_equal(got.l3_im.data[0], pinned.l3_im.data)
             for name in ("l3_im", "encoded", "weights"):
@@ -326,10 +340,10 @@ class TestOptimize:
             samples.append(TargetSample(l3_im=l3, l3_fl=l3f,
                                         encoded=Tensor(rng.standard_normal((d, 4, 4))),
                                         weights=Tensor(0.2 + rng.random((d, 4, 4)))))
-        buf = MemoryBuffer(samples[0], 8, 0.9, 2.0)
-        for sample in samples[1:]:
-            buf.add(sample)
-        return samples, buf.batch()
+        buf = MemoryBuffer(8, 0.9, 2.0)
+        for sample in samples:
+            buf.add({0: sample})
+        return samples, buf.batch(0)
 
     def test_loss_decreases_mode_none(self, rng):
         fp = float64(FusionParams.init(rng, "none", 3))

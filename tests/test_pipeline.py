@@ -43,7 +43,8 @@ def base_cfg(**over):
 class TestFrameSets:
     def test_count_and_indices(self, tiny_seq):
         sets = frame_sets(tiny_seq)
-        assert [fs.index for fs in sets] == list(range(6))
+        assert len(sets) == 6
+        assert all(fs.image is im for fs, im in zip(sets, tiny_seq.images))
         assert sets[3].flow is tiny_seq.flows[3]
 
 
@@ -189,7 +190,7 @@ class TestInference:
             fs = mutated[t]
             mutated[t] = FrameSet(image=1.0 - fs.image,
                                   flow=-3.0 * fs.flow,
-                                  mask=fs.mask, index=fs.index)
+                                  mask=fs.mask)
         out = infer_sequence(mutated, tiny_seq.masks[0], model, cfg)
         for t in range(4):
             np.testing.assert_array_equal(out[t].labels, ref[t].labels)
@@ -202,7 +203,7 @@ class TestInference:
         ref = infer_sequence(sets, tiny_seq.masks[0], model, cfg)
         zeroed = [FrameSet(image=fs.image,
                            flow=np.zeros_like(fs.flow),
-                           mask=fs.mask, index=fs.index) for fs in sets]
+                           mask=fs.mask) for fs in sets]
         out = infer_sequence(zeroed, tiny_seq.masks[0], model, cfg)
         for a, b in zip(ref, out):
             np.testing.assert_array_equal(a.labels, b.labels)
@@ -230,6 +231,36 @@ class TestInference:
             dist = np.linalg.norm(np.concatenate(
                 [(t.data - a).reshape(-1) for t, a in zip(params.tensors(), after_init)]))
             assert dist > 0.0
+
+    def test_fit_schedule(self, tmp_path, monkeypatch):
+        """Frame 0 fits every object with the initial budget, then every
+        object refits with the update budget on each cadence frame and on no
+        other (update_conf = 1 turns the confidence rule off)."""
+        generate_synthetic(tiny_scene(frames=9, two_objects=True), tmp_path / "m")
+        seq = load_sequence(tmp_path / "m")
+        objects = len(np.unique(seq.masks[0])) - 1
+        frame, fits = [], []             # frame: one entry per frame reached
+        pyramids, fit = pipeline._pyramids, pipeline.optimize
+
+        def count_frame(*args):
+            frame.append(len(frame))
+            return pyramids(*args)
+
+        def record(params, batch, fusion, cfg, *, outer_iters):
+            fits.append((frame[-1], outer_iters))
+            return fit(params, batch, fusion, cfg, outer_iters=outer_iters)
+
+        monkeypatch.setattr(pipeline, "_pyramids", count_frame)
+        monkeypatch.setattr(pipeline, "optimize", record)
+        cfg = base_cfg(**{"learner.update_every": 3, "learner.update_conf": 1})
+        results = infer_sequence(frame_sets(seq), seq.masks[0],
+                                 Model(fusion_mode="attention", seed=1), cfg)
+        init, update = cfg.learner_outer_iters_init, cfg.learner_outer_iters_update
+        assert objects == 2 and init != update
+        assert fits == ([(0, init)] * objects
+                        + [(t, update) for t in (3, 6) for _ in range(objects)])
+        assert [r.frame_index for r in results] == list(range(9))
+        assert [r.updated for r in results] == [t % 3 == 0 for t in range(9)]
 
     def test_deterministic_given_seed(self, tiny_seq):
         cfg = base_cfg()
