@@ -21,8 +21,9 @@ Usage, from the root of a checkout:
 
 The defaults make 6570 runs, about six minutes on one core.  The property
 test ``tests/test_cli.py::test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract``
-draws 40 of these damages in Tier-1; this sweep covers the header bytes
-exhaustively.
+draws 40 of these damages in Tier-1 from the same inputs (``setup``) and
+judges each run by the same contract (``run_cli`` and ``broken``); this
+sweep covers the header bytes exhaustively.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def _to_stderr(message, category, filename, lineno, file=None, line=None):
 
 
 def broken(code, lines: list) -> bool:
+    """Whether a run's exit code and stderr lines break the contract."""
     if code not in (0, 1, 2, 3):
         return True
     if code == 0:
@@ -101,7 +103,11 @@ def broken(code, lines: list) -> bool:
     return len(lines) != 1 or not lines[0].startswith("error: ")
 
 
-def sweep(root: Path, header: int, samples: int, seed: int) -> int:
+def setup(root: Path) -> dict:
+    """Write the inputs under ``root``: the sequence ``seq``, a copy of its
+    masks in ``gt`` and the checkpoint ``model.ckpt``.  Returns, for each
+    file of ``FILES``, the CLI runs that read it: ``run``, and for a mask
+    also ``eval``."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--out", str(root / "seq"), "--frames", "2",
                      "--objects", "2", "--seed", "5", "--width", "16",
@@ -114,15 +120,19 @@ def sweep(root: Path, header: int, samples: int, seed: int) -> int:
            "--out", str(root / "out"), "--seed", "1"]
     score = ["eval", "--pred", str(root / "seq" / "masks"), "--gt", str(root / "gt"),
              "--report", str(root / "report.json")]
+    return {rel: [run] + ([score] if rel.startswith("seq/masks/") else [])
+            for rel in FILES}
 
+
+def sweep(root: Path, header: int, samples: int, seed: int) -> int:
+    readers = setup(root)
     rng = np.random.default_rng(seed)
     codes: collections.Counter = collections.Counter()
     failures = []
     t0 = time.perf_counter()
-    for rel in FILES:
+    for rel, commands in readers.items():
         path = root / rel
         blob = path.read_bytes()
-        commands = [run] + ([score] if rel.startswith("seq/masks/") else [])
 
         def run_all(label):
             for argv in commands:

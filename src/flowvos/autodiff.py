@@ -16,10 +16,10 @@ on a constant kernel.
 
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
-matrices or equally long stacks of them.  ``conv2d`` lays the batch out
-once as a channel-major flat grid, C x N*(H+p)*(W+p) for padding p, where
-neighbouring samples share their zero padding and each kernel tap is a
-contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
+matrices or equally long stacks of them.  Every convolution is same-size:
+``conv2d`` pads by p = k // 2 for a k x k kernel and lays the batch out once
+as a channel-major flat grid, C x N*(H+p)*(W+p), where neighbouring samples
+share their zero padding and each kernel tap is a contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
 one is a single matmul over the k*k stacked taps or one matmul per tap,
 whichever the channel counts make cheaper.
 
@@ -422,31 +422,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution, pooling, upsampling
 
 
-def _to_grid(a: np.ndarray, ph: int, pw: int, lead: int, length: int) -> np.ndarray:
-    """Channel-major flat grid C x length of an N x C x H x W array.
-
-    Sample n fills the top-left H x W corner of the n-th ph x pw cell, the
-    cells start ``lead`` columns in, and everything else is zero.  The zero
-    rows and columns that close each cell pad the sample below and to the
-    right and, read across the row or cell boundary, the next one above and
-    to the left.
-    """
-    n, c, h, w = a.shape
-    if lead == 0 and length == n * h * w and (h, w) == (ph, pw):
-        return a.transpose(1, 0, 2, 3).reshape(c, length)
-    g = np.zeros((c, length), dtype=a.dtype)
-    cells = g[:, lead:lead + n * ph * pw].reshape(c, n, ph, pw)
-    cells[:, :, :h, :w] = a.transpose(1, 0, 2, 3)
-    return g
-
-
-def _from_grid(g: np.ndarray, n: int, ph: int, pw: int, h: int, w: int) -> np.ndarray:
-    """The N x C x h x w top-left corners of the first N cells of a flat grid."""
-    c = g.shape[0]
-    cells = g[:, :n * ph * pw].reshape(c, n, ph, pw)
-    return np.ascontiguousarray(cells[:, :, :h, :w].transpose(1, 0, 2, 3))
-
-
 def _gather(g: np.ndarray, offsets: list, span: int, c_dst: int) -> Optional[np.ndarray]:
     """The k*k taps of a flat grid stacked into one (k*k*C) x span matrix, or
     None where a matmul per tap is cheaper.
@@ -481,10 +456,10 @@ def _tap_sum(mats: np.ndarray, g: Optional[np.ndarray], cols: Optional[np.ndarra
     return y
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
-    """Cross-correlation of a C_in x H x W input, or an N x C_in x H x W batch,
-    with a C_out x C_in x k x k kernel at stride 1.
+def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Same-size cross-correlation of a C_in x H x W input, or an N x C_in x H x W
+    batch, with a C_out x C_in x k x k kernel at stride 1: the input is
+    zero-padded by k // 2 on every side, so the output keeps its H x W.
 
     The padded input is laid out once as a channel-major flat grid shared by
     the whole batch, where every kernel tap is a contiguous slice: a 1x1
@@ -509,27 +484,36 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.data.shape} != ({cout},)")
     _check_same_dtype((x, w) if b is None else (x, w, b), "conv2d")
-    k, p = kh, int(padding)
-    if p < 0:
-        raise ValueError(f"conv2d: padding must be nonnegative, got {p}")
-    oh = h + 2 * p - k + 1
-    ow = wd + 2 * p - k + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(
-            f"conv2d: output would be {oh}x{ow} for input {h}x{wd}, kernel {k}, "
-            f"padding {p}")
-
+    k, p = kh, kh // 2
     batched = x.data.ndim == 4
-    x4 = x.data if batched else x.data[None]
-    n = x4.shape[0]
-    # cells of (h + q) x (wd + q): q >= p zero rows and columns pad each
-    # sample, and a cell holds all oh x ow outputs of its sample
-    q = max(p, oh - h)
-    ph, pw = h + q, wd + q
+    n = x.data.shape[0] if batched else 1
+    # the flat grid: sample i fills the top-left h x wd corner of the i-th
+    # (h + p) x (wd + p) cell, the cells start ``lead`` columns in and end as
+    # many before the grid does, and everything else is zero.  The zero rows
+    # and columns that close each cell pad its sample below and to the right
+    # and, read across the row or cell boundary, the next one above and to
+    # the left.
+    ph, pw = h + p, wd + p
     span = n * ph * pw
     lead = p * (pw + 1)                  # output (0, 0) reads from row -p, column -p
-    offsets = [i * pw + j for i in range(k) for j in range(k)]
-    grid = _to_grid(x4, ph, pw, lead, span + max(lead, offsets[-1]))
+    offsets = [i * pw + j for i in range(k) for j in range(k)]     # the last is 2 * lead
+
+    def to_grid(a):                      # an input-shaped array on the grid
+        a = (a if batched else a[None]).transpose(1, 0, 2, 3)
+        if p == 0:
+            return a.reshape(a.shape[0], span)
+        g = np.zeros((a.shape[0], span + 2 * lead), dtype=a.dtype)
+        g[:, lead:lead + span].reshape(-1, n, ph, pw)[:, :, :h, :wd] = a
+        return g
+
+    def from_grid(y, bias=None):         # the input-shaped corners of a C x span grid
+        res = np.ascontiguousarray(
+            y.reshape(-1, n, ph, pw)[:, :, :h, :wd].transpose(1, 0, 2, 3))
+        if bias is not None:
+            res += bias[:, None, None]
+        return res if batched else res[0]
+
+    grid = to_grid(x.data)
     cols = _gather(grid, offsets, span, cout)
     if cols is not None:
         grid = None                      # replays read the taps only
@@ -538,23 +522,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         return wt.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
 
     mats = taps_of(w.data)
-
-    def from_out_grid(y, bias):
-        res = _from_grid(y, n, ph, pw, oh, ow)
-        if bias is not None:
-            res += bias[:, None, None]
-        return res if batched else res[0]
-
-    out = Tensor(from_out_grid(_tap_sum(mats, grid, cols, offsets, span),
-                               None if b is None else b.data))
+    out = Tensor(from_grid(_tap_sum(mats, grid, cols, offsets, span),
+                           None if b is None else b.data))
 
     def vjp(g, need):
-        # input column c of the grid collects output columns c - o_t: the
-        # output grid, shifted by the largest offset, correlated with the
-        # flipped, transposed taps
-        gpad = _to_grid(g if batched else g[None], ph, pw, offsets[-1],
-                        offsets[-1] + span + lead)
-        gg = gpad[:, offsets[-1]:offsets[-1] + span]
+        # the input gradient is the same correlation, run on the output
+        # gradient with the flipped, transposed kernel
+        ggrid = to_grid(g)
+        gg = ggrid[:, lead:lead + span]
         dx = dw = None
         if need[1]:
             if cols is not None:
@@ -564,10 +539,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                               ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         if need[0]:
             mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
-            dgrid = _tap_sum(mats_adj, gpad, _gather(gpad, offsets, span + lead, cin),
-                             offsets, span + lead)
-            dx = _from_grid(dgrid[:, lead:], n, ph, pw, h, wd)
-            dx = dx if batched else dx[0]
+            dx = from_grid(_tap_sum(mats_adj, ggrid, _gather(ggrid, offsets, span, cin),
+                                    offsets, span))
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3) if batched else (1, 2))
         return dx, dw
@@ -576,12 +549,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         dx, dw = t[0], t[1]
         acc = np.zeros((cout, span), dtype=x.data.dtype)
         if dx is not None:
-            dgrid = _to_grid(dx if batched else dx[None], ph, pw, lead,
-                             span + max(lead, offsets[-1]))
+            dgrid = to_grid(dx)
             acc += _tap_sum(mats, dgrid, _gather(dgrid, offsets, span, cout), offsets, span)
         if dw is not None:
             acc += _tap_sum(taps_of(dw), grid, cols, offsets, span)
-        return from_out_grid(acc, None if b is None else t[2])
+        return from_grid(acc, None if b is None else t[2])
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(out, inputs, vjp=vjp, jvp=jvp)

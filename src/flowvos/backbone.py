@@ -58,7 +58,7 @@ def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
     pyramid = {}
     cur = x
     for k, (wk, bk) in enumerate(params.stages, start=1):
-        cur = ad.avg_pool2(ad.relu(ad.conv2d(cur, wk, bk, padding=1)))
+        cur = ad.avg_pool2(ad.relu(ad.conv2d(cur, wk, bk)))
         pyramid[k] = cur
     return pyramid
 

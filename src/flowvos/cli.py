@@ -10,7 +10,6 @@ file values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,9 +18,10 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .config import (ConfigError, default_config_text, make_config,
                      parse_config_file)
-from .data_io import (DataFormatError, atomic_write, generate_suite,
-                      generate_synthetic, load_sequence, random_scene, read_pgm,
-                      write_pgm)
+from .data_io import (DataFormatError, atomic_write, check_write_target,
+                      generate_suite, generate_synthetic, load_sequence,
+                      random_scene, read_pgm, write_pgm)
+from .fusion import MODES
 from .learner import NumericalError
 from .metrics import (aggregate, score_label_sequence, write_frame_csv)
 from .model import Model
@@ -54,9 +54,9 @@ def _add_config_flags(p: _Parser) -> None:
                    help="override one config key; repeatable")
 
 
-def _build_config(args, extra: dict = ()):
+def _build_config(args):
     values = parse_config_file(args.config) if args.config else {}
-    overrides = dict(extra or {})
+    overrides = {}
     for item in args.set:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
@@ -64,8 +64,7 @@ def _build_config(args, extra: dict = ()):
         overrides[key] = val
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    merged_keys = set(values) | set(overrides)
-    return make_config(values, overrides), merged_keys
+    return make_config(values, overrides)
 
 
 def _discover_sequences(root: Path) -> list:
@@ -104,12 +103,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {}
-    if args.epochs is not None:
-        overrides["train.epochs"] = str(args.epochs)
-    cfg, _ = _build_config(args, overrides)
+    cfg = _build_config(args)
+    check_write_target(args.out)
     seqs = [load_sequence(p) for p in _discover_sequences(Path(args.data))]
-    model = Model(fusion_mode=cfg.fusion_mode, seed=cfg.seed)
+    model = Model(fusion_mode=args.mode, seed=cfg.seed)
     history = train_offline(seqs, model, cfg, log=_progress)
     model.save(args.out)
     print(f"checkpoint {args.out}: {len(seqs)} sequences, "
@@ -118,12 +115,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, merged = _build_config(args)
+    cfg = _build_config(args)
     model = Model.load(args.ckpt)
-    if "fusion.mode" in merged and cfg.fusion_mode != model.fusion_mode:
-        raise ConfigError(
-            f"config fusion.mode={cfg.fusion_mode} but checkpoint was trained "
-            f"with {model.fusion_mode}")
     seq = load_sequence(args.seq)
     results = infer_sequence(frame_sets(seq), seq.masks[0], model, cfg)
     out = Path(args.out)
@@ -145,6 +138,8 @@ def _mask_files(path: Path) -> list:
 
 
 def cmd_eval(args) -> int:
+    csv_path = str(args.report) + ".csv"
+    check_write_target(csv_path, args.report)
     pred_files = _mask_files(Path(args.pred))
     gt_files = _mask_files(Path(args.gt))
     if len(pred_files) != len(gt_files):
@@ -162,7 +157,7 @@ def cmd_eval(args) -> int:
     rows = score_label_sequence(Path(args.gt).parent.name or "sequence",
                                 pred, gt)
     report = aggregate(rows)
-    write_frame_csv(rows, str(args.report) + ".csv")
+    write_frame_csv(rows, csv_path)
     with atomic_write(args.report) as fh:
         fh.write(report.to_json() + "\n")
     print(f"J {report.mean_j:.4f}  F {report.mean_f:.4f}  "
@@ -182,9 +177,9 @@ def _ablate_one(mode: str, train_seqs, eval_seqs, cfg):
 
 
 def cmd_ablate(args) -> int:
-    cfg, merged = _build_config(args)
-    if "fusion.mode" in merged:
-        raise ConfigError("ablate sweeps fusion.mode itself; do not set it")
+    cfg = _build_config(args)
+    csv_path = str(args.out) + ".csv"
+    check_write_target(csv_path, args.out)
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "eval").is_dir():
         train_dirs = _discover_sequences(root / "train")
@@ -196,13 +191,11 @@ def cmd_ablate(args) -> int:
 
     table = []
     for mode, label in ABLATION_MODES:
-        mode_cfg = dataclasses.replace(cfg, fusion_mode=mode)
         _progress(f"[{label}] training ({mode}) ...")
-        report = _ablate_one(mode, train_seqs, eval_seqs, mode_cfg)
+        report = _ablate_one(mode, train_seqs, eval_seqs, cfg)
         table.append((label, report))
         _progress(f"[{label}] J&F {report.mean_jf:.4f}")
 
-    csv_path = str(args.out) + ".csv"
     with atomic_write(csv_path) as fh:
         fh.write("mode,J,F,J&F\n")
         for label, rep in table:
@@ -249,7 +242,8 @@ def build_parser() -> _Parser:
     s = sub.add_parser("train", help="offline-train a model on a sequence suite")
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True, help="checkpoint path")
-    s.add_argument("--epochs", type=int)
+    s.add_argument("--mode", choices=MODES, default="attention",
+                   help="fusion mode of the model (default: attention)")
     _add_config_flags(s)
     s.set_defaults(func=cmd_train)
 

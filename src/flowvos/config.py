@@ -1,8 +1,9 @@
 """Line-oriented key=value run configuration with typed defaults.
 
-``RunConfig`` declares every setting of the learner, fusion, training loop
-and flow handling once: each field carries its default, a one-line doc and
-its valid values, an interval such as ``[1, inf)`` or a tuple of choices.
+``RunConfig`` declares every setting of the learner, training loop and flow
+handling once: each field carries its default, a one-line doc and its valid
+interval, such as ``[1, inf)``.  The fusion mode is not a setting: it
+belongs to the model, set by ``train --mode`` and carried by its checkpoint.
 The dotted key replaces the first ``_`` of the field name with ``.``
 (``learner.cg_iters`` is ``learner_cg_iters``), and the field's type parses
 the key's string value.  ``seed`` is mandatory and has no default.
@@ -19,7 +20,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .data_io import key_value_lines
-from .fusion import MODES
 
 
 class ConfigError(Exception):
@@ -45,7 +45,6 @@ def _within(value, interval: str) -> bool:
 @dataclass
 class RunConfig:
     seed: int = _setting("master RNG seed (required)", "[0, inf)")
-    fusion_mode: str = _setting("none | concat | attention", MODES, "attention")
     flow_max_displacement: float = _setting(
         "nominal max displacement used to normalize embedded flow", "(0, inf)", 20.0)
     learner_outer_iters_init: int = _setting(
@@ -77,10 +76,7 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value, valid = getattr(self, f.name), f.metadata["valid"]
-            if isinstance(valid, tuple):
-                if value not in valid:
-                    raise ConfigError(f"{_key(f)} must be one of {valid}, got {value!r}")
-            elif not _within(value, valid):
+            if not _within(value, valid):
                 raise ConfigError(f"{_key(f)} must be in {valid}, got {value}")
         if self.train_crop % 16 != 0:
             raise ConfigError(

@@ -28,6 +28,7 @@ FLO_MAGIC = b"PIEH"                 # the float32 202021.25, little-endian
 __all__ = [
     "DataFormatError",
     "atomic_write",
+    "check_write_target",
     "key_value_lines",
     "read_flo",
     "write_flo",
@@ -50,11 +51,22 @@ class DataFormatError(Exception):
     """A file violates one of the documented on-disk formats."""
 
 
+def check_write_target(*paths) -> None:
+    """Raise ``OSError`` unless a file can be written at each of ``paths``:
+    no path may be a directory, and each one's parent must be one."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(f"{path}: is a directory, expected a file path")
+        if not path.parent.is_dir():
+            raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temp file next to ``path`` for writing, and rename it over
     ``path`` only once the block completes: a failed write leaves any
     previous file at ``path`` intact and no temp file behind."""
+    check_write_target(path)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, mode)
     try:

@@ -74,7 +74,7 @@ def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict) -> d
 
 def _block(x: Tensor, pairs) -> Tensor:
     for w, b in pairs:
-        x = ad.relu(ad.conv2d(x, w, b, padding=1))
+        x = ad.relu(ad.conv2d(x, w, b))
     return x
 
 

@@ -68,7 +68,7 @@ class TargetModelParams:
 
 
 def branch_filters(feat: Tensor, pair) -> Tensor:
-    return ad.conv2d(ad.conv2d(feat, pair[0]), pair[1], padding=1)
+    return ad.conv2d(ad.conv2d(feat, pair[0]), pair[1])
 
 
 def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,

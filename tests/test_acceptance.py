@@ -118,7 +118,7 @@ def test_c03_autodiff_soundness():
             (lambda: ad.sumsq(ad.transpose2d(x2)), [x2]),
             (lambda: ad.sumsq(ad.reshape(xc, (xc.size,))), [xc]),
             (lambda: ad.sumsq(ad.concat([a, b], axis=0)), [a, b]),
-            (lambda: ad.sumsq(ad.conv2d(xc, wc, bc, padding=1)), [xc, wc, bc]),
+            (lambda: ad.sumsq(ad.conv2d(xc, wc, bc)), [xc, wc, bc]),
             (lambda: ad.sumsq(ad.avg_pool2(xp)), [xp]),
             (lambda: ad.sumsq(ad.upsample2(xu)), [xu]),
         ]
@@ -279,12 +279,11 @@ def test_c09_causality_and_baseline_isolation(tmp_path):
         assert np.array_equal(out[t].labels, ref[t].labels)
 
     # baseline isolation: zeroed flow files leave mode-none output bit-exact
-    cfg_none = make_config(dict(raw, **{"fusion.mode": "none"}))
     model_none = Model(fusion_mode="none", seed=9)
-    ref_none = infer_sequence(sets, seq.masks[0], model_none, cfg_none)
+    ref_none = infer_sequence(sets, seq.masks[0], model_none, cfg)
     zeroed = [FrameSet(image=fs.image, flow=np.zeros_like(fs.flow),
                        mask=fs.mask) for fs in sets]
-    out_none = infer_sequence(zeroed, seq.masks[0], model_none, cfg_none)
+    out_none = infer_sequence(zeroed, seq.masks[0], model_none, cfg)
     for a, b in zip(ref_none, out_none):
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.labels, b.labels)

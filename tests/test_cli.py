@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
-import io
+import importlib.util
 import os
-import shutil
 import struct
 import subprocess
 import sys
@@ -65,14 +63,14 @@ class TestConfigCommand:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         values = parse_config_file(path)
-        assert values["fusion.mode"] == "attention"
+        assert values["learner.cg_iters"] == "3"
         assert values["seed"] == "1"
 
 
 KEY_TYPES = {f.name.replace("_", ".", 1): f.type for f in dataclasses.fields(RunConfig)}
 # one out-of-range value per key, then nan for every float key
 OUT_OF_RANGE = [
-    ("seed", "-1"), ("fusion.mode", "blend"), ("flow.max_displacement", "0"),
+    ("seed", "-1"), ("flow.max_displacement", "0"),
     ("learner.outer_iters_init", "0"), ("learner.outer_iters_update", "0"),
     ("learner.cg_iters", "0"), ("learner.damping", "-1"), ("learner.reg_lambda", "-1"),
     ("learner.update_every", "0"), ("learner.update_conf", "1.5"),
@@ -101,11 +99,19 @@ class TestConfigRejection:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
-    def test_zero_epochs_flag_is_usage_error(self, tmp_path, capsys):
+    def test_unknown_fusion_mode_is_usage_error(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "none"), "--out",
-                     str(tmp_path / "c"), "--seed", "1", "--epochs", "0"]) == 1
+                     str(tmp_path / "c"), "--seed", "1", "--mode", "blend"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: train.epochs")
+        assert len(err) == 1 and err[0].startswith("error: argument --mode")
+
+    def test_fusion_mode_is_no_config_key(self, tmp_path, capsys):
+        # the checkpoint carries the mode; a config cannot name one
+        assert main(["run", "--seq", str(tmp_path / "none"), "--ckpt",
+                     str(tmp_path / "none.ckpt"), "--out", str(tmp_path / "o"),
+                     "--seed", "1", "--set", "fusion.mode=none"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config key 'fusion.mode'"]
 
 
 class TestTrainRunEval:
@@ -114,8 +120,7 @@ class TestTrainRunEval:
         synth(tmp_path / "data", seed=5, frames=5)
         ckpt = tmp_path / "model.ckpt"
         code = main(["train", "--data", str(tmp_path / "data"), "--out",
-                     str(ckpt), "--seed", "5",
-                     "--set", "fusion.mode=none"] + FAST_SET)
+                     str(ckpt), "--seed", "5", "--mode", "none"] + FAST_SET)
         assert code == 0
         return tmp_path, ckpt
 
@@ -130,12 +135,9 @@ class TestTrainRunEval:
         assert timing[0] == "frame,seconds,updated"
         assert len(timing) == 6
 
-    def test_run_rejects_mode_mismatch(self, trained):
-        tmp_path, ckpt = trained
-        code = main(["run", "--seq", str(tmp_path / "data"), "--ckpt", str(ckpt),
-                     "--out", str(tmp_path / "x"), "--seed", "5",
-                     "--set", "fusion.mode=attention"])
-        assert code == 1
+    def test_trained_model_loads_with_its_mode(self, trained):
+        _, ckpt = trained
+        assert Model.load(ckpt).fusion_mode == "none"
 
     def test_eval_identical_dirs_is_perfect(self, trained, capsys):
         tmp_path, _ = trained
@@ -417,12 +419,16 @@ class TestBadDataIsExitTwo:
     ("run", "--ckpt", "DIR"), ("run", "--config", "DIR"), ("run", "--out", "FILE"),
     ("eval", "--report", "DIR"), ("train", "--out", "DIR"),
     ("run", "meta", "DIR"), ("run", "frames/00001.ppm", "DIR"),
-    ("run", "flows/00001.flo", "DIR"), ("run", "masks/00001.pgm", "DIR")])
+    ("run", "flows/00001.flo", "DIR"), ("run", "masks/00001.pgm", "DIR"),
+    ("train", "--out", "NODIR/x.ckpt"), ("train", "--out", "FILE/x.ckpt"),
+    ("eval", "--report", "NODIR/r.json"), ("ablate", "--out", "DIR")])
 def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
                                                   where, kind):
-    """A directory where a file belongs, or a file where a directory
-    belongs, as a flag's value or inside the sequence, ends in exit 2 and
-    one error line, never in a traceback."""
+    """A directory where a file belongs, a file where a directory belongs, or
+    an output path whose directory does not exist, as a flag's value or
+    inside the sequence, ends in exit 2 and one error line, never in a
+    traceback.  The command writes nothing: ``train``, ``eval`` and
+    ``ablate`` check their output paths before they read any data."""
     seq = tmp_path / "data" / "seq"
     synth(seq, frames=4, size=16)
     Model(seed=1).save(tmp_path / "model.ckpt")
@@ -435,6 +441,8 @@ def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
                  "--report", str(tmp_path / "report.json")],
         "train": ["train", "--data", str(tmp_path / "data"), "--out",
                   str(tmp_path / "trained.ckpt"), "--seed", "1"] + FAST_SET,
+        "ablate": ["ablate", "--data", str(tmp_path / "data"), "--out",
+                   str(tmp_path / "ablation.txt"), "--seed", "1"] + FAST_SET,
     }[command]
     if not where.startswith("--"):
         (seq / where).unlink()
@@ -443,11 +451,16 @@ def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
         argv[argv.index(where) + 1] = str(tmp_path / kind)
     else:
         argv += [where, str(tmp_path / kind)]
+
+    def tree():
+        return {p: None if p.is_dir() else p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
     capsys.readouterr()
     assert main(argv) == 2
-    err = [line for line in capsys.readouterr().err.splitlines()
-           if not line.startswith("epoch ")]            # train's progress lines
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert tree() == before
 
 
 @pytest.mark.parametrize("damage", ["weight 1e20", "flow 5.5e19"])
@@ -473,54 +486,45 @@ def test_float32_overflow_is_a_numerical_failure(tmp_path, capsys, damage):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-# one file of each on-disk format, frame 0 and frame 1 for the per-frame ones
-CORRUPTIBLE = ["seq/meta", "seq/frames/00000.ppm", "seq/frames/00001.ppm",
-               "seq/flows/00000.flo", "seq/flows/00001.flo",
-               "seq/masks/00000.pgm", "seq/masks/00001.pgm", "model.ckpt"]
+def _load_corrupt_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "corrupt_sweep.py"
+    spec = importlib.util.spec_from_file_location("corrupt_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+corrupt_sweep = _load_corrupt_sweep()
 
 
 @pytest.fixture(scope="module")
 def corruptible(tmp_path_factory):
-    """A 16x16 two-frame sequence, a copy of its masks and a checkpoint."""
+    """The corrupt-input sweep's inputs, and the CLI runs that read each file."""
     root = tmp_path_factory.mktemp("corruptible")
-    with contextlib.redirect_stdout(io.StringIO()):
-        synth(root / "seq", frames=2, size=16)
-    shutil.copytree(root / "seq" / "masks", root / "gt")
-    Model(seed=1).save(root / "model.ckpt")
-    return root
+    return root, corrupt_sweep.setup(root)
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract(corruptible,
                                                                     data):
-    rel = data.draw(st.sampled_from(CORRUPTIBLE), label="file")
-    path = corruptible / rel
+    """One damage of the corrupt-input sweep (``scripts/corrupt_sweep.py``),
+    judged by the sweep's contract: a warning, or any stderr line on exit 0,
+    breaks it too."""
+    root, readers = corruptible
+    rel = data.draw(st.sampled_from(corrupt_sweep.FILES), label="file")
+    path = root / rel
     blob = path.read_bytes()
     offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
     if data.draw(st.booleans(), label="truncate"):
         bad = blob[:offset]
     else:
-        bad = bytearray(blob)
-        bad[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    commands = [["run", "--seq", str(corruptible / "seq"), "--ckpt",
-                 str(corruptible / "model.ckpt"), "--out",
-                 str(corruptible / "out"), "--seed", "1"]]
-    if rel.startswith("seq/masks/"):
-        commands.append(["eval", "--pred", str(corruptible / "seq" / "masks"),
-                         "--gt", str(corruptible / "gt"), "--report",
-                         str(corruptible / "report.json")])
-    path.write_bytes(bytes(bad))
+        bad = corrupt_sweep.flip(blob, offset, data.draw(st.integers(0, 7), label="bit"))
+    path.write_bytes(bad)
     try:
-        for argv in commands:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            assert code in (0, 1, 2, 3)
-            if code:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
+        for argv in readers[rel]:
+            code, lines = corrupt_sweep.run_cli(argv)
+            assert not corrupt_sweep.broken(code, lines), (argv[0], code, lines)
     finally:
         path.write_bytes(blob)
 
@@ -541,13 +545,6 @@ class TestAblate:
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             ["Baseline", "Concatenated", "Ours"]
 
-    def test_ablate_rejects_fusion_mode_override(self, tmp_path):
-        synth(tmp_path / "suite", frames=4, count=2)
-        code = main(["ablate", "--data", str(tmp_path / "suite"), "--seed", "1",
-                     "--set", "fusion.mode=concat",
-                     "--out", str(tmp_path / "r.txt")])
-        assert code == 1
-
 
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
@@ -564,4 +561,4 @@ def test_python_dash_m_flowvos_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "flowvos", "config"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "fusion.mode" in proc.stdout
+    assert "learner.cg_iters" in proc.stdout

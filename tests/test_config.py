@@ -9,11 +9,10 @@ from flowvos.config import (ConfigError, RunConfig, default_config_text,
 class TestParsing:
     def test_file_with_comments_and_blanks(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# a comment\n\nseed = 5\nfusion.mode = concat\n"
+        p.write_text("# a comment\n\nseed = 5\n"
                      "learner.damping = 1e-3\ntrain.crop = 32\n")
         cfg = make_config(parse_config_file(p))
         assert cfg.seed == 5
-        assert cfg.fusion_mode == "concat"
         assert cfg.learner_damping == 1e-3
         assert cfg.train_crop == 32
 
@@ -36,7 +35,6 @@ class TestParsing:
 
     def test_defaults(self):
         cfg = make_config({"seed": "0"})
-        assert cfg.fusion_mode == "attention"
         assert cfg.learner_cg_iters == 3
         assert cfg.learner_damping == 1e-2
         assert cfg.learner_update_every == 4
@@ -44,7 +42,7 @@ class TestParsing:
 
     def test_default_text_covers_schema(self):
         text = default_config_text()
-        for key in ("fusion.mode", "learner.cg_iters", "train.lr",
+        for key in ("learner.cg_iters", "train.lr",
                     "learner.buffer_capacity", "flow.max_displacement"):
             assert f"\n{key} = " in text
 
@@ -57,10 +55,6 @@ class TestValidation:
     def test_bad_integer(self):
         with pytest.raises(ConfigError, match="learner.cg_iters"):
             make_config({"seed": "1", "learner.cg_iters": "three"})
-
-    def test_bad_fusion_mode(self):
-        with pytest.raises(ConfigError, match="fusion.mode"):
-            make_config({"seed": "1", "fusion.mode": "blend"})
 
     def test_crop_multiple_of_16(self):
         with pytest.raises(ConfigError, match="multiple of 16"):

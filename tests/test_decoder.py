@@ -82,12 +82,12 @@ class TestDecode:
         params = self.decoder(rng)
         f_tm = Tensor(rng.random((4, 4, 4)))
         x = ad.relu(ad.conv2d(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0),
-                              *params.stem[0], padding=1))
-        x = ad.relu(ad.conv2d(x, *params.stem[1], padding=1))
+                              *params.stem[0]))
+        x = ad.relu(ad.conv2d(x, *params.stem[1]))
         for k in (3, 2, 1):
             x = ad.concat([ad.upsample2(x), fused[k]], axis=0)
             for w, b in params.refine[k]:
-                x = ad.relu(ad.conv2d(x, w, b, padding=1))
+                x = ad.relu(ad.conv2d(x, w, b))
         after = ad.conv2d(ad.upsample2(x), *params.head)
         np.testing.assert_allclose(decode(f_tm, fused, params).data, after.data,
                                    rtol=0, atol=1e-12)

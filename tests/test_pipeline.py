@@ -153,13 +153,13 @@ class TestInference:
     def test_output_count_matches_input(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
         results = infer_sequence(frame_sets(tiny_seq), tiny_seq.masks[0], model,
-                                 base_cfg(**{"fusion.mode": "none"}))
+                                 base_cfg())
         assert len(results) == len(tiny_seq)
 
     def test_frame0_is_annotation(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
         results = infer_sequence(frame_sets(tiny_seq), tiny_seq.masks[0], model,
-                                 base_cfg(**{"fusion.mode": "none"}))
+                                 base_cfg())
         np.testing.assert_array_equal(results[0].labels, tiny_seq.masks[0])
 
     def test_needs_two_frames(self, tiny_seq):
@@ -198,7 +198,7 @@ class TestInference:
 
     def test_mode_none_invariant_to_zeroed_flow(self, tiny_seq):
         model = Model(fusion_mode="none", seed=1)
-        cfg = base_cfg(**{"fusion.mode": "none"})
+        cfg = base_cfg()
         sets = frame_sets(tiny_seq)
         ref = infer_sequence(sets, tiny_seq.masks[0], model, cfg)
         zeroed = [FrameSet(image=fs.image,
@@ -295,7 +295,7 @@ class TestWorkingDtype:
 
         monkeypatch.setattr(pipeline, "Adam", Recorded)
         model = Model(fusion_mode=mode, seed=1)
-        train_offline([tiny_seq], model, base_cfg(**{"fusion.mode": mode}), epochs=2)
+        train_offline([tiny_seq], model, base_cfg(), epochs=2)
         params = model.offline_parameters()
         assert {t.data.dtype for t in params} == {np.dtype(DTYPE)}
         assert {t.grad.data.dtype for t in params} == {np.dtype(DTYPE)}
@@ -349,7 +349,7 @@ class TestTrainOffline:
         model = Model(fusion_mode=mode, seed=4)
         before = {n: t.data.copy() for n, t in model.named_tensors()}
         train_offline([seq], model,
-                      base_cfg(**{"fusion.mode": mode, "train.crop": 32}),
+                      base_cfg(**{"train.crop": 32}),
                       epochs=3)
         unchanged = [n for n, t in model.named_tensors()
                      if np.array_equal(t.data, before[n])]
@@ -366,7 +366,7 @@ class TestTrainOffline:
 
         monkeypatch.setattr(pipeline, "_fit_reference", record)
         model = Model(fusion_mode=mode, seed=1)
-        train_offline([tiny_seq], model, base_cfg(**{"fusion.mode": mode}), epochs=2)
+        train_offline([tiny_seq], model, base_cfg(), epochs=2)
         assert len(fitted) == 2
         assert all(t.grad is None for tau in fitted for t in tau.tensors())
         assert all(t.grad is not None for t in model.offline_parameters())
