@@ -19,8 +19,9 @@ Usage, from the root of a checkout:
 
     python3 scripts/corrupt_sweep.py [--header 64] [--samples 40] [--seed 0]
 
-The defaults make 6570 runs, about six minutes on one core.  The property
-test ``tests/test_cli.py::test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract``
+The defaults make 6570 runs, about six minutes; run as a script, the sweep
+pins BLAS to one thread.  The property test
+``tests/test_cli.py::test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract``
 draws 40 of these damages in Tier-1 from the same inputs (``setup``) and
 judges each run by the same contract (``run_cli`` and ``broken``); this
 sweep covers the header bytes exhaustively.
@@ -32,6 +33,7 @@ import argparse
 import collections
 import contextlib
 import io
+import os
 import sys
 import tempfile
 import time
@@ -40,6 +42,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads: 16x16 inputs gain nothing
+    # from a second one, which would only take a core from other work.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
 

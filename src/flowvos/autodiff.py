@@ -1,10 +1,11 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-The model code only needs a small closed set of operations (convolution,
-elementwise arithmetic, a few reductions, softmax, pooling and bilinear
-upsampling, matmul), so each operation carries two hand-written rules:
-a VJP (for backward / vector-Jacobian products) and a JVP (forward tangent
-propagation over a recorded tape, used for matrix-free Jacobian products).
+The model code only needs a small closed set of operations (convolution
+and kernel slices, elementwise arithmetic, a few reductions, softmax,
+pooling and bilinear upsampling, matmul), so each operation carries two
+hand-written rules: a VJP (for backward / vector-Jacobian products) and a
+JVP (forward tangent propagation over a recorded tape, used for
+matrix-free Jacobian products).
 
 A replay (``Linearization.vjp``, ``Linearization.jvp``, ``Tape.backward``)
 touches only the tape's live nodes: those that depend on the sources it is
@@ -61,6 +62,7 @@ __all__ = [
     "transpose2d",
     "reshape",
     "concat",
+    "kernel_slice",
     "conv2d",
     "avg_pool2",
     "upsample2",
@@ -272,8 +274,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0))
+    """max(x, 0), one ``np.maximum``: ``-0.0`` comes out as ``+0.0``, and a
+    NaN propagates instead of becoming 0 (the readers of outside data,
+    ``Model.load`` and ``read_flo``, reject non-finite values).  The
+    gradient mask is formed only when a tape records."""
+    out = Tensor(np.maximum(a.data, 0.0))
+    if not _TAPE_STACK:
+        return out
+    mask = out.data > 0.0
     return _record(out, (a,),
                    vjp=lambda g, need: (g * mask,),
                    jvp=lambda t: t[0] * mask)
@@ -395,6 +403,25 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return np.concatenate(parts, axis=axis)
 
     return _record(out, tuple(tensors), vjp=vjp, jvp=jvp)
+
+
+def kernel_slice(w: Tensor, start: int, stop: int) -> Tensor:
+    """Input channels ``start:stop`` of a C_out x C_in x k x k kernel, so that
+    one stored kernel can convolve a concatenated input part by part."""
+    if w.data.ndim != 4:
+        raise ValueError(
+            f"kernel_slice: kernel must be C_out x C_in x k x k, got {w.data.shape}")
+    if not 0 <= start < stop <= w.data.shape[1]:
+        raise ValueError(
+            f"kernel_slice: channels {start}:{stop} out of range for {w.data.shape[1]}")
+    out = Tensor(w.data[:, start:stop])
+
+    def vjp(g, need):
+        dw = np.zeros_like(w.data)
+        dw[:, start:stop] = g
+        return (dw,)
+
+    return _record(out, (w,), vjp=vjp, jvp=lambda t: t[0][:, start:stop])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -116,10 +116,15 @@ def cmd_train(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _build_config(args)
+    out = Path(args.out)
+    # the nearest existing path on the way to --out must be a directory,
+    # or mkdir fails after every frame has been segmented
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing}: is not a directory")
     model = Model.load(args.ckpt)
     seq = load_sequence(args.seq)
     results = infer_sequence(frame_sets(seq), seq.masks[0], model, cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "timing.csv", "w") as fh:
         fh.write("frame,seconds,updated\n")

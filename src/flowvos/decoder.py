@@ -10,6 +10,12 @@ channel with weights that sum to one, so this order gives the logits of
 head-after-upsample up to rounding while the last upsample moves one
 channel instead of the decoder width.
 
+``decode`` takes every object of a frame.  The fused pyramid belongs to the
+frame, so the first conv of each stage is split by input channel, over one
+stored kernel: the frame half (the skip channels, with the bias) runs once
+per frame and the object half once per object, which gives the conv of the
+concatenation up to rounding.
+
 Pyramid fusion applies one fusion instance per level to levels 2, 3 and 4.
 Level 1 is the flow branch's feature, passed through unfused.  A model
 without a flow branch has no flow pyramid, and its image pyramid passes
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS
 from .fusion import fuse
 
@@ -72,17 +77,24 @@ def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict) -> d
     return out
 
 
-def _block(x: Tensor, pairs) -> Tensor:
-    for w, b in pairs:
-        x = ad.relu(ad.conv2d(x, w, b))
-    return x
-
-
-def decode(f_tm: Tensor, fused: dict, params: DecoderParams) -> Tensor:
-    """One logit channel at the frame resolution from f_tm (level-3 sized)
-    and the fused pyramid."""
-    x = _block(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0), params.stem)
-    for k in (3, 2, 1):
-        x = _block(ad.concat([ad.upsample2(x), fused[k]], axis=0),
-                   params.refine[k])
-    return ad.upsample2(ad.conv2d(x, params.head[0], params.head[1]))
+def decode(f_tms: list, fused: dict, params: DecoderParams) -> list:
+    """One logit channel per object at the frame resolution, from each
+    object's f_tm (level-3 sized) and the frame's fused pyramid."""
+    stages = [(4, params.stem)] + [(k, params.refine[k]) for k in (3, 2, 1)]
+    halves = {}                          # level -> (object half, frame half's output)
+    for k, ((w, b), _) in stages:
+        c = w.shape[1] - fused[k].shape[0]
+        halves[k] = (ad.kernel_slice(w, 0, c),
+                     ad.conv2d(fused[k], ad.kernel_slice(w, c, w.shape[1]), b))
+    # one object at a time: with every object's activations alive at once
+    # the heap grew and shrank past the allocator's trim threshold, at 14x
+    # the minor page faults of a per-object decode
+    out = []
+    for x in f_tms:
+        for k, (_, second) in stages:
+            w_obj, frame = halves[k]
+            x = ad.avg_pool2(x) if k == 4 else ad.upsample2(x)
+            x = ad.relu(ad.add(ad.conv2d(x, w_obj), frame))
+            x = ad.relu(ad.conv2d(x, *second))
+        out.append(ad.upsample2(ad.conv2d(x, *params.head)))
+    return out

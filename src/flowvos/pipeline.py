@@ -171,12 +171,10 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
             probs = np.stack([(annotation == k).astype(DTYPE) for k in objects])
         else:
             fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-            prob_list = []
-            for k in objects:
-                f_tm = apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
-                logits = decode(f_tm, fused, model.decoder)
-                prob_list.append(ad.sigmoid(logits).data[0, :h0, :w0])
-            probs = np.stack(prob_list)
+            f_tms = [apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
+                     for k in objects]
+            probs = np.stack([ad.sigmoid(logits).data[0, :h0, :w0]
+                              for logits in decode(f_tms, fused, model.decoder)])
         # binarizing frame 0's one-hot probabilities gives back the annotation
         best = np.argmax(probs, axis=0)
         labels = np.where(probs.max(axis=0) > 0.5, ids[best], 0).astype(np.uint8)
@@ -365,7 +363,7 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
         f_tm = apply(*_level3(pyr_im, pyr_fl), tau, model.fusion_tm)
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-        logits = decode(f_tm, fused, model.decoder)
+        logits = decode([f_tm], fused, model.decoder)[0]
         target = (fs.mask == sample.object_id).astype(DTYPE)[None]
         terms.append(balanced_bce_with_logits(logits, target))
     total = terms[0]

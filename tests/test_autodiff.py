@@ -118,6 +118,19 @@ class TestElementwise:
         out = ad.relu(Tensor([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_relu_matches_the_where_form_byte_for_byte(self, rng, dtype):
+        x = np.concatenate([rng.standard_normal(64), [0.0, -0.0, 1e-30, -1e-30]])
+        x = x.astype(dtype)
+        out = ad.relu(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_relu_propagates_nan(self):
+        out = ad.relu(Tensor(np.array([np.nan, -1.0, 2.0], dtype=np.float32))).data
+        assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 2.0]
+
     def test_matmul_matches_triple_loop(self, rng):
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((3, 2))
@@ -188,6 +201,25 @@ class TestPoolUpsample:
         up_x = lin.jvp([x])[0]
         up_t_g = lin.vjp([g])[0]
         assert abs(np.vdot(up_x, g) - np.vdot(x, up_t_g)) < 1e-12
+
+
+class TestKernelSlice:
+    def test_slices_and_its_vjp_is_the_adjoint(self, rng):
+        w = rng.standard_normal((3, 5, 3, 3))
+        lin = ad.Linearization(lambda ps: ad.kernel_slice(ps[0], 1, 4), [Tensor(w)])
+        np.testing.assert_array_equal(lin.value()[0], w[:, 1:4])
+        v = rng.standard_normal(w.shape)
+        g = rng.standard_normal((3, 3, 3, 3))
+        jv = lin.jvp([v])[0]
+        np.testing.assert_array_equal(jv, v[:, 1:4])
+        vg = lin.vjp([g])[0]
+        assert abs(np.vdot(jv, g) - np.vdot(v, vg)) < 1e-12
+        assert not np.any(vg[:, [0, 4]])
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (2, 1), (-1, 2), (1, 6)])
+    def test_out_of_range_rejected(self, start, stop):
+        with pytest.raises(ValueError, match=f"channels {start}:{stop} out of range"):
+            ad.kernel_slice(Tensor(np.zeros((2, 5, 3, 3))), start, stop)
 
 
 class TestBackward:
@@ -299,6 +331,7 @@ def _op_cases(rng):
     wb = t((2, 3, 3, 3))
     xs, ys = t((2, 3, 4)), t((2, 4, 2))
     xcb, ycb = t((2, 2, 3, 3)), t((2, 1, 3, 3))
+    wk = t((2, 4, 3, 3))
     return [
         ("add", [x23a, x23b], lambda: ad.sumsq(ad.add(x23a, x23b))),
         ("sub", [x23a, x23b], lambda: ad.sumsq(ad.sub(x23a, x23b))),
@@ -314,6 +347,7 @@ def _op_cases(rng):
         ("transpose2d", [xm], lambda: ad.sumsq(ad.transpose2d(xm))),
         ("reshape", [xc], lambda: ad.sumsq(ad.reshape(xc, (4, 8)))),
         ("concat", [xcat, ycat], lambda: ad.sumsq(ad.concat([xcat, ycat], axis=0))),
+        ("kernel_slice", [wk], lambda: ad.sumsq(ad.kernel_slice(wk, 1, 3))),
         ("conv2d", [xc, wc, bc], lambda: ad.sumsq(ad.conv2d(xc, wc, bc))),
         ("conv2d batched", [xb, wb], lambda: ad.sumsq(ad.conv2d(xb, wb))),
         ("matmul stacked", [xs, ys], lambda: ad.sumsq(ad.matmul(xs, ys))),

@@ -421,14 +421,15 @@ class TestBadDataIsExitTwo:
     ("run", "meta", "DIR"), ("run", "frames/00001.ppm", "DIR"),
     ("run", "flows/00001.flo", "DIR"), ("run", "masks/00001.pgm", "DIR"),
     ("train", "--out", "NODIR/x.ckpt"), ("train", "--out", "FILE/x.ckpt"),
-    ("eval", "--report", "NODIR/r.json"), ("ablate", "--out", "DIR")])
-def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
-                                                  where, kind):
+    ("eval", "--report", "NODIR/r.json"), ("ablate", "--out", "DIR"),
+    ("run", "--out", "FILE/x")])
+def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                  command, where, kind):
     """A directory where a file belongs, a file where a directory belongs, or
     an output path whose directory does not exist, as a flag's value or
     inside the sequence, ends in exit 2 and one error line, never in a
-    traceback.  The command writes nothing: ``train``, ``eval`` and
-    ``ablate`` check their output paths before they read any data."""
+    traceback.  The command writes nothing: ``train``, ``eval``, ``ablate``
+    and ``run`` check their output paths before they read any data."""
     seq = tmp_path / "data" / "seq"
     synth(seq, frames=4, size=16)
     Model(seed=1).save(tmp_path / "model.ckpt")
@@ -451,6 +452,13 @@ def test_a_path_of_the_wrong_kind_is_a_data_error(tmp_path, capsys, command,
         argv[argv.index(where) + 1] = str(tmp_path / kind)
     else:
         argv += [where, str(tmp_path / kind)]
+
+    if where == "--out" and command == "run":
+
+        def load(path):
+            raise AssertionError("run read its checkpoint before checking --out")
+
+        monkeypatch.setattr(Model, "load", load)
 
     def tree():
         return {p: None if p.is_dir() else p.read_bytes() for p in tmp_path.rglob("*")}

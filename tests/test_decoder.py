@@ -13,11 +13,14 @@ from conftest import float64
 SMALL = (4, 6, 8, 8)  # compact channel config to keep tests quick
 
 
-def small_pyramids(rng, hw=32):
-    im = float64(FeatureExtractorParams.init(rng, channels=SMALL))
-    fl = float64(FeatureExtractorParams.init(rng, channels=SMALL))
-    x = Tensor(rng.random((3, hw, hw)))
-    f = Tensor(rng.random((3, hw, hw)))
+def small_pyramids(rng, hw=32, dtype=np.float64):
+    """Image and flow pyramids of random hw x hw (or h x w) inputs."""
+    h, w = (hw, hw) if isinstance(hw, int) else hw
+    im, fl = (FeatureExtractorParams.init(rng, channels=SMALL) for _ in range(2))
+    if dtype == np.float64:
+        im, fl = float64(im), float64(fl)
+    x = Tensor(rng.random((3, h, w)).astype(dtype))
+    f = Tensor(rng.random((3, h, w)).astype(dtype))
     return extract(x, im), extract(f, fl)
 
 
@@ -53,7 +56,7 @@ class TestDecode:
         pyr_im, pyr_fl = small_pyramids(rng, hw=64)
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
         f_tm = Tensor(rng.random((4, 8, 8)))
-        logits = decode(f_tm, fused, self.decoder(rng))
+        [logits] = decode([f_tm], fused, self.decoder(rng))
         assert logits.shape == (1, 64, 64)
         assert np.all(np.isfinite(logits.data))
         probs = ad.sigmoid(logits).data
@@ -64,7 +67,7 @@ class TestDecode:
             pyr_im, _ = small_pyramids(rng, hw=hw)
             fused = fuse_pyramid(pyr_im, None, fusion_levels(rng, "none"))
             f_tm = Tensor(rng.random((4, hw // 8, hw // 8)))
-            assert decode(f_tm, fused, self.decoder(rng)).shape == (1, hw, hw)
+            assert decode([f_tm], fused, self.decoder(rng))[0].shape == (1, hw, hw)
 
     def test_zero_parameters_give_constant_bias(self, rng):
         pyr_im, _ = small_pyramids(rng)
@@ -73,7 +76,7 @@ class TestDecode:
         for _, t in params.named_tensors("d"):
             t.data = np.zeros_like(t.data)
         params.head[1].data[:] = 0.37
-        logits = decode(Tensor(rng.random((4, 4, 4))), fused, params)
+        [logits] = decode([Tensor(rng.random((4, 4, 4)))], fused, params)
         np.testing.assert_allclose(logits.data, 0.37, atol=1e-15)
 
     def test_head_before_upsample_matches_head_after(self, rng):
@@ -89,15 +92,15 @@ class TestDecode:
             for w, b in params.refine[k]:
                 x = ad.relu(ad.conv2d(x, w, b))
         after = ad.conv2d(ad.upsample2(x), *params.head)
-        np.testing.assert_allclose(decode(f_tm, fused, params).data, after.data,
+        np.testing.assert_allclose(decode([f_tm], fused, params)[0].data, after.data,
                                    rtol=0, atol=1e-12)
 
     def test_wrong_ftm_resolution_rejected(self, rng):
         pyr_im, _ = small_pyramids(rng)
         fused = fuse_pyramid(pyr_im, None, fusion_levels(rng, "none"))
-        with pytest.raises(ValueError, match=r"concat: dimension 1 mismatch "
-                                             r"\(8, 2, 2\) vs \(4, 8, 8\)"):
-            decode(Tensor(rng.random((4, 16, 16))), fused, self.decoder(rng))
+        with pytest.raises(ValueError, match=r"add: shape mismatch "
+                                             r"\(8, 8, 8\) vs \(8, 2, 2\)"):
+            decode([Tensor(rng.random((4, 16, 16)))], fused, self.decoder(rng))
 
     def test_bce_gradients_match_fd_on_sampled_entries(self, rng):
         pyr_im, _ = small_pyramids(rng)
@@ -108,7 +111,7 @@ class TestDecode:
 
         def build():
             fused = fuse_pyramid(pyr_im, None, fused_params)
-            return balanced_bce_with_logits(decode(f_tm, fused, params), target)
+            return balanced_bce_with_logits(decode([f_tm], fused, params)[0], target)
 
         leaves = [t for _, t in params.named_tensors("d")]
         for leaf in leaves:
@@ -141,7 +144,7 @@ class TestDecode:
             pyr_im = extract(Tensor(rng.random((3, 32, 32))), im)
             pyr_fl = extract(Tensor(rng.random((3, 32, 32))), fl)
             fused = fuse_pyramid(pyr_im, pyr_fl, fusion_set)
-            loss = ad.sumsq(decode(Tensor(rng.random((4, 4, 4))), fused, params))
+            loss = ad.sumsq(decode([Tensor(rng.random((4, 4, 4)))], fused, params)[0])
         owners = [im, fl, params, *fusion_set.values()]
         tape.backward(loss, [t for o in owners for _, t in o.named_tensors("p")])
         assert any(t.grad is not None and np.any(t.grad.data != 0)
@@ -150,3 +153,70 @@ class TestDecode:
                    for _, t in im.named_tensors("b"))
         assert any(t.grad is not None and np.any(t.grad.data != 0)
                    for _, t in fl.named_tensors("b"))
+
+
+def concat_decode(f_tm, fused, params):
+    """The decoder as the concatenation it computes: each stage's first conv
+    reads [object path, fused level k] in one piece."""
+    def block(x, pairs):
+        for w, b in pairs:
+            x = ad.relu(ad.conv2d(x, w, b))
+        return x
+
+    x = block(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0), params.stem)
+    for k in (3, 2, 1):
+        x = block(ad.concat([ad.upsample2(x), fused[k]], axis=0), params.refine[k])
+    return ad.upsample2(ad.conv2d(x, *params.head))
+
+
+class TestDecodeObjects:
+    """``decode`` takes every object of a frame and runs each stage's frame
+    half once."""
+
+    def test_each_object_gets_the_logits_of_a_one_object_call(self, rng):
+        pyr_im, pyr_fl = small_pyramids(rng, hw=(48, 32), dtype=np.float32)
+        fusion_set = {k: FusionParams.init(rng, "attention", SMALL[k - 1])
+                      for k in (2, 3, 4)}
+        fused = fuse_pyramid(pyr_im, pyr_fl, fusion_set)
+        params = DecoderParams.init(rng, label_channels=4, channels=SMALL, width=8)
+        f_tms = [Tensor(rng.standard_normal((4, 6, 4)).astype(np.float32))
+                 for _ in range(4)]
+        together = decode(f_tms, fused, params)
+        assert len(together) == 4
+        for f_tm, logits in zip(f_tms, together):
+            [alone] = decode([f_tm], fused, params)
+            assert logits.data.dtype == np.float32
+            assert logits.data.tobytes() == alone.data.tobytes()
+
+    @pytest.mark.parametrize("mode", ["none", "attention"])
+    def test_matches_the_concatenation_with_gradients(self, rng, mode):
+        """In float64, every object's logits, and the gradients of a loss on
+        all of them, equal those of the concatenated convolution."""
+        pyr_im, pyr_fl = small_pyramids(rng, hw=(48, 32))
+        fusion_set = fusion_levels(rng, mode)
+        params = float64(DecoderParams.init(rng, label_channels=4, channels=SMALL,
+                                            width=8))
+        f_tms = [Tensor(rng.standard_normal((4, 6, 4))) for _ in range(3)]
+        leaves = [t for _, t in params.named_tensors("d")] + f_tms
+
+        def run(decoder):
+            fused = fuse_pyramid(pyr_im, None if mode == "none" else pyr_fl,
+                                 fusion_set)
+            sources = leaves + [fused[k] for k in (1, 2, 3, 4)]
+            for leaf in sources:
+                leaf.grad = None
+            with Tape() as tape:
+                outs = decoder(fused)
+                loss = ad.sumsq(outs[0])
+                for i, o in enumerate(outs[1:], 2):
+                    loss = ad.add(loss, ad.sumsq(o) * float(i))
+            tape.backward(loss, sources)
+            return [o.data for o in outs], [t.grad.data.copy() for t in sources]
+
+        got, got_grads = run(lambda fused: decode(f_tms, fused, params))
+        ref, ref_grads = run(lambda fused: [concat_decode(f, fused, params)
+                                            for f in f_tms])
+        for a, b in zip(got + got_grads, ref + ref_grads):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert got[0].shape == (1, 48, 32)
