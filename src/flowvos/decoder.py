@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import autodiff as ad
-from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS
+from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, he_conv
 from .fusion import fuse
 
 DECODER_WIDTH = 32
@@ -43,8 +43,6 @@ class DecoderParams:
     @classmethod
     def init(cls, rng, label_channels: int = LABEL_CHANNELS,
              channels=BACKBONE_CHANNELS, width: int = DECODER_WIDTH):
-        from .backbone import he_conv
-
         stem = [he_conv(rng, width, label_channels + channels[3], 3),
                 he_conv(rng, width, width, 3)]
         refine = {}

@@ -14,7 +14,7 @@ mode "none" passes the image features through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,3 +93,24 @@ def fuse(f_im: Tensor, f_fl: Optional[Tensor], params: FusionParams) -> Tensor:
     remapped = ad.matmul(m, qf)                           # [N x] C_v x HW
     remapped = ad.reshape(remapped, remapped.shape[:-1] + f_im.shape[-2:])
     return ad.add(f_im, ad.conv2d(remapped, params.wo))
+
+
+def output_maps(params: FusionParams, outputs: Callable) -> list:
+    """Each branch's first-order channel map into the fused output, image
+    branch first, for the branches that ``fuse`` reads; ``None`` is the
+    identity.  Mode "none" maps the image branch by the identity, "concat"
+    each branch by its half of wc, and "attention" the image branch by its
+    skip's identity and the flow branch by wo M wq, with M the attention map
+    averaged over the batch (zero while wo is).  ``outputs()`` returns the
+    image and flow branch outputs that M reads; it is called only when wo
+    is nonzero.
+    """
+    if params.mode == "none":
+        return [None]
+    if params.mode == "concat":
+        return np.split(params.wc.data[:, :, 0, 0], 2, axis=1)
+    wo = params.wo.data[:, :, 0, 0]
+    if not np.any(wo):
+        return [None, np.zeros((wo.shape[0],) * 2, dtype=wo.dtype)]
+    mean_map = attention_map(*outputs(), params).data.mean(axis=0)
+    return [None, wo @ mean_map @ params.wq.data[:, :, 0, 0]]

@@ -7,13 +7,14 @@ Jacobian-vector products, so J^T J is never materialized; ``cg_residuals``
 reports the relative residual of that solve as CG's own recurrence tracks
 it, at no extra product.  ``optimize`` preconditions CG with the Kronecker
 structure of the target model's filters (``kronecker_preconditioner``), one
-block per filter, rebuilt at every outer iteration; ``gauss_newton`` without
-a preconditioner is plain CG.  A halving line search accepts the first step
-length that does not increase the loss (at most 8 halvings; the step is
-rejected outright if none does), which makes the loss provably
-non-increasing across a call.  Every trial is recorded as a linearization,
-and the accepted one is the next iteration's, so a call evaluates r once per
-outer iteration plus once at the start when every step is accepted.
+block per filter, rebuilt at every outer iteration from the fusion's branch
+maps (``fusion.output_maps``); ``gauss_newton`` without a preconditioner is
+plain CG.  A halving line search accepts the first step length that does
+not increase the loss (at most 8 halvings), which makes the loss provably
+non-increasing across a call.  When none does, the step is rejected and the
+call ends, since the next iteration would repeat it.  Every trial is
+recorded as a linearization, and the accepted one is the next iteration's,
+so a call evaluates r once at the start and once per trial.
 ``OptimizeResult`` reports the losses, the CG residuals, the matvec count
 and each step's halvings and rejection.  ``gauss_newton`` takes its CG
 budget and damping as arguments; ``optimize`` reads them from the
@@ -34,7 +35,7 @@ import numpy as np
 
 from .autodiff import Linearization, Tensor
 from .config import RunConfig
-from .fusion import FusionParams, attention_map
+from .fusion import FusionParams, output_maps
 from .target_model import (TargetModelParams, TargetSample, branch_filters,
                            residual_and_loss, stack_samples)
 
@@ -55,7 +56,7 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class OptimizeResult:
-    losses: list                      # loss before plus after each outer step
+    losses: list                      # loss at the start, then after each outer iteration
     cg_residuals: list = field(default_factory=list)   # one per solved step
     halvings: list = field(default_factory=list)       # line-search halvings, per step
     rejected: list = field(default_factory=list)       # True where no step length was kept
@@ -161,8 +162,6 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
     if not np.isfinite(losses[0]):
         raise NumericalError("non-finite loss at outer iteration 0")
     for n in range(outer_iters):
-        if lin is None:                  # every trial step was rejected
-            lin = Linearization(residual_fn, params)
         r = lin.value()
         loss = losses[-1]
         b = -_flatten(lin.vjp(r))                       # -J^T r
@@ -189,6 +188,8 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
         losses.append(new_loss)
         res.halvings.append(halvings)
         res.rejected.append(lin is None)
+        if lin is None:                  # the next iteration would repeat this step
+            break
     for a, bb in zip(losses, losses[1:]):
         assert bb <= a, "line search must keep the loss non-increasing"
     return res
@@ -255,21 +256,6 @@ def _branch_inverse(x: np.ndarray, w2: np.ndarray, pair, s_out: np.ndarray,
     return inverse
 
 
-def _flow_gram(batch: TargetSample, params: TargetModelParams,
-               fusion: FusionParams) -> np.ndarray:
-    """S_out of the attention flow branch: T^T T for its first-order map
-    T = wo M wq, with M the attention map averaged over the batch."""
-    wo = fusion.wo.data[:, :, 0, 0]
-    lab = wo.shape[0]
-    if not np.any(wo):
-        return np.zeros((lab, lab), dtype=wo.dtype)
-    z_im = branch_filters(batch.l3_im, params.tau1)
-    z_fl = branch_filters(batch.l3_fl, params.tau2)
-    mean_map = attention_map(z_im, z_fl, fusion).data.mean(axis=0)
-    t = wo @ mean_map @ fusion.wq.data[:, :, 0, 0]
-    return t.T @ t
-
-
 def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
                              fusion: FusionParams, mu: float) -> Callable:
     """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
@@ -278,25 +264,19 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
     ``batch`` is a stacked N x C x H x W batch.  One Kronecker block per
     filter (see ``_branch_inverse``), damped by reg_lambda + mu; the
     importance weights enter as w^2 averaged over the label channels at each
-    pixel.  The fusion's output Gram S_out is the identity in mode "none" and
-    for the attention image branch, W_b^T W_b for branch b's half of the
-    concat projection, and ``_flow_gram`` for the attention flow branch.  P
-    is symmetric positive definite.  The flow features are read only in the
-    modes that use them.
+    pixel.  A branch's output Gram S_out is T^T T for its map T from
+    ``output_maps``, the identity where T is.  P is symmetric positive
+    definite.  Only the branches that the fusion reads get a block, and the
+    branch outputs are computed only when a map reads them.
     """
     damp = params.reg_lambda + mu
     w2 = np.mean(batch.weights.data ** 2, axis=1)
     eye = np.eye(params.tau1[1].shape[0], dtype=params.tau1[1].data.dtype)
-    branches = [(batch.l3_im, params.tau1, eye)]
-    if fusion.mode == "concat":
-        wc = fusion.wc.data[:, :, 0, 0]
-        w_im, w_fl = np.split(wc, 2, axis=1)
-        branches = [(batch.l3_im, params.tau1, w_im.T @ w_im),
-                    (batch.l3_fl, params.tau2, w_fl.T @ w_fl)]
-    elif fusion.mode == "attention":
-        branches.append((batch.l3_fl, params.tau2, _flow_gram(batch, params, fusion)))
-    inverses = [_branch_inverse(x.data, w2, pair, s_out, damp)
-                for x, pair, s_out in branches]
+    maps = output_maps(fusion, lambda: (branch_filters(batch.l3_im, params.tau1),
+                                        branch_filters(batch.l3_fl, params.tau2)))
+    branches = zip((batch.l3_im, batch.l3_fl), (params.tau1, params.tau2), maps)
+    inverses = [_branch_inverse(x.data, w2, pair, eye if t is None else t.T @ t, damp)
+                for x, pair, t in branches]
     shapes = [t.shape for t in params.tensors()]
 
     def apply(v: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ from flowvos.fusion import FusionParams
 from flowvos.model import Model
 from flowvos.target_model import TargetModelParams, TargetSample
 
-# every run draws the same examples, and nothing is written to .hypothesis/
+# every run draws the same examples and keeps no example database; hypothesis
+# still caches source literals in .hypothesis/constants/, which .gitignore covers
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
 

@@ -3,7 +3,7 @@ import pytest
 
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
-from flowvos.fusion import FusionParams, attention_map, fuse
+from flowvos.fusion import FusionParams, attention_map, fuse, output_maps
 
 from conftest import float64
 
@@ -114,3 +114,23 @@ class TestModes:
         with pytest.raises(ValueError,
                            match="conv2d: input has 8 channels but kernel expects 16"):
             fuse(x, x, p)
+
+
+class TestOutputMaps:
+    @pytest.mark.parametrize("mode, wo_zero", [("none", False), ("concat", False),
+                                               ("attention", True), ("attention", False)])
+    def test_maps_rebuild_fuse_at_every_pixel(self, rng, mode, wo_zero):
+        # on a batch of one the batch-mean attention map is the sample's own,
+        # so the fused output is the sum of the mapped branch outputs
+        f_im = Tensor(rng.standard_normal((1, 8, 4, 4)))
+        f_fl = Tensor(rng.standard_normal((1, 8, 4, 4)))
+        p = float64(FusionParams.init(rng, mode, 8))
+        if mode == "attention" and not wo_zero:          # a fresh wo is zero
+            p.wo.data = rng.standard_normal(p.wo.data.shape)
+        maps = output_maps(p, lambda: (f_im, f_fl))
+        assert len(maps) == (1 if mode == "none" else 2)
+        mapped = [f.data[0] if t is None else np.einsum("oc,chw->ohw", t, f.data[0])
+                  for f, t in zip((f_im, f_fl), maps)]
+        np.testing.assert_allclose(fuse(f_im, f_fl, p).data[0], sum(mapped), atol=1e-12)
+        if wo_zero:
+            assert not np.any(maps[1])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from flowvos import autodiff as ad
+from flowvos import learner
 from flowvos.autodiff import Tensor
 from flowvos.config import ConfigError, RunConfig
 from flowvos.fusion import FusionParams
 from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
                              gauss_newton, kronecker_preconditioner, optimize)
-from flowvos.target_model import (TargetModelParams, TargetSample,
+from flowvos.target_model import (TargetModelParams, TargetSample, branch_filters,
                                   residual_and_loss, stack_samples)
 
 from conftest import float64, snapshot
@@ -133,6 +134,18 @@ class TestGaussNewton:
         assert res.halvings == [0] and res.rejected == [True]
         assert res.losses == [res.losses[0]] * 2 and tau.data[0] == 3.0
 
+        # a rejected step ends the fit: the next iteration would repeat it
+        evaluations = []
+
+        def counted(params):
+            evaluations.append(None)
+            return fn(params)
+
+        tau = Tensor(np.full(1, 3.0))
+        res = gauss_newton(counted, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0)
+        assert res.halvings == [0] and res.rejected == [True]
+        assert len(evaluations) == 2 and len(res.losses) == 2 and tau.data[0] == 3.0
+
     def test_monotone_losses(self, rng):
         def fn(params):
             p = params[0]
@@ -218,6 +231,25 @@ class TestKroneckerPreconditioner:
         out = kronecker_preconditioner(batch, tm, fp, 0.05)(v)
         flow = slice(sizes[0] + sizes[1], None)
         assert np.allclose(out[flow], v[flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
+
+    @pytest.mark.parametrize("mode, wo_zero", [("none", False), ("concat", False),
+                                               ("attention", True), ("attention", False)])
+    def test_branch_outputs_run_only_for_a_nonzero_attention_output(self, rng, monkeypatch,
+                                                                   mode, wo_zero):
+        tm, batch, fp = _preconditioner_case(rng, mode)
+        if wo_zero:
+            fp.wo.data[:] = 0.0
+        pairs = []
+
+        def counted(feat, pair):
+            pairs.append(pair)
+            return branch_filters(feat, pair)
+
+        monkeypatch.setattr(learner, "branch_filters", counted)
+        kronecker_preconditioner(batch, tm, fp, 1e-2)
+        expected = [tm.tau1, tm.tau2] if mode == "attention" and not wo_zero else []
+        assert len(pairs) == len(expected)
+        assert all(p is q for p, q in zip(pairs, expected))
 
     def test_fewer_matvecs_lower_loss_on_captured_fits(self, fit_problems):
         assert len(fit_problems) >= 4
