@@ -17,10 +17,13 @@ on a constant kernel.
 
 A leading batch axis runs many samples through one node: ``conv2d`` takes
 C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
-matrices or equally long stacks of them.  Every convolution is same-size:
-``conv2d`` pads by p = k // 2 for a k x k kernel and lays the batch out once
-as a channel-major flat grid, C x N*(H+p)*(W+p), where neighbouring samples
-share their zero padding and each kernel tap is a contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
+matrices or equally long stacks of them.  A leading group axis on a
+``conv2d`` kernel runs G convolutions through one node, over one batch that
+every group reads or over a batch per group.  Every convolution is
+same-size: ``conv2d`` pads by p = k // 2 for a k x k kernel and lays the
+batch out once as a channel-major flat grid, C x N*(H+p)*(W+p), where
+neighbouring samples share their zero padding and each kernel tap is a
+contiguous column slice.  A 1x1 convolution is then one matmul, and a k x k
 one is a single matmul over the k*k stacked taps or one matmul per tap,
 whichever the channel counts make cheaper.
 
@@ -450,8 +453,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _gather(g: np.ndarray, offsets: list, span: int, c_dst: int) -> Optional[np.ndarray]:
-    """The k*k taps of a flat grid stacked into one (k*k*C) x span matrix, or
-    None where a matmul per tap is cheaper.
+    """The k*k taps of a flat grid, [G x] C x width, stacked into one
+    [G x] (k*k*C) x span matrix, or None where a matmul per tap is cheaper.
 
     Tap (i, j) of the kernel reads the grid ``i * pw + j`` columns ahead,
     where pw is the cell width, so each tap is one contiguous slice; row
@@ -464,22 +467,25 @@ def _gather(g: np.ndarray, offsets: list, span: int, c_dst: int) -> Optional[np.
     beyond.
     """
     if len(offsets) == 1:
-        return g[:, :span]
-    if 2 * g.shape[0] > 3 * c_dst:
+        return g[..., :span]
+    if 2 * g.shape[-2] > 3 * c_dst:
         return None
-    return np.concatenate([g[:, o:o + span] for o in offsets], axis=0)
+    return np.concatenate([g[..., o:o + span] for o in offsets], axis=-2)
 
 
 def _tap_sum(mats: np.ndarray, g: Optional[np.ndarray], cols: Optional[np.ndarray],
              offsets: list, span: int) -> np.ndarray:
     """sum_t mats[t] @ g[:, o_t:o_t + span] for k*k tap matrices C_dst x C_src,
-    from the gathered taps ``cols`` when there are any, else tap by tap."""
-    kk, c_dst, c_src = mats.shape
+    from the gathered taps ``cols`` when there are any, else tap by tap.  A
+    group axis in front of the taps or of the grid runs through ``np.matmul``,
+    which makes each group's product the one its own call would make."""
+    kk, c_dst, c_src = mats.shape[-3:]
     if cols is not None:
-        return mats.transpose(1, 0, 2).reshape(c_dst, kk * c_src) @ cols
-    y = mats[0] @ g[:, :span]
-    for m, o in zip(mats[1:], offsets[1:]):
-        y += m @ g[:, o:o + span]
+        return np.matmul(mats.swapaxes(-3, -2).reshape(mats.shape[:-3] + (c_dst, kk * c_src)),
+                         cols)
+    y = np.matmul(mats[..., 0, :, :], g[..., :span])
+    for t, o in enumerate(offsets[1:], start=1):
+        y += np.matmul(mats[..., t, :, :], g[..., o:o + span])
     return y
 
 
@@ -488,19 +494,32 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     batch, with a C_out x C_in x k x k kernel at stride 1: the input is
     zero-padded by k // 2 on every side, so the output keeps its H x W.
 
+    A kernel with a leading group axis, G x C_out x C_in x k x k, runs G such
+    convolutions in one node, each group's output the one a conv2d call with
+    its kernel would give: of one N x C_in x H x W batch that every group
+    reads, or of a G x N x C_in x H x W stack, a batch per group.  The output
+    is G x N x C_out x H x W, and a bias is G x C_out.
+
     The padded input is laid out once as a channel-major flat grid shared by
-    the whole batch, where every kernel tap is a contiguous slice: a 1x1
-    convolution is one matmul, and a k x k one is a single matmul over the
-    stacked taps or one matmul per tap, whichever the channel counts make
-    cheaper.  The taps (or the grid) stay with the recorded node, so every
-    JVP/VJP replay reuses them.
+    the whole batch (and by every group that reads it), where every kernel
+    tap is a contiguous slice: a 1x1 convolution is one matmul, and a k x k
+    one is a single matmul over the stacked taps or one matmul per tap,
+    whichever the channel counts make cheaper.  The taps (or the grid) stay
+    with the recorded node, so every JVP/VJP replay reuses them.
     """
-    if x.data.ndim not in (3, 4):
+    if w.data.ndim not in (4, 5):
         raise ValueError(
-            f"conv2d: input must be CxHxW or NxCxHxW, got shape {x.data.shape}")
-    if w.data.ndim != 4:
-        raise ValueError(f"conv2d: kernel must be C_out x C_in x k x k, got {w.data.shape}")
-    cout, cin_k, kh, kw = w.data.shape
+            f"conv2d: kernel must be [G x] C_out x C_in x k x k, got {w.data.shape}")
+    groups = w.data.shape[:-4]           # () or (G,)
+    if x.data.ndim not in ((4, 5) if groups else (3, 4)):
+        raise ValueError(
+            f"conv2d: input must be {'NxCxHxW or GxNxCxHxW' if groups else 'CxHxW or NxCxHxW'}"
+            f" for a kernel of shape {w.data.shape}, got shape {x.data.shape}")
+    stacked = x.data.ndim == 5           # a batch per group
+    if stacked and x.data.shape[0] != groups[0]:
+        raise ValueError(
+            f"conv2d: input has {x.data.shape[0]} groups but kernel has {groups[0]}")
+    cout, cin_k, kh, kw = w.data.shape[-4:]
     cin, h, wd = x.data.shape[-3:]
     if kh != kw:
         raise ValueError(f"conv2d: kernel must be square, got {kh}x{kw}")
@@ -508,12 +527,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(f"conv2d: kernel size {kh} must be odd")
     if cin_k != cin:
         raise ValueError(f"conv2d: input has {cin} channels but kernel expects {cin_k}")
-    if b is not None and b.data.shape != (cout,):
-        raise ValueError(f"conv2d: bias shape {b.data.shape} != ({cout},)")
+    if b is not None and b.data.shape != groups + (cout,):
+        raise ValueError(f"conv2d: bias shape {b.data.shape} != {groups + (cout,)}")
     _check_same_dtype((x, w) if b is None else (x, w, b), "conv2d")
     k, p = kh, kh // 2
-    batched = x.data.ndim == 4
-    n = x.data.shape[0] if batched else 1
+    batched = x.data.ndim > 3
+    n = x.data.shape[-4] if batched else 1
     # the flat grid: sample i fills the top-left h x wd corner of the i-th
     # (h + p) x (wd + p) cell, the cells start ``lead`` columns in and end as
     # many before the grid does, and everything else is zero.  The zero rows
@@ -525,19 +544,19 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     lead = p * (pw + 1)                  # output (0, 0) reads from row -p, column -p
     offsets = [i * pw + j for i in range(k) for j in range(k)]     # the last is 2 * lead
 
-    def to_grid(a):                      # an input-shaped array on the grid
-        a = (a if batched else a[None]).transpose(1, 0, 2, 3)
+    def to_grid(a):                      # a [G x] [N x] C x H x W array on the grid
+        a = (a if batched else a[None]).swapaxes(-4, -3)
         if p == 0:
-            return a.reshape(a.shape[0], span)
-        g = np.zeros((a.shape[0], span + 2 * lead), dtype=a.dtype)
-        g[:, lead:lead + span].reshape(-1, n, ph, pw)[:, :, :h, :wd] = a
+            return a.reshape(a.shape[:-3] + (span,))
+        g = np.zeros(a.shape[:-3] + (span + 2 * lead,), dtype=a.dtype)
+        g[..., lead:lead + span].reshape(a.shape[:-3] + (n, ph, pw))[..., :h, :wd] = a
         return g
 
-    def from_grid(y, bias=None):         # the input-shaped corners of a C x span grid
+    def from_grid(y, bias=None):         # the input-shaped corners of a [G x] C x span grid
         res = np.ascontiguousarray(
-            y.reshape(-1, n, ph, pw)[:, :, :h, :wd].transpose(1, 0, 2, 3))
+            y.reshape(y.shape[:-1] + (n, ph, pw))[..., :h, :wd].swapaxes(-4, -3))
         if bias is not None:
-            res += bias[:, None, None]
+            res += bias[..., None, :, None, None]
         return res if batched else res[0]
 
     grid = to_grid(x.data)
@@ -545,8 +564,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if cols is not None:
         grid = None                      # replays read the taps only
 
-    def taps_of(wt):                     # C_out x C_in x k x k -> k*k x C_out x C_in
-        return wt.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
+    ga = (0,) if groups else ()          # the group axis stays in front
+    g0 = len(ga)
+    taps_order = ga + (g0 + 2, g0 + 3, g0, g0 + 1)
+
+    def taps_of(wt):                     # [G x] C_out x C_in x k x k -> [G x] k*k x C_out x C_in
+        return wt.transpose(taps_order).reshape(groups + (k * k, cout, cin))
 
     mats = taps_of(w.data)
     out = Tensor(from_grid(_tap_sum(mats, grid, cols, offsets, span),
@@ -556,25 +579,33 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         # the input gradient is the same correlation, run on the output
         # gradient with the flipped, transposed kernel
         ggrid = to_grid(g)
-        gg = ggrid[:, lead:lead + span]
+        gg = ggrid[..., lead:lead + span]
         dx = dw = None
         if need[1]:
             if cols is not None:
-                dw = (gg @ cols.T).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+                dw = np.matmul(gg, cols.swapaxes(-1, -2)).reshape(
+                    groups + (cout, k, k, cin)).transpose(ga + (g0, g0 + 3, g0 + 1, g0 + 2))
             else:
-                dw = np.stack([gg @ grid[:, o:o + span].T for o in offsets]
-                              ).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+                dw = np.stack([np.matmul(gg, grid[..., t:t + span].swapaxes(-1, -2))
+                               for t in offsets], axis=-3).reshape(
+                    groups + (k, k, cout, cin)).transpose(taps_order)
         if need[0]:
-            mats_adj = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
+            mats_adj = w.data[..., ::-1, ::-1].transpose(ga + (g0 + 2, g0 + 3, g0 + 1, g0)).reshape(
+                groups + (k * k, cin, cout))
+            if groups and not stacked:
+                # every group read the same input: one correlation over the
+                # groups' output channels sums their input gradients
+                mats_adj = mats_adj.transpose(1, 2, 0, 3).reshape(k * k, cin, -1)
+                ggrid = ggrid.reshape(-1, ggrid.shape[-1])
             dx = from_grid(_tap_sum(mats_adj, ggrid, _gather(ggrid, offsets, span, cin),
                                     offsets, span))
         if b is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3) if batched else (1, 2))
+            return dx, dw, g.sum(axis=(-4, -2, -1) if batched else (-2, -1))
         return dx, dw
 
     def jvp(t):
         dx, dw = t[0], t[1]
-        acc = np.zeros((cout, span), dtype=x.data.dtype)
+        acc = np.zeros(groups + (cout, span), dtype=x.data.dtype)
         if dx is not None:
             dgrid = to_grid(dx)
             acc += _tap_sum(mats, dgrid, _gather(dgrid, offsets, span, cout), offsets, span)

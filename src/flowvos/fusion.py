@@ -102,8 +102,9 @@ def output_maps(params: FusionParams, outputs: Callable) -> list:
     each branch by its half of wc, and "attention" the image branch by its
     skip's identity and the flow branch by wo M wq, with M the attention map
     averaged over the batch (zero while wo is).  ``outputs()`` returns the
-    image and flow branch outputs that M reads; it is called only when wo
-    is nonzero.
+    image and flow branch outputs that M reads, N x C x H x W, or
+    K x N x C x H x W for K objects, each with its own M and map; it is
+    called only when wo is nonzero.
     """
     if params.mode == "none":
         return [None]
@@ -112,5 +113,9 @@ def output_maps(params: FusionParams, outputs: Callable) -> list:
     wo = params.wo.data[:, :, 0, 0]
     if not np.any(wo):
         return [None, np.zeros((wo.shape[0],) * 2, dtype=wo.dtype)]
-    mean_map = attention_map(*outputs(), params).data.mean(axis=0)
+    f_im, f_fl = outputs()
+    objects = f_im.shape[:-4]            # (K,) for stacked objects
+    batch = (int(np.prod(f_im.shape[:-3])),) + f_im.shape[-3:]     # K*N samples
+    maps = attention_map(ad.reshape(f_im, batch), ad.reshape(f_fl, batch), params).data
+    mean_map = maps.reshape(objects + (-1,) + maps.shape[-2:]).mean(axis=-3)
     return [None, wo @ mean_map @ params.wq.data[:, :, 0, 0]]

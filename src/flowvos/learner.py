@@ -7,22 +7,31 @@ Jacobian-vector products, so J^T J is never materialized; ``cg_residuals``
 reports the relative residual of that solve as CG's own recurrence tracks
 it, at no extra product.  ``optimize`` preconditions CG with the Kronecker
 structure of the target model's filters (``kronecker_preconditioner``), one
-block per filter, rebuilt at every outer iteration from the fusion's branch
-maps (``fusion.output_maps``); ``gauss_newton`` without a preconditioner is
-plain CG.  A halving line search accepts the first step length that does
-not increase the loss (at most 8 halvings), which makes the loss provably
-non-increasing across a call.  When none does, the step is rejected and the
-call ends, since the next iteration would repeat it.  Every trial is
-recorded as a linearization, and the accepted one is the next iteration's,
-so a call evaluates r once at the start and once per trial.
-``OptimizeResult`` reports the losses, the CG residuals, the matvec count
-and each step's halvings and rejection.  ``gauss_newton`` takes its CG
-budget and damping as arguments; ``optimize`` reads them from the
+block per object and filter, rebuilt at every outer iteration from the
+current filters and the fusion's branch maps (``fusion.output_maps``) on
+factors of the batch that are built once per call; ``gauss_newton`` without
+a preconditioner is plain CG.  A halving line search accepts the first step
+length that does not increase the loss (at most 8 halvings), which makes
+the loss provably non-increasing across a call.  When none does, the step
+is rejected and the call ends, since the next iteration would repeat it.
+Every trial is recorded as a linearization, and the accepted one is the
+next iteration's, so a call evaluates r once at the start and once per
+trial.  ``OptimizeResult`` reports the losses, the CG residuals, the matvec
+count and each step's halvings and rejections.  ``gauss_newton`` takes its
+CG budget and damping as arguments; ``optimize`` reads them from the
 ``RunConfig``, whose check bounds them.
+
+The objects of a frame are fitted as one problem: their filters stack along
+a leading object axis, the residual has one row per object, and every
+product, residual and preconditioner serves all of them at once.  Each
+object keeps its own CG scalars, step length, rejection and losses, so its
+iterates are those of its own fit; an object that is rejected, or reaches
+a zero gradient, stops while the others go on.
 
 At inference the fits read a ``MemoryBuffer``, the memory of a sequence:
 the annotated first frame, pinned, and the newest predicted frames under
-decaying weights, each frame holding one sample per object.
+decaying weights, each frame holding one sample per object, all of them
+on the frame's features.
 """
 
 from __future__ import annotations
@@ -56,233 +65,338 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class OptimizeResult:
-    losses: list                      # loss at the start, then after each outer iteration
-    cg_residuals: list = field(default_factory=list)   # one per solved step
-    halvings: list = field(default_factory=list)       # line-search halvings, per step
-    rejected: list = field(default_factory=list)       # True where no step length was kept
+    object_losses: list               # each object's loss at the start, then per outer iteration
+    cg_residuals: list = field(default_factory=list)   # per solved step, the objects' largest
+    halvings: list = field(default_factory=list)       # per step, the most any object took
+    rejected: list = field(default_factory=list)       # per step, objects that kept no step length
     matvecs: int = 0                  # (J^T J + mu I) v products over every solve
 
+    @property
+    def losses(self) -> list:
+        """The loss summed over the objects, at the start and after each
+        outer iteration."""
+        return [float(np.sum(losses)) for losses in self.object_losses]
 
-def _flatten(arrs: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in arrs])
+
+def _flatten(arrs: Sequence[np.ndarray], objects: int) -> np.ndarray:
+    """The arrays as one K x P matrix, row k holding object k's entries."""
+    return np.concatenate([a.reshape(objects, -1) for a in arrs], axis=1)
 
 
-def _unflatten(vec: np.ndarray, shapes) -> list:
+def _unflatten(vec: np.ndarray, shapes, objects: int) -> list:
     out, i = [], 0
     for sh in shapes:
-        n = int(np.prod(sh))
-        out.append(vec[i:i + n].reshape(sh))
+        n = int(np.prod(sh)) // objects
+        out.append(vec[:, i:i + n].reshape(sh))
         i += n
     return out
 
 
-def _loss_of(values) -> float:
-    return 0.5 * float(sum(np.sum(v * v) for v in values))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inner product of each row pair, one BLAS dot per row, in float64."""
+    return np.array([float(u @ v) for u, v in zip(a, b)])
+
+
+def _per_row(values: np.ndarray, like: np.ndarray):
+    """One value per row (or per object) of ``like``, shaped to broadcast
+    over its rows; floats take its dtype."""
+    if values.dtype.kind == "f":
+        values = values.astype(like.dtype)
+    return values[0] if len(values) == 1 else values.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
+def _object_losses(values, objects: int) -> np.ndarray:
+    """0.5 * ||r_k||^2 for each object's row r_k of the residual blocks."""
+    return 0.5 * sum(np.sum((v * v).reshape(objects, -1), axis=1) for v in values
+                     ).astype(np.float64)
 
 
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
                        preconditioner: Optional[Callable] = None
-                       ) -> tuple[np.ndarray, float]:
+                       ) -> tuple[np.ndarray, "float | np.ndarray"]:
     """Approximate solution x of A x = b, and its relative residual
     ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0).
     It stops early once that residual falls to 1e-12.
 
-    ``preconditioner`` maps a residual v to P v for a symmetric positive
-    definite P close to A^-1; without one this is plain CG.
+    A K x P ``b`` holds K independent systems, one per row, that share each
+    product with a row-block-diagonal A: every row keeps its own step
+    lengths and stop test, a stopped row keeps its iterate, and the
+    residuals come back one per row.  ``preconditioner`` maps a residual v to
+    P v for a symmetric positive definite P close to A^-1, block diagonal
+    like A; without one this is plain CG.
     """
     if preconditioner is None:
         def preconditioner(v):
             return v
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = preconditioner(r)
+    shape = b.shape
+    rows = b.reshape(-1, shape[-1])
+
+    def product(f, v):                   # f applied to a K x P stack
+        return f(v.reshape(shape)).reshape(rows.shape)
+
+    x = np.zeros_like(rows)
+    r = rows.copy()
+    z = product(preconditioner, r)
     p = z.copy()
-    rr = float(r @ r)
-    rz = float(r @ z)
+    rr = _dots(r, r)
+    rz = _dots(r, z)
     bnorm = np.sqrt(rr)
     stop = 1e-12 * bnorm
+    live = np.ones(len(rows), dtype=bool)
     for _ in range(iters):
-        if np.sqrt(rr) <= stop:
+        live &= np.sqrt(rr) > stop
+        if not live.any():
             break
-        ap = matvec(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
+        ap = product(matvec, p)
+        pap = _dots(p, ap)
+        live &= pap > 0.0
+        if not live.any():
             break
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        rr = float(r @ r)
-        z = preconditioner(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, (float(np.sqrt(rr) / bnorm) if bnorm > 0.0 else 0.0)
+        alpha = np.zeros_like(rz)
+        alpha[live] = rz[live] / pap[live]
+        x += _per_row(alpha, x) * p
+        r -= _per_row(alpha, r) * ap
+        rr = _dots(r, r)
+        z = product(preconditioner, r)
+        rz_new = _dots(r, z)
+        beta = np.zeros_like(rz)
+        beta[live] = rz_new[live] / rz[live]
+        p = np.where(live[:, None], z + _per_row(beta, p) * p, 0.0)
+        rz = np.where(live, rz_new, rz)
+    resid = np.zeros_like(rr)
+    solved = bnorm > 0.0
+    resid[solved] = np.sqrt(rr[solved]) / bnorm[solved]
+    return x.reshape(shape), resid if len(shape) == 2 else float(resid[0])
 
 
-def _line_search(residual_fn, params, direction_blocks, loss0, max_halvings):
-    """First step length in 1, 1/2, ... that does not increase the loss.
+def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halvings):
+    """For each fitting object, the first step length in 1, 1/2, ... that
+    does not increase its loss.
 
-    Each trial is recorded as a Linearization.  Returns the accepted trial's
-    loss, its linearization, which the next outer iteration reuses, and the
-    number of halvings before it; or ``(loss0, None, max_halvings)`` with the
-    iterate restored when no step is accepted.
+    Each trial moves the objects still searching, leaves the others where
+    they are, and is recorded as one Linearization.  Returns the objects'
+    losses, the last trial's linearization, which the next outer iteration
+    reuses, the halvings before that trial, and the mask of the objects that
+    no step length kept: their iterate is restored, and the linearization
+    is not at it.
     """
+    objects = len(loss0)
     base = [p.data.copy() for p in params]
-    alpha = 1.0
+    step = fitting.astype(np.float64)    # a settled object's step length, 0 if not fitting
+    searching = fitting.copy()
+    loss = loss0.copy()
     for halvings in range(max_halvings + 1):
+        lin = None                       # release its tape before the next trial records
         for p, b, d in zip(params, base, direction_blocks):
-            p.data = b + alpha * d
+            p.data = b + _per_row(step, b) * d
         lin = Linearization(residual_fn, params)
-        trial = _loss_of(lin.value())
-        if np.isfinite(trial) and trial <= loss0:
-            return trial, lin, halvings
-        del lin                          # before the next trial records its tape
-        alpha *= 0.5
-    for p, b in zip(params, base):   # no acceptable step; keep the iterate
-        p.data = b
-    return loss0, None, max_halvings
+        trial = _object_losses(lin.value(), objects)
+        accepted = searching & np.isfinite(trial) & (trial <= loss0)
+        loss[accepted] = trial[accepted]
+        searching &= ~accepted
+        if not searching.any():
+            break
+        step[searching] *= 0.5
+    if searching.any():                  # no acceptable step; keep these iterates
+        for p, b in zip(params, base):
+            p.data = np.where(_per_row(searching, b), b, p.data)
+    return loss, lin, halvings, searching
 
 
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
                  cg_iters: int, damping: float,
                  make_preconditioner: Optional[Callable] = None,
-                 max_halvings: int = 8) -> OptimizeResult:
+                 max_halvings: int = 8, objects: int = 1) -> OptimizeResult:
     """Damped Gauss-Newton with matrix-free CG inner solves; mutates params.
 
     Each outer iteration runs ``cg_iters`` CG iterations on the normal
     equations damped by ``damping``.  ``make_preconditioner()`` is called once
     per outer iteration, at the current iterate, and its result is passed to
     ``conjugate_gradient``.
+
+    With ``objects`` = K, every parameter and residual block has a leading
+    axis of K independent problems, object k's residual depending on its
+    own parameters only.  They run in lockstep, one residual and one product
+    serving all, while each keeps its own CG scalars, step length and losses,
+    so each object's iterates are those of its own fit.  An object whose
+    gradient is zero, or whose step is rejected, keeps its parameters for
+    the rest of the call, and the call ends when no object is left fitting.
     """
     params = list(params)
     shapes = [p.data.shape for p in params]
     lin = Linearization(residual_fn, params)
-    res = OptimizeResult(losses=[_loss_of(lin.value())])
-    losses = res.losses
-    if not np.isfinite(losses[0]):
+    loss = _object_losses(lin.value(), objects)
+    res = OptimizeResult(object_losses=[loss])
+    if not np.all(np.isfinite(loss)):
         raise NumericalError("non-finite loss at outer iteration 0")
+    fitting = np.ones(objects, dtype=bool)
     for n in range(outer_iters):
-        r = lin.value()
-        loss = losses[-1]
-        b = -_flatten(lin.vjp(r))                       # -J^T r
+        b = -_flatten(lin.vjp(lin.value()), objects)            # -J^T r
         if not np.all(np.isfinite(b)):
             raise NumericalError(f"non-finite gradient at outer iteration {n}")
-        bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            losses.append(loss)
+        fitting &= _dots(b, b) > 0.0
+        if not fitting.any():
+            res.object_losses.append(loss)
             break
+        b[~fitting] = 0.0
 
         def matvec(v):
             res.matvecs += 1
-            jv = lin.jvp(_unflatten(v, shapes))
-            jtjv = _flatten(lin.vjp(jv))
+            jv = lin.jvp(_unflatten(v, shapes, objects))
+            jtjv = _flatten(lin.vjp(jv), objects)
             return jtjv + damping * v
 
         precond = None if make_preconditioner is None else make_preconditioner()
         delta, resid = conjugate_gradient(matvec, b, cg_iters,
                                           preconditioner=precond)
-        res.cg_residuals.append(resid)
+        res.cg_residuals.append(float(resid.max()))
         lin = None                       # release its tape before the trials
-        new_loss, lin, halvings = _line_search(
-            residual_fn, params, _unflatten(delta, shapes), loss, max_halvings)
-        losses.append(new_loss)
+        loss, lin, halvings, rejected = _line_search(
+            residual_fn, params, _unflatten(delta, shapes, objects), loss, fitting,
+            max_halvings)
+        res.object_losses.append(loss)
         res.halvings.append(halvings)
-        res.rejected.append(lin is None)
-        if lin is None:                  # the next iteration would repeat this step
+        res.rejected.append(int(rejected.sum()))
+        fitting &= ~rejected             # its next iteration would repeat this step
+        if not fitting.any():
             break
-    for a, bb in zip(losses, losses[1:]):
-        assert bb <= a, "line search must keep the loss non-increasing"
+    for a, bb in zip(res.object_losses, res.object_losses[1:]):
+        assert np.all(bb <= a), "line search must keep each loss non-increasing"
     return res
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (clipped at 0) and eigenvectors of a symmetric PSD matrix."""
+    """Eigenvalues (clipped at 0) and eigenvectors of symmetric PSD matrices."""
     vals, vecs = np.linalg.eigh(m)
     return np.maximum(vals, 0.0), vecs
 
 
-def _positive(denom: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a damped block, floored so that the block inverts."""
-    top = float(denom.max())
-    return np.maximum(denom, 1e-10 * top) if top > 0.0 else np.ones_like(denom)
+def _positive(denom: np.ndarray, axes: tuple) -> np.ndarray:
+    """Eigenvalues of damped blocks, floored so that each block, over
+    ``axes``, inverts."""
+    top = denom.max(axis=axes, keepdims=True)
+    return np.where(top > 0.0, np.maximum(denom, 1e-10 * top), 1.0)
 
 
-def _branch_inverse(x: np.ndarray, w2: np.ndarray, pair, s_out: np.ndarray,
-                    damp: float) -> Callable:
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
+def _input_factors(x: np.ndarray, root: np.ndarray) -> tuple:
+    """The eigendecomposition of each object's input Gram G_x: the input x,
+    N x C x H x W, read under the [K x] N x 1 x H x W root importance
+    weights."""
+    xw = (x * root).swapaxes(-4, -3).reshape(root.shape[:-4] + (x.shape[1], -1))
+    return _eigh(xw @ _t(xw))
+
+
+def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
+                    s_out: Optional[np.ndarray], damp: float) -> Callable:
     """v_a, v_b -> the approximate inverse curvature of one branch's filters
     applied to v_a (reduce filter A) and v_b (expand filter B), each shaped
-    like its filter.
+    like its filter, with a leading object axis when the filters have one.
 
-    x is the branch's N x C x H x W input, w2 the N x H x W squared
-    importance weights and s_out the L x L Gram of the fusion's linear map of
-    the branch output.  Block B inverts S_out (x) G_c (x) G_t + damp I, the
-    Kronecker split of the weighted im2col Gram of Y = A x into its channel
-    (M x M) and tap (9 x 9) factors; block A inverts the K-FAC factors
-    (sum_t B_t^T S_out B_t) (x) G_x + damp I.  With S_out = 0 both blocks
-    are damp I.
+    x is the branch's N x C x H x W input, root the [K x] N x 1 x H x W
+    square root of the squared importance weights, ``input_factors`` the
+    eigendecomposition of each object's G_x from ``_input_factors``, and
+    s_out the [K x] L x L Gram of the fusion's linear map of the branch
+    output, None for the identity.  Block B inverts
+    S_out (x) G_c (x) G_t + damp I, the Kronecker split of the weighted
+    im2col Gram of Y = A x into its channel (M x M) and tap (9 x 9) factors;
+    block A inverts the K-FAC factors (sum_t B_t^T S_out B_t) (x) G_x + damp I.
+    Each object has its own blocks.
     """
-    if not np.any(s_out):
-        scale = 1.0 / damp if damp > 0.0 else 1.0
-        return lambda va, vb: (scale * va, scale * vb)
-    a, b = pair[0].data[:, :, 0, 0], pair[1].data
-    (n, c, h, wd), m, lab = x.shape, a.shape[0], b.shape[0]
-    root = np.sqrt(w2)[:, None]                        # N x 1 x H x W
-    xw = (x * root).transpose(1, 0, 2, 3).reshape(c, -1)
-    y = np.matmul(a, x.reshape(n, c, h * wd)).reshape(n, m, h, wd)
-    ypad = np.pad(y, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    taps = np.stack([ypad[:, :, i:i + h, j:j + wd] * root
-                     for i in range(3) for j in range(3)])   # 9 x N x M x H x W
-    centre = taps[4].transpose(1, 0, 2, 3).reshape(m, -1)
-    g_c = centre @ centre.T
-    flat = taps.reshape(9, -1)
-    trace = float(np.trace(g_c))
-    g_t = flat @ flat.T / (trace if trace > 0.0 else 1.0)
+    a, b = pair[0].data[..., 0, 0], pair[1].data
+    objects = a.shape[:-2]
+    (n, c, h, wd), m, lab = x.shape, a.shape[-2], b.shape[-4]
+    y = np.matmul(a[..., None, :, :], x.reshape(n, c, h * wd)).reshape(objects + (n, m, h, wd))
+    ypad = np.zeros(y.shape[:-2] + (h + 2, wd + 2), dtype=y.dtype)
+    ypad[..., 1:-1, 1:-1] = y
+    taps = np.empty(objects + (9, n, m, h, wd), dtype=y.dtype)      # [K x] 9 x N x M x H x W
+    for t in range(9):                   # tap (i, j) = (t // 3, t % 3), weighted in place
+        np.multiply(ypad[..., t // 3:t // 3 + h, t % 3:t % 3 + wd], root,
+                    out=taps[..., t, :, :, :, :])
+    centre = taps[..., 4, :, :, :, :].swapaxes(-4, -3).reshape(objects + (m, -1))
+    g_c = centre @ _t(centre)
+    flat = taps.reshape(objects + (9, -1))
+    trace = np.trace(g_c, axis1=-2, axis2=-1)[..., None, None]
+    g_t = flat @ _t(flat) / np.where(trace > 0.0, trace, 1.0)
 
-    (ls, us), (lc, uc), (lt, ut) = _eigh(s_out), _eigh(g_c), _eigh(g_t)
-    den_b = _positive(ls[:, None, None] * lc[None, :, None] * lt + damp)
-    rows = b.reshape(lab, m, 9).transpose(0, 2, 1).reshape(lab * 9, m)   # B_t over (l, t)
-    s_rows = (s_out @ b.reshape(lab, -1)).reshape(lab, m, 9).transpose(0, 2, 1)
-    lf, uf = _eigh(rows.T @ s_rows.reshape(lab * 9, m))
-    lx, ux = _eigh(xw @ xw.T)
-    den_a = _positive(lf[:, None] * lx + damp)
+    (lc, uc), (lt, ut) = _eigh(g_c), _eigh(g_t)
+    den_b = lc[..., None, :, None] * lt[..., None, None, :]            # [K x] 1 x M x 9
+    rows = _t(b.reshape(objects + (lab, m, 9)))                      # B_t over (l, t)
+    s_rows = rows
+    if s_out is not None:
+        ls, us = _eigh(s_out)
+        den_b = ls[..., :, None, None] * den_b
+        s_rows = _t((s_out @ b.reshape(objects + (lab, -1))).reshape(objects + (lab, m, 9)))
+    den_b = _positive(den_b + damp, (-3, -2, -1))
+    rows = rows.reshape(objects + (lab * 9, m))
+    lf, uf = _eigh(_t(rows) @ s_rows.reshape(objects + (lab * 9, m)))
+    lx, ux = input_factors
+    den_a = _positive(lf[..., :, None] * lx[..., None, :] + damp, (-2, -1))
 
     def inverse(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.matmul(uc.T, (us.T @ vb.reshape(lab, -1)).reshape(lab, m, 9)) @ ut
-        t = np.matmul(uc, t / den_b) @ ut.T
-        out_b = us @ t.reshape(lab, -1)
-        out_a = uf @ ((uf.T @ va.reshape(m, c) @ ux) / den_a) @ ux.T
+        t = vb.reshape(objects + (lab, -1))
+        if s_out is not None:
+            t = _t(us) @ t
+        t = np.matmul(_t(uc)[..., None, :, :],
+                      t.reshape(objects + (lab, m, 9))) @ ut[..., None, :, :]
+        t = np.matmul(uc[..., None, :, :], t / den_b) @ _t(ut)[..., None, :, :]
+        t = t.reshape(objects + (lab, -1))
+        out_b = t if s_out is None else us @ t
+        out_a = uf @ ((_t(uf) @ va.reshape(objects + (m, c)) @ ux) / den_a) @ _t(ux)
         return out_a, out_b
 
     return inverse
 
 
 def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
-                             fusion: FusionParams, mu: float) -> Callable:
+                             fusion: FusionParams, mu: float,
+                             cache: Optional[dict] = None) -> Callable:
     """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
     J^T J + mu I of ``residual_and_loss`` at the current filters.
 
-    ``batch`` is a stacked N x C x H x W batch.  One Kronecker block per
-    filter (see ``_branch_inverse``), damped by reg_lambda + mu; the
-    importance weights enter as w^2 averaged over the label channels at each
-    pixel.  A branch's output Gram S_out is T^T T for its map T from
-    ``output_maps``, the identity where T is.  P is symmetric positive
-    definite.  Only the branches that the fusion reads get a block, and the
-    branch outputs are computed only when a map reads them.
+    ``batch`` is a stacked N x C x H x W batch, with K x N targets and
+    weights for stacked filters, and v a K x P stack, one row per object.
+    One Kronecker block per object and filter (see ``_branch_inverse``),
+    damped by reg_lambda + mu; the importance weights enter as w^2 averaged
+    over the label channels at each pixel.  A branch's output Gram S_out is
+    T^T T for its map T from ``output_maps``, the identity where T is.  P is
+    symmetric positive definite.  Only the branches that the fusion reads get
+    a block, and the branch outputs are computed only when a map reads them.
+
+    ``cache``, one dict kept across the calls of a fit on one batch, holds
+    what the batch fixes: the root weights and each branch's G_x factors.
     """
+    cache = {} if cache is None else cache
     damp = params.reg_lambda + mu
-    w2 = np.mean(batch.weights.data ** 2, axis=1)
-    eye = np.eye(params.tau1[1].shape[0], dtype=params.tau1[1].data.dtype)
+    if "root" not in cache:
+        cache["root"] = np.sqrt(np.mean(batch.weights.data ** 2, axis=-3))[..., None, :, :]
+    root = cache["root"]
     maps = output_maps(fusion, lambda: (branch_filters(batch.l3_im, params.tau1),
                                         branch_filters(batch.l3_fl, params.tau2)))
-    branches = zip((batch.l3_im, batch.l3_fl), (params.tau1, params.tau2), maps)
-    inverses = [_branch_inverse(x.data, w2, pair, eye if t is None else t.T @ t, damp)
-                for x, pair, t in branches]
+    scale = 1.0 / damp if damp > 0.0 else 1.0
+    inverses = []
+    for i, (x, pair, t) in enumerate(zip((batch.l3_im, batch.l3_fl),
+                                         (params.tau1, params.tau2), maps)):
+        s_out = None if t is None else _t(t) @ t
+        if s_out is not None and not np.any(s_out):
+            # S_out = 0: both blocks are damp I
+            inverses.append(lambda va, vb: (scale * va, scale * vb))
+            continue
+        if i not in cache:
+            cache[i] = _input_factors(x.data, root)
+        inverses.append(_branch_inverse(x.data, root, cache[i], pair, s_out, damp))
     shapes = [t.shape for t in params.tensors()]
+    objects = params.objects
 
     def apply(v: np.ndarray) -> np.ndarray:
-        blocks = _unflatten(v, shapes)
+        blocks = _unflatten(v.reshape(objects, -1), shapes, objects)
         return _flatten([out for k, inverse in enumerate(inverses)
-                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])])
+                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])],
+                        objects).reshape(v.shape)
 
     return apply
 
@@ -291,7 +405,8 @@ class MemoryBuffer:
     """The learner's memory of one sequence: the first frame added, pinned,
     and a window of the newest ``capacity - 1`` frames after it.  A frame
     maps each object to its sample, so every object's batch stacks the same
-    frames under the same weights.
+    frames under the same weights; the objects of a frame share its
+    features.
 
     A pinned sample weighs ``pinned_weight``; a windowed one weighs
     ``decay ** age``, where the newest frame has age 0.
@@ -309,24 +424,41 @@ class MemoryBuffer:
         else:
             self.recent.append(frame)
 
-    def batch(self, key) -> TargetSample:
-        """Object ``key``'s samples, stacked with their weights."""
+    def batch(self, keys) -> TargetSample:
+        """Object ``keys``' samples stacked with their weights; for a list of
+        K objects, each frame's features stacked once, from its first
+        object's sample, with K x N targets and weights."""
+        frames = [self.pinned, *self.recent]
         n = len(self.recent)
         weights = [self.pinned_weight] + [self.decay ** (n - 1 - i) for i in range(n)]
-        return stack_samples([self.pinned[key], *(f[key] for f in self.recent)], weights)
+        if not isinstance(keys, list):
+            return stack_samples([f[keys] for f in frames], weights)
+
+        def joint(frame):
+            first = frame[keys[0]]
+            return TargetSample(
+                l3_im=first.l3_im, l3_fl=first.l3_fl,
+                encoded=Tensor(np.stack([frame[k].encoded.data for k in keys])),
+                weights=Tensor(np.stack([frame[k].weights.data for k in keys])))
+
+        return stack_samples([joint(f) for f in frames], weights)
 
 
 def optimize(params: TargetModelParams, batch: TargetSample,
              fusion: FusionParams, cfg: RunConfig, *,
              outer_iters: int) -> OptimizeResult:
     """Fit the target model to a batch from ``stack_samples`` in
-    ``outer_iters`` outer iterations; loss never increases."""
+    ``outer_iters`` outer iterations; loss never increases.  Stacked filters
+    fit their K objects jointly, each to its own targets and weights of the
+    batch (``MemoryBuffer.batch`` of a list), with the iterates of its own
+    fit."""
+    cache: dict = {}
 
     def residual_fn(_):
         return residual_and_loss(batch, params, fusion)[0]
 
     def make_preconditioner():
-        return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping)
+        return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping, cache)
 
     return gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
-                        cfg.learner_damping, make_preconditioner)
+                        cfg.learner_damping, make_preconditioner, objects=params.objects)

@@ -1,10 +1,12 @@
 """Two-stage procedure: offline meta-training and sequential inference.
 
-Inference keeps one target model per annotated object and makes one pass
-over the frames: pad, extract pyramids, take frame 0's probabilities from
-the annotation or decode a later frame through the target models, binarize,
-add the labels to the sequence's memory as each object's sample, and fit on
-the cadence or confidence rule, which frame 0 meets with the initial budget.
+Inference keeps the target models of the annotated objects stacked along
+one object axis and makes one pass over the frames: pad, extract pyramids,
+take frame 0's probabilities from the annotation or decode a later frame
+through one target-model application for every object, binarize, add the
+labels to the sequence's memory as each object's sample, and fit on the
+cadence or confidence rule, which frame 0 meets with the initial budget:
+one joint fit serves every object, each with the iterates of its own fit.
 Frame results depend only on frames up to t.
 
 Offline training draws four frames per sample from one sequence: the
@@ -159,7 +161,8 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     h0, w0 = annotation.shape
 
     ids = np.asarray(objects, dtype=np.uint8)
-    taus = {k: _new_target_model(model, cfg, (_SEED_INFER, k)) for k in objects}
+    tau = TargetModelParams.stack([_new_target_model(model, cfg, (_SEED_INFER, k))
+                                   for k in objects])
     memory = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
                           cfg.learner_pinned_weight)
     results = []
@@ -171,10 +174,11 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
             probs = np.stack([(annotation == k).astype(DTYPE) for k in objects])
         else:
             fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-            f_tms = [apply(*_level3(pyr_im, pyr_fl), taus[k], model.fusion_tm)
-                     for k in objects]
-            probs = np.stack([ad.sigmoid(logits).data[0, :h0, :w0]
-                              for logits in decode(f_tms, fused, model.decoder)])
+            l3 = [None if x is None else Tensor(x.data[None]) for x in _level3(pyr_im, pyr_fl)]
+            f_tm = apply(*l3, tau, model.fusion_tm).data      # K x 1 x L x H x W
+            # inference records no tape, so each object's f_tm is taken as data
+            logits = decode([Tensor(f[0]) for f in f_tm], fused, model.decoder)
+            probs = np.stack([ad.sigmoid(z).data[0, :h0, :w0] for z in logits])
         # binarizing frame 0's one-hot probabilities gives back the annotation
         best = np.argmax(probs, axis=0)
         labels = np.where(probs.max(axis=0) > 0.5, ids[best], 0).astype(np.uint8)
@@ -187,9 +191,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
                    or confidence > cfg.learner_update_conf)
         if updated:
             iters = cfg.learner_outer_iters_update if t else cfg.learner_outer_iters_init
-            for k in objects:
-                optimize(taus[k], memory.batch(k), model.fusion_tm, cfg,
-                         outer_iters=iters)
+            optimize(tau, memory.batch(objects), model.fusion_tm, cfg, outer_iters=iters)
         results.append(SegResult(probs=probs, labels=labels, frame_index=t,
                                  seconds=time.perf_counter() - tic,
                                  updated=updated))
@@ -340,7 +342,8 @@ def _draw_sample(seq: Sequence, rng, cfg: RunConfig) -> TrainingSample:
 
 def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
                    rng) -> TargetModelParams:
-    """Inner loop: fit the target model on the (augmented) reference frame."""
+    """Inner loop: fit the target model on the (augmented) reference frame,
+    a one-object fit."""
     refs = [sample.reference]
     for _ in range(cfg.train_aug_copies):
         refs.append(augment_frameset(sample.reference, rng))

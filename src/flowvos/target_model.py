@@ -11,6 +11,12 @@ are stacked, which folds in the square root of each sample's weight.  The
 loss is represented through a stacked residual vector r with
 L = 0.5 * ||r||^2 exactly, which is what the Gauss-Newton learner
 differentiates.
+
+The filters of K objects stack along a leading object axis
+(``TargetModelParams.stack``).  Every object reads the same features: the
+1x1 reduce runs once over them as a grouped convolution, the fusion sees the
+K objects' outputs as one batch, and the residual is K x R, one row per
+object, each row that object's residual alone.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ MID_CHANNELS = 32
 class TargetSample:
     """One regression sample: frozen level-3 features, target and weights.
 
-    Every tensor is C x H x W, or N x C x H x W for a batch of samples.
+    Every tensor is C x H x W, or N x C x H x W for a batch of samples; a
+    batch for K objects holds each object's targets and weights along a
+    leading object axis.
     """
 
     l3_im: Tensor
@@ -42,7 +50,8 @@ class TargetSample:
 
 @dataclass
 class TargetModelParams:
-    tau1: tuple                      # (1x1 reduce, 3x3 expand) image filters
+    tau1: tuple                      # image filters: 1x1 reduce [K x] M x C x 1 x 1,
+                                     # then 3x3 expand [K x] L x M x 3 x 3
     tau2: Optional[tuple]            # flow filters; absent without a flow branch
     reg_lambda: float
 
@@ -60,6 +69,24 @@ class TargetModelParams:
         return cls(tau1=pair(), tau2=pair() if with_flow else None,
                    reg_lambda=reg_lambda)
 
+    @classmethod
+    def stack(cls, models: list):
+        """One model for the objects of ``models``, one-object models with a
+        shared ``reg_lambda``: each filter stacked along a leading object
+        axis, in the order given."""
+        def stacked(pairs):
+            return tuple(Tensor(np.stack([p[i].data for p in pairs])) for i in (0, 1))
+
+        return cls(tau1=stacked([m.tau1 for m in models]),
+                   tau2=None if models[0].tau2 is None else stacked([m.tau2 for m in models]),
+                   reg_lambda=models[0].reg_lambda)
+
+    @property
+    def objects(self) -> int:
+        """K for stacked filters, else 1."""
+        a = self.tau1[0]
+        return a.shape[0] if a.ndim == 5 else 1
+
     def tensors(self) -> list:
         ts = [self.tau1[0], self.tau1[1]]
         if self.tau2 is not None:
@@ -75,21 +102,32 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
           fusion: FusionParams) -> Tensor:
     """Target representation f_tm from the level-3 features of both branches,
     one sample (C x H x W) or a batch (N x C x H x W); the flow filters run
-    when the target model has them."""
+    when the target model has them.  Stacked filters read one batch and give
+    K x N x L x H x W, and the fusion sees their K objects' outputs as one
+    K*N batch."""
     f_x = branch_filters(l3_im, params.tau1)
     f_f = None if params.tau2 is None else branch_filters(l3_fl, params.tau2)
-    return fuse(f_x, f_f, fusion)
+    if f_x.ndim < 5:
+        return fuse(f_x, f_f, fusion)
+    shape = f_x.shape
+
+    def merged(t):
+        return None if t is None else ad.reshape(t, (shape[0] * shape[1],) + shape[2:])
+
+    return ad.reshape(fuse(merged(f_x), merged(f_f), fusion), shape)
 
 
 def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
     """The C x H x W samples as one N x C x H x W batch, with the square root
-    of each sample weight folded into its importance weights.
+    of each sample weight folded into its importance weights.  Samples whose
+    targets and weights carry a leading object axis K stack to K x N targets
+    and weights.
 
     The stacked tensors are constants: no gradient flows back to the sample
     tensors.
     """
-    def stack(arrays):
-        return Tensor(np.stack(arrays))
+    def stack(arrays):                   # the sample axis goes in front of C x H x W
+        return Tensor(np.stack(arrays, axis=-4))
 
     weights = [s.weights.data for s in samples]
     if sample_weights is not None:
@@ -110,15 +148,20 @@ def residual_and_loss(batch: TargetSample, params: TargetModelParams,
     already hold the square root of its sample weight; the regularizer
     contributes sqrt(lambda) times the flattened filters.  The samples run as
     one batch, so the recorded tape has the same nodes for any number of
-    samples.
+    samples.  Stacked filters give a K x R residual, object k's in row k,
+    and the summed loss.
     """
+    rows = params.tau1[0].shape[:-4]     # (K,) for stacked filters
+
+    def flat(t):
+        return ad.reshape(t, rows + (t.size // params.objects,))
+
     f_tm = apply(batch.l3_im, batch.l3_fl, params, fusion)
-    block = ad.mul(batch.weights, ad.sub(f_tm, batch.encoded))
-    blocks = [ad.reshape(block, (block.size,))]
+    blocks = [flat(ad.mul(batch.weights, ad.sub(f_tm, batch.encoded)))]
     if params.reg_lambda > 0.0:
         root = float(np.sqrt(params.reg_lambda))
         for t in params.tensors():
-            blocks.append(ad.reshape(t, (t.size,)) * root)
-    r = ad.concat(blocks, axis=0)
+            blocks.append(flat(t) * root)
+    r = ad.concat(blocks, axis=-1)
     loss = ad.sumsq(r) * 0.5
     return r, loss

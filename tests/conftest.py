@@ -63,11 +63,30 @@ class FitProblem:
     outer_iters: int
 
 
+def split_objects(problem: FitProblem) -> list:
+    """A joint fit problem of K objects as K one-object problems: each
+    object's starting filters, and the batch's features with that object's
+    targets and weights."""
+    def pick(pair, k):
+        return None if pair is None else tuple(ad.Tensor(t.data[k].copy()) for t in pair)
+
+    params, batch = problem.params, problem.batch
+    return [FitProblem(TargetModelParams(tau1=pick(params.tau1, k),
+                                         tau2=pick(params.tau2, k),
+                                         reg_lambda=params.reg_lambda),
+                       TargetSample(l3_im=batch.l3_im, l3_fl=batch.l3_fl,
+                                    encoded=ad.Tensor(batch.encoded.data[k]),
+                                    weights=ad.Tensor(batch.weights.data[k])),
+                       problem.fusion, problem.outer_iters)
+            for k in range(params.objects)]
+
+
 def capture_fit_problems(tmp_dir, seed: int = 3, frames: int = 9,
                          size: int = 64) -> list:
     """The fit problems of ``infer_sequence`` on a seeded size x size twin
     sequence (two identical objects told apart only by motion) with an
-    untrained attention model and default learner settings."""
+    untrained attention model and default learner settings: one joint
+    problem of both objects per fitting frame."""
     scene = random_scene(size, size, frames, 2, seed, distractors=True)
     seq = load_sequence(generate_synthetic(scene, tmp_dir / "twins"))
     problems = []
@@ -88,8 +107,14 @@ def capture_fit_problems(tmp_dir, seed: int = 3, frames: int = 9,
 
 
 @pytest.fixture(scope="session")
-def fit_problems(tmp_path_factory):
+def joint_fit_problems(tmp_path_factory):
     return capture_fit_problems(tmp_path_factory.mktemp("fit_problems"))
+
+
+@pytest.fixture(scope="session")
+def fit_problems(joint_fit_problems):
+    """The captured problems one object at a time, frame by frame."""
+    return [p for joint in joint_fit_problems for p in split_objects(joint)]
 
 
 def conv2d_loops(x, w, padding=0):

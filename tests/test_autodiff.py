@@ -19,6 +19,18 @@ CONV_CASES = [
     pytest.param((2, 6, 5), (12, 2, 3, 3), id="3x3-per-tap-input-gradient"),
 ]
 
+# (input shape, kernel shape) of a grouped conv2d: one batch that every group
+# reads, or a batch per group, with k = 1 and 3 in both tap regimes of the
+# forward pass and of the input gradient
+GROUPED_CASES = [
+    pytest.param((2, 6, 5, 4), (3, 4, 6, 1, 1), id="1x1-shared"),
+    pytest.param((3, 2, 6, 5, 4), (3, 4, 6, 1, 1), id="1x1-stacked"),
+    pytest.param((2, 3, 5, 4), (3, 4, 3, 3, 3), id="3x3-shared"),
+    pytest.param((3, 2, 3, 5, 4), (3, 4, 3, 3, 3), id="3x3-stacked"),
+    pytest.param((2, 12, 5, 4), (3, 4, 12, 3, 3), id="3x3-per-tap-shared"),
+    pytest.param((3, 2, 2, 5, 4), (3, 12, 2, 3, 3), id="3x3-per-tap-input-gradient-stacked"),
+]
+
 
 class TestConv2d:
     def test_identity_kernel(self, rng):
@@ -98,6 +110,51 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((1, 1, 2, 2)))
         with pytest.raises(ValueError, match="odd"):
             ad.conv2d(x, w)
+
+
+class TestGroupedConv2d:
+    @pytest.mark.parametrize("xshape, wshape", GROUPED_CASES)
+    def test_each_group_is_its_own_call_byte_for_byte(self, rng, xshape, wshape):
+        x = rng.standard_normal(xshape).astype(np.float32)
+        w = rng.standard_normal(wshape).astype(np.float32)
+        b = rng.standard_normal(wshape[:2]).astype(np.float32)
+        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (wshape[0], xshape[-4], wshape[1]) + xshape[-2:]
+        for g in range(wshape[0]):
+            xg = x if len(xshape) == 4 else x[g]
+            assert np.array_equal(out[g], ad.conv2d(Tensor(xg), Tensor(w[g]),
+                                                    Tensor(b[g])).data)
+
+    @pytest.mark.parametrize("xshape, wshape", GROUPED_CASES)
+    def test_output_and_gradients_match_the_per_group_calls(self, rng, xshape, wshape):
+        # float64; a shared input's gradient sums those of the groups
+        x, w = rng.standard_normal(xshape), rng.standard_normal(wshape)
+        shared = len(xshape) == 4
+
+        def run(xa, wa, cot):
+            with Tape() as tape:
+                out = ad.conv2d(Tensor(xa), Tensor(wa))
+            return (out.data, *tape.nodes[-1].vjp(cot, (True, True)))
+
+        cot = rng.standard_normal((wshape[0], xshape[-4], wshape[1]) + xshape[-2:])
+        out, dx, dw = run(x, w, cot)
+        per_group = [run(x if shared else x[g], w[g], cot[g]) for g in range(wshape[0])]
+        ref_dx = (sum(p[1] for p in per_group) if shared
+                  else np.stack([p[1] for p in per_group]))
+        for got, ref in [(out, np.stack([p[0] for p in per_group])), (dx, ref_dx),
+                         (dw, np.stack([p[2] for p in per_group]))]:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_input_must_match_the_groups(self, rng):
+        w = Tensor(rng.standard_normal((3, 4, 2, 3, 3)))
+        with pytest.raises(ValueError, match="input has 2 groups but kernel has 3"):
+            ad.conv2d(Tensor(rng.standard_normal((2, 1, 2, 4, 4))), w)
+        with pytest.raises(ValueError, match="NxCxHxW or GxNxCxHxW"):
+            ad.conv2d(Tensor(rng.standard_normal((2, 4, 4))), w)
+        with pytest.raises(ValueError, match=r"bias shape \(4,\) != \(3, 4\)"):
+            ad.conv2d(Tensor(rng.standard_normal((1, 2, 4, 4))), w,
+                      Tensor(rng.standard_normal(4)))
 
 
 class TestElementwise:
@@ -332,6 +389,8 @@ def _op_cases(rng):
     xs, ys = t((2, 3, 4)), t((2, 4, 2))
     xcb, ycb = t((2, 2, 3, 3)), t((2, 1, 3, 3))
     wk = t((2, 4, 3, 3))
+    xgs, wgs = t((2, 2, 4, 4)), t((3, 2, 2, 3, 3))          # one input, 3 groups
+    xgk, wgk, bgk = t((2, 1, 3, 4, 4)), t((2, 2, 3, 1, 1)), t((2, 2))   # an input per group
     return [
         ("add", [x23a, x23b], lambda: ad.sumsq(ad.add(x23a, x23b))),
         ("sub", [x23a, x23b], lambda: ad.sumsq(ad.sub(x23a, x23b))),
@@ -350,6 +409,9 @@ def _op_cases(rng):
         ("kernel_slice", [wk], lambda: ad.sumsq(ad.kernel_slice(wk, 1, 3))),
         ("conv2d", [xc, wc, bc], lambda: ad.sumsq(ad.conv2d(xc, wc, bc))),
         ("conv2d batched", [xb, wb], lambda: ad.sumsq(ad.conv2d(xb, wb))),
+        ("conv2d grouped", [xgs, wgs], lambda: ad.sumsq(ad.conv2d(xgs, wgs))),
+        ("conv2d grouped stacked", [xgk, wgk, bgk],
+         lambda: ad.sumsq(ad.conv2d(xgk, wgk, bgk))),
         ("matmul stacked", [xs, ys], lambda: ad.sumsq(ad.matmul(xs, ys))),
         ("transpose2d stacked", [xs], lambda: ad.sumsq(ad.transpose2d(xs))),
         ("concat axis -3", [xcb, ycb],
@@ -415,6 +477,10 @@ def _batched_cases(rng):
         ("conv2d k3", [(3, 2, 5, 4), (4, 2, 3, 3), (4,)],
          lambda x, w, b: ad.conv2d(x, w, b)),
         ("conv2d k1", [(2, 3, 4, 4), (5, 3, 1, 1)], lambda x, w: ad.conv2d(x, w)),
+        ("conv2d grouped k3", [(2, 3, 5, 4), (2, 4, 3, 3, 3)],
+         lambda x, w: ad.conv2d(x, w)),
+        ("conv2d grouped k1 stacked", [(2, 3, 2, 4, 4), (2, 5, 2, 1, 1), (2, 5)],
+         lambda x, w, b: ad.conv2d(x, w, b)),
         ("matmul stacked", [(3, 2, 4), (3, 4, 5)], ad.matmul),
         ("transpose2d stacked", [(3, 2, 4)], ad.transpose2d),
         ("concat axis -3", [(2, 3, 4, 4), (2, 1, 4, 4)],

@@ -11,7 +11,7 @@ from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
 from flowvos.target_model import (TargetModelParams, TargetSample, branch_filters,
                                   residual_and_loss, stack_samples)
 
-from conftest import float64, snapshot
+from conftest import FitProblem, float64, snapshot, split_objects
 
 
 def linear_residual(A, b):
@@ -274,6 +274,29 @@ class TestKroneckerPreconditioner:
         assert sum(r.losses[-1] for r in ours) < sum(r.losses[-1] for r in plain)
         assert sum(r.matvecs for r in ours) <= 0.4 * sum(r.matvecs for r in plain)
 
+    def test_batch_factors_built_once_give_the_rebuilt_fit_bit_for_bit(self, fit_problems):
+        # one object at a time, as captured (float32): the factors that the
+        # batch fixes, cached across a call, against a preconditioner built
+        # from scratch at every outer iteration
+        cfg = RunConfig(seed=0)
+        for problem in fit_problems:
+            cached, rebuilt = snapshot(problem.params), snapshot(problem.params)
+            ours = optimize(cached, problem.batch, problem.fusion, cfg,
+                            outer_iters=problem.outer_iters)
+
+            def residual_fn(_):
+                return residual_and_loss(problem.batch, rebuilt, problem.fusion)[0]
+
+            def make():
+                return kronecker_preconditioner(problem.batch, rebuilt, problem.fusion,
+                                                cfg.learner_damping)
+
+            ref = gauss_newton(residual_fn, rebuilt.tensors(), problem.outer_iters,
+                               cfg.learner_cg_iters, cfg.learner_damping, make)
+            assert ours.losses == ref.losses
+            assert all(np.array_equal(a.data, b.data)
+                       for a, b in zip(cached.tensors(), rebuilt.tensors()))
+
 
 class TestMemoryBuffer:
     def sample(self, rng):
@@ -425,6 +448,82 @@ class TestOptimize:
         res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=3)
         assert res.losses[-1] < res.losses[0]
         assert all(y <= x for x, y in zip(res.losses, res.losses[1:]))
+
+
+def _float64_problem(problem: FitProblem) -> FitProblem:
+    """A copy of a captured problem in float64; the captured one is shared."""
+    fusion = problem.fusion
+    names = ("wq", "wk", "wv", "wo", "wc")
+    fusion = FusionParams(mode=fusion.mode, **{
+        n: Tensor(getattr(fusion, n).data.astype(np.float64))
+        for n in names if getattr(fusion, n) is not None})
+    b = problem.batch
+    batch = TargetSample(*(None if t is None else Tensor(t.data.astype(np.float64))
+                           for t in (b.l3_im, b.l3_fl, b.encoded, b.weights)))
+    return FitProblem(float64(snapshot(problem.params)), batch, fusion, problem.outer_iters)
+
+
+def _assert_joint_follows_separate_fits(problem: FitProblem) -> None:
+    """Each object of a joint float64 fit against its own fit: the losses to
+    1e-10 relative, then flat once its own fit stopped, and the filters."""
+    cfg = RunConfig(seed=0)
+    singles = split_objects(problem)
+    joint = optimize(problem.params, problem.batch, problem.fusion, cfg,
+                     outer_iters=problem.outer_iters)
+    assert joint.losses == [float(np.sum(x)) for x in joint.object_losses]
+    for k, single in enumerate(singles):
+        alone = optimize(single.params, single.batch, single.fusion, cfg,
+                         outer_iters=single.outer_iters)
+        ours = [x[k] for x in joint.object_losses]
+        n = len(alone.losses)
+        assert ours[n:] == [ours[n - 1]] * (len(ours) - n)
+        np.testing.assert_allclose(ours[:n], alone.losses, rtol=1e-10, atol=0)
+        for t, ref in zip(problem.params.tensors(), single.params.tensors()):
+            assert np.max(np.abs(t.data[k] - ref.data)) <= 1e-10 * np.max(np.abs(ref.data))
+
+
+class TestJointFit:
+    def test_each_captured_object_follows_its_separate_fit(self, joint_fit_problems):
+        assert joint_fit_problems and all(p.params.objects == 2 for p in joint_fit_problems)
+        for problem in joint_fit_problems:
+            _assert_joint_follows_separate_fits(_float64_problem(problem))
+
+    @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
+    def test_each_object_follows_its_separate_fit_in_every_mode(self, rng, mode):
+        # three objects on shared features, a random attention output wo
+        cases = [_preconditioner_case(rng, mode) for _ in range(3)]
+        _, batch, fp = cases[-1]
+        encoded = rng.standard_normal((3,) + batch.encoded.shape)
+        weights = rng.random((3,) + batch.weights.shape)
+        joint = TargetSample(l3_im=batch.l3_im, l3_fl=batch.l3_fl,
+                             encoded=Tensor(encoded), weights=Tensor(weights))
+        _assert_joint_follows_separate_fits(
+            FitProblem(TargetModelParams.stack([c[0] for c in cases]), joint, fp, outer_iters=4))
+
+    def test_a_rejected_object_keeps_its_filters_while_the_other_fits_on(self):
+        # r = sigmoid(t) - 1/2 per object: at t = 3 the full Gauss-Newton step
+        # raises the loss, so without halvings object 0 is rejected; object
+        # 1 starts near the root, takes full steps and keeps going
+        def fn(params):
+            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((2, 1), 0.5)))
+
+        tau = Tensor(np.array([[3.0], [0.3]]))
+        res = gauss_newton(fn, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0,
+                           objects=2)
+        assert res.rejected == [1, 0, 0] and res.halvings == [0, 0, 0]
+        assert tau.data[0, 0] == 3.0
+        first = [x[0] for x in res.object_losses]
+        second = [x[1] for x in res.object_losses]
+        assert first == [first[0]] * 4
+        assert all(b < a for a, b in zip(second, second[1:]))
+
+        alone = Tensor(np.array([0.3]))
+
+        def fn_alone(params):
+            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
+
+        ref = gauss_newton(fn_alone, [alone], 3, cg_iters=1, damping=0.0, max_halvings=0)
+        assert second == ref.losses and tau.data[1, 0] == alone.data[0]
 
 
 def test_config_validation():

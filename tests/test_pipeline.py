@@ -210,7 +210,7 @@ class TestInference:
             np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_target_model_updates_during_sequence(self, tmp_path, monkeypatch):
-        generate_synthetic(tiny_scene(frames=9, two_objects=False),
+        generate_synthetic(tiny_scene(frames=9, two_objects=True),
                            tmp_path / "m")
         seq = load_sequence(tmp_path / "m")
         model = Model(fusion_mode="attention", seed=1)
@@ -228,37 +228,47 @@ class TestInference:
                        base_cfg(**{"learner.update_every": 4}))
         assert initial
         for params, after_init in initial.values():
-            dist = np.linalg.norm(np.concatenate(
-                [(t.data - a).reshape(-1) for t, a in zip(params.tensors(), after_init)]))
-            assert dist > 0.0
+            assert params.objects == 2
+            for k in range(params.objects):      # every object's slice moves
+                dist = np.linalg.norm(np.concatenate(
+                    [(t.data[k] - a[k]).reshape(-1)
+                     for t, a in zip(params.tensors(), after_init)]))
+                assert dist > 0.0
 
     def test_fit_schedule(self, tmp_path, monkeypatch):
-        """Frame 0 fits every object with the initial budget, then every
-        object refits with the update budget on each cadence frame and on no
-        other (update_conf = 1 turns the confidence rule off)."""
+        """Frame 0 fits every object in one call with the initial budget,
+        then one call refits every object with the update budget on each
+        cadence frame and on no other (update_conf = 1 turns the confidence
+        rule off).  One target-model application serves every object of a
+        later frame."""
         generate_synthetic(tiny_scene(frames=9, two_objects=True), tmp_path / "m")
         seq = load_sequence(tmp_path / "m")
         objects = len(np.unique(seq.masks[0])) - 1
-        frame, fits = [], []             # frame: one entry per frame reached
-        pyramids, fit = pipeline._pyramids, pipeline.optimize
+        frame, fits, applies = [], [], []    # frame: one entry per frame reached
+        pyramids, fit, apply = pipeline._pyramids, pipeline.optimize, pipeline.apply
 
         def count_frame(*args):
             frame.append(len(frame))
             return pyramids(*args)
 
+        def count_apply(*args):
+            applies.append(frame[-1])
+            return apply(*args)
+
         def record(params, batch, fusion, cfg, *, outer_iters):
-            fits.append((frame[-1], outer_iters))
+            fits.append((frame[-1], outer_iters, params.objects))
             return fit(params, batch, fusion, cfg, outer_iters=outer_iters)
 
         monkeypatch.setattr(pipeline, "_pyramids", count_frame)
         monkeypatch.setattr(pipeline, "optimize", record)
+        monkeypatch.setattr(pipeline, "apply", count_apply)
         cfg = base_cfg(**{"learner.update_every": 3, "learner.update_conf": 1})
         results = infer_sequence(frame_sets(seq), seq.masks[0],
                                  Model(fusion_mode="attention", seed=1), cfg)
         init, update = cfg.learner_outer_iters_init, cfg.learner_outer_iters_update
         assert objects == 2 and init != update
-        assert fits == ([(0, init)] * objects
-                        + [(t, update) for t in (3, 6) for _ in range(objects)])
+        assert fits == [(0, init, objects)] + [(t, update, objects) for t in (3, 6)]
+        assert applies == list(range(1, 9))
         assert [r.frame_index for r in results] == list(range(9))
         assert [r.updated for r in results] == [t % 3 == 0 for t in range(9)]
 
