@@ -63,17 +63,18 @@ def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
     return pyramid
 
 
-def encode_label(mask: Tensor, label_channels: int = LABEL_CHANNELS
+def encode_label(masks: Tensor, label_channels: int = LABEL_CHANNELS
                  ) -> tuple[Tensor, Tensor]:
-    """Regression target and importance weights for a 1xHxW mask: the mask
-    average-pooled to level 3 and tiled to ``label_channels``, and weights of
-    one, both label_channels x H/8 x W/8."""
-    if mask.ndim != 3 or mask.shape[0] != 1:
-        raise ValueError(f"encode_label: expected 1xHxW mask, got shape {mask.shape}")
-    h, w = mask.shape[1:]
+    """Regression targets and importance weights for K x H x W masks, one
+    per object: each mask average-pooled to level 3 and tiled to
+    ``label_channels``, and weights of one, both
+    K x label_channels x H/8 x W/8."""
+    if masks.ndim != 3:
+        raise ValueError(f"encode_label: expected KxHxW masks, got shape {masks.shape}")
+    k, h, w = masks.shape
     div = 2 ** TARGET_LEVEL
     if h % div or w % div:
         raise ValueError(f"encode_label: spatial size {h}x{w} not divisible by {div}")
-    pooled = mask.data[0].reshape(h // div, div, w // div, div).mean(axis=(1, 3))
-    encoded = np.repeat(pooled[None], label_channels, axis=0)
+    pooled = masks.data.reshape(k, h // div, div, w // div, div).mean(axis=(2, 4))
+    encoded = np.repeat(pooled[:, None], label_channels, axis=1)
     return Tensor(encoded), Tensor(np.ones_like(encoded))

@@ -101,10 +101,10 @@ def output_maps(params: FusionParams, outputs: Callable) -> list:
     identity.  Mode "none" maps the image branch by the identity, "concat"
     each branch by its half of wc, and "attention" the image branch by its
     skip's identity and the flow branch by wo M wq, with M the attention map
-    averaged over the batch (zero while wo is).  ``outputs()`` returns the
-    image and flow branch outputs that M reads, N x C x H x W, or
-    K x N x C x H x W for K objects, each with its own M and map; it is
-    called only when wo is nonzero.
+    averaged over each object's batch (zero while wo is), one map per
+    object.  ``outputs()`` returns the image and flow branch outputs of the
+    K objects that M reads, K x N x C x H x W; it is called only when wo is
+    nonzero.
     """
     if params.mode == "none":
         return [None]
@@ -114,8 +114,8 @@ def output_maps(params: FusionParams, outputs: Callable) -> list:
     if not np.any(wo):
         return [None, np.zeros((wo.shape[0],) * 2, dtype=wo.dtype)]
     f_im, f_fl = outputs()
-    objects = f_im.shape[:-4]            # (K,) for stacked objects
-    batch = (int(np.prod(f_im.shape[:-3])),) + f_im.shape[-3:]     # K*N samples
+    objects, n = f_im.shape[:2]
+    batch = (objects * n,) + f_im.shape[2:]
     maps = attention_map(ad.reshape(f_im, batch), ad.reshape(f_fl, batch), params).data
-    mean_map = maps.reshape(objects + (-1,) + maps.shape[-2:]).mean(axis=-3)
+    mean_map = maps.reshape((objects, n) + maps.shape[-2:]).mean(axis=1)
     return [None, wo @ mean_map @ params.wq.data[:, :, 0, 0]]

@@ -21,17 +21,17 @@ count and each step's halvings and rejections.  ``gauss_newton`` takes its
 CG budget and damping as arguments; ``optimize`` reads them from the
 ``RunConfig``, whose check bounds them.
 
-The objects of a frame are fitted as one problem: their filters stack along
-a leading object axis, the residual has one row per object, and every
-product, residual and preconditioner serves all of them at once.  Each
-object keeps its own CG scalars, step length, rejection and losses, so its
-iterates are those of its own fit; an object that is rejected, or reaches
-a zero gradient, stops while the others go on.
+Every parameter has a leading object axis of K independent problems, one
+per object (K = 1 in training's fit): the residual has one row per object,
+and every product, residual and preconditioner serves all of them at once.
+Each object keeps its own CG scalars, step length, rejection and losses,
+so its iterates are those of its own fit; an object that is rejected, or
+reaches a zero gradient, stops while the others go on.
 
 At inference the fits read a ``MemoryBuffer``, the memory of a sequence:
 the annotated first frame, pinned, and the newest predicted frames under
-decaying weights, each frame holding one sample per object, all of them
-on the frame's features.
+decaying weights, each frame one sample of every object on the frame's
+features.
 """
 
 from __future__ import annotations
@@ -78,15 +78,16 @@ class OptimizeResult:
         return [float(np.sum(losses)) for losses in self.object_losses]
 
 
-def _flatten(arrs: Sequence[np.ndarray], objects: int) -> np.ndarray:
-    """The arrays as one K x P matrix, row k holding object k's entries."""
-    return np.concatenate([a.reshape(objects, -1) for a in arrs], axis=1)
+def _flatten(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    """The K-stacked arrays as one K x P matrix, row k holding object k's
+    entries."""
+    return np.concatenate([a.reshape(len(a), -1) for a in arrs], axis=1)
 
 
-def _unflatten(vec: np.ndarray, shapes, objects: int) -> list:
+def _unflatten(vec: np.ndarray, shapes) -> list:
     out, i = [], 0
     for sh in shapes:
-        n = int(np.prod(sh)) // objects
+        n = int(np.prod(sh[1:]))
         out.append(vec[:, i:i + n].reshape(sh))
         i += n
     return out
@@ -97,12 +98,12 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([float(u @ v) for u, v in zip(a, b)])
 
 
-def _per_row(values: np.ndarray, like: np.ndarray):
+def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     """One value per row (or per object) of ``like``, shaped to broadcast
     over its rows; floats take its dtype."""
     if values.dtype.kind == "f":
         values = values.astype(like.dtype)
-    return values[0] if len(values) == 1 else values.reshape((-1,) + (1,) * (like.ndim - 1))
+    return values.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def _object_losses(values, objects: int) -> np.ndarray:
@@ -113,41 +114,35 @@ def _object_losses(values, objects: int) -> np.ndarray:
 
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
                        preconditioner: Optional[Callable] = None
-                       ) -> tuple[np.ndarray, "float | np.ndarray"]:
-    """Approximate solution x of A x = b, and its relative residual
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate solutions x of A x = b for the K independent systems of
+    a K x P ``b``, one per row, that share each product with a
+    row-block-diagonal A, and each row's relative residual
     ||b - A x|| / ||b|| as CG's own recurrence tracks it (0 for b = 0).
-    It stops early once that residual falls to 1e-12.
 
-    A K x P ``b`` holds K independent systems, one per row, that share each
-    product with a row-block-diagonal A: every row keeps its own step
-    lengths and stop test, a stopped row keeps its iterate, and the
-    residuals come back one per row.  ``preconditioner`` maps a residual v to
-    P v for a symmetric positive definite P close to A^-1, block diagonal
-    like A; without one this is plain CG.
+    Every row keeps its own step lengths and stop test, and stops early,
+    keeping its iterate, once its residual falls to 1e-12.
+    ``preconditioner`` maps a K x P residual v to P v for a symmetric
+    positive definite P close to A^-1, block diagonal like A; without one
+    this is plain CG.
     """
     if preconditioner is None:
         def preconditioner(v):
             return v
-    shape = b.shape
-    rows = b.reshape(-1, shape[-1])
-
-    def product(f, v):                   # f applied to a K x P stack
-        return f(v.reshape(shape)).reshape(rows.shape)
-
-    x = np.zeros_like(rows)
-    r = rows.copy()
-    z = product(preconditioner, r)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = preconditioner(r)
     p = z.copy()
     rr = _dots(r, r)
     rz = _dots(r, z)
     bnorm = np.sqrt(rr)
     stop = 1e-12 * bnorm
-    live = np.ones(len(rows), dtype=bool)
+    live = np.ones(len(b), dtype=bool)
     for _ in range(iters):
         live &= np.sqrt(rr) > stop
         if not live.any():
             break
-        ap = product(matvec, p)
+        ap = matvec(p)
         pap = _dots(p, ap)
         live &= pap > 0.0
         if not live.any():
@@ -157,7 +152,7 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
         x += _per_row(alpha, x) * p
         r -= _per_row(alpha, r) * ap
         rr = _dots(r, r)
-        z = product(preconditioner, r)
+        z = preconditioner(r)
         rz_new = _dots(r, z)
         beta = np.zeros_like(rz)
         beta[live] = rz_new[live] / rz[live]
@@ -166,7 +161,7 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
     resid = np.zeros_like(rr)
     solved = bnorm > 0.0
     resid[solved] = np.sqrt(rr[solved]) / bnorm[solved]
-    return x.reshape(shape), resid if len(shape) == 2 else float(resid[0])
+    return x, resid
 
 
 def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halvings):
@@ -206,7 +201,7 @@ def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halv
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
                  cg_iters: int, damping: float,
                  make_preconditioner: Optional[Callable] = None,
-                 max_halvings: int = 8, objects: int = 1) -> OptimizeResult:
+                 max_halvings: int = 8) -> OptimizeResult:
     """Damped Gauss-Newton with matrix-free CG inner solves; mutates params.
 
     Each outer iteration runs ``cg_iters`` CG iterations on the normal
@@ -214,16 +209,17 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
     per outer iteration, at the current iterate, and its result is passed to
     ``conjugate_gradient``.
 
-    With ``objects`` = K, every parameter and residual block has a leading
-    axis of K independent problems, object k's residual depending on its
-    own parameters only.  They run in lockstep, one residual and one product
-    serving all, while each keeps its own CG scalars, step length and losses,
-    so each object's iterates are those of its own fit.  An object whose
-    gradient is zero, or whose step is rejected, keeps its parameters for
-    the rest of the call, and the call ends when no object is left fitting.
+    Every parameter and residual block has a leading axis of K independent
+    problems, object k's residual depending on its own parameters only.
+    They run in lockstep, one residual and one product serving all, while
+    each keeps its own CG scalars, step length and losses, so each object's
+    iterates are those of its own fit.  An object whose gradient is zero, or
+    whose step is rejected, keeps its parameters for the rest of the call,
+    and the call ends when no object is left fitting.
     """
     params = list(params)
     shapes = [p.data.shape for p in params]
+    objects = shapes[0][0]
     lin = Linearization(residual_fn, params)
     loss = _object_losses(lin.value(), objects)
     res = OptimizeResult(object_losses=[loss])
@@ -231,7 +227,7 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
         raise NumericalError("non-finite loss at outer iteration 0")
     fitting = np.ones(objects, dtype=bool)
     for n in range(outer_iters):
-        b = -_flatten(lin.vjp(lin.value()), objects)            # -J^T r
+        b = -_flatten(lin.vjp(lin.value()))                     # -J^T r
         if not np.all(np.isfinite(b)):
             raise NumericalError(f"non-finite gradient at outer iteration {n}")
         fitting &= _dots(b, b) > 0.0
@@ -242,8 +238,8 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
 
         def matvec(v):
             res.matvecs += 1
-            jv = lin.jvp(_unflatten(v, shapes, objects))
-            jtjv = _flatten(lin.vjp(jv), objects)
+            jv = lin.jvp(_unflatten(v, shapes))
+            jtjv = _flatten(lin.vjp(jv))
             return jtjv + damping * v
 
         precond = None if make_preconditioner is None else make_preconditioner()
@@ -252,7 +248,7 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
         res.cg_residuals.append(float(resid.max()))
         lin = None                       # release its tape before the trials
         loss, lin, halvings, rejected = _line_search(
-            residual_fn, params, _unflatten(delta, shapes, objects), loss, fitting,
+            residual_fn, params, _unflatten(delta, shapes), loss, fitting,
             max_halvings)
         res.object_losses.append(loss)
         res.halvings.append(halvings)
@@ -285,9 +281,9 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 def _input_factors(x: np.ndarray, root: np.ndarray) -> tuple:
     """The eigendecomposition of each object's input Gram G_x: the input x,
-    N x C x H x W, read under the [K x] N x 1 x H x W root importance
+    N x C x H x W, read under the K x N x 1 x H x W root importance
     weights."""
-    xw = (x * root).swapaxes(-4, -3).reshape(root.shape[:-4] + (x.shape[1], -1))
+    xw = (x * root).swapaxes(-4, -3).reshape(len(root), x.shape[1], -1)
     return _eigh(xw @ _t(xw))
 
 
@@ -295,58 +291,58 @@ def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
                     s_out: Optional[np.ndarray], damp: float) -> Callable:
     """v_a, v_b -> the approximate inverse curvature of one branch's filters
     applied to v_a (reduce filter A) and v_b (expand filter B), each shaped
-    like its filter, with a leading object axis when the filters have one.
+    like its K-stacked filter.
 
-    x is the branch's N x C x H x W input, root the [K x] N x 1 x H x W
+    x is the branch's N x C x H x W input, root the K x N x 1 x H x W
     square root of the squared importance weights, ``input_factors`` the
     eigendecomposition of each object's G_x from ``_input_factors``, and
-    s_out the [K x] L x L Gram of the fusion's linear map of the branch
-    output, None for the identity.  Block B inverts
+    s_out the L x L Gram of the fusion's linear map of the branch output,
+    K x L x L where the map differs per object, None for the identity.  Block B inverts
     S_out (x) G_c (x) G_t + damp I, the Kronecker split of the weighted
     im2col Gram of Y = A x into its channel (M x M) and tap (9 x 9) factors;
     block A inverts the K-FAC factors (sum_t B_t^T S_out B_t) (x) G_x + damp I.
     Each object has its own blocks.
     """
     a, b = pair[0].data[..., 0, 0], pair[1].data
-    objects = a.shape[:-2]
+    k = len(a)
     (n, c, h, wd), m, lab = x.shape, a.shape[-2], b.shape[-4]
-    y = np.matmul(a[..., None, :, :], x.reshape(n, c, h * wd)).reshape(objects + (n, m, h, wd))
+    y = np.matmul(a[..., None, :, :], x.reshape(n, c, h * wd)).reshape(k, n, m, h, wd)
     ypad = np.zeros(y.shape[:-2] + (h + 2, wd + 2), dtype=y.dtype)
     ypad[..., 1:-1, 1:-1] = y
-    taps = np.empty(objects + (9, n, m, h, wd), dtype=y.dtype)      # [K x] 9 x N x M x H x W
+    taps = np.empty((k, 9, n, m, h, wd), dtype=y.dtype)          # K x 9 x N x M x H x W
     for t in range(9):                   # tap (i, j) = (t // 3, t % 3), weighted in place
         np.multiply(ypad[..., t // 3:t // 3 + h, t % 3:t % 3 + wd], root,
                     out=taps[..., t, :, :, :, :])
-    centre = taps[..., 4, :, :, :, :].swapaxes(-4, -3).reshape(objects + (m, -1))
+    centre = taps[..., 4, :, :, :, :].swapaxes(-4, -3).reshape(k, m, -1)
     g_c = centre @ _t(centre)
-    flat = taps.reshape(objects + (9, -1))
+    flat = taps.reshape(k, 9, -1)
     trace = np.trace(g_c, axis1=-2, axis2=-1)[..., None, None]
     g_t = flat @ _t(flat) / np.where(trace > 0.0, trace, 1.0)
 
     (lc, uc), (lt, ut) = _eigh(g_c), _eigh(g_t)
-    den_b = lc[..., None, :, None] * lt[..., None, None, :]            # [K x] 1 x M x 9
-    rows = _t(b.reshape(objects + (lab, m, 9)))                      # B_t over (l, t)
+    den_b = lc[..., None, :, None] * lt[..., None, None, :]      # K x 1 x M x 9
+    rows = _t(b.reshape(k, lab, m, 9))                           # B_t over (l, t)
     s_rows = rows
     if s_out is not None:
         ls, us = _eigh(s_out)
         den_b = ls[..., :, None, None] * den_b
-        s_rows = _t((s_out @ b.reshape(objects + (lab, -1))).reshape(objects + (lab, m, 9)))
+        s_rows = _t((s_out @ b.reshape(k, lab, -1)).reshape(k, lab, m, 9))
     den_b = _positive(den_b + damp, (-3, -2, -1))
-    rows = rows.reshape(objects + (lab * 9, m))
-    lf, uf = _eigh(_t(rows) @ s_rows.reshape(objects + (lab * 9, m)))
+    rows = rows.reshape(k, lab * 9, m)
+    lf, uf = _eigh(_t(rows) @ s_rows.reshape(k, lab * 9, m))
     lx, ux = input_factors
     den_a = _positive(lf[..., :, None] * lx[..., None, :] + damp, (-2, -1))
 
     def inverse(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = vb.reshape(objects + (lab, -1))
+        t = vb.reshape(k, lab, -1)
         if s_out is not None:
             t = _t(us) @ t
         t = np.matmul(_t(uc)[..., None, :, :],
-                      t.reshape(objects + (lab, m, 9))) @ ut[..., None, :, :]
+                      t.reshape(k, lab, m, 9)) @ ut[..., None, :, :]
         t = np.matmul(uc[..., None, :, :], t / den_b) @ _t(ut)[..., None, :, :]
-        t = t.reshape(objects + (lab, -1))
+        t = t.reshape(k, lab, -1)
         out_b = t if s_out is None else us @ t
-        out_a = uf @ ((_t(uf) @ va.reshape(objects + (m, c)) @ ux) / den_a) @ _t(ux)
+        out_a = uf @ ((_t(uf) @ va.reshape(k, m, c) @ ux) / den_a) @ _t(ux)
         return out_a, out_b
 
     return inverse
@@ -358,8 +354,8 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
     """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
     J^T J + mu I of ``residual_and_loss`` at the current filters.
 
-    ``batch`` is a stacked N x C x H x W batch, with K x N targets and
-    weights for stacked filters, and v a K x P stack, one row per object.
+    ``batch`` is a batch from ``stack_samples``, and v a K x P stack, one row
+    per object.
     One Kronecker block per object and filter (see ``_branch_inverse``),
     damped by reg_lambda + mu; the importance weights enter as w^2 averaged
     over the label channels at each pixel.  A branch's output Gram S_out is
@@ -390,68 +386,50 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
             cache[i] = _input_factors(x.data, root)
         inverses.append(_branch_inverse(x.data, root, cache[i], pair, s_out, damp))
     shapes = [t.shape for t in params.tensors()]
-    objects = params.objects
 
     def apply(v: np.ndarray) -> np.ndarray:
-        blocks = _unflatten(v.reshape(objects, -1), shapes, objects)
+        blocks = _unflatten(v, shapes)
         return _flatten([out for k, inverse in enumerate(inverses)
-                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])],
-                        objects).reshape(v.shape)
+                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])])
 
     return apply
 
 
 class MemoryBuffer:
     """The learner's memory of one sequence: the first frame added, pinned,
-    and a window of the newest ``capacity - 1`` frames after it.  A frame
-    maps each object to its sample, so every object's batch stacks the same
-    frames under the same weights; the objects of a frame share its
-    features.
+    and a window of the newest ``capacity - 1`` frames after it, each frame
+    one sample of every object.
 
-    A pinned sample weighs ``pinned_weight``; a windowed one weighs
+    A pinned frame weighs ``pinned_weight``; a windowed one weighs
     ``decay ** age``, where the newest frame has age 0.
     """
 
     def __init__(self, capacity: int, decay: float, pinned_weight: float):
         self.decay = decay
         self.pinned_weight = pinned_weight
-        self.pinned: Optional[dict] = None
+        self.pinned: Optional[TargetSample] = None
         self.recent: deque = deque(maxlen=capacity - 1)
 
-    def add(self, frame: dict) -> None:
+    def add(self, frame: TargetSample) -> None:
         if self.pinned is None:
             self.pinned = frame
         else:
             self.recent.append(frame)
 
-    def batch(self, keys) -> TargetSample:
-        """Object ``keys``' samples stacked with their weights; for a list of
-        K objects, each frame's features stacked once, from its first
-        object's sample, with K x N targets and weights."""
-        frames = [self.pinned, *self.recent]
+    def batch(self) -> TargetSample:
+        """The frames stacked under their weights."""
         n = len(self.recent)
         weights = [self.pinned_weight] + [self.decay ** (n - 1 - i) for i in range(n)]
-        if not isinstance(keys, list):
-            return stack_samples([f[keys] for f in frames], weights)
-
-        def joint(frame):
-            first = frame[keys[0]]
-            return TargetSample(
-                l3_im=first.l3_im, l3_fl=first.l3_fl,
-                encoded=Tensor(np.stack([frame[k].encoded.data for k in keys])),
-                weights=Tensor(np.stack([frame[k].weights.data for k in keys])))
-
-        return stack_samples([joint(f) for f in frames], weights)
+        return stack_samples([self.pinned, *self.recent], weights)
 
 
 def optimize(params: TargetModelParams, batch: TargetSample,
              fusion: FusionParams, cfg: RunConfig, *,
              outer_iters: int) -> OptimizeResult:
     """Fit the target model to a batch from ``stack_samples`` in
-    ``outer_iters`` outer iterations; loss never increases.  Stacked filters
-    fit their K objects jointly, each to its own targets and weights of the
-    batch (``MemoryBuffer.batch`` of a list), with the iterates of its own
-    fit."""
+    ``outer_iters`` outer iterations; loss never increases.  The K objects
+    fit jointly, each to its own targets and weights of the batch, with the
+    iterates of its own fit."""
     cache: dict = {}
 
     def residual_fn(_):
@@ -461,4 +439,4 @@ def optimize(params: TargetModelParams, batch: TargetSample,
         return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping, cache)
 
     return gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
-                        cfg.learner_damping, make_preconditioner, objects=params.objects)
+                        cfg.learner_damping, make_preconditioner)

@@ -4,19 +4,20 @@ Inference keeps the target models of the annotated objects stacked along
 one object axis and makes one pass over the frames: pad, extract pyramids,
 take frame 0's probabilities from the annotation or decode a later frame
 through one target-model application for every object, binarize, add the
-labels to the sequence's memory as each object's sample, and fit on the
-cadence or confidence rule, which frame 0 meets with the initial budget:
-one joint fit serves every object, each with the iterates of its own fit.
-Frame results depend only on frames up to t.
+labels to the sequence's memory as the frame's sample of every object, and
+fit on the cadence or confidence rule, which frame 0 meets with the initial
+budget: one joint fit serves every object, each with the iterates of its
+own fit.  Frame results depend only on frames up to t.
 
 Offline training draws four frames per sample from one sequence: the
 reference (plus flip/affine augmented copies, with flow vectors transformed
-by the same linear map) trains the few-shot learner; the other three frames
-are decoded against ground truth with per-pixel binary cross-entropy and
-averaged.  The reverse sweep takes the model's offline parameters as its
-sources, so gradients stop at the fitted filters (the inner loop is not
-differentiated through) and reach the decoder, fusion and backbone
-parameters, which a native Adam update then moves.
+by the same linear map) trains the few-shot learner, a target model of one
+object (K = 1); the other three frames are decoded against ground truth
+with per-pixel binary cross-entropy and averaged.  The reverse sweep takes
+the model's offline parameters as its sources, so gradients stop at the
+fitted filters (the inner loop is not differentiated through) and reach the
+decoder, fusion and backbone parameters, which a native Adam update then
+moves.
 """
 
 from __future__ import annotations
@@ -108,8 +109,14 @@ def _level3(pyr_im, pyr_fl) -> tuple:
     return pyr_im[3], None if pyr_fl is None else pyr_fl[3]
 
 
-def _object_sample(pyr_im, pyr_fl, mask01: np.ndarray) -> TargetSample:
-    enc, wgt = encode_label(Tensor(mask01[None]))
+def _one_frame(t: Optional[Tensor]) -> Optional[Tensor]:
+    """C x H x W features as a batch of one frame, on the tape if one records."""
+    return None if t is None else ad.reshape(t, (1,) + t.shape)
+
+
+def _object_sample(pyr_im, pyr_fl, masks01: np.ndarray) -> TargetSample:
+    """The frame's sample of the objects of the K x H x W masks."""
+    enc, wgt = encode_label(Tensor(masks01))
     l3_im, l3_fl = _level3(pyr_im, pyr_fl)
     return TargetSample(l3_im=l3_im, l3_fl=l3_fl, encoded=enc, weights=wgt)
 
@@ -117,10 +124,12 @@ def _object_sample(pyr_im, pyr_fl, mask01: np.ndarray) -> TargetSample:
 _SEED_INFER, _SEED_TRAIN = 101, 202
 
 
-def _new_target_model(model: Model, cfg: RunConfig, seed_tail) -> TargetModelParams:
-    rng = np.random.default_rng([cfg.seed, *(int(s) for s in seed_tail)])
+def _new_target_model(model: Model, cfg: RunConfig, seed_tails: list) -> TargetModelParams:
+    """A target model of one object per seed tail, each drawn from its own
+    generator."""
+    rngs = [np.random.default_rng([cfg.seed, *(int(s) for s in tail)]) for tail in seed_tails]
     return TargetModelParams.init_random(
-        rng, c_in=BACKBONE_CHANNELS[2], label_channels=LABEL_CHANNELS,
+        rngs, c_in=BACKBONE_CHANNELS[2], label_channels=LABEL_CHANNELS,
         with_flow=model.uses_flow, reg_lambda=cfg.learner_reg_lambda)
 
 
@@ -161,8 +170,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     h0, w0 = annotation.shape
 
     ids = np.asarray(objects, dtype=np.uint8)
-    tau = TargetModelParams.stack([_new_target_model(model, cfg, (_SEED_INFER, k))
-                                   for k in objects])
+    tau = _new_target_model(model, cfg, [(_SEED_INFER, k) for k in objects])
     memory = MemoryBuffer(cfg.learner_buffer_capacity, cfg.learner_buffer_decay,
                           cfg.learner_pinned_weight)
     results = []
@@ -174,7 +182,7 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
             probs = np.stack([(annotation == k).astype(DTYPE) for k in objects])
         else:
             fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-            l3 = [None if x is None else Tensor(x.data[None]) for x in _level3(pyr_im, pyr_fl)]
+            l3 = map(_one_frame, _level3(pyr_im, pyr_fl))
             f_tm = apply(*l3, tau, model.fusion_tm).data      # K x 1 x L x H x W
             # inference records no tape, so each object's f_tm is taken as data
             logits = decode([Tensor(f[0]) for f in f_tm], fused, model.decoder)
@@ -184,14 +192,14 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
         labels = np.where(probs.max(axis=0) > 0.5, ids[best], 0).astype(np.uint8)
 
         padded_labels = np.pad(labels, ((0, ph), (0, pw)))
-        memory.add({k: _object_sample(pyr_im, pyr_fl, (padded_labels == k).astype(DTYPE))
-                    for k in objects})
+        memory.add(_object_sample(pyr_im, pyr_fl,
+                                  (padded_labels == ids[:, None, None]).astype(DTYPE)))
         confidence = float(np.mean(np.maximum(probs, 1.0 - probs)))
         updated = (t % cfg.learner_update_every == 0
                    or confidence > cfg.learner_update_conf)
         if updated:
             iters = cfg.learner_outer_iters_update if t else cfg.learner_outer_iters_init
-            optimize(tau, memory.batch(objects), model.fusion_tm, cfg, outer_iters=iters)
+            optimize(tau, memory.batch(), model.fusion_tm, cfg, outer_iters=iters)
         results.append(SegResult(probs=probs, labels=labels, frame_index=t,
                                  seconds=time.perf_counter() - tic,
                                  updated=updated))
@@ -342,8 +350,8 @@ def _draw_sample(seq: Sequence, rng, cfg: RunConfig) -> TrainingSample:
 
 def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
                    rng) -> TargetModelParams:
-    """Inner loop: fit the target model on the (augmented) reference frame,
-    a one-object fit."""
+    """Inner loop: fit a one-object target model on the (augmented)
+    reference frame."""
     refs = [sample.reference]
     for _ in range(cfg.train_aug_copies):
         refs.append(augment_frameset(sample.reference, rng))
@@ -351,8 +359,8 @@ def _fit_reference(sample: TrainingSample, model: Model, cfg: RunConfig,
     for fs in refs:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
         mask01 = (fs.mask == sample.object_id).astype(DTYPE)
-        samples.append(_object_sample(pyr_im, pyr_fl, mask01))
-    tau = _new_target_model(model, cfg, (_SEED_TRAIN, int(rng.integers(2 ** 31))))
+        samples.append(_object_sample(pyr_im, pyr_fl, mask01[None]))
+    tau = _new_target_model(model, cfg, [(_SEED_TRAIN, int(rng.integers(2 ** 31)))])
     optimize(tau, stack_samples(samples), model.fusion_tm, cfg,
              outer_iters=cfg.learner_outer_iters_init)
     return tau
@@ -364,9 +372,9 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
     terms = []
     for fs in sample.tests:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        f_tm = apply(*_level3(pyr_im, pyr_fl), tau, model.fusion_tm)
+        f_tm = apply(*map(_one_frame, _level3(pyr_im, pyr_fl)), tau, model.fusion_tm)
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-        logits = decode([f_tm], fused, model.decoder)[0]
+        logits = decode([ad.reshape(f_tm, f_tm.shape[2:])], fused, model.decoder)[0]
         target = (fs.mask == sample.object_id).astype(DTYPE)[None]
         terms.append(balanced_bce_with_logits(logits, target))
     total = terms[0]

@@ -12,11 +12,11 @@ loss is represented through a stacked residual vector r with
 L = 0.5 * ||r||^2 exactly, which is what the Gauss-Newton learner
 differentiates.
 
-The filters of K objects stack along a leading object axis
-(``TargetModelParams.stack``).  Every object reads the same features: the
-1x1 reduce runs once over them as a grouped convolution, the fusion sees the
-K objects' outputs as one batch, and the residual is K x R, one row per
-object, each row that object's residual alone.
+A target model holds the filters of K objects stacked along a leading
+object axis; training fits one object, K = 1.  Every object reads the same
+features: the 1x1 reduce runs once over them as a grouped convolution, the
+fusion sees the K objects' outputs as one batch, and the residual is K x R,
+one row per object, each row that object's residual alone.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ MID_CHANNELS = 32
 
 @dataclass
 class TargetSample:
-    """One regression sample: frozen level-3 features, target and weights.
-
-    Every tensor is C x H x W, or N x C x H x W for a batch of samples; a
-    batch for K objects holds each object's targets and weights along a
-    leading object axis.
+    """One frame's regression samples for K objects: its frozen level-3
+    features, C x H x W, which every object shares, and each object's target
+    and importance weights, K x L x H x W.  ``stack_samples`` batches N of
+    them to N x C x H x W features and K x N x L x H x W targets and weights.
     """
 
     l3_im: Tensor
@@ -50,42 +49,34 @@ class TargetSample:
 
 @dataclass
 class TargetModelParams:
-    tau1: tuple                      # image filters: 1x1 reduce [K x] M x C x 1 x 1,
-                                     # then 3x3 expand [K x] L x M x 3 x 3
+    tau1: tuple                      # image filters: 1x1 reduce K x M x C x 1 x 1,
+                                     # then 3x3 expand K x L x M x 3 x 3
     tau2: Optional[tuple]            # flow filters; absent without a flow branch
     reg_lambda: float
 
     @classmethod
-    def init_random(cls, rng, c_in: int, label_channels: int, with_flow: bool,
+    def init_random(cls, rngs: list, c_in: int, label_channels: int, with_flow: bool,
                     reg_lambda: float, c_mid: int = MID_CHANNELS):
-        """He-scaled filters in ``DTYPE`` (float64 draws, rounded); both
-        layers nonzero so the composed map has a nonzero Jacobian in every
+        """He-scaled filters in ``DTYPE`` (float64 draws, rounded), one object
+        per generator of ``rngs``, each drawn from its own; both layers
+        nonzero so the composed map has a nonzero Jacobian in every
         parameter block at the starting point."""
-        def pair():
+        def pair(rng):
             a = rng.standard_normal((c_mid, c_in, 1, 1)) * np.sqrt(2.0 / c_in)
             b = rng.standard_normal((label_channels, c_mid, 3, 3)) * np.sqrt(2.0 / (c_mid * 9))
-            return Tensor(a.astype(DTYPE)), Tensor(b.astype(DTYPE))
+            return a.astype(DTYPE), b.astype(DTYPE)
 
-        return cls(tau1=pair(), tau2=pair() if with_flow else None,
-                   reg_lambda=reg_lambda)
-
-    @classmethod
-    def stack(cls, models: list):
-        """One model for the objects of ``models``, one-object models with a
-        shared ``reg_lambda``: each filter stacked along a leading object
-        axis, in the order given."""
         def stacked(pairs):
-            return tuple(Tensor(np.stack([p[i].data for p in pairs])) for i in (0, 1))
+            return tuple(Tensor(np.stack([p[i] for p in pairs])) for i in (0, 1))
 
-        return cls(tau1=stacked([m.tau1 for m in models]),
-                   tau2=None if models[0].tau2 is None else stacked([m.tau2 for m in models]),
-                   reg_lambda=models[0].reg_lambda)
+        drawn = [(pair(rng), pair(rng) if with_flow else None) for rng in rngs]
+        return cls(tau1=stacked([d[0] for d in drawn]),
+                   tau2=stacked([d[1] for d in drawn]) if with_flow else None,
+                   reg_lambda=reg_lambda)
 
     @property
     def objects(self) -> int:
-        """K for stacked filters, else 1."""
-        a = self.tau1[0]
-        return a.shape[0] if a.ndim == 5 else 1
+        return self.tau1[0].shape[0]
 
     def tensors(self) -> list:
         ts = [self.tau1[0], self.tau1[1]]
@@ -100,15 +91,12 @@ def branch_filters(feat: Tensor, pair) -> Tensor:
 
 def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
           fusion: FusionParams) -> Tensor:
-    """Target representation f_tm from the level-3 features of both branches,
-    one sample (C x H x W) or a batch (N x C x H x W); the flow filters run
-    when the target model has them.  Stacked filters read one batch and give
-    K x N x L x H x W, and the fusion sees their K objects' outputs as one
-    K*N batch."""
+    """Target representation f_tm, K x N x L x H x W, of the K objects from
+    an N x C x H x W batch of level-3 features of both branches; the flow
+    filters run when the target model has them.  The fusion sees the K
+    objects' outputs as one K*N batch."""
     f_x = branch_filters(l3_im, params.tau1)
     f_f = None if params.tau2 is None else branch_filters(l3_fl, params.tau2)
-    if f_x.ndim < 5:
-        return fuse(f_x, f_f, fusion)
     shape = f_x.shape
 
     def merged(t):
@@ -118,10 +106,9 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
 
 
 def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
-    """The C x H x W samples as one N x C x H x W batch, with the square root
-    of each sample weight folded into its importance weights.  Samples whose
-    targets and weights carry a leading object axis K stack to K x N targets
-    and weights.
+    """The samples as one batch, every tensor stacked on its sample axis: N x
+    C x H x W features and K x N x L x H x W targets and weights, with the
+    square root of each sample weight folded into its importance weights.
 
     The stacked tensors are constants: no gradient flows back to the sample
     tensors.
@@ -148,13 +135,13 @@ def residual_and_loss(batch: TargetSample, params: TargetModelParams,
     already hold the square root of its sample weight; the regularizer
     contributes sqrt(lambda) times the flattened filters.  The samples run as
     one batch, so the recorded tape has the same nodes for any number of
-    samples.  Stacked filters give a K x R residual, object k's in row k,
-    and the summed loss.
+    samples.  The residual is K x R, object k's in row k, and the loss sums
+    over the objects.
     """
-    rows = params.tau1[0].shape[:-4]     # (K,) for stacked filters
+    objects = params.objects
 
     def flat(t):
-        return ad.reshape(t, rows + (t.size // params.objects,))
+        return ad.reshape(t, (objects, t.size // objects))
 
     f_tm = apply(batch.l3_im, batch.l3_fl, params, fusion)
     blocks = [flat(ad.mul(batch.weights, ad.sub(f_tm, batch.encoded)))]

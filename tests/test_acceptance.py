@@ -141,7 +141,7 @@ def test_c04_gauss_newton_exactness():
             tau = ad.reshape(params[0], (n, 1))
             return ad.sub(ad.matmul(At, tau), bt)
 
-        tau = Tensor(rng.standard_normal(n))
+        tau = Tensor(rng.standard_normal((1, n)))
         gauss_newton(lin_fn, [tau], 1, cg_iters=2 * n, damping=0.0)
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -153,7 +153,7 @@ def test_c04_gauss_newton_exactness():
             t = ad.reshape(params[0], (n, 1))
             return [ad.sub(ad.matmul(At, t), bt), params[0] * root]
 
-        tau_r = Tensor(np.zeros(n))
+        tau_r = Tensor(np.zeros((1, n)))
         gauss_newton(ridge_fn, [tau_r], 1, cg_iters=2 * n, damping=0.0)
         ref_r = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau_r.data - ref_r) < 1e-8
@@ -174,18 +174,18 @@ def test_c05_monotone_online_loss():
                 fp.wo.data = 0.3 * rng.standard_normal(fp.wo.data.shape)
             with_flow = mode != "none"
             tm = float64(TargetModelParams.init_random(
-                rng, 5, 6, with_flow=with_flow, c_mid=3,
+                [rng], 5, 6, with_flow=with_flow, c_mid=3,
                 reg_lambda=float(rng.uniform(0, 0.1))))
             samples = [TargetSample(
                 l3_im=Tensor(rng.standard_normal((5, 4, 4))),
                 l3_fl=Tensor(rng.standard_normal((5, 4, 4))) if with_flow else None,
-                encoded=Tensor(rng.standard_normal((6, 4, 4))),
-                weights=Tensor(rng.random((6, 4, 4))))
+                encoded=Tensor(rng.standard_normal((1, 6, 4, 4))),
+                weights=Tensor(rng.random((1, 6, 4, 4))))
                 for _ in range(int(rng.integers(1, 5)))]
             buf = MemoryBuffer(8, 0.9, 2.0)
             for sample in samples:
-                buf.add({0: sample})
-            res = optimize(tm, buf.batch(0), fp, RunConfig(seed=0), outer_iters=4)
+                buf.add(sample)
+            res = optimize(tm, buf.batch(), fp, RunConfig(seed=0), outer_iters=4)
             traces.append(res.losses)
     assert len(traces) == 12
     for losses in traces:

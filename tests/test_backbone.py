@@ -64,21 +64,22 @@ class TestExtract:
 
 class TestLabelEncoder:
     def test_target_is_the_tiled_pooled_mask(self, rng):
-        mask = rng.random((1, 16, 24))
-        e, _ = encode_label(Tensor(mask), 5)
-        for y in range(2):
-            for x in range(3):
-                ref = mask[0, 8 * y:8 * y + 8, 8 * x:8 * x + 8].mean()
-                np.testing.assert_allclose(e.data[:, y, x], ref, rtol=1e-12)
+        masks = rng.random((2, 16, 24))
+        e, _ = encode_label(Tensor(masks), 5)
+        for k in range(2):
+            for y in range(2):
+                for x in range(3):
+                    ref = masks[k, 8 * y:8 * y + 8, 8 * x:8 * x + 8].mean()
+                    np.testing.assert_allclose(e.data[k, :, y, x], ref, rtol=1e-12)
 
     def test_weights_are_one(self, rng):
         _, w = encode_label(Tensor(rng.random((1, 32, 32))), 4)
         np.testing.assert_array_equal(w.data, 1.0)
 
     def test_output_shape_d16(self):
-        e, w = encode_label(Tensor(np.ones((1, 64, 64))))
-        assert e.shape == (16, 8, 8)
-        assert w.shape == (16, 8, 8)
+        e, w = encode_label(Tensor(np.ones((3, 64, 64))))
+        assert e.shape == (3, 16, 8, 8)
+        assert w.shape == (3, 16, 8, 8)
 
     def test_zero_vs_one_mask_encodings_differ(self):
         e0, _ = encode_label(Tensor(np.zeros((1, 32, 32))))

@@ -127,9 +127,11 @@ class TestOutputMaps:
         p = float64(FusionParams.init(rng, mode, 8))
         if mode == "attention" and not wo_zero:          # a fresh wo is zero
             p.wo.data = rng.standard_normal(p.wo.data.shape)
-        maps = output_maps(p, lambda: (f_im, f_fl))
+        maps = output_maps(p, lambda: (Tensor(f_im.data[None]), Tensor(f_fl.data[None])))
         assert len(maps) == (1 if mode == "none" else 2)
-        mapped = [f.data[0] if t is None else np.einsum("oc,chw->ohw", t, f.data[0])
+        # concat's half of wc, or attention's map of the one object
+        mapped = [f.data[0] if t is None
+                  else np.einsum("oc,chw->ohw", t.reshape(8, 8), f.data[0])
                   for f, t in zip((f_im, f_fl), maps)]
         np.testing.assert_allclose(fuse(f_im, f_fl, p).data[0], sum(mapped), atol=1e-12)
         if wo_zero:

@@ -1,6 +1,7 @@
-"""Every imported name is read, and every private module-level name of the
-package is read by some module of it: AST scans of the package, the tests
-and the scripts."""
+"""Every imported name is read, every private module-level name of the
+package is read by some module of it, and every public one by some module
+of the program: AST scans of the package, the tests, the benchmark and the
+scripts."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src/flowvos", "tests", "scripts")
                  for p in (ROOT / d).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src/flowvos").glob("*.py"))
+# the modules that use the package: its own, the benchmark's and the scripts,
+# but no test
+PROGRAM = PACKAGE + sorted(p for d in ("perfbench", "scripts")
+                           for p in (ROOT / d).rglob("*.py") if not p.name.startswith("test_"))
 
 
 def unused_imports(source: str) -> list:
@@ -108,3 +113,85 @@ def test_private_scan_flags_an_unread_helper_and_spares_reads_and_imports():
 def test_every_private_name_of_the_package_is_read():
     unread = unread_private_names({p.stem: p.read_text() for p in PACKAGE})
     assert not unread, f"private names that no module of the package reads: {unread}"
+
+
+def public_definitions(tree: ast.Module) -> dict:
+    """The public defs and classes at module level, and the public methods
+    of those classes as ``Class.method``, with their line."""
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        bound[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            bound.update((f"{node.name}.{m.name}", m.lineno) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    return bound
+
+
+def module_names(tree: ast.Module) -> set:
+    """The names a module binds to modules: by ``import``, by ``from .
+    import`` and by ``from flowvos import``."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module in (None, "flowvos"))
+            for alias in node.names}
+
+
+def method_reads(tree: ast.Module) -> set:
+    """The attributes a module reads from anything but a module that it
+    binds, so that ``np.stack`` or ``ad.stack`` is not a read of a method
+    named ``stack``."""
+    modules = module_names(tree)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
+def unread_public_names(definers: dict, readers: dict) -> list:
+    """The public names of the ``definers`` modules (module name -> source),
+    as ``module: name (line n)``, that no module of ``readers`` reads: a
+    function or class by its name, a method as an attribute."""
+    trees = [ast.parse(src) for src in readers.values()]
+    names = set().union(*map(reads, trees))
+    methods = set().union(*map(method_reads, trees))
+
+    def read(name):
+        owner, _, method = name.rpartition(".")
+        return method in methods if owner else name in names
+
+    return [f"{mod}: {name} (line {line})" for mod, src in definers.items()
+            for name, line in sorted(public_definitions(ast.parse(src)).items(),
+                                     key=lambda item: item[1])
+            if not read(name)]
+
+
+def test_public_scan_flags_what_only_tests_read():
+    package = {"a": ("import numpy as np\n"
+                     "def run():\n    return Box.make().size\n"
+                     "def helper():\n    pass\n"
+                     "class Box:\n"
+                     "    @classmethod\n    def make(cls):\n        return cls()\n"
+                     "    @classmethod\n    def stack(cls, boxes):\n"
+                     "        return np.stack(boxes)\n"
+                     "    @property\n    def size(self):\n        return 1\n"
+                     "    def concat(self):\n        pass\n"
+                     "    def reshape(self):\n        pass\n"
+                     "    def _hidden(self):\n        pass\n"),
+               "b": ("from a import run\n"
+                     "from . import autodiff as ad\n"
+                     "x = ad.concat\n"),
+               "c": "from flowvos import autodiff\nx = autodiff.reshape\n"}
+    tests = {"test_a": ("from a import Box, helper\nhelper()\nBox.stack([])\n"
+                        "Box().concat()\nBox().reshape()\n")}
+    assert module_names(ast.parse(package["b"] + package["c"])) == {"ad", "autodiff"}
+    assert unread_public_names(package, package) == ["a: helper (line 4)",
+                                                     "a: Box.stack (line 11)",
+                                                     "a: Box.concat (line 16)",
+                                                     "a: Box.reshape (line 18)"]
+    assert unread_public_names(package, {**package, **tests}) == []
+
+
+def test_every_public_name_of_the_package_is_read_by_the_program():
+    unread = unread_public_names({p.stem: p.read_text() for p in PACKAGE},
+                                 {str(p): p.read_text() for p in PROGRAM})
+    assert not unread, f"public names that only tests read: {unread}"

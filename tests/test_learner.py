@@ -31,7 +31,7 @@ class TestGaussNewton:
             m, n = 12, 6
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
-            tau = Tensor(rng.standard_normal(n))
+            tau = Tensor(rng.standard_normal((1, n)))
             res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=n, damping=0.0)
             ref = np.linalg.lstsq(A, b, rcond=None)[0]
             assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -51,7 +51,7 @@ class TestGaussNewton:
             reg = params[0] * root
             return [data, reg]
 
-        tau = Tensor(np.zeros(n))
+        tau = Tensor(np.zeros((1, n)))
         gauss_newton(fn, [tau], 1, cg_iters=n, damping=0.0)
         ref = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau.data - ref) < 1e-8
@@ -64,7 +64,7 @@ class TestGaussNewton:
             r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
             return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
 
-        tau = Tensor(np.array([1.0, 1.0]))
+        tau = Tensor(np.array([[1.0, 1.0]]))
         res = gauss_newton(fn, [tau], 10, cg_iters=3, damping=1e-2)
         r_final = np.concatenate([v.reshape(-1) for v in
                                   [o.data for o in fn([tau])]])
@@ -74,7 +74,7 @@ class TestGaussNewton:
     def test_cg_normal_equation_residual(self, rng):
         A = rng.standard_normal((14, 7))
         b = rng.standard_normal(14)
-        tau = Tensor(rng.standard_normal(7))
+        tau = Tensor(rng.standard_normal((1, 7)))
         res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=10, damping=1e-4)
         assert res.cg_residuals[0] <= 1e-6
 
@@ -83,9 +83,9 @@ class TestGaussNewton:
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         tau0 = rng.standard_normal(n)
-        tau = Tensor(tau0.copy())
+        tau = Tensor(tau0[None].copy())
         res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=4, damping=mu)
-        delta = tau.data - tau0           # a linear residual accepts the full step
+        delta = tau.data[0] - tau0        # a linear residual accepts the full step
         rhs = -A.T @ (A @ tau0 - b)
         true = np.linalg.norm((A.T @ A + mu * np.eye(n)) @ delta - rhs) / np.linalg.norm(rhs)
         assert true > 1e-3                # four iterations leave a residual
@@ -94,12 +94,12 @@ class TestGaussNewton:
     def test_one_forward_per_outer_iteration_and_cg_iters_matvecs(self, rng,
                                                                   monkeypatch):
         fp = float64(FusionParams.init(rng, "none", 3))
-        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
+        tm = float64(TargetModelParams.init_random([rng], 5, 3, with_flow=False, c_mid=2,
                                                    reg_lambda=1e-2))
         samples = [TargetSample(l3_im=Tensor(rng.standard_normal((5, 4, 4))),
                                 l3_fl=None,
-                                encoded=Tensor(rng.standard_normal((3, 4, 4))),
-                                weights=Tensor(0.2 + rng.random((3, 4, 4))))
+                                encoded=Tensor(rng.standard_normal((1, 3, 4, 4))),
+                                weights=Tensor(0.2 + rng.random((1, 3, 4, 4))))
                    for _ in range(8)]
         batch = stack_samples(samples)
         forwards, matvecs = [], []
@@ -116,23 +116,23 @@ class TestGaussNewton:
         assert all(y < x for x, y in zip(res.losses, res.losses[1:]))
         assert len(matvecs) == outer * cg == res.matvecs
         assert len(forwards) == outer + 1
-        assert res.halvings == [0] * outer and res.rejected == [False] * outer
+        assert res.halvings == [0] * outer and res.rejected == [0] * outer
 
     def test_line_search_halvings_and_rejection(self):
         # r = sigmoid(t) - 1/2 at t = 3: the full Gauss-Newton step lands at
         # t = -7.0, which raises the loss; half of it lowers the loss
         def fn(params):
-            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
+            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((1, 1), 0.5)))
 
-        tau = Tensor(np.full(1, 3.0))
+        tau = Tensor(np.full((1, 1), 3.0))
         res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0)
-        assert res.halvings == [1] and res.rejected == [False]
+        assert res.halvings == [1] and res.rejected == [0]
         assert res.losses[1] < res.losses[0]
 
-        tau = Tensor(np.full(1, 3.0))
+        tau = Tensor(np.full((1, 1), 3.0))
         res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, max_halvings=0)
-        assert res.halvings == [0] and res.rejected == [True]
-        assert res.losses == [res.losses[0]] * 2 and tau.data[0] == 3.0
+        assert res.halvings == [0] and res.rejected == [1]
+        assert res.losses == [res.losses[0]] * 2 and tau.data[0, 0] == 3.0
 
         # a rejected step ends the fit: the next iteration would repeat it
         evaluations = []
@@ -141,17 +141,17 @@ class TestGaussNewton:
             evaluations.append(None)
             return fn(params)
 
-        tau = Tensor(np.full(1, 3.0))
+        tau = Tensor(np.full((1, 1), 3.0))
         res = gauss_newton(counted, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0)
-        assert res.halvings == [0] and res.rejected == [True]
-        assert len(evaluations) == 2 and len(res.losses) == 2 and tau.data[0] == 3.0
+        assert res.halvings == [0] and res.rejected == [1]
+        assert len(evaluations) == 2 and len(res.losses) == 2 and tau.data[0, 0] == 3.0
 
     def test_monotone_losses(self, rng):
         def fn(params):
             p = params[0]
-            return ad.sub(ad.sigmoid(p), Tensor(np.full(4, 0.2)))
+            return ad.sub(ad.sigmoid(p), Tensor(np.full((1, 4), 0.2)))
 
-        tau = Tensor(rng.standard_normal(4) * 2.0)
+        tau = Tensor(rng.standard_normal((1, 4)) * 2.0)
         res = gauss_newton(fn, [tau], 6, cg_iters=3, damping=1e-2)
         assert all(b <= a for a, b in zip(res.losses, res.losses[1:]))
 
@@ -159,7 +159,7 @@ class TestGaussNewton:
         def fn(params):
             return params[0] * np.inf
 
-        tau = Tensor(np.ones(2))
+        tau = Tensor(np.ones((1, 2)))
         with pytest.raises(NumericalError, match="iteration 0"):
             gauss_newton(fn, [tau], 2, cg_iters=3, damping=1e-2)
 
@@ -168,34 +168,38 @@ class TestConjugateGradient:
     def test_exact_preconditioner_solves_in_one_iteration(self, rng):
         q = rng.standard_normal((6, 6))
         a = q @ q.T + 0.1 * np.eye(6)
-        b = rng.standard_normal(6)
+        b = rng.standard_normal((1, 6))
         a_inv = np.linalg.inv(a)
-        x, resid = conjugate_gradient(lambda v: a @ v, b, 1,
-                                      preconditioner=lambda v: a_inv @ v)
-        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
-        assert resid < 1e-10
+        x, resid = conjugate_gradient(lambda v: v @ a, b, 1,
+                                      preconditioner=lambda v: v @ a_inv)
+        assert np.allclose(x[0], np.linalg.solve(a, b[0]), atol=1e-10)
+        assert resid[0] < 1e-10
 
     def test_residual_is_unpreconditioned(self, rng):
         q = rng.standard_normal((8, 8))
         a = q @ q.T + 0.1 * np.eye(8)
-        b = rng.standard_normal(8)
+        b = rng.standard_normal((1, 8))
         diag = 1.0 / np.diag(a)
-        x, resid = conjugate_gradient(lambda v: a @ v, b, 3,
+        x, resid = conjugate_gradient(lambda v: v @ a, b, 3,
                                       preconditioner=lambda v: diag * v)
-        true = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
-        assert abs(resid - true) < 1e-10
+        true = np.linalg.norm(b[0] - a @ x[0]) / np.linalg.norm(b[0])
+        assert abs(resid[0] - true) < 1e-10
 
 
-def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3):
+def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3, objects=1):
+    """Filters of ``objects`` objects, drawn one after the other from
+    ``rng``, and a batch of n samples with each object's targets and
+    weights."""
     fp = float64(FusionParams.init(rng, mode, d))
     if mode == "attention":
         fp.wo.data = rng.standard_normal(fp.wo.data.shape)
-    tm = float64(TargetModelParams.init_random(rng, c_in, d, with_flow=mode != "none",
+    tm = float64(TargetModelParams.init_random([rng] * objects, c_in, d,
+                                               with_flow=mode != "none",
                                                c_mid=c_mid, reg_lambda=1e-2))
     batch = TargetSample(l3_im=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          l3_fl=Tensor(rng.standard_normal((n, c_in, 5, 4))),
-                         encoded=Tensor(rng.standard_normal((n, d, 5, 4))),
-                         weights=Tensor(rng.random((n, d, 5, 4))))
+                         encoded=Tensor(rng.standard_normal((objects, n, d, 5, 4))),
+                         weights=Tensor(rng.random((objects, n, d, 5, 4))))
     return tm, batch, fp
 
 
@@ -205,16 +209,16 @@ class TestKroneckerPreconditioner:
         tm, batch, fp = _preconditioner_case(rng, mode)
         apply_p = kronecker_preconditioner(batch, tm, fp, 1e-2)
         size = sum(t.size for t in tm.tensors())
-        dense = np.stack([apply_p(e) for e in np.eye(size)], axis=1)
+        dense = np.stack([apply_p(e[None])[0] for e in np.eye(size)], axis=1)
         assert np.allclose(dense, dense.T, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
-        u, v = rng.standard_normal(size), rng.standard_normal(size)
-        assert np.isclose(u @ apply_p(v), apply_p(u) @ v, rtol=1e-9)
-        assert v @ apply_p(v) > 0.0
+        u, v = rng.standard_normal((1, size)), rng.standard_normal((1, size))
+        assert np.isclose(np.vdot(u, apply_p(v)), np.vdot(apply_p(u), v), rtol=1e-9)
+        assert np.vdot(v, apply_p(v)) > 0.0
 
     def test_mode_none_ignores_flow_features(self, rng):
         tm, batch, fp = _preconditioner_case(rng, "none")
-        v = rng.standard_normal(sum(t.size for t in tm.tensors()))
+        v = rng.standard_normal((1, sum(t.size for t in tm.tensors())))
         ref = kronecker_preconditioner(batch, tm, fp, 1e-2)(v)
         batch.l3_fl = Tensor(-3.0 * batch.l3_fl.data + 1.0)
         assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2)(v), ref)
@@ -227,10 +231,10 @@ class TestKroneckerPreconditioner:
         tm, batch, fp = _preconditioner_case(rng, "attention")
         fp.wo.data[:] = 0.0
         sizes = [t.size for t in tm.tensors()]
-        v = rng.standard_normal(sum(sizes))
+        v = rng.standard_normal((1, sum(sizes)))
         out = kronecker_preconditioner(batch, tm, fp, 0.05)(v)
         flow = slice(sizes[0] + sizes[1], None)
-        assert np.allclose(out[flow], v[flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
+        assert np.allclose(out[:, flow], v[:, flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
 
     @pytest.mark.parametrize("mode, wo_zero", [("none", False), ("concat", False),
                                                ("attention", True), ("attention", False)])
@@ -299,23 +303,24 @@ class TestKroneckerPreconditioner:
 
 
 class TestMemoryBuffer:
-    def sample(self, rng):
-        """A sample under unit importance weights, so that a stacked batch
-        holds the square root of each sample weight."""
+    def sample(self, rng, objects=1):
+        """A frame's sample of ``objects`` objects under unit importance
+        weights, so that a stacked batch holds the square root of each
+        sample weight."""
         return TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                            encoded=Tensor(rng.random((1, 2, 2))),
-                            weights=Tensor(np.ones((1, 2, 2))))
+                            encoded=Tensor(rng.random((objects, 1, 2, 2))),
+                            weights=Tensor(np.ones((objects, 1, 2, 2))))
 
     @staticmethod
     def sample_weights(buf):
-        return list(buf.batch(0).weights.data[:, 0, 0, 0] ** 2)
+        return list(buf.batch().weights.data[0, :, 0, 0, 0] ** 2)
 
     def test_first_annotated_frame_pinned(self, rng):
         pinned = self.sample(rng)
         buf = MemoryBuffer(8, 0.9, 2.0)
-        buf.add({0: pinned})
-        buf.add({0: self.sample(rng)})
-        assert np.array_equal(buf.batch(0).l3_im.data[0], pinned.l3_im.data)
+        buf.add(pinned)
+        buf.add(self.sample(rng))
+        assert np.array_equal(buf.batch().l3_im.data[0], pinned.l3_im.data)
         np.testing.assert_allclose(self.sample_weights(buf), [buf.pinned_weight, 1.0],
                                    atol=1e-15)
 
@@ -323,8 +328,8 @@ class TestMemoryBuffer:
         added = [self.sample(rng) for _ in range(10)]
         buf = MemoryBuffer(8, 0.9, 2.0)
         for s in added:
-            buf.add({0: s})
-        stacked = buf.batch(0).l3_im.data
+            buf.add(s)
+        stacked = buf.batch().l3_im.data
         assert stacked.shape[0] == 8
         kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]   # oldest evicted
         assert np.array_equal(stacked, np.stack([k.l3_im.data for k in kept]))
@@ -332,7 +337,7 @@ class TestMemoryBuffer:
     def test_decay_weights(self, rng):
         buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
         for _ in range(4):
-            buf.add({0: self.sample(rng)})
+            buf.add(self.sample(rng))
         w = self.sample_weights(buf)
         np.testing.assert_allclose(w, [2.0, 0.9 ** 2, 0.9, 1.0], atol=1e-15)
         assert w[0] == max(w)
@@ -340,20 +345,20 @@ class TestMemoryBuffer:
     def test_weights_positive(self, rng):
         buf = MemoryBuffer(8, 0.9, 2.0)
         for _ in range(5):
-            buf.add({0: self.sample(rng)})
+            buf.add(self.sample(rng))
         assert all(x > 0 for x in self.sample_weights(buf))
 
     def test_each_object_stacks_its_own_samples_under_the_shared_weights(self, rng):
-        frames = [{1: self.sample(rng), 2: self.sample(rng)} for _ in range(10)]
+        frames = [self.sample(rng, objects=2) for _ in range(10)]
         buf = MemoryBuffer(4, 0.9, 2.0)
         for frame in frames:
             buf.add(frame)
         kept = [frames[i] for i in (0, 7, 8, 9)]
-        for k in (1, 2):
-            got = buf.batch(k)
-            assert np.array_equal(got.l3_im.data,
-                                  np.stack([f[k].l3_im.data for f in kept]))
-            assert np.array_equal(got.weights.data, buf.batch(3 - k).weights.data)
+        got = buf.batch()
+        for k in (0, 1):
+            assert np.array_equal(got.encoded.data[k],
+                                  np.stack([f.encoded.data[k] for f in kept]))
+            assert np.array_equal(got.weights.data[k], got.weights.data[1 - k])
 
     def test_window_matches_the_eviction_rule_bit_for_bit(self, rng):
         # the oracle: a list of (sample, pinned, insertion order) that evicts
@@ -361,23 +366,23 @@ class TestMemoryBuffer:
         # decay ** (newest order - its order)
         capacity, decay, pinned_weight = 8, 0.9, 2.0
         pinned = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                              encoded=Tensor(rng.random((1, 2, 2))),
-                              weights=Tensor(rng.random((1, 2, 2))))
+                              encoded=Tensor(rng.random((1, 1, 2, 2))),
+                              weights=Tensor(rng.random((1, 1, 2, 2))))
         buf = MemoryBuffer(capacity, decay, pinned_weight)
-        buf.add({0: pinned})
+        buf.add(pinned)
         entries = [(pinned, True, 0)]
         for order in range(1, 12):
             sample = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                                  encoded=Tensor(rng.random((1, 2, 2))),
-                                  weights=Tensor(rng.random((1, 2, 2))))
-            buf.add({0: sample})
+                                  encoded=Tensor(rng.random((1, 1, 2, 2))),
+                                  weights=Tensor(rng.random((1, 1, 2, 2))))
+            buf.add(sample)
             if len(entries) >= capacity:
                 del entries[next(i for i, e in enumerate(entries) if not e[1])]
             entries.append((sample, False, order))
             weights = [pinned_weight if is_pinned else decay ** (order - o)
                        for _, is_pinned, o in entries]
             ref = stack_samples([e[0] for e in entries], weights)
-            got = buf.batch(0)
+            got = buf.batch()
             assert got.l3_im.data.shape[0] == min(order + 1, capacity)
             assert np.array_equal(got.l3_im.data[0], pinned.l3_im.data)
             for name in ("l3_im", "encoded", "weights"):
@@ -393,16 +398,16 @@ class TestOptimize:
             l3 = Tensor(rng.standard_normal((c_in, 4, 4)))
             l3f = Tensor(rng.standard_normal((c_in, 4, 4))) if with_flow else None
             samples.append(TargetSample(l3_im=l3, l3_fl=l3f,
-                                        encoded=Tensor(rng.standard_normal((d, 4, 4))),
-                                        weights=Tensor(0.2 + rng.random((d, 4, 4)))))
+                                        encoded=Tensor(rng.standard_normal((1, d, 4, 4))),
+                                        weights=Tensor(0.2 + rng.random((1, d, 4, 4)))))
         buf = MemoryBuffer(8, 0.9, 2.0)
         for sample in samples:
-            buf.add({0: sample})
-        return samples, buf.batch(0)
+            buf.add(sample)
+        return samples, buf.batch()
 
     def test_loss_decreases_mode_none(self, rng):
         fp = float64(FusionParams.init(rng, "none", 3))
-        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=False, c_mid=2,
+        tm = float64(TargetModelParams.init_random([rng], 5, 3, with_flow=False, c_mid=2,
                                                    reg_lambda=1e-3))
         _, batch = self.make_batch(rng)
         res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=5)
@@ -413,7 +418,7 @@ class TestOptimize:
         # with the expand filter at zero and no regularizer the data term is
         # linear in that filter, so one GN step must match the dense solve
         fp = float64(FusionParams.init(rng, "none", 2))
-        tm = float64(TargetModelParams.init_random(rng, 3, 2, with_flow=False, c_mid=2,
+        tm = float64(TargetModelParams.init_random([rng], 3, 2, with_flow=False, c_mid=2,
                                                    reg_lambda=0.0))
         tm.tau1[1].data[:] = 0.0
         samples, batch = self.make_batch(rng, n=2, c_in=3, d=2)
@@ -421,7 +426,7 @@ class TestOptimize:
 
         rows, targets = [], []
         for s, w_s in zip(samples, sw):
-            reduced = np.einsum("mc,chw->mhw", tm.tau1[0].data[:, :, 0, 0],
+            reduced = np.einsum("mc,chw->mhw", tm.tau1[0].data[0, :, :, 0, 0],
                                 s.l3_im.data)
             red_pad = np.pad(reduced, ((0, 0), (1, 1), (1, 1)))
             for d in range(2):
@@ -429,20 +434,20 @@ class TestOptimize:
                     for x in range(4):
                         row = np.zeros((2, 2, 3, 3))
                         row[d] = red_pad[:, y:y + 3, x:x + 3]
-                        wgt = np.sqrt(w_s) * s.weights.data[d, y, x]
+                        wgt = np.sqrt(w_s) * s.weights.data[0, d, y, x]
                         rows.append(wgt * row.reshape(-1))
-                        targets.append(wgt * s.encoded.data[d, y, x])
+                        targets.append(wgt * s.encoded.data[0, d, y, x])
         A = np.stack(rows)
         y = np.array(targets)
         ref = np.linalg.lstsq(A, y, rcond=None)[0]
 
         cfg = RunConfig(seed=0, learner_damping=0.0, learner_cg_iters=100)
         optimize(tm, batch, fp, cfg, outer_iters=1)
-        assert np.linalg.norm(tm.tau1[1].data.reshape(-1) - ref) < 1e-8
+        assert np.linalg.norm(tm.tau1[1].data[0].reshape(-1) - ref) < 1e-8
 
     def test_attention_mode_decreases(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 3))
-        tm = float64(TargetModelParams.init_random(rng, 5, 3, with_flow=True, c_mid=2,
+        tm = float64(TargetModelParams.init_random([rng], 5, 3, with_flow=True, c_mid=2,
                                                    reg_lambda=1e-2))
         _, batch = self.make_batch(rng, with_flow=True)
         res = optimize(tm, batch, fp, RunConfig(seed=0), outer_iters=3)
@@ -479,7 +484,7 @@ def _assert_joint_follows_separate_fits(problem: FitProblem) -> None:
         assert ours[n:] == [ours[n - 1]] * (len(ours) - n)
         np.testing.assert_allclose(ours[:n], alone.losses, rtol=1e-10, atol=0)
         for t, ref in zip(problem.params.tensors(), single.params.tensors()):
-            assert np.max(np.abs(t.data[k] - ref.data)) <= 1e-10 * np.max(np.abs(ref.data))
+            assert np.max(np.abs(t.data[k] - ref.data[0])) <= 1e-10 * np.max(np.abs(ref.data))
 
 
 class TestJointFit:
@@ -491,14 +496,8 @@ class TestJointFit:
     @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
     def test_each_object_follows_its_separate_fit_in_every_mode(self, rng, mode):
         # three objects on shared features, a random attention output wo
-        cases = [_preconditioner_case(rng, mode) for _ in range(3)]
-        _, batch, fp = cases[-1]
-        encoded = rng.standard_normal((3,) + batch.encoded.shape)
-        weights = rng.random((3,) + batch.weights.shape)
-        joint = TargetSample(l3_im=batch.l3_im, l3_fl=batch.l3_fl,
-                             encoded=Tensor(encoded), weights=Tensor(weights))
-        _assert_joint_follows_separate_fits(
-            FitProblem(TargetModelParams.stack([c[0] for c in cases]), joint, fp, outer_iters=4))
+        tm, batch, fp = _preconditioner_case(rng, mode, objects=3)
+        _assert_joint_follows_separate_fits(FitProblem(tm, batch, fp, outer_iters=4))
 
     def test_a_rejected_object_keeps_its_filters_while_the_other_fits_on(self):
         # r = sigmoid(t) - 1/2 per object: at t = 3 the full Gauss-Newton step
@@ -508,8 +507,7 @@ class TestJointFit:
             return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((2, 1), 0.5)))
 
         tau = Tensor(np.array([[3.0], [0.3]]))
-        res = gauss_newton(fn, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0,
-                           objects=2)
+        res = gauss_newton(fn, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0)
         assert res.rejected == [1, 0, 0] and res.halvings == [0, 0, 0]
         assert tau.data[0, 0] == 3.0
         first = [x[0] for x in res.object_losses]
@@ -517,13 +515,13 @@ class TestJointFit:
         assert first == [first[0]] * 4
         assert all(b < a for a, b in zip(second, second[1:]))
 
-        alone = Tensor(np.array([0.3]))
+        alone = Tensor(np.array([[0.3]]))
 
         def fn_alone(params):
-            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full(1, 0.5)))
+            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((1, 1), 0.5)))
 
         ref = gauss_newton(fn_alone, [alone], 3, cg_iters=1, damping=0.0, max_halvings=0)
-        assert second == ref.losses and tau.data[1, 0] == alone.data[0]
+        assert second == ref.losses and tau.data[1, 0] == alone.data[0, 0]
 
 
 def test_config_validation():

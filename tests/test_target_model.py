@@ -10,11 +10,12 @@ from conftest import conv2d_loops, finite_diff_grads, float64
 
 
 def make_sample(rng, c_in=6, d=4, hw=4, with_flow=True):
+    """One frame's sample of one object."""
     return TargetSample(
         l3_im=Tensor(rng.standard_normal((c_in, hw, hw))),
         l3_fl=Tensor(rng.standard_normal((c_in, hw, hw))) if with_flow else None,
-        encoded=Tensor(rng.standard_normal((d, hw, hw))),
-        weights=Tensor(rng.random((d, hw, hw))),
+        encoded=Tensor(rng.standard_normal((1, d, hw, hw))),
+        weights=Tensor(rng.random((1, d, hw, hw))),
     )
 
 
@@ -22,19 +23,19 @@ class TestApply:
     def test_zero_filters_zero_wo_gives_zero(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 4))
         fp.wo.data[:] = 0.0
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=True, c_mid=3,
                                                    reg_lambda=1e-2))
         for t in tm.tensors():
             t.data[:] = 0.0
-        s = make_sample(rng)
+        s = stack_samples([make_sample(rng)])
         out = apply(s.l3_im, s.l3_fl, tm, fp)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_bilinearity_doubling(self, rng):
         fp = float64(FusionParams.init(rng, "none", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=1e-2))
-        s = make_sample(rng, with_flow=False)
+        s = stack_samples([make_sample(rng, with_flow=False)])
         base = apply(s.l3_im, None, tm, fp).data
         tm.tau1[0].data *= 2.0
         doubled = apply(Tensor(2.0 * s.l3_im.data), None, tm, fp).data
@@ -42,17 +43,17 @@ class TestApply:
 
     def test_shape_for_64px_input(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 16))
-        tm = float64(TargetModelParams.init_random(rng, 64, 16, with_flow=True,
+        tm = float64(TargetModelParams.init_random([rng], 64, 16, with_flow=True,
                                                    reg_lambda=1e-2))
-        l3 = Tensor(rng.standard_normal((64, 8, 8)))
-        l3f = Tensor(rng.standard_normal((64, 8, 8)))
-        assert apply(l3, l3f, tm, fp).shape == (16, 8, 8)
+        l3 = Tensor(rng.standard_normal((1, 64, 8, 8)))
+        l3f = Tensor(rng.standard_normal((1, 64, 8, 8)))
+        assert apply(l3, l3f, tm, fp).shape == (1, 1, 16, 8, 8)
 
     def test_channel_mismatch_between_filters_and_fusion(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 8))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=True, c_mid=3,
                                                    reg_lambda=1e-2))
-        s = make_sample(rng)
+        s = stack_samples([make_sample(rng)])
         with pytest.raises(ValueError,
                            match="conv2d: input has 4 channels but kernel expects 8"):
             apply(s.l3_im, s.l3_fl, tm, fp)
@@ -61,25 +62,25 @@ class TestApply:
 class TestResidualAndLoss:
     def test_perfect_fit_zero_loss(self, rng):
         fp = float64(FusionParams.init(rng, "none", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
-        s.encoded = apply(s.l3_im, None, tm, fp)
+        s.encoded = Tensor(apply(Tensor(s.l3_im.data[None]), None, tm, fp).data[:, 0])
         r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
     def test_zero_weights_zero_loss(self, rng):
         fp = float64(FusionParams.init(rng, "none", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=False, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
-        s.weights = Tensor(np.zeros((4, 4, 4)))
+        s.weights = Tensor(np.zeros((1, 4, 4, 4)))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() == 0.0
 
     def test_half_rsq_equals_loss(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=True, c_mid=3,
                                                    reg_lambda=0.05))
         s = make_sample(rng)
         r, loss = residual_and_loss(stack_samples([s, make_sample(rng)], [1.0, 0.5]),
@@ -89,17 +90,17 @@ class TestResidualAndLoss:
     def test_toy_sample_matches_hand_expansion(self, rng):
         # 2x2 spatial, 2 input channels, c_mid 1, one label channel, mode none
         fp = float64(FusionParams.init(rng, "none", 1))
-        tm = float64(TargetModelParams.init_random(rng, 2, 1, with_flow=False, c_mid=1,
+        tm = float64(TargetModelParams.init_random([rng], 2, 1, with_flow=False, c_mid=1,
                                                    reg_lambda=0.25))
         x = rng.standard_normal((2, 2, 2))
         e = rng.standard_normal((1, 2, 2))
         w = rng.random((1, 2, 2))
-        s = TargetSample(l3_im=Tensor(x), l3_fl=None, encoded=Tensor(e),
-                         weights=Tensor(w))
+        s = TargetSample(l3_im=Tensor(x), l3_fl=None, encoded=Tensor(e[None]),
+                         weights=Tensor(w[None]))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
 
-        a1 = tm.tau1[0].data
-        b1 = tm.tau1[1].data
+        a1 = tm.tau1[0].data[0]
+        b1 = tm.tau1[1].data[0]
         reduced = (a1[0, 0, 0, 0] * x[0] + a1[0, 1, 0, 0] * x[1])[None]
         f_x = conv2d_loops(reduced, b1, padding=1)
         expected = 0.0
@@ -115,7 +116,7 @@ class TestResidualAndLoss:
 
     def test_loss_gradient_matches_fd(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 4))
-        tm = float64(TargetModelParams.init_random(rng, 5, 4, with_flow=True, c_mid=2,
+        tm = float64(TargetModelParams.init_random([rng], 5, 4, with_flow=True, c_mid=2,
                                                    reg_lambda=0.1))
         samples = [make_sample(rng, c_in=5, d=4, hw=4) for _ in range(2)]
 
@@ -140,18 +141,18 @@ class TestResidualAndLoss:
         fp = float64(FusionParams.init(rng, mode, 4))
         if fp.wo is not None:
             fp.wo.data[:] = rng.standard_normal(fp.wo.shape)
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=mode != "none",
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=mode != "none",
                                                    c_mid=3, reg_lambda=0.0))
         samples = [make_sample(rng, with_flow=mode != "none") for _ in range(3)]
         weights = [2.0, 0.81, 0.9]
         r, _ = residual_and_loss(stack_samples(samples, weights), tm, fp)
         singles = [residual_and_loss(stack_samples([s]), tm, fp)[0].data * np.sqrt(sw)
                    for s, sw in zip(samples, weights)]
-        np.testing.assert_allclose(r.data, np.concatenate(singles), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r.data, np.concatenate(singles, axis=1), rtol=0, atol=1e-12)
 
     def test_tape_size_does_not_grow_with_samples(self, rng):
         fp = float64(FusionParams.init(rng, "attention", 4))
-        tm = float64(TargetModelParams.init_random(rng, 6, 4, with_flow=True, c_mid=3,
+        tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=True, c_mid=3,
                                                    reg_lambda=1e-2))
 
         def nodes(count):
