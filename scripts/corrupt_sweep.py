@@ -19,7 +19,7 @@ Usage, from the root of a checkout:
 
     python3 scripts/corrupt_sweep.py [--header 64] [--samples 40] [--seed 0]
 
-The defaults make 6570 runs, about six minutes; run as a script, the sweep
+The defaults make 6570 runs, about three minutes; run as a script, the sweep
 pins BLAS to one thread.  The property test
 ``tests/test_cli.py::test_truncated_or_bit_flipped_file_keeps_the_exit_code_contract``
 draws 40 of these damages in Tier-1 from the same inputs (``setup``) and

@@ -15,9 +15,10 @@ its inputs that need a gradient, so ``conv2d`` skips its input correlation
 on a frozen input, such as features or a raw image, and its weight gradient
 on a constant kernel.
 
-A leading batch axis runs many samples through one node: ``conv2d`` takes
-C x H x W or N x C x H x W inputs, and ``matmul`` and ``transpose2d`` take
-matrices or equally long stacks of them.  A leading group axis on a
+Every feature map is a batch, so a leading batch axis runs many samples
+through one node: ``conv2d``, ``avg_pool2`` and ``upsample2`` take
+N x C x H x W inputs only, and ``matmul`` and ``transpose2d`` stacks of
+matrices only, a single one as a stack of one.  A leading group axis on a
 ``conv2d`` kernel runs G convolutions through one node, over one batch that
 every group reads or over a batch per group.  Every convolution is
 same-size: ``conv2d`` pads by p = k // 2 for a k x k kernel and lays the
@@ -369,10 +370,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose2d(a: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or of a stack of matrices."""
-    if a.data.ndim not in (2, 3):
-        raise ValueError(
-            f"transpose2d expects a matrix or a stack of them, got shape {a.data.shape}")
+    """Transpose each matrix of a stack."""
+    if a.data.ndim != 3:
+        raise ValueError(f"transpose2d expects a stack of matrices, got shape {a.data.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2).copy())
     return _record(out, (a,),
                    vjp=lambda g, need: (np.swapaxes(g, -1, -2),),
@@ -428,12 +428,11 @@ def kernel_slice(w: Tensor, start: int, stop: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices, or of two equally long stacks of them."""
-    nd = a.data.ndim
-    if nd not in (2, 3) or b.data.ndim != nd:
+    """Matrix products of two equally long stacks of matrices."""
+    if a.data.ndim != 3 or b.data.ndim != 3:
         raise ValueError(
-            f"matmul expects two matrices or two stacks, got {a.data.shape} @ {b.data.shape}")
-    if nd == 3 and a.data.shape[0] != b.data.shape[0]:
+            f"matmul expects two stacks of matrices, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[0] != b.data.shape[0]:
         raise ValueError(
             f"matmul: stack sizes differ, {a.data.shape[0]} vs {b.data.shape[0]}")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -490,9 +489,9 @@ def _tap_sum(mats: np.ndarray, g: Optional[np.ndarray], cols: Optional[np.ndarra
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Same-size cross-correlation of a C_in x H x W input, or an N x C_in x H x W
-    batch, with a C_out x C_in x k x k kernel at stride 1: the input is
-    zero-padded by k // 2 on every side, so the output keeps its H x W.
+    """Same-size cross-correlation of an N x C_in x H x W batch with a
+    C_out x C_in x k x k kernel at stride 1: the input is zero-padded by
+    k // 2 on every side, so the output keeps its H x W.
 
     A kernel with a leading group axis, G x C_out x C_in x k x k, runs G such
     convolutions in one node, each group's output the one a conv2d call with
@@ -511,9 +510,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(
             f"conv2d: kernel must be [G x] C_out x C_in x k x k, got {w.data.shape}")
     groups = w.data.shape[:-4]           # () or (G,)
-    if x.data.ndim not in ((4, 5) if groups else (3, 4)):
+    if x.data.ndim not in ((4, 5) if groups else (4,)):
         raise ValueError(
-            f"conv2d: input must be {'NxCxHxW or GxNxCxHxW' if groups else 'CxHxW or NxCxHxW'}"
+            f"conv2d: input must be {'NxCxHxW or GxNxCxHxW' if groups else 'NxCxHxW'}"
             f" for a kernel of shape {w.data.shape}, got shape {x.data.shape}")
     stacked = x.data.ndim == 5           # a batch per group
     if stacked and x.data.shape[0] != groups[0]:
@@ -531,8 +530,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(f"conv2d: bias shape {b.data.shape} != {groups + (cout,)}")
     _check_same_dtype((x, w) if b is None else (x, w, b), "conv2d")
     k, p = kh, kh // 2
-    batched = x.data.ndim > 3
-    n = x.data.shape[-4] if batched else 1
+    n = x.data.shape[-4]
     # the flat grid: sample i fills the top-left h x wd corner of the i-th
     # (h + p) x (wd + p) cell, the cells start ``lead`` columns in and end as
     # many before the grid does, and everything else is zero.  The zero rows
@@ -544,8 +542,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     lead = p * (pw + 1)                  # output (0, 0) reads from row -p, column -p
     offsets = [i * pw + j for i in range(k) for j in range(k)]     # the last is 2 * lead
 
-    def to_grid(a):                      # a [G x] [N x] C x H x W array on the grid
-        a = (a if batched else a[None]).swapaxes(-4, -3)
+    def to_grid(a):                      # a [G x] N x C x H x W array on the grid
+        a = a.swapaxes(-4, -3)
         if p == 0:
             return a.reshape(a.shape[:-3] + (span,))
         g = np.zeros(a.shape[:-3] + (span + 2 * lead,), dtype=a.dtype)
@@ -557,7 +555,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             y.reshape(y.shape[:-1] + (n, ph, pw))[..., :h, :wd].swapaxes(-4, -3))
         if bias is not None:
             res += bias[..., None, :, None, None]
-        return res if batched else res[0]
+        return res
 
     grid = to_grid(x.data)
     cols = _gather(grid, offsets, span, cout)
@@ -600,7 +598,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             dx = from_grid(_tap_sum(mats_adj, ggrid, _gather(ggrid, offsets, span, cin),
                                     offsets, span))
         if b is not None:
-            return dx, dw, g.sum(axis=(-4, -2, -1) if batched else (-2, -1))
+            return dx, dw, g.sum(axis=(-4, -2, -1))
         return dx, dw
 
     def jvp(t):
@@ -618,25 +616,22 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2; spatial dims must be even."""
-    if x.data.ndim != 3:
-        raise ValueError(f"avg_pool2: input must be CxHxW, got shape {x.data.shape}")
-    c, h, w = x.data.shape
+    """2x2 average pooling with stride 2 of an N x C x H x W batch; spatial
+    dims must be even."""
+    if x.data.ndim != 4:
+        raise ValueError(f"avg_pool2: input must be NxCxHxW, got shape {x.data.shape}")
+    h, w = x.data.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2: spatial size {h}x{w} not divisible by 2")
-    d = x.data
-    out = Tensor(0.25 * (d[:, 0::2, 0::2] + d[:, 1::2, 0::2]
-                         + d[:, 0::2, 1::2] + d[:, 1::2, 1::2]))
+
+    def fwd(d):
+        return 0.25 * (d[..., 0::2, 0::2] + d[..., 1::2, 0::2]
+                       + d[..., 0::2, 1::2] + d[..., 1::2, 1::2])
 
     def vjp(g, need):
-        return (0.25 * np.repeat(np.repeat(g, 2, axis=1), 2, axis=2),)
+        return (0.25 * np.repeat(np.repeat(g, 2, axis=2), 2, axis=3),)
 
-    def jvp(t):
-        d = t[0]
-        return 0.25 * (d[:, 0::2, 0::2] + d[:, 1::2, 0::2]
-                       + d[:, 0::2, 1::2] + d[:, 1::2, 1::2])
-
-    return _record(out, (x,), vjp=vjp, jvp=jvp)
+    return _record(Tensor(fwd(x.data)), (x,), vjp=vjp, jvp=lambda t: fwd(t[0]))
 
 
 def _at(axis: int, start, stop, step=None) -> tuple:
@@ -671,16 +666,17 @@ def _up_axis_adj(g: np.ndarray, axis: int) -> np.ndarray:
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """2x bilinear upsampling of a CxHxW tensor (align_corners=False, edges
-    clamped): the two-tap stencil 0.25/0.75 along rows, then along columns."""
-    if x.data.ndim != 3:
-        raise ValueError(f"upsample2: input must be CxHxW, got shape {x.data.shape}")
+    """2x bilinear upsampling of an N x C x H x W batch (align_corners=False,
+    edges clamped): the two-tap stencil 0.25/0.75 along rows, then along
+    columns."""
+    if x.data.ndim != 4:
+        raise ValueError(f"upsample2: input must be NxCxHxW, got shape {x.data.shape}")
 
     def fwd(d):
-        return _up_axis(_up_axis(d, 1), 2)
+        return _up_axis(_up_axis(d, 2), 3)
 
     def vjp(g, need):
-        return (_up_axis_adj(_up_axis_adj(g, 2), 1),)
+        return (_up_axis_adj(_up_axis_adj(g, 3), 2),)
 
     return _record(Tensor(fwd(x.data)), (x,), vjp=vjp, jvp=lambda t: fwd(t[0]))
 

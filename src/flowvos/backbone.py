@@ -53,8 +53,8 @@ class FeatureExtractorParams:
 
 
 def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
-    """Feature pyramid {1: ..., 4: ...} of a 3xHxW input whose sides are
-    multiples of 16; level k is CxH/2^k."""
+    """Feature pyramid {1: ..., 4: ...} of an N x 3 x H x W batch whose sides
+    are multiples of 16; level k is N x C x H/2^k x W/2^k."""
     pyramid = {}
     cur = x
     for k, (wk, bk) in enumerate(params.stages, start=1):
@@ -66,9 +66,9 @@ def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
 def encode_label(masks: Tensor, label_channels: int = LABEL_CHANNELS
                  ) -> tuple[Tensor, Tensor]:
     """Regression targets and importance weights for K x H x W masks, one
-    per object: each mask average-pooled to level 3 and tiled to
-    ``label_channels``, and weights of one, both
-    K x label_channels x H/8 x W/8."""
+    per object, as one frame's sample: each mask average-pooled to level 3
+    and tiled to ``label_channels``, and weights of one, both
+    K x 1 x label_channels x H/8 x W/8."""
     if masks.ndim != 3:
         raise ValueError(f"encode_label: expected KxHxW masks, got shape {masks.shape}")
     k, h, w = masks.shape
@@ -76,5 +76,5 @@ def encode_label(masks: Tensor, label_channels: int = LABEL_CHANNELS
     if h % div or w % div:
         raise ValueError(f"encode_label: spatial size {h}x{w} not divisible by {div}")
     pooled = masks.data.reshape(k, h // div, div, w // div, div).mean(axis=(2, 4))
-    encoded = np.repeat(pooled[:, None], label_channels, axis=1)
+    encoded = np.repeat(pooled[:, None, None], label_channels, axis=2)
     return Tensor(encoded), Tensor(np.ones_like(encoded))

@@ -76,12 +76,12 @@ def fuse_pyramid(pyr_im: dict, pyr_fl: Optional[dict], fusion_levels: dict) -> d
 
 
 def decode(f_tms: list, fused: dict, params: DecoderParams) -> list:
-    """One logit channel per object at the frame resolution, from each
-    object's f_tm (level-3 sized) and the frame's fused pyramid."""
+    """One 1 x 1 x H x W logit map per object at the frame resolution, from
+    each object's 1 x L x H/8 x W/8 f_tm and the frame's fused pyramid."""
     stages = [(4, params.stem)] + [(k, params.refine[k]) for k in (3, 2, 1)]
     halves = {}                          # level -> (object half, frame half's output)
     for k, ((w, b), _) in stages:
-        c = w.shape[1] - fused[k].shape[0]
+        c = w.shape[1] - fused[k].shape[1]
         halves[k] = (ad.kernel_slice(w, 0, c),
                      ad.conv2d(fused[k], ad.kernel_slice(w, c, w.shape[1]), b))
     # one object at a time: with every object's activations alive at once

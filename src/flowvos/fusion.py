@@ -64,13 +64,13 @@ class FusionParams:
 
 
 def _flat(t: Tensor) -> Tensor:
-    """[N x] C x H x W viewed as [N x] C x HW."""
+    """N x C x H x W viewed as N x C x HW."""
     return ad.reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
 
 
 def attention_map(f_im: Tensor, f_fl: Tensor, params: FusionParams) -> Tensor:
-    """The C_v x C_k channel attention map, one per sample of a batch; rows
-    sum to 1."""
+    """The C_v x C_k channel attention maps of N x C x H x W image and flow
+    features, N x C_v x C_k, one per sample; rows sum to 1."""
     hw = f_im.shape[-2] * f_im.shape[-1]
     kf = _flat(ad.conv2d(f_im, params.wk))
     vf = _flat(ad.conv2d(f_fl, params.wv))
@@ -79,9 +79,9 @@ def attention_map(f_im: Tensor, f_fl: Tensor, params: FusionParams) -> Tensor:
 
 
 def fuse(f_im: Tensor, f_fl: Optional[Tensor], params: FusionParams) -> Tensor:
-    """Combine same-shape image and flow feature maps, C x H x W or batched
-    N x C x H x W; output keeps f_im's shape.  ``f_fl`` is None when the
-    model has no flow branch, which only mode "none" accepts."""
+    """Combine same-shape N x C x H x W image and flow feature maps; output
+    keeps f_im's shape.  ``f_fl`` is None when the model has no flow branch,
+    which only mode "none" accepts."""
     if params.mode == "none":
         return f_im
     if f_fl is None:
@@ -90,7 +90,7 @@ def fuse(f_im: Tensor, f_fl: Optional[Tensor], params: FusionParams) -> Tensor:
         return ad.conv2d(ad.concat([f_im, f_fl], axis=-3), params.wc)
     qf = _flat(ad.conv2d(f_fl, params.wq))
     m = attention_map(f_im, f_fl, params)
-    remapped = ad.matmul(m, qf)                           # [N x] C_v x HW
+    remapped = ad.matmul(m, qf)                           # N x C_v x HW
     remapped = ad.reshape(remapped, remapped.shape[:-1] + f_im.shape[-2:])
     return ad.add(f_im, ad.conv2d(remapped, params.wo))
 

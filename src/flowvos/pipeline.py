@@ -77,11 +77,6 @@ def frame_sets(seq: Sequence) -> list:
 # feature plumbing
 
 
-def _flow_input(fs: FrameSet, cfg: RunConfig) -> Tensor:
-    emb = embed_flow(fs.flow)
-    return Tensor(emb.data / cfg.flow_max_displacement)
-
-
 def _pad_frameset(fs: FrameSet) -> tuple:
     """The frame padded below and to the right to a multiple of the
     backbone's total downsampling, and the padding (rows, columns)."""
@@ -97,10 +92,13 @@ def _pad_frameset(fs: FrameSet) -> tuple:
 
 
 def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
-    pyr_im = extract(Tensor(fs.image), model.backbone_im)
+    """The frame's image and flow pyramids, each level a batch of one
+    frame."""
+    pyr_im = extract(Tensor(fs.image[None]), model.backbone_im)
     pyr_fl = None
     if model.uses_flow:
-        pyr_fl = extract(_flow_input(fs, cfg), model.backbone_fl)
+        flow = embed_flow(fs.flow).data / cfg.flow_max_displacement
+        pyr_fl = extract(Tensor(flow[None]), model.backbone_fl)
     return pyr_im, pyr_fl
 
 
@@ -109,13 +107,9 @@ def _level3(pyr_im, pyr_fl) -> tuple:
     return pyr_im[3], None if pyr_fl is None else pyr_fl[3]
 
 
-def _one_frame(t: Optional[Tensor]) -> Optional[Tensor]:
-    """C x H x W features as a batch of one frame, on the tape if one records."""
-    return None if t is None else ad.reshape(t, (1,) + t.shape)
-
-
 def _object_sample(pyr_im, pyr_fl, masks01: np.ndarray) -> TargetSample:
-    """The frame's sample of the objects of the K x H x W masks."""
+    """The frame's sample of the objects of the K x H x W masks, a batch of
+    one frame."""
     enc, wgt = encode_label(Tensor(masks01))
     l3_im, l3_fl = _level3(pyr_im, pyr_fl)
     return TargetSample(l3_im=l3_im, l3_fl=l3_fl, encoded=enc, weights=wgt)
@@ -182,11 +176,11 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
             probs = np.stack([(annotation == k).astype(DTYPE) for k in objects])
         else:
             fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-            l3 = map(_one_frame, _level3(pyr_im, pyr_fl))
-            f_tm = apply(*l3, tau, model.fusion_tm).data      # K x 1 x L x H x W
-            # inference records no tape, so each object's f_tm is taken as data
-            logits = decode([Tensor(f[0]) for f in f_tm], fused, model.decoder)
-            probs = np.stack([ad.sigmoid(z).data[0, :h0, :w0] for z in logits])
+            # K x 1 x L x H x W; inference records no tape, so each object's
+            # f_tm is taken as data
+            f_tm = apply(*_level3(pyr_im, pyr_fl), tau, model.fusion_tm).data
+            logits = decode([Tensor(f) for f in f_tm], fused, model.decoder)
+            probs = np.stack([ad.sigmoid(z).data[0, 0, :h0, :w0] for z in logits])
         # binarizing frame 0's one-hot probabilities gives back the annotation
         best = np.argmax(probs, axis=0)
         labels = np.where(probs.max(axis=0) > 0.5, ids[best], 0).astype(np.uint8)
@@ -372,10 +366,10 @@ def _sample_loss(sample: TrainingSample, tau: TargetModelParams, model: Model,
     terms = []
     for fs in sample.tests:
         pyr_im, pyr_fl = _pyramids(model, fs, cfg)
-        f_tm = apply(*map(_one_frame, _level3(pyr_im, pyr_fl)), tau, model.fusion_tm)
+        f_tm = apply(*_level3(pyr_im, pyr_fl), tau, model.fusion_tm)
         fused = fuse_pyramid(pyr_im, pyr_fl, model.fusion_dec)
-        logits = decode([ad.reshape(f_tm, f_tm.shape[2:])], fused, model.decoder)[0]
-        target = (fs.mask == sample.object_id).astype(DTYPE)[None]
+        logits = decode([ad.reshape(f_tm, f_tm.shape[1:])], fused, model.decoder)[0]
+        target = (fs.mask == sample.object_id).astype(DTYPE)[None, None]
         terms.append(balanced_bce_with_logits(logits, target))
     total = terms[0]
     for t in terms[1:]:

@@ -35,10 +35,10 @@ MID_CHANNELS = 32
 
 @dataclass
 class TargetSample:
-    """One frame's regression samples for K objects: its frozen level-3
-    features, C x H x W, which every object shares, and each object's target
-    and importance weights, K x L x H x W.  ``stack_samples`` batches N of
-    them to N x C x H x W features and K x N x L x H x W targets and weights.
+    """Regression samples of N frames for K objects: the frozen level-3
+    features, N x C x H x W, which every object shares, and each object's
+    targets and importance weights, K x N x L x H x W.  One frame's sample
+    has N = 1.
     """
 
     l3_im: Tensor
@@ -106,15 +106,15 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
 
 
 def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
-    """The samples as one batch, every tensor stacked on its sample axis: N x
-    C x H x W features and K x N x L x H x W targets and weights, with the
-    square root of each sample weight folded into its importance weights.
+    """The samples as one batch, every tensor concatenated on its sample
+    axis, with the square root of each sample's weight folded into its
+    importance weights.
 
     The stacked tensors are constants: no gradient flows back to the sample
     tensors.
     """
-    def stack(arrays):                   # the sample axis goes in front of C x H x W
-        return Tensor(np.stack(arrays, axis=-4))
+    def stack(arrays):                   # the sample axis precedes C (or L) x H x W
+        return Tensor(np.concatenate(arrays, axis=-4))
 
     weights = [s.weights.data for s in samples]
     if sample_weights is not None:

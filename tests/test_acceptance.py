@@ -93,15 +93,15 @@ def test_c03_autodiff_soundness():
         a, b = rt((m, n)), rt((m, n))
         away = Tensor(np.sign(rng.standard_normal((m, n)))
                       * (0.2 + rng.random((m, n))))
-        x2, y2 = rt((m, n)), rt((n, p))
+        x2, y2 = rt((1, m, n)), rt((1, n, p))
         cin, cout = rdim(1, 4), rdim(1, 4)
         k = int(rng.choice([1, 3]))
         hw = int(rng.integers(k + 1, 7))
-        xc = rt((cin, hw, hw))
+        xc = rt((1, cin, hw, hw))
         wc = rt((cout, cin, k, k))
         bc = rt(cout)
-        xp = rt((cin, 2 * rdim(), 2 * rdim()))
-        xu = rt((cin, rdim(), rdim()))
+        xp = rt((1, cin, 2 * rdim(), 2 * rdim()))
+        xu = rt((1, cin, rdim(), rdim()))
         cases = [
             (lambda: ad.sumsq(ad.add(a, b)), [a, b]),
             (lambda: ad.sumsq(ad.sub(a, b)), [a, b]),
@@ -135,10 +135,10 @@ def test_c04_gauss_newton_exactness():
         n = int(rng.integers(2, 9))
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
-        At, bt = Tensor(A), Tensor(b.reshape(-1, 1))
+        At, bt = Tensor(A[None]), Tensor(b.reshape(1, -1, 1))
 
         def lin_fn(params):
-            tau = ad.reshape(params[0], (n, 1))
+            tau = ad.reshape(params[0], (1, n, 1))
             return ad.sub(ad.matmul(At, tau), bt)
 
         tau = Tensor(rng.standard_normal((1, n)))
@@ -150,7 +150,7 @@ def test_c04_gauss_newton_exactness():
         root = np.sqrt(lam)
 
         def ridge_fn(params):
-            t = ad.reshape(params[0], (n, 1))
+            t = ad.reshape(params[0], (1, n, 1))
             return [ad.sub(ad.matmul(At, t), bt), params[0] * root]
 
         tau_r = Tensor(np.zeros((1, n)))
@@ -177,10 +177,10 @@ def test_c05_monotone_online_loss():
                 [rng], 5, 6, with_flow=with_flow, c_mid=3,
                 reg_lambda=float(rng.uniform(0, 0.1))))
             samples = [TargetSample(
-                l3_im=Tensor(rng.standard_normal((5, 4, 4))),
-                l3_fl=Tensor(rng.standard_normal((5, 4, 4))) if with_flow else None,
-                encoded=Tensor(rng.standard_normal((1, 6, 4, 4))),
-                weights=Tensor(rng.random((1, 6, 4, 4))))
+                l3_im=Tensor(rng.standard_normal((1, 5, 4, 4))),
+                l3_fl=Tensor(rng.standard_normal((1, 5, 4, 4))) if with_flow else None,
+                encoded=Tensor(rng.standard_normal((1, 1, 6, 4, 4))),
+                weights=Tensor(rng.random((1, 1, 6, 4, 4))))
                 for _ in range(int(rng.integers(1, 5)))]
             buf = MemoryBuffer(8, 0.9, 2.0)
             for sample in samples:
@@ -201,10 +201,10 @@ def test_c06_attention_contract():
         c = int(rng.choice([6, 8, 16]))
         p = float64(FusionParams.init(rng, "attention", c))
         p.wo.data = rng.standard_normal(p.wo.data.shape)
-        f_im = Tensor(rng.standard_normal((c, 4, 4)))
-        f_fl = Tensor(rng.standard_normal((c, 4, 4)))
+        f_im = Tensor(rng.standard_normal((1, c, 4, 4)))
+        f_fl = Tensor(rng.standard_normal((1, c, 4, 4)))
         m = attention_map(f_im, f_fl, p)
-        assert np.max(np.abs(m.data.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(m.data.sum(axis=-1) - 1.0)) < 1e-12
 
         p0 = float64(FusionParams.init(rng, "attention", c))
         p0.wo.data = np.zeros_like(p0.wo.data)
@@ -212,10 +212,10 @@ def test_c06_attention_contract():
         assert np.array_equal(out.data, f_im.data)
 
         perm = rng.permutation(16)
-        ref = fuse(f_im, f_fl, p).data.reshape(c, 16)[:, perm]
-        got = fuse(Tensor(f_im.data.reshape(c, 16)[:, perm].reshape(c, 4, 4)),
-                   Tensor(f_fl.data.reshape(c, 16)[:, perm].reshape(c, 4, 4)),
-                   p).data.reshape(c, 16)
+        ref = fuse(f_im, f_fl, p).data.reshape(1, c, 16)[..., perm]
+        got = fuse(Tensor(f_im.data.reshape(1, c, 16)[..., perm].reshape(1, c, 4, 4)),
+                   Tensor(f_fl.data.reshape(1, c, 16)[..., perm].reshape(1, c, 4, 4)),
+                   p).data.reshape(1, c, 16)
         assert np.max(np.abs(got - ref)) < 1e-10
     _report("C6 attention contract", t0, 10.0)
 

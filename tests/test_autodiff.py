@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from flowvos.autodiff import Tape, Tensor
 from conftest import (check_backward_matches_fd, conv2d_loops, full_replay_backward,
                       full_replay_jvp, full_replay_vjp, upsample2_loops)
 
-# (input shape, kernel shape) for k = 1 and 3, with and without a batch axis;
+# (input shape, kernel shape) for k = 1 and 3, on batches of one and of two;
 # a 3x3 kernel stacks its taps unless it has over 1.5 input channels per
 # output channel, and the input gradient swaps the two counts
 CONV_CASES = [
     pytest.param((2, 3, 6, 5), (4, 3, 1, 1), id="1x1"),
-    pytest.param((3, 6, 5), (4, 3, 1, 1), id="1x1-single"),
-    pytest.param((3, 6, 5), (4, 3, 3, 3), id="3x3-stacked"),
+    pytest.param((1, 3, 6, 5), (4, 3, 1, 1), id="1x1-single"),
+    pytest.param((1, 3, 6, 5), (4, 3, 3, 3), id="3x3-stacked"),
     pytest.param((2, 3, 6, 5), (4, 3, 3, 3), id="3x3-stacked-batch"),
     pytest.param((2, 12, 6, 5), (4, 12, 3, 3), id="3x3-per-tap"),
-    pytest.param((2, 6, 5), (12, 2, 3, 3), id="3x3-per-tap-input-gradient"),
+    pytest.param((1, 2, 6, 5), (12, 2, 3, 3), id="3x3-per-tap-input-gradient"),
 ]
 
 # (input shape, kernel shape) of a grouped conv2d: one batch that every group
@@ -34,23 +36,23 @@ GROUPED_CASES = [
 
 class TestConv2d:
     def test_identity_kernel(self, rng):
-        x = Tensor(rng.standard_normal((3, 5, 7)))
+        x = Tensor(rng.standard_normal((1, 3, 5, 7)))
         w = Tensor(np.ones((3, 3, 1, 1)) * np.eye(3)[:, :, None, None])
         out = ad.conv2d(x, w)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_averaging_preserves_constants(self):
         c = 2.75
-        x = Tensor(np.full((1, 6, 6), c))
+        x = Tensor(np.full((1, 1, 6, 6), c))
         w = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
         out = ad.conv2d(x, w)
-        np.testing.assert_allclose(out.data[0, 1:-1, 1:-1], c, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0, 1:-1, 1:-1], c, atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         out = ad.conv2d(Tensor(x), Tensor(w))
-        np.testing.assert_allclose(out.data, conv2d_loops(x, w, padding=1), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], conv2d_loops(x[0], w, padding=1), atol=1e-12)
 
     def test_loop_oracle_many_shapes(self, rng):
         for _ in range(100):
@@ -59,10 +61,10 @@ class TestConv2d:
             k = int(rng.choice([1, 3, 5]))
             h = int(rng.integers(1, 9))
             wd = int(rng.integers(1, 9))
-            x = rng.standard_normal((cin, h, wd))
+            x = rng.standard_normal((1, cin, h, wd))
             w = rng.standard_normal((cout, cin, k, k))
-            got = ad.conv2d(Tensor(x), Tensor(w)).data
-            ref = conv2d_loops(x, w, padding=k // 2)
+            got = ad.conv2d(Tensor(x), Tensor(w)).data[0]
+            ref = conv2d_loops(x[0], w, padding=k // 2)
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_batched_loop_oracle(self, rng):
@@ -79,15 +81,15 @@ class TestConv2d:
                 np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_bias(self, rng):
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b))
-        ref = conv2d_loops(x, w, padding=1) + b[:, None, None]
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        ref = conv2d_loops(x[0], w, padding=1) + b[:, None, None]
+        np.testing.assert_allclose(out.data[0], ref, atol=1e-12)
 
     def test_channel_mismatch_names_dimension(self, rng):
-        x = Tensor(rng.standard_normal((2, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w = Tensor(rng.standard_normal((3, 5, 3, 3)))
         with pytest.raises(ValueError, match="2 channels but kernel expects 5"):
             ad.conv2d(x, w)
@@ -106,7 +108,7 @@ class TestConv2d:
         assert np.array_equal(dx, ad.conv2d(Tensor(g), Tensor(w_adj)).data)
 
     def test_even_kernel_rejected(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 1, 4, 4)))
         w = Tensor(rng.standard_normal((1, 1, 2, 2)))
         with pytest.raises(ValueError, match="odd"):
             ad.conv2d(x, w)
@@ -189,13 +191,14 @@ class TestElementwise:
         assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 2.0]
 
     def test_matmul_matches_triple_loop(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        ref = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    ref[i, j] += a[i, k] * b[k, j]
+        a = rng.standard_normal((2, 2, 3))
+        b = rng.standard_normal((2, 3, 2))
+        ref = np.zeros((2, 2, 2))
+        for s in range(2):
+            for i in range(2):
+                for j in range(2):
+                    for k in range(3):
+                        ref[s, i, j] += a[s, i, k] * b[s, k, j]
         out = ad.matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -221,39 +224,39 @@ class TestElementwise:
 
 class TestPoolUpsample:
     def test_avg_pool2(self, rng):
-        x = rng.standard_normal((2, 4, 6))
+        x = rng.standard_normal((2, 2, 4, 6))
         out = ad.avg_pool2(Tensor(x))
-        assert out.shape == (2, 2, 3)
-        ref = x.reshape(2, 2, 2, 3, 2).mean(axis=(2, 4))
+        assert out.shape == (2, 2, 2, 3)
+        ref = x.reshape(2, 2, 2, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
     def test_avg_pool2_odd_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
-            ad.avg_pool2(Tensor(np.zeros((1, 3, 4))))
+            ad.avg_pool2(Tensor(np.zeros((1, 1, 3, 4))))
 
     def test_upsample2_shape_and_constant(self):
-        x = Tensor(np.full((2, 3, 4), 1.5))
+        x = Tensor(np.full((2, 2, 3, 4), 1.5))
         out = ad.upsample2(x)
-        assert out.shape == (2, 6, 8)
+        assert out.shape == (2, 2, 6, 8)
         np.testing.assert_allclose(out.data, 1.5, atol=1e-12)
 
     def test_upsample2_interpolates(self):
-        x = Tensor(np.array([[[0.0, 1.0]]]))
+        x = Tensor(np.array([[[[0.0, 1.0]]]]))
         out = ad.upsample2(x)
-        np.testing.assert_allclose(out.data[0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 4, 6), (3, 1, 1), (2, 1, 4),
                                        (1, 5, 1)], ids=str)
     def test_upsample2_matches_loop_oracle_exactly(self, rng, shape):
-        x = rng.standard_normal(shape)
+        x = rng.standard_normal((2,) + shape)
         np.testing.assert_array_equal(ad.upsample2(Tensor(x)).data,
-                                      upsample2_loops(x))
+                                      np.stack([upsample2_loops(xi) for xi in x]))
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 4, 6), (3, 1, 1), (2, 1, 4)],
                              ids=str)
     def test_upsample2_vjp_is_the_adjoint(self, rng, shape):
-        x = rng.standard_normal(shape)
-        g = rng.standard_normal((shape[0], 2 * shape[1], 2 * shape[2]))
+        x = rng.standard_normal((1,) + shape)
+        g = rng.standard_normal((1, shape[0], 2 * shape[1], 2 * shape[2]))
         lin = ad.Linearization(lambda ps: ad.upsample2(ps[0]), [Tensor(x)])
         up_x = lin.jvp([x])[0]
         up_t_g = lin.vjp([g])[0]
@@ -351,7 +354,7 @@ class TestBackward:
         np.testing.assert_allclose(gcombo, a * gf + b * gg, atol=1e-12)
 
     def test_determinism(self, rng):
-        x = rng.standard_normal((3, 8, 8))
+        x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
 
         def run():
@@ -370,79 +373,95 @@ class TestBackward:
 
 
 def _op_cases(rng):
-    """(name, leaves, loss builder) triples covering every differentiable op."""
+    """(name, leaves, op) triples covering every differentiable op, where
+    op() applies it to the leaves."""
     def t(shape, off=0.0):
         return Tensor(rng.standard_normal(shape) + off)
 
     x23a, x23b = t((2, 3)), t((2, 3))
     # keep relu inputs away from the kink
     xr = Tensor(np.sign(rng.standard_normal((2, 3))) * (0.2 + rng.random((2, 3))))
-    xm, ym = t((3, 4)), t((4, 2))
     xc = t((2, 4, 4))
-    wc = t((3, 2, 3, 3))
-    bc = t(3)
-    xp = t((2, 4, 6))
-    xu = t((1, 3, 3))
     xcat, ycat = t((2, 3)), t((1, 3))
-    xb = t((2, 3, 4, 5))
-    wb = t((2, 3, 3, 3))
+    xb, wb, bb = t((2, 3, 4, 5)), t((2, 3, 3, 3)), t(2)
+    x1, w1 = t((2, 3, 4, 4)), t((5, 3, 1, 1))
     xs, ys = t((2, 3, 4)), t((2, 4, 2))
     xcb, ycb = t((2, 2, 3, 3)), t((2, 1, 3, 3))
     wk = t((2, 4, 3, 3))
     xgs, wgs = t((2, 2, 4, 4)), t((3, 2, 2, 3, 3))          # one input, 3 groups
     xgk, wgk, bgk = t((2, 1, 3, 4, 4)), t((2, 2, 3, 1, 1)), t((2, 2))   # an input per group
+    xp = t((2, 2, 4, 6))
+    xu = t((2, 1, 3, 3))
     return [
-        ("add", [x23a, x23b], lambda: ad.sumsq(ad.add(x23a, x23b))),
-        ("sub", [x23a, x23b], lambda: ad.sumsq(ad.sub(x23a, x23b))),
-        ("mul", [x23a, x23b], lambda: ad.sumsq(ad.mul(x23a, x23b))),
-        ("scale", [x23a], lambda: ad.sumsq(x23a * -1.7)),
-        ("relu", [xr], lambda: ad.sumsq(ad.relu(xr))),
-        ("sigmoid", [x23a], lambda: ad.sumsq(ad.sigmoid(x23a))),
-        ("softplus", [x23a], lambda: ad.sumsq(ad.softplus(x23a))),
-        ("softmax", [x23a], lambda: ad.sumsq(ad.softmax(x23a, axis=1))),
+        ("add", [x23a, x23b], lambda: ad.add(x23a, x23b)),
+        ("sub", [x23a, x23b], lambda: ad.sub(x23a, x23b)),
+        ("mul", [x23a, x23b], lambda: ad.mul(x23a, x23b)),
+        ("scale", [x23a], lambda: x23a * -1.7),
+        ("relu", [xr], lambda: ad.relu(xr)),
+        ("sigmoid", [x23a], lambda: ad.sigmoid(x23a)),
+        ("softplus", [x23a], lambda: ad.softplus(x23a)),
+        ("softmax", [x23a], lambda: ad.softmax(x23a, axis=1)),
         ("tmean", [x23a], lambda: ad.tmean(ad.mul(x23a, x23a))),
         ("sumsq", [x23a], lambda: ad.sumsq(x23a)),
-        ("matmul", [xm, ym], lambda: ad.sumsq(ad.matmul(xm, ym))),
-        ("transpose2d", [xm], lambda: ad.sumsq(ad.transpose2d(xm))),
-        ("reshape", [xc], lambda: ad.sumsq(ad.reshape(xc, (4, 8)))),
-        ("concat", [xcat, ycat], lambda: ad.sumsq(ad.concat([xcat, ycat], axis=0))),
-        ("kernel_slice", [wk], lambda: ad.sumsq(ad.kernel_slice(wk, 1, 3))),
-        ("conv2d", [xc, wc, bc], lambda: ad.sumsq(ad.conv2d(xc, wc, bc))),
-        ("conv2d batched", [xb, wb], lambda: ad.sumsq(ad.conv2d(xb, wb))),
-        ("conv2d grouped", [xgs, wgs], lambda: ad.sumsq(ad.conv2d(xgs, wgs))),
-        ("conv2d grouped stacked", [xgk, wgk, bgk],
-         lambda: ad.sumsq(ad.conv2d(xgk, wgk, bgk))),
-        ("matmul stacked", [xs, ys], lambda: ad.sumsq(ad.matmul(xs, ys))),
-        ("transpose2d stacked", [xs], lambda: ad.sumsq(ad.transpose2d(xs))),
-        ("concat axis -3", [xcb, ycb],
-         lambda: ad.sumsq(ad.concat([xcb, ycb], axis=-3))),
-        ("avg_pool2", [xp], lambda: ad.sumsq(ad.avg_pool2(xp))),
-        ("upsample2", [xu], lambda: ad.sumsq(ad.upsample2(xu))),
+        ("matmul", [xs, ys], lambda: ad.matmul(xs, ys)),
+        ("transpose2d", [xs], lambda: ad.transpose2d(xs)),
+        ("reshape", [xc], lambda: ad.reshape(xc, (4, 8))),
+        ("concat", [xcat, ycat], lambda: ad.concat([xcat, ycat], axis=0)),
+        ("concat axis -3", [xcb, ycb], lambda: ad.concat([xcb, ycb], axis=-3)),
+        ("kernel_slice", [wk], lambda: ad.kernel_slice(wk, 1, 3)),
+        ("conv2d", [xb, wb, bb], lambda: ad.conv2d(xb, wb, bb)),
+        ("conv2d 1x1", [x1, w1], lambda: ad.conv2d(x1, w1)),
+        ("conv2d grouped", [xgs, wgs], lambda: ad.conv2d(xgs, wgs)),
+        ("conv2d grouped stacked", [xgk, wgk, bgk], lambda: ad.conv2d(xgk, wgk, bgk)),
+        ("avg_pool2", [xp], lambda: ad.avg_pool2(xp)),
+        ("upsample2", [xu], lambda: ad.upsample2(xu)),
     ]
 
 
 def test_every_op_backward_matches_fd(rng):
-    for name, leaves, build in _op_cases(rng):
+    for name, leaves, op in _op_cases(rng):
         try:
-            check_backward_matches_fd(build, leaves)
+            check_backward_matches_fd(lambda: ad.sumsq(op()), leaves)
         except AssertionError as e:
             raise AssertionError(f"op {name}: {e}") from e
+
+
+def test_every_op_jvp_matches_fd_and_its_vjp_is_the_adjoint(rng):
+    h = 1e-6
+    for name, leaves, op in _op_cases(rng):
+        x0 = [leaf.data.copy() for leaf in leaves]
+        lin = ad.Linearization(lambda _: op(), leaves)
+        v = [rng.standard_normal(a.shape) for a in x0]
+
+        def at(step):
+            for leaf, a, d in zip(leaves, x0, v):
+                leaf.data = a + step * d
+            return op().data
+
+        fd = (at(h) - at(-h)) / (2 * h)
+        at(0.0)
+        jv = lin.jvp(v)[0]
+        assert np.max(np.abs(jv - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6, name
+        u = rng.standard_normal(jv.shape)          # <u, J v> = <J^T u, v>
+        lhs = np.sum(u * jv)
+        rhs = sum(np.sum(g * d) for g, d in zip(lin.vjp([u]), v))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_every_op_keeps_its_input_dtype(rng, dtype):
     """Forward values, JVP and VJP replays and Tape.backward all stay in the
     leaves' dtype, with no float64 array promoting a float32 graph."""
-    for name, leaves, build in _op_cases(rng):
+    for name, leaves, op in _op_cases(rng):
         for leaf in leaves:
             leaf.data = leaf.data.astype(dtype)
             leaf.grad = None
         with Tape() as tape:
-            loss = build()
+            loss = ad.sumsq(op())
         assert {n.out.data.dtype for n in tape.nodes} == {np.dtype(dtype)}, name
         tape.backward(loss, leaves)
         assert all(leaf.grad.data.dtype == dtype for leaf in leaves), name
-        lin = ad.Linearization(lambda _: build(), leaves)
+        lin = ad.Linearization(lambda _: op(), leaves)
         jv = lin.jvp([rng.standard_normal(leaf.shape).astype(dtype) for leaf in leaves])
         assert jv[0].dtype == dtype, name
         assert all(g.dtype == dtype for g in lin.vjp([np.ones_like(jv[0])])), name
@@ -454,13 +473,28 @@ def test_every_binary_op_rejects_mixed_dtypes(rng):
     binary = [case for case in _op_cases(rng) if len(case[1]) > 1]
     assert {name for name, _, _ in binary} >= {"add", "sub", "mul", "matmul",
                                                "concat", "conv2d"}
-    for name, leaves, build in binary:
+    for name, leaves, op in binary:
         for odd in (0, len(leaves) - 1):
             for i, leaf in enumerate(leaves):
                 leaf.data = leaf.data.astype(np.float64 if i == odd else np.float32)
             with pytest.raises(ValueError, match="dtype mismatch float(32 vs float64|"
                                                  "64 vs float32)"):
-                build()
+                op()
+
+
+@pytest.mark.parametrize("op, shapes", [
+    ("conv2d", [(3, 4, 4), (2, 3, 3, 3)]),
+    ("matmul", [(2, 3), (3, 2)]),
+    ("transpose2d", [(2, 3)]),
+    ("avg_pool2", [(3, 4, 4)]),
+    ("upsample2", [(3, 4, 4)]),
+], ids=["conv2d", "matmul", "transpose2d", "avg_pool2", "upsample2"])
+def test_unbatched_input_rejected(op, shapes):
+    """A feature map is an N x C x H x W batch and a matrix a stack of them:
+    the unbatched form fails, naming its shape."""
+    args = [Tensor(np.zeros(s)) for s in shapes]
+    with pytest.raises(ValueError, match=re.escape(str(shapes[0]))):
+        getattr(ad, op)(*args)
 
 
 def test_tensor_keeps_a_floating_dtype_and_converts_the_rest():
@@ -471,41 +505,6 @@ def test_tensor_keeps_a_floating_dtype_and_converts_the_rest():
     assert Tensor(np.array([True, False])).data.dtype == ad.DTYPE
 
 
-def _batched_cases(rng):
-    """(name, leaf shapes, op) for the ops that take a leading batch axis."""
-    return [
-        ("conv2d k3", [(3, 2, 5, 4), (4, 2, 3, 3), (4,)],
-         lambda x, w, b: ad.conv2d(x, w, b)),
-        ("conv2d k1", [(2, 3, 4, 4), (5, 3, 1, 1)], lambda x, w: ad.conv2d(x, w)),
-        ("conv2d grouped k3", [(2, 3, 5, 4), (2, 4, 3, 3, 3)],
-         lambda x, w: ad.conv2d(x, w)),
-        ("conv2d grouped k1 stacked", [(2, 3, 2, 4, 4), (2, 5, 2, 1, 1), (2, 5)],
-         lambda x, w, b: ad.conv2d(x, w, b)),
-        ("matmul stacked", [(3, 2, 4), (3, 4, 5)], ad.matmul),
-        ("transpose2d stacked", [(3, 2, 4)], ad.transpose2d),
-        ("concat axis -3", [(2, 3, 4, 4), (2, 1, 4, 4)],
-         lambda a, b: ad.concat([a, b], axis=-3)),
-    ]
-
-
-def test_batched_ops_jvp_matches_fd(rng):
-    h = 1e-6
-    for name, shapes, op in _batched_cases(rng):
-        x0 = [rng.standard_normal(s) for s in shapes]
-        leaves = [Tensor(a.copy()) for a in x0]
-        lin = ad.Linearization(lambda ps: op(*ps), leaves)
-        v = [rng.standard_normal(s) for s in shapes]
-        fp = op(*[Tensor(a + h * d) for a, d in zip(x0, v)]).data
-        fm = op(*[Tensor(a - h * d) for a, d in zip(x0, v)]).data
-        fd = (fp - fm) / (2 * h)
-        jv = lin.jvp(v)[0]
-        assert np.max(np.abs(jv - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6, name
-        u = rng.standard_normal(jv.shape)          # <u, J v> = <J^T u, v>
-        lhs = np.sum(u * jv)
-        rhs = sum(np.sum(g * d) for g, d in zip(lin.vjp([u]), v))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), name
-
-
 class TestJvpVjp:
     def test_linear_map_exact(self, rng):
         A = rng.standard_normal((5, 3))
@@ -513,12 +512,12 @@ class TestJvpVjp:
         tau = Tensor(rng.standard_normal(3))
 
         def residual(params):
-            return ad.sub(ad.matmul(Tensor(A), ad.reshape(params[0], (3, 1))),
-                          Tensor(b.reshape(5, 1)))
+            return ad.sub(ad.matmul(Tensor(A[None]), ad.reshape(params[0], (1, 3, 1))),
+                          Tensor(b.reshape(1, 5, 1)))
 
         lin = ad.Linearization(residual, [tau])
         v = rng.standard_normal(3)
-        u = rng.standard_normal((5, 1))
+        u = rng.standard_normal((1, 5, 1))
         np.testing.assert_allclose(lin.jvp([v])[0].reshape(5), A @ v, atol=1e-12)
         np.testing.assert_allclose(lin.vjp([u])[0], A.T @ u.reshape(5), atol=1e-12)
 
@@ -559,7 +558,7 @@ class TestJvpVjp:
         assert np.max(np.abs(jv - fd) / denom) < 1e-4
 
     def test_jvp_matches_fd_through_conv_pipeline(self, rng):
-        x = Tensor(rng.standard_normal((2, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
         w = Tensor(w0.copy())
 
@@ -585,7 +584,7 @@ def _mixed_graph(rng, a, b, dead):
     c = Tensor(rng.standard_normal((2, 3, 1, 1)))
     wts = Tensor(rng.random((2, 2, 5, 5)))
     target = Tensor(rng.standard_normal((2, 2, 5, 5)))
-    m = Tensor(rng.standard_normal((5, 4)))
+    m = Tensor(rng.standard_normal((1, 5, 4)))
 
     def residual(ps):
         y = ad.conv2d(ad.conv2d(x, ps[0]), ps[1])
@@ -593,7 +592,7 @@ def _mixed_graph(rng, a, b, dead):
         ad.sigmoid(ad.add(ad.tmean(ps[1]), ad.tmean(dead)))   # leads nowhere
         const = ad.relu(ad.conv2d(x, c))                      # no parameter in it
         r = ad.mul(wts, ad.sub(ad.add(y, const), target))
-        proj = ad.matmul(m, ad.reshape(ps[0], (4, 3)))
+        proj = ad.matmul(m, ad.reshape(ps[0], (1, 4, 3)))
         r = ad.concat([ad.reshape(r, (r.size,)), ad.reshape(proj, (proj.size,)),
                        ad.reshape(ps[0], (ps[0].size,)) * 0.1], axis=0)
         ad.sumsq(r) * 0.5                                     # after the output

@@ -13,36 +13,36 @@ def params(rng):
 
 class TestExtract:
     def test_level3_shape_64(self, params, rng):
-        pyr = extract(Tensor(rng.random((3, 64, 64), dtype=DTYPE)), params)
-        assert pyr[3].shape == (64, 8, 8)
+        pyr = extract(Tensor(rng.random((1, 3, 64, 64), dtype=DTYPE)), params)
+        assert pyr[3].shape == (1, 64, 8, 8)
 
     def test_pyramid_shape_law(self, params, rng):
         for hw in (32, 64, 96):
-            pyr = extract(Tensor(rng.random((3, hw, hw), dtype=DTYPE)), params)
+            pyr = extract(Tensor(rng.random((2, 3, hw, hw), dtype=DTYPE)), params)
             for k, c in zip((1, 2, 3, 4), (16, 32, 64, 64)):
-                assert pyr[k].shape == (c, hw // 2 ** k, hw // 2 ** k)
+                assert pyr[k].shape == (2, c, hw // 2 ** k, hw // 2 ** k)
 
     def test_deterministic(self, params, rng):
-        x = rng.random((3, 32, 32), dtype=DTYPE)
+        x = rng.random((1, 3, 32, 32), dtype=DTYPE)
         a = extract(Tensor(x), params)
         b = extract(Tensor(x), params)
         for k in range(1, 5):
             assert np.array_equal(a[k].data, b[k].data)
 
     def test_zero_input_zero_biases_gives_zero_pyramid(self, params):
-        pyr = extract(Tensor(np.zeros((3, 32, 32), dtype=DTYPE)), params)
+        pyr = extract(Tensor(np.zeros((1, 3, 32, 32), dtype=DTYPE)), params)
         for k in range(1, 5):
             np.testing.assert_array_equal(pyr[k].data, 0.0)
 
     def test_wrong_channel_count(self, params, rng):
         with pytest.raises(ValueError,
                            match="conv2d: input has 2 channels but kernel expects 3"):
-            extract(Tensor(rng.random((2, 32, 32))), params)
+            extract(Tensor(rng.random((1, 2, 32, 32))), params)
 
     def test_indivisible_size_rejected(self, params, rng):
         with pytest.raises(ValueError,
                            match="avg_pool2: spatial size 15x16 not divisible by 2"):
-            extract(Tensor(rng.random((3, 30, 32), dtype=DTYPE)), params)
+            extract(Tensor(rng.random((1, 3, 30, 32), dtype=DTYPE)), params)
 
     def test_branches_never_share_parameters(self, rng):
         im = FeatureExtractorParams.init(rng)
@@ -52,7 +52,7 @@ class TestExtract:
         assert not im_ids & fl_ids
 
     def test_gradient_reaches_stage_weights(self, params, rng):
-        x = Tensor(rng.random((3, 32, 32), dtype=DTYPE))
+        x = Tensor(rng.random((1, 3, 32, 32), dtype=DTYPE))
         with Tape() as tape:
             pyr = extract(x, params)
             loss = ad.sumsq(pyr[4])
@@ -70,7 +70,7 @@ class TestLabelEncoder:
             for y in range(2):
                 for x in range(3):
                     ref = masks[k, 8 * y:8 * y + 8, 8 * x:8 * x + 8].mean()
-                    np.testing.assert_allclose(e.data[k, :, y, x], ref, rtol=1e-12)
+                    np.testing.assert_allclose(e.data[k, 0, :, y, x], ref, rtol=1e-12)
 
     def test_weights_are_one(self, rng):
         _, w = encode_label(Tensor(rng.random((1, 32, 32))), 4)
@@ -78,8 +78,8 @@ class TestLabelEncoder:
 
     def test_output_shape_d16(self):
         e, w = encode_label(Tensor(np.ones((3, 64, 64))))
-        assert e.shape == (3, 16, 8, 8)
-        assert w.shape == (3, 16, 8, 8)
+        assert e.shape == (3, 1, 16, 8, 8)
+        assert w.shape == (3, 1, 16, 8, 8)
 
     def test_zero_vs_one_mask_encodings_differ(self):
         e0, _ = encode_label(Tensor(np.zeros((1, 32, 32))))

@@ -14,13 +14,13 @@ SMALL = (4, 6, 8, 8)  # compact channel config to keep tests quick
 
 
 def small_pyramids(rng, hw=32, dtype=np.float64):
-    """Image and flow pyramids of random hw x hw (or h x w) inputs."""
+    """Image and flow pyramids of random hw x hw (or h x w) frames."""
     h, w = (hw, hw) if isinstance(hw, int) else hw
     im, fl = (FeatureExtractorParams.init(rng, channels=SMALL) for _ in range(2))
     if dtype == np.float64:
         im, fl = float64(im), float64(fl)
-    x = Tensor(rng.random((3, h, w)).astype(dtype))
-    f = Tensor(rng.random((3, h, w)).astype(dtype))
+    x = Tensor(rng.random((1, 3, h, w)).astype(dtype))
+    f = Tensor(rng.random((1, 3, h, w)).astype(dtype))
     return extract(x, im), extract(f, fl)
 
 
@@ -55,9 +55,9 @@ class TestDecode:
     def test_output_shape_full_resolution(self, rng):
         pyr_im, pyr_fl = small_pyramids(rng, hw=64)
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
-        f_tm = Tensor(rng.random((4, 8, 8)))
+        f_tm = Tensor(rng.random((1, 4, 8, 8)))
         [logits] = decode([f_tm], fused, self.decoder(rng))
-        assert logits.shape == (1, 64, 64)
+        assert logits.shape == (1, 1, 64, 64)
         assert np.all(np.isfinite(logits.data))
         probs = ad.sigmoid(logits).data
         assert np.all((probs > 0.0) & (probs < 1.0))
@@ -66,8 +66,8 @@ class TestDecode:
         for hw in (32, 64, 96):
             pyr_im, _ = small_pyramids(rng, hw=hw)
             fused = fuse_pyramid(pyr_im, None, fusion_levels(rng, "none"))
-            f_tm = Tensor(rng.random((4, hw // 8, hw // 8)))
-            assert decode([f_tm], fused, self.decoder(rng))[0].shape == (1, hw, hw)
+            f_tm = Tensor(rng.random((1, 4, hw // 8, hw // 8)))
+            assert decode([f_tm], fused, self.decoder(rng))[0].shape == (1, 1, hw, hw)
 
     def test_zero_parameters_give_constant_bias(self, rng):
         pyr_im, _ = small_pyramids(rng)
@@ -76,19 +76,19 @@ class TestDecode:
         for _, t in params.named_tensors("d"):
             t.data = np.zeros_like(t.data)
         params.head[1].data[:] = 0.37
-        [logits] = decode([Tensor(rng.random((4, 4, 4)))], fused, params)
+        [logits] = decode([Tensor(rng.random((1, 4, 4, 4)))], fused, params)
         np.testing.assert_allclose(logits.data, 0.37, atol=1e-15)
 
     def test_head_before_upsample_matches_head_after(self, rng):
         pyr_im, pyr_fl = small_pyramids(rng)
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_levels(rng, "attention"))
         params = self.decoder(rng)
-        f_tm = Tensor(rng.random((4, 4, 4)))
-        x = ad.relu(ad.conv2d(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0),
+        f_tm = Tensor(rng.random((1, 4, 4, 4)))
+        x = ad.relu(ad.conv2d(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=1),
                               *params.stem[0]))
         x = ad.relu(ad.conv2d(x, *params.stem[1]))
         for k in (3, 2, 1):
-            x = ad.concat([ad.upsample2(x), fused[k]], axis=0)
+            x = ad.concat([ad.upsample2(x), fused[k]], axis=1)
             for w, b in params.refine[k]:
                 x = ad.relu(ad.conv2d(x, w, b))
         after = ad.conv2d(ad.upsample2(x), *params.head)
@@ -99,15 +99,15 @@ class TestDecode:
         pyr_im, _ = small_pyramids(rng)
         fused = fuse_pyramid(pyr_im, None, fusion_levels(rng, "none"))
         with pytest.raises(ValueError, match=r"add: shape mismatch "
-                                             r"\(8, 8, 8\) vs \(8, 2, 2\)"):
-            decode([Tensor(rng.random((4, 16, 16)))], fused, self.decoder(rng))
+                                             r"\(1, 8, 8, 8\) vs \(1, 8, 2, 2\)"):
+            decode([Tensor(rng.random((1, 4, 16, 16)))], fused, self.decoder(rng))
 
     def test_bce_gradients_match_fd_on_sampled_entries(self, rng):
         pyr_im, _ = small_pyramids(rng)
         fused_params = fusion_levels(rng, "none")
         params = self.decoder(rng)
-        f_tm = Tensor(rng.random((4, 4, 4)))
-        target = (rng.random((1, 32, 32)) > 0.7).astype(np.float64)
+        f_tm = Tensor(rng.random((1, 4, 4, 4)))
+        target = (rng.random((1, 1, 32, 32)) > 0.7).astype(np.float64)
 
         def build():
             fused = fuse_pyramid(pyr_im, None, fused_params)
@@ -141,10 +141,10 @@ class TestDecode:
         fusion_set = fusion_levels(rng, "attention")
         params = self.decoder(rng)
         with Tape() as tape:
-            pyr_im = extract(Tensor(rng.random((3, 32, 32))), im)
-            pyr_fl = extract(Tensor(rng.random((3, 32, 32))), fl)
+            pyr_im = extract(Tensor(rng.random((1, 3, 32, 32))), im)
+            pyr_fl = extract(Tensor(rng.random((1, 3, 32, 32))), fl)
             fused = fuse_pyramid(pyr_im, pyr_fl, fusion_set)
-            loss = ad.sumsq(decode([Tensor(rng.random((4, 4, 4)))], fused, params)[0])
+            loss = ad.sumsq(decode([Tensor(rng.random((1, 4, 4, 4)))], fused, params)[0])
         owners = [im, fl, params, *fusion_set.values()]
         tape.backward(loss, [t for o in owners for _, t in o.named_tensors("p")])
         assert any(t.grad is not None and np.any(t.grad.data != 0)
@@ -163,9 +163,9 @@ def concat_decode(f_tm, fused, params):
             x = ad.relu(ad.conv2d(x, w, b))
         return x
 
-    x = block(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=0), params.stem)
+    x = block(ad.concat([ad.avg_pool2(f_tm), fused[4]], axis=1), params.stem)
     for k in (3, 2, 1):
-        x = block(ad.concat([ad.upsample2(x), fused[k]], axis=0), params.refine[k])
+        x = block(ad.concat([ad.upsample2(x), fused[k]], axis=1), params.refine[k])
     return ad.upsample2(ad.conv2d(x, *params.head))
 
 
@@ -179,7 +179,7 @@ class TestDecodeObjects:
                       for k in (2, 3, 4)}
         fused = fuse_pyramid(pyr_im, pyr_fl, fusion_set)
         params = DecoderParams.init(rng, label_channels=4, channels=SMALL, width=8)
-        f_tms = [Tensor(rng.standard_normal((4, 6, 4)).astype(np.float32))
+        f_tms = [Tensor(rng.standard_normal((1, 4, 6, 4)).astype(np.float32))
                  for _ in range(4)]
         together = decode(f_tms, fused, params)
         assert len(together) == 4
@@ -196,7 +196,7 @@ class TestDecodeObjects:
         fusion_set = fusion_levels(rng, mode)
         params = float64(DecoderParams.init(rng, label_channels=4, channels=SMALL,
                                             width=8))
-        f_tms = [Tensor(rng.standard_normal((4, 6, 4))) for _ in range(3)]
+        f_tms = [Tensor(rng.standard_normal((1, 4, 6, 4))) for _ in range(3)]
         leaves = [t for _, t in params.named_tensors("d")] + f_tms
 
         def run(decoder):
@@ -219,4 +219,4 @@ class TestDecodeObjects:
         for a, b in zip(got + got_grads, ref + ref_grads):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-        assert got[0].shape == (1, 48, 32)
+        assert got[0].shape == (1, 1, 48, 32)

@@ -10,7 +10,8 @@ from conftest import float64
 
 @pytest.fixture
 def feats(rng):
-    return Tensor(rng.standard_normal((8, 4, 4))), Tensor(rng.standard_normal((8, 4, 4)))
+    return (Tensor(rng.standard_normal((1, 8, 4, 4))),
+            Tensor(rng.standard_normal((1, 8, 4, 4))))
 
 
 class TestAttention:
@@ -25,13 +26,13 @@ class TestAttention:
         f_im, f_fl = feats
         p = float64(FusionParams.init(rng, "attention", 8))
         m = attention_map(f_im, f_fl, p)
-        np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(m.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_map_shape_cv_by_ck(self, rng, feats):
         f_im, f_fl = feats
         p = float64(FusionParams.init(rng, "attention", 8))
         m = attention_map(f_im, f_fl, p)
-        assert m.shape == (p.wv.data.shape[0], p.wk.data.shape[0])
+        assert m.shape == (1, p.wv.data.shape[0], p.wk.data.shape[0])
 
     def test_spatial_permutation_equivariance(self, rng, feats):
         f_im, f_fl = feats
@@ -39,11 +40,11 @@ class TestAttention:
         perm = rng.permutation(16)
 
         def permute(t):
-            flat = t.data.reshape(8, 16)[:, perm]
-            return Tensor(flat.reshape(8, 4, 4))
+            flat = t.data.reshape(1, 8, 16)[..., perm]
+            return Tensor(flat.reshape(1, 8, 4, 4))
 
-        out = fuse(f_im, f_fl, p).data.reshape(8, 16)[:, perm]
-        out_p = fuse(permute(f_im), permute(f_fl), p).data.reshape(8, 16)
+        out = fuse(f_im, f_fl, p).data.reshape(1, 8, 16)[..., perm]
+        out_p = fuse(permute(f_im), permute(f_fl), p).data.reshape(1, 8, 16)
         np.testing.assert_allclose(out_p, out, atol=1e-10)
 
     def test_gradient_reaches_all_four_projections(self, rng, feats):
@@ -94,8 +95,8 @@ class TestModes:
         f_im, f_fl = feats
         p = float64(FusionParams.init(rng, "concat", 8))
         out = fuse(f_im, f_fl, p)
-        stacked = np.concatenate([f_im.data, f_fl.data])
-        ref = np.einsum("oc,chw->ohw", p.wc.data[:, :, 0, 0], stacked)
+        stacked = np.concatenate([f_im.data, f_fl.data], axis=1)
+        ref = np.einsum("oc,nchw->nohw", p.wc.data[:, :, 0, 0], stacked)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
     def test_unknown_mode_rejected(self, rng):
@@ -105,12 +106,12 @@ class TestModes:
     def test_shape_mismatch_rejected(self, rng, feats):
         f_im, _ = feats
         p = float64(FusionParams.init(rng, "concat", 8))
-        with pytest.raises(ValueError, match="concat: dimension 1 mismatch"):
-            fuse(f_im, Tensor(np.zeros((8, 2, 2))), p)
+        with pytest.raises(ValueError, match="concat: dimension 2 mismatch"):
+            fuse(f_im, Tensor(np.zeros((1, 8, 2, 2))), p)
 
     def test_channel_mismatch_rejected(self, rng):
         p = float64(FusionParams.init(rng, "attention", 16))
-        x = Tensor(np.zeros((8, 4, 4)))
+        x = Tensor(np.zeros((1, 8, 4, 4)))
         with pytest.raises(ValueError,
                            match="conv2d: input has 8 channels but kernel expects 16"):
             fuse(x, x, p)

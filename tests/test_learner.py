@@ -15,11 +15,11 @@ from conftest import FitProblem, float64, snapshot, split_objects
 
 
 def linear_residual(A, b):
-    At = Tensor(A)
-    bt = Tensor(b.reshape(-1, 1))
+    At = Tensor(A[None])
+    bt = Tensor(b.reshape(1, -1, 1))
 
     def fn(params):
-        tau = ad.reshape(params[0], (params[0].size, 1))
+        tau = ad.reshape(params[0], (1, params[0].size, 1))
         return ad.sub(ad.matmul(At, tau), bt)
 
     return fn
@@ -41,12 +41,12 @@ class TestGaussNewton:
         m, n, lam = 10, 5, 0.3
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
-        At = Tensor(A)
-        bt = Tensor(b.reshape(-1, 1))
+        At = Tensor(A[None])
+        bt = Tensor(b.reshape(1, -1, 1))
         root = np.sqrt(lam)
 
         def fn(params):
-            tau = ad.reshape(params[0], (n, 1))
+            tau = ad.reshape(params[0], (1, n, 1))
             data = ad.sub(ad.matmul(At, tau), bt)
             reg = params[0] * root
             return [data, reg]
@@ -59,8 +59,8 @@ class TestGaussNewton:
     def test_nonlinear_valley_within_ten_iters(self):
         def fn(params):
             t = params[0]
-            t1 = ad.matmul(ad.reshape(t, (1, 2)), Tensor([[1.0], [0.0]]))
-            t2 = ad.matmul(ad.reshape(t, (1, 2)), Tensor([[0.0], [1.0]]))
+            t1 = ad.matmul(ad.reshape(t, (1, 1, 2)), Tensor([[[1.0], [0.0]]]))
+            t2 = ad.matmul(ad.reshape(t, (1, 1, 2)), Tensor([[[0.0], [1.0]]]))
             r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
             return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
 
@@ -96,10 +96,10 @@ class TestGaussNewton:
         fp = float64(FusionParams.init(rng, "none", 3))
         tm = float64(TargetModelParams.init_random([rng], 5, 3, with_flow=False, c_mid=2,
                                                    reg_lambda=1e-2))
-        samples = [TargetSample(l3_im=Tensor(rng.standard_normal((5, 4, 4))),
+        samples = [TargetSample(l3_im=Tensor(rng.standard_normal((1, 5, 4, 4))),
                                 l3_fl=None,
-                                encoded=Tensor(rng.standard_normal((1, 3, 4, 4))),
-                                weights=Tensor(0.2 + rng.random((1, 3, 4, 4))))
+                                encoded=Tensor(rng.standard_normal((1, 1, 3, 4, 4))),
+                                weights=Tensor(0.2 + rng.random((1, 1, 3, 4, 4))))
                    for _ in range(8)]
         batch = stack_samples(samples)
         forwards, matvecs = [], []
@@ -307,9 +307,9 @@ class TestMemoryBuffer:
         """A frame's sample of ``objects`` objects under unit importance
         weights, so that a stacked batch holds the square root of each
         sample weight."""
-        return TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                            encoded=Tensor(rng.random((objects, 1, 2, 2))),
-                            weights=Tensor(np.ones((objects, 1, 2, 2))))
+        return TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
+                            encoded=Tensor(rng.random((objects, 1, 1, 2, 2))),
+                            weights=Tensor(np.ones((objects, 1, 1, 2, 2))))
 
     @staticmethod
     def sample_weights(buf):
@@ -320,7 +320,7 @@ class TestMemoryBuffer:
         buf = MemoryBuffer(8, 0.9, 2.0)
         buf.add(pinned)
         buf.add(self.sample(rng))
-        assert np.array_equal(buf.batch().l3_im.data[0], pinned.l3_im.data)
+        assert np.array_equal(buf.batch().l3_im.data[:1], pinned.l3_im.data)
         np.testing.assert_allclose(self.sample_weights(buf), [buf.pinned_weight, 1.0],
                                    atol=1e-15)
 
@@ -332,7 +332,7 @@ class TestMemoryBuffer:
         stacked = buf.batch().l3_im.data
         assert stacked.shape[0] == 8
         kept = [added[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)]   # oldest evicted
-        assert np.array_equal(stacked, np.stack([k.l3_im.data for k in kept]))
+        assert np.array_equal(stacked, np.concatenate([k.l3_im.data for k in kept]))
 
     def test_decay_weights(self, rng):
         buf = MemoryBuffer(8, decay=0.9, pinned_weight=2.0)
@@ -357,7 +357,7 @@ class TestMemoryBuffer:
         got = buf.batch()
         for k in (0, 1):
             assert np.array_equal(got.encoded.data[k],
-                                  np.stack([f.encoded.data[k] for f in kept]))
+                                  np.concatenate([f.encoded.data[k] for f in kept]))
             assert np.array_equal(got.weights.data[k], got.weights.data[1 - k])
 
     def test_window_matches_the_eviction_rule_bit_for_bit(self, rng):
@@ -365,16 +365,16 @@ class TestMemoryBuffer:
         # the oldest unpinned entry when full and weighs an unpinned entry
         # decay ** (newest order - its order)
         capacity, decay, pinned_weight = 8, 0.9, 2.0
-        pinned = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                              encoded=Tensor(rng.random((1, 1, 2, 2))),
-                              weights=Tensor(rng.random((1, 1, 2, 2))))
+        pinned = TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
+                              encoded=Tensor(rng.random((1, 1, 1, 2, 2))),
+                              weights=Tensor(rng.random((1, 1, 1, 2, 2))))
         buf = MemoryBuffer(capacity, decay, pinned_weight)
         buf.add(pinned)
         entries = [(pinned, True, 0)]
         for order in range(1, 12):
-            sample = TargetSample(l3_im=Tensor(rng.random((2, 2, 2))), l3_fl=None,
-                                  encoded=Tensor(rng.random((1, 1, 2, 2))),
-                                  weights=Tensor(rng.random((1, 1, 2, 2))))
+            sample = TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
+                                  encoded=Tensor(rng.random((1, 1, 1, 2, 2))),
+                                  weights=Tensor(rng.random((1, 1, 1, 2, 2))))
             buf.add(sample)
             if len(entries) >= capacity:
                 del entries[next(i for i, e in enumerate(entries) if not e[1])]
@@ -384,7 +384,7 @@ class TestMemoryBuffer:
             ref = stack_samples([e[0] for e in entries], weights)
             got = buf.batch()
             assert got.l3_im.data.shape[0] == min(order + 1, capacity)
-            assert np.array_equal(got.l3_im.data[0], pinned.l3_im.data)
+            assert np.array_equal(got.l3_im.data[:1], pinned.l3_im.data)
             for name in ("l3_im", "encoded", "weights"):
                 assert np.array_equal(getattr(got, name).data, getattr(ref, name).data)
 
@@ -395,11 +395,11 @@ class TestOptimize:
         them."""
         samples = []
         for _ in range(n):
-            l3 = Tensor(rng.standard_normal((c_in, 4, 4)))
-            l3f = Tensor(rng.standard_normal((c_in, 4, 4))) if with_flow else None
+            l3 = Tensor(rng.standard_normal((1, c_in, 4, 4)))
+            l3f = Tensor(rng.standard_normal((1, c_in, 4, 4))) if with_flow else None
             samples.append(TargetSample(l3_im=l3, l3_fl=l3f,
-                                        encoded=Tensor(rng.standard_normal((1, d, 4, 4))),
-                                        weights=Tensor(0.2 + rng.random((1, d, 4, 4)))))
+                                        encoded=Tensor(rng.standard_normal((1, 1, d, 4, 4))),
+                                        weights=Tensor(0.2 + rng.random((1, 1, d, 4, 4)))))
         buf = MemoryBuffer(8, 0.9, 2.0)
         for sample in samples:
             buf.add(sample)
@@ -427,16 +427,16 @@ class TestOptimize:
         rows, targets = [], []
         for s, w_s in zip(samples, sw):
             reduced = np.einsum("mc,chw->mhw", tm.tau1[0].data[0, :, :, 0, 0],
-                                s.l3_im.data)
+                                s.l3_im.data[0])
             red_pad = np.pad(reduced, ((0, 0), (1, 1), (1, 1)))
             for d in range(2):
                 for y in range(4):
                     for x in range(4):
                         row = np.zeros((2, 2, 3, 3))
                         row[d] = red_pad[:, y:y + 3, x:x + 3]
-                        wgt = np.sqrt(w_s) * s.weights.data[0, d, y, x]
+                        wgt = np.sqrt(w_s) * s.weights.data[0, 0, d, y, x]
                         rows.append(wgt * row.reshape(-1))
-                        targets.append(wgt * s.encoded.data[0, d, y, x])
+                        targets.append(wgt * s.encoded.data[0, 0, d, y, x])
         A = np.stack(rows)
         y = np.array(targets)
         ref = np.linalg.lstsq(A, y, rcond=None)[0]

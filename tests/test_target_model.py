@@ -12,10 +12,10 @@ from conftest import conv2d_loops, finite_diff_grads, float64
 def make_sample(rng, c_in=6, d=4, hw=4, with_flow=True):
     """One frame's sample of one object."""
     return TargetSample(
-        l3_im=Tensor(rng.standard_normal((c_in, hw, hw))),
-        l3_fl=Tensor(rng.standard_normal((c_in, hw, hw))) if with_flow else None,
-        encoded=Tensor(rng.standard_normal((1, d, hw, hw))),
-        weights=Tensor(rng.random((1, d, hw, hw))),
+        l3_im=Tensor(rng.standard_normal((1, c_in, hw, hw))),
+        l3_fl=Tensor(rng.standard_normal((1, c_in, hw, hw))) if with_flow else None,
+        encoded=Tensor(rng.standard_normal((1, 1, d, hw, hw))),
+        weights=Tensor(rng.random((1, 1, d, hw, hw))),
     )
 
 
@@ -65,7 +65,7 @@ class TestResidualAndLoss:
         tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
-        s.encoded = Tensor(apply(Tensor(s.l3_im.data[None]), None, tm, fp).data[:, 0])
+        s.encoded = apply(s.l3_im, None, tm, fp)
         r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
@@ -74,7 +74,7 @@ class TestResidualAndLoss:
         tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
-        s.weights = Tensor(np.zeros((1, 4, 4, 4)))
+        s.weights = Tensor(np.zeros((1, 1, 4, 4, 4)))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() == 0.0
 
@@ -95,8 +95,8 @@ class TestResidualAndLoss:
         x = rng.standard_normal((2, 2, 2))
         e = rng.standard_normal((1, 2, 2))
         w = rng.random((1, 2, 2))
-        s = TargetSample(l3_im=Tensor(x), l3_fl=None, encoded=Tensor(e[None]),
-                         weights=Tensor(w[None]))
+        s = TargetSample(l3_im=Tensor(x[None]), l3_fl=None, encoded=Tensor(e[None, None]),
+                         weights=Tensor(w[None, None]))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
 
         a1 = tm.tau1[0].data[0]
