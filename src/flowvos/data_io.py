@@ -324,7 +324,7 @@ def load_sequence(path) -> Sequence:
 @dataclass
 class ShapeSpec:
     kind: str                      # "disk" | "rect"
-    size: tuple                    # disk: (radius,), rect: (height, width)
+    size: tuple                    # disk: (radius,), rect: (height, width), pixels
     color: tuple                   # rgb in [0,1]
     start: tuple                   # (cx, cy) integer pixels
     velocity: tuple                # (vx, vy) integer pixels per frame
@@ -345,29 +345,6 @@ class SynthScene:
     seed: int
     shapes: list                   # back to front; object k is shapes[k-1]
     background: str = "noise"      # "noise" | "flat"
-
-
-def _shape_mask(spec: ShapeSpec, cx: float, cy: float, h: int, w: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:h, 0:w]
-    if spec.kind == "disk":
-        r = spec.size[0]
-        return (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-    if spec.kind == "rect":
-        hh, ww = spec.size
-        return (np.abs(xx - cx) <= ww / 2.0) & (np.abs(yy - cy) <= hh / 2.0)
-    raise ValueError(f"unknown shape kind {spec.kind!r}")
-
-
-def _shape_texture(spec: ShapeSpec, cx: int, cy: int, h: int, w: int) -> np.ndarray:
-    """3xHxW appearance anchored to the shape center, rigid under translation."""
-    base = np.array(spec.color, dtype=np.float64)[:, None, None]
-    img = np.broadcast_to(base, (3, h, w)).copy()
-    if spec.textured:
-        tile_rng = np.random.default_rng(spec.texture_seed)
-        tile = 0.6 + 0.4 * tile_rng.random((16, 16))
-        yy, xx = np.mgrid[0:h, 0:w]
-        img = img * tile[(yy - cy) % 16, (xx - cx) % 16][None]
-    return img
 
 
 def _margins(spec: ShapeSpec) -> tuple[float, float]:
@@ -399,21 +376,71 @@ def _simulate_tracks(scene: SynthScene) -> list:
     return tracks
 
 
-def _render_frame(scene: SynthScene, tracks, t: int, bg: np.ndarray):
-    h, w = scene.height, scene.width
+def _sprite(spec: ShapeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The shape's mask and 3-channel appearance on its bounding box, whose
+    middle pixel is the shape's center.  Both are fixed relative to the
+    center, so pasting them at each frame's integer center redraws the
+    shape rigidly."""
+    mx, my = _margins(spec)
+    dy, dx = np.mgrid[-int(my):int(my) + 1, -int(mx):int(mx) + 1]
+    if spec.kind == "disk":
+        r = spec.size[0]
+        mask = dx ** 2 + dy ** 2 <= r * r
+    elif spec.kind == "rect":
+        hh, ww = spec.size
+        mask = (np.abs(dx) <= ww / 2.0) & (np.abs(dy) <= hh / 2.0)
+    else:
+        raise ValueError(f"unknown shape kind {spec.kind!r}")
+    base = np.array(spec.color, dtype=np.float64)[:, None, None]
+    tex = np.broadcast_to(base, (3,) + mask.shape).copy()
+    if spec.textured:
+        # a 16x16 tile anchored to the center
+        tile_rng = np.random.default_rng(spec.texture_seed)
+        tile = 0.6 + 0.4 * tile_rng.random((16, 16))
+        tex = tex * tile[dy % 16, dx % 16][None]
+    return mask, tex
+
+
+def _window(box: tuple, center, frame: tuple):
+    """The slices of an h x w ``frame`` and of a ``box``-shaped sprite
+    centered at ``center`` that cover the part of the sprite on the frame,
+    or None when no part is on it."""
+    (bh, bw), (cx, cy), (h, w) = box, center, frame
+    oy, ox = cy - bh // 2, cx - bw // 2          # the sprite's top-left pixel
+    y0, y1 = max(oy, 0), min(oy + bh, h)
+    x0, x1 = max(ox, 0), min(ox + bw, w)
+    if y0 >= y1 or x0 >= x1:
+        return None
+    return ((slice(y0, y1), slice(x0, x1)),
+            (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox)))
+
+
+def _render_frame(sprites: list, centers: list, bg: np.ndarray):
+    """One frame's image and label map: ``bg`` with each shape's sprite
+    pasted at its center, clipped to the frame, back to front.  Only the
+    shapes' boxes are touched, so the cost beyond copying ``bg`` scales
+    with the objects' area."""
     img = bg.copy()
-    labels = np.zeros((h, w), dtype=np.uint8)
-    for k, spec in enumerate(scene.shapes):      # later shapes overwrite: they are in front
-        cx, cy = tracks[k][t]
-        m = _shape_mask(spec, cx, cy, h, w)
-        tex = _shape_texture(spec, cx, cy, h, w)
-        img[:, m] = tex[:, m]
-        labels[m] = k + 1
+    labels = np.zeros(bg.shape[1:], dtype=np.uint8)
+    for k, ((mask, tex), center) in enumerate(zip(sprites, centers)):
+        win = _window(mask.shape, center, labels.shape)
+        if win is None:
+            continue
+        (fy, fx), (sy, sx) = win
+        m = mask[sy, sx]
+        img[:, fy, fx][:, m] = tex[:, sy, sx][:, m]   # later shapes are in front
+        labels[fy, fx][m] = k + 1
     return img, labels
 
 
 def generate_synthetic(scene: SynthScene, out_dir) -> Path:
-    """Render a scene to a sequence directory with exact ground-truth flow."""
+    """Render a scene to a sequence directory with exact ground-truth flow.
+
+    Each shape's mask and texture are drawn once per call, on its bounding
+    box, and pasted into every frame; flow is filled over the same boxes.
+    So beyond the background and the writers, the cost scales with the
+    objects' area, not with the frame's.  Nothing outlives the call.
+    """
     if scene.frames < 1:
         raise ValueError("scene needs at least one frame")
     if not scene.shapes:
@@ -430,9 +457,10 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
         bg = np.full((3, h, w), _BG_LEVEL)
 
     tracks = _simulate_tracks(scene)
+    sprites = [_sprite(spec) for spec in scene.shapes]
     masks = []
     for t in range(scene.frames):
-        img, labels = _render_frame(scene, tracks, t, bg)
+        img, labels = _render_frame(sprites, [pos[t] for pos in tracks], bg)
         write_ppm(root / "frames" / f"{t:05d}.ppm", img)
         write_pgm(root / "masks" / f"{t:05d}.pgm", labels)
         masks.append(labels)
@@ -442,12 +470,14 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
         src = 0 if t == 0 else t - 1
         dst = min(src + 1, scene.frames - 1)
         uv = np.zeros((2, h, w))
-        for k in range(len(scene.shapes)):
-            sel = masks[src] == k + 1
-            dx = tracks[k][dst][0] - tracks[k][src][0]
-            dy = tracks[k][dst][1] - tracks[k][src][1]
-            uv[0][sel] = dx
-            uv[1][sel] = dy
+        for k, (mask, _) in enumerate(sprites):
+            win = _window(mask.shape, tracks[k][src], (h, w))
+            if win is None:
+                continue
+            (fy, fx), _ = win
+            sel = masks[src][fy, fx] == k + 1
+            uv[0, fy, fx][sel] = tracks[k][dst][0] - tracks[k][src][0]
+            uv[1, fy, fx][sel] = tracks[k][dst][1] - tracks[k][src][1]
         write_flo(root / "flows" / f"{t:05d}.flo", uv)
 
     write_meta(root / "meta", SequenceMeta(width=w, height=h, frames=scene.frames,

@@ -124,7 +124,8 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
     keeping its iterate, once its residual falls to 1e-12.
     ``preconditioner`` maps a K x P residual v to P v for a symmetric
     positive definite P close to A^-1, block diagonal like A; without one
-    this is plain CG.
+    this is plain CG.  A call that runs all ``iters`` iterations applies
+    it ``iters`` times.
     """
     if preconditioner is None:
         def preconditioner(v):
@@ -138,7 +139,7 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
     bnorm = np.sqrt(rr)
     stop = 1e-12 * bnorm
     live = np.ones(len(b), dtype=bool)
-    for _ in range(iters):
+    for i in range(iters):
         live &= np.sqrt(rr) > stop
         if not live.any():
             break
@@ -152,6 +153,8 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
         x += _per_row(alpha, x) * p
         r -= _per_row(alpha, r) * ap
         rr = _dots(r, r)
+        if i == iters - 1:
+            break                  # no further step reads z, beta or p
         z = preconditioner(r)
         rz_new = _dots(r, z)
         beta = np.zeros_like(rz)

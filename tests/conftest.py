@@ -138,6 +138,33 @@ def conv2d_loops(x, w, padding=0):
     return out
 
 
+def render_frame_full(scene, tracks, t, bg):
+    """Frame ``t`` of a synthetic scene drawn over the whole frame, the
+    independent oracle of ``data_io._render_frame``: every shape's mask and
+    texture are computed at every pixel from a full-frame coordinate grid
+    and a freshly drawn tile, and pasted back to front."""
+    h, w = scene.height, scene.width
+    yy, xx = np.mgrid[0:h, 0:w]
+    img = bg.copy()
+    labels = np.zeros((h, w), dtype=np.uint8)
+    for k, spec in enumerate(scene.shapes):
+        cx, cy = tracks[k][t]
+        if spec.kind == "disk":
+            r = spec.size[0]
+            m = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        else:
+            hh, ww = spec.size
+            m = (np.abs(xx - cx) <= ww / 2.0) & (np.abs(yy - cy) <= hh / 2.0)
+        base = np.array(spec.color, dtype=np.float64)[:, None, None]
+        tex = np.broadcast_to(base, (3, h, w)).copy()
+        if spec.textured:
+            tile = 0.6 + 0.4 * np.random.default_rng(spec.texture_seed).random((16, 16))
+            tex = tex * tile[(yy - cy) % 16, (xx - cx) % 16][None]
+        img[:, m] = tex[:, m]
+        labels[m] = k + 1
+    return img, labels
+
+
 def upsample2_loops(x):
     """Scalar-loop 2x bilinear upsampling (align_corners=False, edges
     clamped), rows then columns: output j reads input positions

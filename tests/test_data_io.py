@@ -1,8 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from conftest import render_frame_full
 
+from flowvos import data_io
 from flowvos.autodiff import DTYPE
 from flowvos.data_io import (DataFormatError, SequenceMeta, ShapeSpec, SynthScene,
                              atomic_write, generate_suite, generate_synthetic, load_sequence,
@@ -277,6 +280,131 @@ class TestGenerator:
         scene = SynthScene(width=8, height=8, frames=2, seed=0, shapes=[])
         with pytest.raises(ValueError, match="at least one object"):
             generate_synthetic(scene, tmp_path / "z")
+
+
+def oracle_scene(rng, index):
+    """A small scene of one to four shapes that may start anywhere from
+    wholly off the canvas to inside it, move either way with or without
+    bouncing, and be as small as a radius-1 disk or a 1-pixel rect side."""
+    w, h = int(rng.integers(6, 48)), int(rng.integers(6, 40))
+    shapes = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = ("disk", "rect")[int(rng.integers(0, 2))]
+        size = ((int(rng.integers(1, 8)),) if kind == "disk"
+                else (int(rng.integers(1, 14)), int(rng.integers(1, 14))))
+        shapes.append(ShapeSpec(
+            kind, size, tuple(rng.random(3)),
+            start=(int(rng.integers(-16, w + 16)), int(rng.integers(-16, h + 16))),
+            velocity=(int(rng.integers(-6, 7)), int(rng.integers(-6, 7))),
+            textured=bool(rng.integers(0, 2)), texture_seed=int(rng.integers(0, 2 ** 31)),
+            bounce=bool(rng.integers(0, 2))))
+    return SynthScene(width=w, height=h, frames=int(rng.integers(1, 7)), seed=index,
+                      shapes=shapes, background=("noise", "flat")[index % 2])
+
+
+def test_box_renderer_matches_the_full_frame_oracle():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for index in range(50):
+        scene = oracle_scene(rng, index)
+        tracks = data_io._simulate_tracks(scene)
+        sprites = [data_io._sprite(spec) for spec in scene.shapes]
+        bg = data_io._BG_LEVEL * (0.6 + 0.4 * rng.random((3, scene.height, scene.width)))
+        for t in range(scene.frames):
+            img, labels = data_io._render_frame(sprites, [pos[t] for pos in tracks], bg)
+            want_img, want_labels = render_frame_full(scene, tracks, t, bg)
+            assert np.array_equal(img, want_img) and np.array_equal(labels, want_labels), \
+                f"scene {index}, frame {t}"
+            for (mask, _), pos in zip(sprites, tracks):
+                win = data_io._window(mask.shape, pos[t], labels.shape)
+                if win is None:
+                    seen.add("off canvas")
+                elif win[1] != (slice(0, mask.shape[0]), slice(0, mask.shape[1])):
+                    seen.add("clipped")
+        for spec in scene.shapes:
+            if spec.kind == "disk" and spec.size == (1,):
+                seen.add("radius 1")
+            if spec.kind == "rect" and spec.size[0] % 2 and spec.size[1] % 2:
+                seen.add("odd sides")
+    assert seen == {"off canvas", "clipped", "radius 1", "odd sides"}
+
+
+def written_digests(root) -> dict:
+    """SHA-256 over the name and bytes of every file in each of frames/,
+    flows/ and masks/, in name order, and of meta."""
+    digests = {"meta": hashlib.sha256((root / "meta").read_bytes()).hexdigest()}
+    for part in ("frames", "flows", "masks"):
+        h = hashlib.sha256()
+        for f in sorted((root / part).iterdir()):
+            h.update(f.name.encode())
+            h.update(f.read_bytes())
+        digests[part] = h.hexdigest()
+    return digests
+
+
+def edge_scene() -> SynthScene:
+    """Textured shapes that overlap and run off the frame's edges, and a
+    mover that does not bounce and leaves the canvas for good."""
+    return SynthScene(
+        width=48, height=40, frames=12, seed=5,
+        shapes=[ShapeSpec("rect", (11, 8), (0.9, 0.6, 0.3), start=(4, 5),
+                          velocity=(1, 1), textured=True, texture_seed=17),
+                ShapeSpec("disk", (6,), (0.3, 0.8, 0.5), start=(10, 9),
+                          velocity=(2, 1), textured=True, texture_seed=4),
+                ShapeSpec("disk", (1,), (0.7, 0.7, 0.9), start=(47, 20),
+                          velocity=(0, 2)),
+                ShapeSpec("rect", (7, 9), (0.5, 0.4, 0.9), start=(40, 30),
+                          velocity=(3, 2), bounce=False)])
+
+
+PINNED_SCENES = {
+    "wide-1": lambda: random_scene(120, 88, 24, 4, 1),
+    "wide-2": lambda: random_scene(120, 88, 24, 4, 2),
+    "twins-1": lambda: random_scene(64, 64, 32, 2, 1, distractors=True),
+    "twins-2": lambda: random_scene(64, 64, 32, 2, 2, distractors=True),
+    "edge": edge_scene,
+}
+
+# written_digests of each pinned scene as the generator wrote it while it
+# still drew every shape over the whole frame
+GOLDEN = {
+    "edge": {
+        "frames": "a9fd275ffc351f819553f32996deec6606e3532feca25a3253d7178ab28ca42a",
+        "flows": "677b0747e3fa6e24a274e1a894c84a975f625d5dcb2667c0d70d1af929162928",
+        "masks": "becd3973fbc0554c82a7f48f5476b823b62c57bca01f0449045d85fd82997a9d",
+        "meta": "40fb9d6551e12743e65549564af1f7935478551968ffa3a8607f092938b09e94",
+    },
+    "twins-1": {
+        "frames": "d9981d1b02aa4741948b86ed0f175ffa3e0144b68c95ad92785865c1b88a185c",
+        "flows": "6a5922e2754d8f5abab25d24ca6eacacaa29bdaac5a3cc63fbfe4501123943ca",
+        "masks": "cd8b4d3408d426a811e72ba9ccb64e202fb55dafb16c4df314808ac4a257450f",
+        "meta": "ef51d8ccfb307386f41b9e34783ecdf6432c91e9843db2dfdee0ebfd037192ca",
+    },
+    "twins-2": {
+        "frames": "54e13da5d2ddebb760cb95881205b22ac2dafd5abc9cf0c8e144338537902a00",
+        "flows": "3ab857a3681b0be3fc54843d036d10c515d5e68aa768bfa04a442fb2300c71a5",
+        "masks": "57b49e975cce9a8d67e10112c8b9814f0a2374b7ddf9e496a049bff172978f84",
+        "meta": "ef51d8ccfb307386f41b9e34783ecdf6432c91e9843db2dfdee0ebfd037192ca",
+    },
+    "wide-1": {
+        "frames": "a4725512daae18f9f7fda9f1b3afff2d00c2826a0f11058cdc6ebc3ff07f3aca",
+        "flows": "c25a5af18e233293d901b7969d324df04a6c05aea8cd2dda4f3aa8112176393f",
+        "masks": "a9ccb889686b22a0fa7c8fd87d990b35639e3e6a212c701624407abe4e492b51",
+        "meta": "5cf1ec56d4652780465304cd03187369fe575b60e2c46eaea33fdbad1bf19a77",
+    },
+    "wide-2": {
+        "frames": "9dc9e09e9e855cd02955b175f724a371794e99daada12cbb035d3af28234647a",
+        "flows": "44a4ced1b037b22c5de844200d71efc1e86d6a8eab42ef09b8b492b1c4ed0a93",
+        "masks": "cb01abf69d0f424a6765d2e2eeb4ef7480354ea8c9df9c03dc7aed3284e0e065",
+        "meta": "5cf1ec56d4652780465304cd03187369fe575b60e2c46eaea33fdbad1bf19a77",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENES))
+def test_generator_bytes_are_pinned(tmp_path, name):
+    root = generate_synthetic(PINNED_SCENES[name](), tmp_path / name)
+    assert written_digests(root) == GOLDEN[name]
 
 
 class TestLoadSequence:

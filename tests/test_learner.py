@@ -185,6 +185,24 @@ class TestConjugateGradient:
         true = np.linalg.norm(b[0] - a @ x[0]) / np.linalg.norm(b[0])
         assert abs(resid[0] - true) < 1e-10
 
+    def test_full_run_applies_the_preconditioner_once_per_iteration(self, rng):
+        q = rng.standard_normal((8, 8))
+        a = q @ q.T + 0.1 * np.eye(8)
+        b = rng.standard_normal((2, 8))
+        diag = 1.0 / np.diag(a)
+        applies = []
+
+        def precondition(v):
+            applies.append(1)
+            return diag * v
+
+        for iters in (1, 3, 5):
+            applies.clear()
+            _, resid = conjugate_gradient(lambda v: v @ a, b, iters,
+                                          preconditioner=precondition)
+            assert (resid > 1e-6).all()   # no row stopped early
+            assert len(applies) == iters
+
 
 def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3, objects=1):
     """Filters of ``objects`` objects, drawn one after the other from
