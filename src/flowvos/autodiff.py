@@ -10,10 +10,10 @@ matrix-free Jacobian products).
 A replay (``Linearization.vjp``, ``Linearization.jvp``, ``Tape.backward``)
 touches only the tape's live nodes: those that depend on the sources it is
 given (the parameters of a linearization, the tensors that ``backward``
-differentiates) and lead to the outputs.  Each VJP rule receives the mask of
-its inputs that need a gradient, so ``conv2d`` skips its input correlation
-on a frozen input, such as features or a raw image, and its weight gradient
-on a constant kernel.
+differentiates) and lead to its one output, the residual or the loss.  Each
+VJP rule receives the mask of its inputs that need a gradient, so ``conv2d``
+skips its input correlation on a frozen input, such as features or a raw
+image, and its weight gradient on a constant kernel.
 
 Every feature map is a batch, so a leading batch axis runs many samples
 through one node: ``conv2d``, ``avg_pool2`` and ``upsample2`` take
@@ -85,7 +85,7 @@ class Tensor:
     operation writes into an array it was given, so a recorded node keeps
     the arrays it saw: a tape stays valid when ``data`` is later replaced by
     a new array, as the line search, ``Adam.step`` and ``Model.load`` do.
-    A backward pass accumulates into ``grad``.
+    A backward pass accumulates into ``grad``, an array shaped like ``data``.
     """
 
     __slots__ = ("data", "grad")
@@ -93,7 +93,7 @@ class Tensor:
     def __init__(self, data):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(DTYPE)
-        self.grad: Optional[Tensor] = None
+        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
@@ -147,7 +147,7 @@ def _pull(plan: list, grads: dict) -> dict:
     (keyed by tensor id) back through it, adding to ``grads`` the gradient of
     every input the plan marks as needing one."""
     for node, need in reversed(plan):
-        g = grads.pop(id(node.out))      # every plan node leads to an output
+        g = grads.pop(id(node.out))      # every plan node leads to the output
         for inp, n, ig in zip(node.inputs, need, node.vjp(g, need)):
             if n:
                 key = id(inp)
@@ -162,7 +162,7 @@ class Tape:
     sweep visits every node exactly once after all of its consumers.  A
     replay (``backward`` here, ``Linearization.jvp`` and ``vjp``) walks only
     the live nodes of a ``plan``: those that depend on the sources and lead
-    to the outputs.  A tape belongs to one logical thread; parallelism is
+    to the output.  A tape belongs to one logical thread; parallelism is
     only sound across independent tapes.
     """
 
@@ -178,9 +178,9 @@ class Tape:
         assert popped is self, "tape scopes must nest"
         return False
 
-    def plan(self, sources: Sequence[Tensor], outputs: Sequence[Tensor]) -> list:
-        """The replay plan from ``sources`` to ``outputs``: the nodes that
-        depend on a source and lead to an output, in recording order, each
+    def plan(self, sources: Sequence[Tensor], output: Tensor) -> list:
+        """The replay plan from ``sources`` to ``output``: the nodes that
+        depend on a source and lead to the output, in recording order, each
         with the mask of its inputs that depend on a source (the inputs that
         carry a tangent forward and need a gradient back)."""
         live = {id(s) for s in sources}
@@ -190,7 +190,7 @@ class Tape:
             if any(need):
                 live.add(id(node.out))
                 forward.append((node, need))
-        wanted = {id(o) for o in outputs}
+        wanted = {id(output)}
         plan = []
         for node, need in reversed(forward):
             if id(node.out) in wanted:
@@ -200,20 +200,20 @@ class Tape:
         return plan
 
     def backward(self, loss: Tensor, sources: Sequence[Tensor]) -> None:
-        """Accumulate d(loss)/d(s) into ``s.grad`` for each source s that the
-        loss depends on; a source it does not reach keeps its ``grad``.  The
-        sources must be leaves of the tape, tensors that no recorded node made."""
+        """Accumulate d(loss)/d(s) into the array ``s.grad`` for each source s
+        that the loss depends on; a source it does not reach keeps its ``grad``.
+        The sources must be leaves of the tape, tensors that no recorded node made."""
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        grads = _pull(self.plan(sources, [loss]), {id(loss): np.ones_like(loss.data)})
+        grads = _pull(self.plan(sources, loss), {id(loss): np.ones_like(loss.data)})
         for s in sources:
             g = grads.pop(id(s), None)
             if g is not None:
                 if s.grad is None:
-                    s.grad = Tensor(np.zeros_like(s.data))
-                s.grad.data += g
+                    s.grad = np.zeros_like(s.data)
+                s.grad += g
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable) -> Tensor:
@@ -688,27 +688,27 @@ def upsample2(x: Tensor) -> Tensor:
 class Linearization:
     """Jacobian products of a residual map at a fixed linearization point.
 
-    Records ``residual_fn(params)`` once on a private tape and plans its
-    replay once; ``jvp`` and ``vjp`` then walk only the nodes between the
-    parameters and the residual blocks to form J v and J^T u without
-    materializing J.  Nodes recorded after the residual (such as a loss
-    formed from it) or off every path from the parameters are never replayed.
+    Records ``residual_fn()``, the residual tensor that it returns, once on a
+    private tape as ``output`` and plans its replay once; ``jvp`` and ``vjp``
+    then walk only the nodes between the parameters and the residual to form
+    J v and J^T u without materializing J.  Nodes recorded after the residual
+    (such as a loss formed from it) or off every path from the parameters are
+    never replayed.
     """
 
     def __init__(self, residual_fn: Callable, params: Sequence[Tensor]):
         self.params = list(params)
         with Tape() as tape:
-            out = residual_fn(self.params)
+            self.output: Tensor = residual_fn()
         self.tape = tape
-        self.outputs: list[Tensor] = list(out) if isinstance(out, (list, tuple)) else [out]
-        self.plan = tape.plan(self.params, self.outputs)
+        self.plan = tape.plan(self.params, self.output)
 
-    def value(self) -> list[np.ndarray]:
-        return [o.data for o in self.outputs]
+    def value(self) -> np.ndarray:
+        return self.output.data
 
-    def jvp(self, tangents: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def jvp(self, tangents: Sequence[np.ndarray]) -> np.ndarray:
         """J v: push parameter tangents, cast to their parameter's dtype,
-        through to the residual blocks."""
+        through to the residual."""
         if len(tangents) != len(self.params):
             raise ValueError(f"expected {len(self.params)} tangents, got {len(tangents)}")
         tans: dict[int, np.ndarray] = {}
@@ -720,21 +720,14 @@ class Linearization:
         for node, need in self.plan:
             tans[id(node.out)] = node.jvp(
                 [tans[id(i)] if n else None for i, n in zip(node.inputs, need)])
-        return [tans.get(id(o), np.zeros_like(o.data)) for o in self.outputs]
+        return tans.get(id(self.output), np.zeros_like(self.output.data))
 
-    def vjp(self, cotangents: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """J^T u: pull residual cotangents, cast to their output's dtype,
+    def vjp(self, cotangent: np.ndarray) -> list[np.ndarray]:
+        """J^T u: pull a residual cotangent, cast to the residual's dtype,
         back to the parameters; pure, grad is untouched."""
-        if len(cotangents) != len(self.outputs):
-            raise ValueError(
-                f"expected {len(self.outputs)} cotangents, got {len(cotangents)}")
-        grads: dict[int, np.ndarray] = {}
-        for out, cot in zip(self.outputs, cotangents):
-            cot = np.asarray(cot, dtype=out.data.dtype)
-            if cot.shape != out.data.shape:
-                raise ValueError(
-                    f"cotangent shape {cot.shape} != output shape {out.data.shape}")
-            key = id(out)
-            grads[key] = grads[key] + cot if key in grads else cot.copy()
-        _pull(self.plan, grads)
+        out = self.output
+        cot = np.asarray(cotangent, dtype=out.data.dtype)
+        if cot.shape != out.data.shape:
+            raise ValueError(f"cotangent shape {cot.shape} != output shape {out.data.shape}")
+        grads = _pull(self.plan, {id(out): cot.copy()})
         return [grads.get(id(w), np.zeros_like(w.data)) for w in self.params]

@@ -25,7 +25,7 @@ from .fusion import MODES
 from .learner import NumericalError
 from .metrics import (aggregate, score_label_sequence, write_frame_csv)
 from .model import Model
-from .pipeline import frame_sets, infer_sequence, train_offline
+from .pipeline import frame_sets, infer_sequence, inference_objects, train_offline
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -193,6 +193,11 @@ def cmd_ablate(args) -> int:
         train_dirs = eval_dirs = _discover_sequences(root)
     train_seqs = [load_sequence(p) for p in train_dirs]
     eval_seqs = [load_sequence(p) for p in eval_dirs]
+    for seq in eval_seqs:                # fail before training, not after the whole budget
+        try:
+            inference_objects(frame_sets(seq), seq.masks[0])
+        except DataFormatError as e:
+            raise DataFormatError(f"{seq.name}: {e}") from None
 
     table = []
     for mode, label in ABLATION_MODES:

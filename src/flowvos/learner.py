@@ -1,16 +1,16 @@
 """Online Gauss-Newton learner for the target model, and its window memory.
 
-The optimizer minimizes 0.5 * ||r(tau)||^2 for a recorded residual map.
-Each outer Gauss-Newton iteration solves the damped normal equations
-(J^T J + mu I) delta = -J^T r by conjugate gradients using only
-Jacobian-vector products, so J^T J is never materialized; ``cg_residuals``
-reports the relative residual of that solve as CG's own recurrence tracks
-it, at no extra product.  ``optimize`` preconditions CG with the Kronecker
-structure of the target model's filters (``kronecker_preconditioner``), one
-block per object and filter, rebuilt at every outer iteration from the
-current filters and the fusion's branch maps (``fusion.output_maps``) on
-factors of the batch that are built once per call; ``gauss_newton`` without
-a preconditioner is plain CG.  A halving line search accepts the first step
+The optimizer minimizes 0.5 * ||r(tau)||^2 for a recorded residual map, the
+one tensor that a zero-argument function returns.  Each outer Gauss-Newton
+iteration solves the damped normal equations (J^T J + mu I) delta = -J^T r
+by preconditioned conjugate gradients using only Jacobian-vector products,
+so J^T J is never materialized; ``cg_residuals`` reports the relative
+residual of that solve as CG's own recurrence tracks it, at no extra
+product.  ``optimize`` preconditions with the Kronecker structure of the
+target model's filters (``kronecker_preconditioner``), one block per object
+and filter, rebuilt at every outer iteration from the current filters and
+the fusion's branch maps (``fusion.output_maps``) on factors of the batch
+that are built once per call.  A halving line search accepts the first step
 length that does not increase the loss (at most 8 halvings), which makes
 the loss provably non-increasing across a call.  When none does, the step
 is rejected and the call ends, since the next iteration would repeat it.
@@ -106,15 +106,13 @@ def _per_row(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
-def _object_losses(values, objects: int) -> np.ndarray:
-    """0.5 * ||r_k||^2 for each object's row r_k of the residual blocks."""
-    return 0.5 * sum(np.sum((v * v).reshape(objects, -1), axis=1) for v in values
-                     ).astype(np.float64)
+def _object_losses(r: np.ndarray) -> np.ndarray:
+    """0.5 * ||r_k||^2 for each object's row r_k of the K x ... residual."""
+    return 0.5 * np.sum((r * r).reshape(len(r), -1), axis=1).astype(np.float64)
 
 
 def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
-                       preconditioner: Optional[Callable] = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       preconditioner: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Approximate solutions x of A x = b for the K independent systems of
     a K x P ``b``, one per row, that share each product with a
     row-block-diagonal A, and each row's relative residual
@@ -123,13 +121,10 @@ def conjugate_gradient(matvec: Callable, b: np.ndarray, iters: int,
     Every row keeps its own step lengths and stop test, and stops early,
     keeping its iterate, once its residual falls to 1e-12.
     ``preconditioner`` maps a K x P residual v to P v for a symmetric
-    positive definite P close to A^-1, block diagonal like A; without one
-    this is plain CG.  A call that runs all ``iters`` iterations applies
-    it ``iters`` times.
+    positive definite P close to A^-1, block diagonal like A; the identity
+    gives plain CG.  A call that runs all ``iters`` iterations applies it
+    ``iters`` times.
     """
-    if preconditioner is None:
-        def preconditioner(v):
-            return v
     x = np.zeros_like(b)
     r = b.copy()
     z = preconditioner(r)
@@ -178,7 +173,6 @@ def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halv
     no step length kept: their iterate is restored, and the linearization
     is not at it.
     """
-    objects = len(loss0)
     base = [p.data.copy() for p in params]
     step = fitting.astype(np.float64)    # a settled object's step length, 0 if not fitting
     searching = fitting.copy()
@@ -188,7 +182,7 @@ def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halv
         for p, b, d in zip(params, base, direction_blocks):
             p.data = b + _per_row(step, b) * d
         lin = Linearization(residual_fn, params)
-        trial = _object_losses(lin.value(), objects)
+        trial = _object_losses(lin.value())
         accepted = searching & np.isfinite(trial) & (trial <= loss0)
         loss[accepted] = trial[accepted]
         searching &= ~accepted
@@ -202,17 +196,16 @@ def _line_search(residual_fn, params, direction_blocks, loss0, fitting, max_halv
 
 
 def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: int,
-                 cg_iters: int, damping: float,
-                 make_preconditioner: Optional[Callable] = None,
+                 cg_iters: int, damping: float, make_preconditioner: Callable,
                  max_halvings: int = 8) -> OptimizeResult:
-    """Damped Gauss-Newton with matrix-free CG inner solves; mutates params.
+    """Damped Gauss-Newton with matrix-free CG on ``residual_fn()``; mutates params.
 
-    Each outer iteration runs ``cg_iters`` CG iterations on the normal
-    equations damped by ``damping``.  ``make_preconditioner()`` is called once
-    per outer iteration, at the current iterate, and its result is passed to
-    ``conjugate_gradient``.
+    Each outer iteration runs ``cg_iters`` preconditioned CG iterations on
+    the normal equations damped by ``damping``.  ``make_preconditioner()`` is
+    called once per outer iteration, at the current iterate, and its result
+    is passed to ``conjugate_gradient``.
 
-    Every parameter and residual block has a leading axis of K independent
+    Every parameter and the residual have a leading axis of K independent
     problems, object k's residual depending on its own parameters only.
     They run in lockstep, one residual and one product serving all, while
     each keeps its own CG scalars, step length and losses, so each object's
@@ -222,13 +215,12 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
     """
     params = list(params)
     shapes = [p.data.shape for p in params]
-    objects = shapes[0][0]
     lin = Linearization(residual_fn, params)
-    loss = _object_losses(lin.value(), objects)
+    loss = _object_losses(lin.value())
     res = OptimizeResult(object_losses=[loss])
     if not np.all(np.isfinite(loss)):
         raise NumericalError("non-finite loss at outer iteration 0")
-    fitting = np.ones(objects, dtype=bool)
+    fitting = np.ones(len(loss), dtype=bool)
     for n in range(outer_iters):
         b = -_flatten(lin.vjp(lin.value()))                     # -J^T r
         if not np.all(np.isfinite(b)):
@@ -245,9 +237,7 @@ def gauss_newton(residual_fn: Callable, params: Sequence[Tensor], outer_iters: i
             jtjv = _flatten(lin.vjp(jv))
             return jtjv + damping * v
 
-        precond = None if make_preconditioner is None else make_preconditioner()
-        delta, resid = conjugate_gradient(matvec, b, cg_iters,
-                                          preconditioner=precond)
+        delta, resid = conjugate_gradient(matvec, b, cg_iters, make_preconditioner())
         res.cg_residuals.append(float(resid.max()))
         lin = None                       # release its tape before the trials
         loss, lin, halvings, rejected = _line_search(
@@ -352,8 +342,7 @@ def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
 
 
 def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
-                             fusion: FusionParams, mu: float,
-                             cache: Optional[dict] = None) -> Callable:
+                             fusion: FusionParams, mu: float, cache: dict) -> Callable:
     """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
     J^T J + mu I of ``residual_and_loss`` at the current filters.
 
@@ -366,10 +355,10 @@ def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
     symmetric positive definite.  Only the branches that the fusion reads get
     a block, and the branch outputs are computed only when a map reads them.
 
-    ``cache``, one dict kept across the calls of a fit on one batch, holds
-    what the batch fixes: the root weights and each branch's G_x factors.
+    ``cache`` is one dict kept across the calls of a fit on one batch, empty
+    at the first: it holds what the batch fixes, the root weights and each
+    branch's G_x factors.
     """
-    cache = {} if cache is None else cache
     damp = params.reg_lambda + mu
     if "root" not in cache:
         cache["root"] = np.sqrt(np.mean(batch.weights.data ** 2, axis=-3))[..., None, :, :]
@@ -435,7 +424,7 @@ def optimize(params: TargetModelParams, batch: TargetSample,
     iterates of its own fit."""
     cache: dict = {}
 
-    def residual_fn(_):
+    def residual_fn():
         return residual_and_loss(batch, params, fusion)[0]
 
     def make_preconditioner():

@@ -10,6 +10,7 @@ then sequences.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -176,7 +177,9 @@ def score_label_sequence(name: str, pred_labels: list,
 
 
 def write_frame_csv(rows: list[FrameScore], path) -> None:
+    """One CSV row per frame and object; a name with a comma or quote is quoted."""
     with atomic_write(path) as fh:
-        fh.write("sequence,frame,object,J,F\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("sequence", "frame", "object", "J", "F"))
         for r in rows:
-            fh.write(f"{r.sequence},{r.frame},{r.obj},{r.j:.6f},{r.f:.6f}\n")
+            out.writerow((r.sequence, r.frame, r.obj, f"{r.j:.6f}", f"{r.f:.6f}"))

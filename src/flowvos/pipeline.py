@@ -44,6 +44,7 @@ __all__ = [
     "FrameSet",
     "SegResult",
     "frame_sets",
+    "inference_objects",
     "infer_sequence",
     "train_offline",
     "Adam",
@@ -149,9 +150,10 @@ def balanced_bce_with_logits(logits: Tensor, target01: np.ndarray) -> Tensor:
 # inference
 
 
-def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
-                   cfg: RunConfig) -> list:
-    """Segment a sequence given the first frame's label image."""
+def inference_objects(framesets: list, annotation: np.ndarray) -> list:
+    """The sorted object ids of the first frame's label image, once the
+    inputs are checked: at least two frames, an annotation of the frames'
+    shape, and at least one object in it."""
     if len(framesets) < 2:
         raise DataFormatError("inference needs at least two frames")
     if annotation.shape != framesets[0].image.shape[1:]:
@@ -161,6 +163,13 @@ def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
     objects = sorted(int(k) for k in np.unique(annotation) if k > 0)
     if not objects:
         raise DataFormatError("annotation contains no objects")
+    return objects
+
+
+def infer_sequence(framesets: list, annotation: np.ndarray, model: Model,
+                   cfg: RunConfig) -> list:
+    """Segment a sequence given the first frame's label image."""
+    objects = inference_objects(framesets, annotation)
     h0, w0 = annotation.shape
 
     ids = np.asarray(objects, dtype=np.uint8)
@@ -301,7 +310,7 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad.data
+            g = p.grad
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
             m_hat = self._m[i] / b1c

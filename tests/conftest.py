@@ -52,6 +52,12 @@ def snapshot(params: TargetModelParams) -> TargetModelParams:
                              reg_lambda=params.reg_lambda)
 
 
+def plain_cg():
+    """A ``make_preconditioner`` for ``gauss_newton`` that gives plain CG:
+    the identity, P = I."""
+    return lambda v: v
+
+
 @dataclass
 class FitProblem:
     """One ``optimize`` call as the pipeline made it: the starting filters,
@@ -227,7 +233,7 @@ def check_backward_matches_fd(build_loss, leaves, h=1e-5, rtol=1e-4):
     with ad.Tape() as tape:
         loss = build_loss()
     tape.backward(loss, leaves)
-    analytic = [leaf.grad.data.copy() for leaf in leaves]
+    analytic = [leaf.grad.copy() for leaf in leaves]
     numeric = finite_diff_grads(build_loss, leaves, h=h)
     assert_grads_close(analytic, numeric, rtol=rtol)
 
@@ -243,24 +249,21 @@ def _full_pull(tape, grads):
     return grads
 
 
-def full_replay_vjp(tape, outputs, cotangents, wrt):
-    """Tape.vjp without a plan: every node swept, every input gradient formed."""
-    grads = {}
-    for out, cot in zip(outputs, cotangents):
-        key = id(out)
-        grads[key] = grads[key] + cot if key in grads else np.array(cot, dtype=np.float64)
-    _full_pull(tape, grads)
+def full_replay_vjp(tape, output, cotangent, wrt):
+    """Linearization.vjp without a plan: every node swept, every input
+    gradient formed."""
+    grads = _full_pull(tape, {id(output): np.array(cotangent, dtype=np.float64)})
     return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]
 
 
-def full_replay_jvp(tape, wrt, tangents, outputs):
-    """Tape.jvp without a plan: every node that any tangent reaches."""
+def full_replay_jvp(tape, wrt, tangents, output):
+    """Linearization.jvp without a plan: every node that any tangent reaches."""
     tans = {id(w): np.asarray(t, dtype=np.float64) for w, t in zip(wrt, tangents)}
     for node in tape.nodes:
         in_tans = [tans.get(id(i)) for i in node.inputs]
         if any(t is not None for t in in_tans):
             tans[id(node.out)] = node.jvp(in_tans)
-    return [tans.get(id(o), np.zeros_like(o.data)) for o in outputs]
+    return tans.get(id(output), np.zeros_like(output.data))
 
 
 def full_replay_backward(tape, loss, sources):

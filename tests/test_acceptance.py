@@ -22,7 +22,7 @@ from flowvos.model import Model
 from flowvos.pipeline import FrameSet, frame_sets, infer_sequence
 from flowvos.target_model import TargetModelParams, TargetSample
 
-from conftest import float64
+from conftest import float64, plain_cg
 from test_metrics import brute_force_f
 
 
@@ -64,7 +64,7 @@ def _fd_matches(build, leaves, h=1e-5, rtol=1e-4):
     tape.backward(loss, leaves)
     for leaf in leaves:
         flat = leaf.data.reshape(-1)
-        gflat = leaf.grad.data.reshape(-1)
+        gflat = leaf.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -137,24 +137,27 @@ def test_c04_gauss_newton_exactness():
         b = rng.standard_normal(m)
         At, bt = Tensor(A[None]), Tensor(b.reshape(1, -1, 1))
 
-        def lin_fn(params):
-            tau = ad.reshape(params[0], (1, n, 1))
-            return ad.sub(ad.matmul(At, tau), bt)
-
         tau = Tensor(rng.standard_normal((1, n)))
-        gauss_newton(lin_fn, [tau], 1, cg_iters=2 * n, damping=0.0)
+
+        def lin_fn():
+            return ad.sub(ad.matmul(At, ad.reshape(tau, (1, n, 1))), bt)
+
+        gauss_newton(lin_fn, [tau], 1, cg_iters=2 * n, damping=0.0,
+                     make_preconditioner=plain_cg)
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(tau.data - ref) < 1e-8
 
         lam = float(rng.uniform(0.05, 1.0))
         root = np.sqrt(lam)
 
-        def ridge_fn(params):
-            t = ad.reshape(params[0], (1, n, 1))
-            return [ad.sub(ad.matmul(At, t), bt), params[0] * root]
-
         tau_r = Tensor(np.zeros((1, n)))
-        gauss_newton(ridge_fn, [tau_r], 1, cg_iters=2 * n, damping=0.0)
+
+        def ridge_fn():
+            t = ad.reshape(tau_r, (1, n, 1))
+            return ad.concat([ad.sub(ad.matmul(At, t), bt), t * root], axis=1)
+
+        gauss_newton(ridge_fn, [tau_r], 1, cg_iters=2 * n, damping=0.0,
+                     make_preconditioner=plain_cg)
         ref_r = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau_r.data - ref_r) < 1e-8
     _report("C4 Gauss-Newton exactness (50 linear + ridge instances)", t0, 30.0)

@@ -59,7 +59,7 @@ class TestExtract:
         tape.backward(loss, [t for _, t in params.named_tensors("bb")])
         for name, t in params.named_tensors("bb"):
             if name.endswith(".w"):
-                assert t.grad is not None and np.any(t.grad.data != 0.0), name
+                assert t.grad is not None and np.any(t.grad != 0.0), name
 
 
 class TestLabelEncoder:

@@ -553,13 +553,33 @@ class TestAblate:
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             ["Baseline", "Concatenated", "Ours"]
 
+    @pytest.mark.parametrize("fault", ["one frame", "no object"])
+    def test_held_out_sequences_are_checked_before_any_training(self, tmp_path, capsys,
+                                                                monkeypatch, fault):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained on a suite it cannot evaluate")
+
+        monkeypatch.setattr("flowvos.cli.train_offline", no_training)
+        synth(tmp_path / "suite", seed=11, frames=1 if fault == "one frame" else 3, count=2)
+        if fault == "no object":
+            seq = tmp_path / "suite" / "seq_001"
+            write_pgm(seq / "masks" / "00000.pgm", np.zeros_like(load_sequence(seq).masks[0]))
+        capsys.readouterr()
+        code = main(["ablate", "--data", str(tmp_path / "suite"), "--seed", "11", "--out",
+                     str(tmp_path / "rep.txt")] + FAST_SET)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "rep.txt").exists()
+
 
 def test_console_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(flowvos.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "flowvos.cli", "synth", "--out",
          str(tmp_path / "s"), "--frames", "3", "--objects", "1", "--seed", "2",
          "--width", "32", "--height", "32"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s" / "meta").exists()
 

@@ -122,7 +122,7 @@ class TestDecode:
         h = 1e-5
         for leaf in leaves:
             flat = leaf.data.reshape(-1)
-            gflat = leaf.grad.data.reshape(-1)
+            gflat = leaf.grad.reshape(-1)
             idx = rng.choice(flat.size, size=min(4, flat.size), replace=False)
             for i in idx:
                 orig = flat[i]
@@ -147,11 +147,11 @@ class TestDecode:
             loss = ad.sumsq(decode([Tensor(rng.random((1, 4, 4, 4)))], fused, params)[0])
         owners = [im, fl, params, *fusion_set.values()]
         tape.backward(loss, [t for o in owners for _, t in o.named_tensors("p")])
-        assert any(t.grad is not None and np.any(t.grad.data != 0)
+        assert any(t.grad is not None and np.any(t.grad != 0)
                    for _, t in fusion_set[3].named_tensors("f"))
-        assert any(t.grad is not None and np.any(t.grad.data != 0)
+        assert any(t.grad is not None and np.any(t.grad != 0)
                    for _, t in im.named_tensors("b"))
-        assert any(t.grad is not None and np.any(t.grad.data != 0)
+        assert any(t.grad is not None and np.any(t.grad != 0)
                    for _, t in fl.named_tensors("b"))
 
 
@@ -211,7 +211,7 @@ class TestDecodeObjects:
                 for i, o in enumerate(outs[1:], 2):
                     loss = ad.add(loss, ad.sumsq(o) * float(i))
             tape.backward(loss, sources)
-            return [o.data for o in outs], [t.grad.data.copy() for t in sources]
+            return [o.data for o in outs], [t.grad.copy() for t in sources]
 
         got, got_grads = run(lambda fused: decode(f_tms, fused, params))
         ref, ref_grads = run(lambda fused: [concat_decode(f, fused, params)

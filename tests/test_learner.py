@@ -11,16 +11,15 @@ from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
 from flowvos.target_model import (TargetModelParams, TargetSample, branch_filters,
                                   residual_and_loss, stack_samples)
 
-from conftest import FitProblem, float64, snapshot, split_objects
+from conftest import FitProblem, float64, plain_cg, snapshot, split_objects
 
 
-def linear_residual(A, b):
+def linear_residual(A, b, tau):
     At = Tensor(A[None])
     bt = Tensor(b.reshape(1, -1, 1))
 
-    def fn(params):
-        tau = ad.reshape(params[0], (1, params[0].size, 1))
-        return ad.sub(ad.matmul(At, tau), bt)
+    def fn():
+        return ad.sub(ad.matmul(At, ad.reshape(tau, (1, tau.size, 1))), bt)
 
     return fn
 
@@ -32,7 +31,8 @@ class TestGaussNewton:
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
             tau = Tensor(rng.standard_normal((1, n)))
-            res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=n, damping=0.0)
+            res = gauss_newton(linear_residual(A, b, tau), [tau], 1, cg_iters=n,
+                               damping=0.0, make_preconditioner=plain_cg)
             ref = np.linalg.lstsq(A, b, rcond=None)[0]
             assert np.linalg.norm(tau.data - ref) < 1e-8
             assert res.losses[-1] <= res.losses[0]
@@ -45,37 +45,37 @@ class TestGaussNewton:
         bt = Tensor(b.reshape(1, -1, 1))
         root = np.sqrt(lam)
 
-        def fn(params):
-            tau = ad.reshape(params[0], (1, n, 1))
-            data = ad.sub(ad.matmul(At, tau), bt)
-            reg = params[0] * root
-            return [data, reg]
-
         tau = Tensor(np.zeros((1, n)))
-        gauss_newton(fn, [tau], 1, cg_iters=n, damping=0.0)
+
+        def fn():
+            data = ad.sub(ad.matmul(At, ad.reshape(tau, (1, n, 1))), bt)
+            reg = ad.reshape(tau * root, (1, n, 1))
+            return ad.concat([data, reg], axis=1)
+
+        gauss_newton(fn, [tau], 1, cg_iters=n, damping=0.0, make_preconditioner=plain_cg)
         ref = np.linalg.solve(A.T @ A + lam * np.eye(n), A.T @ b)
         assert np.linalg.norm(tau.data - ref) < 1e-8
 
     def test_nonlinear_valley_within_ten_iters(self):
-        def fn(params):
-            t = params[0]
-            t1 = ad.matmul(ad.reshape(t, (1, 1, 2)), Tensor([[[1.0], [0.0]]]))
-            t2 = ad.matmul(ad.reshape(t, (1, 1, 2)), Tensor([[[0.0], [1.0]]]))
-            r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
-            return [ad.reshape(t1, (1,)), ad.reshape(r2, (1,))]
-
         tau = Tensor(np.array([[1.0, 1.0]]))
-        res = gauss_newton(fn, [tau], 10, cg_iters=3, damping=1e-2)
-        r_final = np.concatenate([v.reshape(-1) for v in
-                                  [o.data for o in fn([tau])]])
-        assert np.linalg.norm(r_final) < 1e-6
+
+        def fn():
+            t1 = ad.matmul(ad.reshape(tau, (1, 1, 2)), Tensor([[[1.0], [0.0]]]))
+            t2 = ad.matmul(ad.reshape(tau, (1, 1, 2)), Tensor([[[0.0], [1.0]]]))
+            r2 = ad.sub(t2, ad.mul(t1, t1)) * 10.0
+            return ad.concat([ad.reshape(t1, (1, 1)), ad.reshape(r2, (1, 1))], axis=1)
+
+        res = gauss_newton(fn, [tau], 10, cg_iters=3, damping=1e-2,
+                           make_preconditioner=plain_cg)
+        assert np.linalg.norm(fn().data) < 1e-6
         assert len(res.losses) <= 11
 
     def test_cg_normal_equation_residual(self, rng):
         A = rng.standard_normal((14, 7))
         b = rng.standard_normal(14)
         tau = Tensor(rng.standard_normal((1, 7)))
-        res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=10, damping=1e-4)
+        res = gauss_newton(linear_residual(A, b, tau), [tau], 1, cg_iters=10, damping=1e-4,
+                           make_preconditioner=plain_cg)
         assert res.cg_residuals[0] <= 1e-6
 
     def test_cg_residual_is_the_damped_normal_equation_residual(self, rng):
@@ -84,7 +84,8 @@ class TestGaussNewton:
         b = rng.standard_normal(m)
         tau0 = rng.standard_normal(n)
         tau = Tensor(tau0[None].copy())
-        res = gauss_newton(linear_residual(A, b), [tau], 1, cg_iters=4, damping=mu)
+        res = gauss_newton(linear_residual(A, b, tau), [tau], 1, cg_iters=4, damping=mu,
+                           make_preconditioner=plain_cg)
         delta = tau.data[0] - tau0        # a linear residual accepts the full step
         rhs = -A.T @ (A @ tau0 - b)
         true = np.linalg.norm((A.T @ A + mu * np.eye(n)) @ delta - rhs) / np.linalg.norm(rhs)
@@ -104,7 +105,7 @@ class TestGaussNewton:
         batch = stack_samples(samples)
         forwards, matvecs = [], []
 
-        def residual_fn(_):
+        def residual_fn():
             forwards.append(1)
             return residual_and_loss(batch, tm, fp)[0]
 
@@ -112,7 +113,8 @@ class TestGaussNewton:
         monkeypatch.setattr(ad.Linearization, "jvp",
                             lambda lin, t: matvecs.append(1) or jvp(lin, t))
         outer, cg = 3, 4
-        res = gauss_newton(residual_fn, tm.tensors(), outer, cg_iters=cg, damping=1e-2)
+        res = gauss_newton(residual_fn, tm.tensors(), outer, cg_iters=cg, damping=1e-2,
+                           make_preconditioner=plain_cg)
         assert all(y < x for x, y in zip(res.losses, res.losses[1:]))
         assert len(matvecs) == outer * cg == res.matvecs
         assert len(forwards) == outer + 1
@@ -121,47 +123,47 @@ class TestGaussNewton:
     def test_line_search_halvings_and_rejection(self):
         # r = sigmoid(t) - 1/2 at t = 3: the full Gauss-Newton step lands at
         # t = -7.0, which raises the loss; half of it lowers the loss
-        def fn(params):
-            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((1, 1), 0.5)))
+        def fn():
+            return ad.sub(ad.sigmoid(tau), Tensor(np.full((1, 1), 0.5)))
 
         tau = Tensor(np.full((1, 1), 3.0))
-        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0)
+        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, make_preconditioner=plain_cg)
         assert res.halvings == [1] and res.rejected == [0]
         assert res.losses[1] < res.losses[0]
 
         tau = Tensor(np.full((1, 1), 3.0))
-        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, max_halvings=0)
+        res = gauss_newton(fn, [tau], 1, cg_iters=1, damping=0.0, make_preconditioner=plain_cg,
+                           max_halvings=0)
         assert res.halvings == [0] and res.rejected == [1]
         assert res.losses == [res.losses[0]] * 2 and tau.data[0, 0] == 3.0
 
         # a rejected step ends the fit: the next iteration would repeat it
         evaluations = []
 
-        def counted(params):
+        def counted():
             evaluations.append(None)
-            return fn(params)
+            return fn()
 
         tau = Tensor(np.full((1, 1), 3.0))
-        res = gauss_newton(counted, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0)
+        res = gauss_newton(counted, [tau], 3, cg_iters=1, damping=0.0,
+                           make_preconditioner=plain_cg, max_halvings=0)
         assert res.halvings == [0] and res.rejected == [1]
         assert len(evaluations) == 2 and len(res.losses) == 2 and tau.data[0, 0] == 3.0
 
     def test_monotone_losses(self, rng):
-        def fn(params):
-            p = params[0]
-            return ad.sub(ad.sigmoid(p), Tensor(np.full((1, 4), 0.2)))
-
         tau = Tensor(rng.standard_normal((1, 4)) * 2.0)
-        res = gauss_newton(fn, [tau], 6, cg_iters=3, damping=1e-2)
+
+        def fn():
+            return ad.sub(ad.sigmoid(tau), Tensor(np.full((1, 4), 0.2)))
+
+        res = gauss_newton(fn, [tau], 6, cg_iters=3, damping=1e-2, make_preconditioner=plain_cg)
         assert all(b <= a for a, b in zip(res.losses, res.losses[1:]))
 
     def test_nonfinite_loss_reports_iteration(self):
-        def fn(params):
-            return params[0] * np.inf
-
         tau = Tensor(np.ones((1, 2)))
         with pytest.raises(NumericalError, match="iteration 0"):
-            gauss_newton(fn, [tau], 2, cg_iters=3, damping=1e-2)
+            gauss_newton(lambda: tau * np.inf, [tau], 2, cg_iters=3, damping=1e-2,
+                         make_preconditioner=plain_cg)
 
 
 class TestConjugateGradient:
@@ -225,7 +227,7 @@ class TestKroneckerPreconditioner:
     @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
     def test_symmetric_positive_definite(self, rng, mode):
         tm, batch, fp = _preconditioner_case(rng, mode)
-        apply_p = kronecker_preconditioner(batch, tm, fp, 1e-2)
+        apply_p = kronecker_preconditioner(batch, tm, fp, 1e-2, {})
         size = sum(t.size for t in tm.tensors())
         dense = np.stack([apply_p(e[None])[0] for e in np.eye(size)], axis=1)
         assert np.allclose(dense, dense.T, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
@@ -237,11 +239,11 @@ class TestKroneckerPreconditioner:
     def test_mode_none_ignores_flow_features(self, rng):
         tm, batch, fp = _preconditioner_case(rng, "none")
         v = rng.standard_normal((1, sum(t.size for t in tm.tensors())))
-        ref = kronecker_preconditioner(batch, tm, fp, 1e-2)(v)
+        ref = kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v)
         batch.l3_fl = Tensor(-3.0 * batch.l3_fl.data + 1.0)
-        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2)(v), ref)
+        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v), ref)
         batch.l3_fl = None
-        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2)(v), ref)
+        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v), ref)
 
     def test_flow_block_is_exact_while_attention_output_is_zero(self, rng):
         # with wo = 0 the flow filters only meet the regularizer, so their
@@ -250,7 +252,7 @@ class TestKroneckerPreconditioner:
         fp.wo.data[:] = 0.0
         sizes = [t.size for t in tm.tensors()]
         v = rng.standard_normal((1, sum(sizes)))
-        out = kronecker_preconditioner(batch, tm, fp, 0.05)(v)
+        out = kronecker_preconditioner(batch, tm, fp, 0.05, {})(v)
         flow = slice(sizes[0] + sizes[1], None)
         assert np.allclose(out[:, flow], v[:, flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
 
@@ -268,7 +270,7 @@ class TestKroneckerPreconditioner:
             return branch_filters(feat, pair)
 
         monkeypatch.setattr(learner, "branch_filters", counted)
-        kronecker_preconditioner(batch, tm, fp, 1e-2)
+        kronecker_preconditioner(batch, tm, fp, 1e-2, {})
         expected = [tm.tau1, tm.tau2] if mode == "attention" and not wo_zero else []
         assert len(pairs) == len(expected)
         assert all(p is q for p, q in zip(pairs, expected))
@@ -279,15 +281,15 @@ class TestKroneckerPreconditioner:
         def solve(problem, cg_iters, damping, preconditioned):
             tm = snapshot(problem.params)
 
-            def residual_fn(_):
+            def residual_fn():
                 return residual_and_loss(problem.batch, tm, problem.fusion)[0]
 
             def make():
                 return kronecker_preconditioner(problem.batch, tm, problem.fusion,
-                                                damping)
+                                                damping, {})
 
             return gauss_newton(residual_fn, tm.tensors(), problem.outer_iters,
-                                cg_iters, damping, make if preconditioned else None)
+                                cg_iters, damping, make if preconditioned else plain_cg)
 
         cfg = RunConfig(seed=0)
         plain = [solve(p, 10, 1e-4, False) for p in fit_problems]
@@ -306,18 +308,36 @@ class TestKroneckerPreconditioner:
             ours = optimize(cached, problem.batch, problem.fusion, cfg,
                             outer_iters=problem.outer_iters)
 
-            def residual_fn(_):
+            def residual_fn():
                 return residual_and_loss(problem.batch, rebuilt, problem.fusion)[0]
 
             def make():
                 return kronecker_preconditioner(problem.batch, rebuilt, problem.fusion,
-                                                cfg.learner_damping)
+                                                cfg.learner_damping, {})
 
             ref = gauss_newton(residual_fn, rebuilt.tensors(), problem.outer_iters,
                                cfg.learner_cg_iters, cfg.learner_damping, make)
             assert ours.losses == ref.losses
             assert all(np.array_equal(a.data, b.data)
                        for a, b in zip(cached.tensors(), rebuilt.tensors()))
+
+
+class TestBenchmarkTracer:
+    def test_pairs_every_matvec_of_captured_fits(self, fit_problems):
+        # the benchmark's tracer counts a matvec as a jvp span followed by a
+        # vjp span; a reordered product would silently corrupt its counts
+        from perfbench.trace import Tracer
+
+        cfg = RunConfig(seed=0)
+        for problem in fit_problems:
+            tm = snapshot(problem.params)
+            with Tracer(init_iters=cfg.learner_outer_iters_init) as tracer:
+                res = learner.optimize(tm, problem.batch, problem.fusion, cfg,
+                                       outer_iters=problem.outer_iters)
+            assert res.matvecs > 0
+            assert len(tracer.matvecs) == res.matvecs
+            assert tracer.count("learner.cg") == len(res.cg_residuals)
+            assert tracer.outer_iters == len(res.losses) - 1
 
 
 class TestMemoryBuffer:
@@ -521,11 +541,13 @@ class TestJointFit:
         # r = sigmoid(t) - 1/2 per object: at t = 3 the full Gauss-Newton step
         # raises the loss, so without halvings object 0 is rejected; object
         # 1 starts near the root, takes full steps and keeps going
-        def fn(params):
-            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((2, 1), 0.5)))
-
         tau = Tensor(np.array([[3.0], [0.3]]))
-        res = gauss_newton(fn, [tau], 3, cg_iters=1, damping=0.0, max_halvings=0)
+
+        def fn():
+            return ad.sub(ad.sigmoid(tau), Tensor(np.full((2, 1), 0.5)))
+
+        res = gauss_newton(fn, [tau], 3, cg_iters=1, damping=0.0, make_preconditioner=plain_cg,
+                           max_halvings=0)
         assert res.rejected == [1, 0, 0] and res.halvings == [0, 0, 0]
         assert tau.data[0, 0] == 3.0
         first = [x[0] for x in res.object_losses]
@@ -535,10 +557,11 @@ class TestJointFit:
 
         alone = Tensor(np.array([[0.3]]))
 
-        def fn_alone(params):
-            return ad.sub(ad.sigmoid(params[0]), Tensor(np.full((1, 1), 0.5)))
+        def fn_alone():
+            return ad.sub(ad.sigmoid(alone), Tensor(np.full((1, 1), 0.5)))
 
-        ref = gauss_newton(fn_alone, [alone], 3, cg_iters=1, damping=0.0, max_halvings=0)
+        ref = gauss_newton(fn_alone, [alone], 3, cg_iters=1, damping=0.0,
+                           make_preconditioner=plain_cg, max_halvings=0)
         assert second == ref.losses and tau.data[1, 0] == alone.data[0, 0]
 
 

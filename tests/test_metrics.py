@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from flowvos.metrics import (FrameScore, aggregate, boundary_f, boundary_mask,
-                             default_tolerance, jaccard)
+                             default_tolerance, jaccard, write_frame_csv)
 
 
 def brute_force_f(pred, gt, tol):
@@ -148,3 +150,21 @@ class TestAggregate:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             aggregate([FrameScore("s", 0, 1, 1.5, 0.0)])
+
+
+class TestFrameCsv:
+    def test_a_name_with_a_comma_and_a_quote_reads_back_intact(self, tmp_path):
+        name = 'a,b "c"'
+        write_frame_csv([FrameScore(name, 1, 2, 0.5, 0.25)], tmp_path / "f.csv")
+        with open(tmp_path / "f.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["sequence", "frame", "object", "J", "F"],
+                        [name, "1", "2", "0.500000", "0.250000"]]
+
+    def test_an_ordinary_name_gives_bare_comma_joined_rows(self, tmp_path):
+        rows = [FrameScore("seq_000", 1, 1, 0.8, 1 / 3), FrameScore("seq_000", 2, 3, 1.0, 0.0)]
+        write_frame_csv(rows, tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == (
+            b"sequence,frame,object,J,F\n"
+            b"seq_000,1,1,0.800000,0.333333\n"
+            b"seq_000,2,3,1.000000,0.000000\n")

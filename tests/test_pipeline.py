@@ -308,7 +308,7 @@ class TestWorkingDtype:
         train_offline([tiny_seq], model, base_cfg(), epochs=2)
         params = model.offline_parameters()
         assert {t.data.dtype for t in params} == {np.dtype(DTYPE)}
-        assert {t.grad.data.dtype for t in params} == {np.dtype(DTYPE)}
+        assert {t.grad.dtype for t in params} == {np.dtype(DTYPE)}
         (adam,) = adams
         assert {m.dtype for m in adam._m + adam._v} == {np.dtype(DTYPE)}
 

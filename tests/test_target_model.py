@@ -130,7 +130,7 @@ class TestResidualAndLoss:
         with Tape() as tape:
             loss = build()
         tape.backward(loss, leaves)
-        analytic = [t.grad.data.copy() for t in leaves]
+        analytic = [t.grad.copy() for t in leaves]
         numeric = finite_diff_grads(build, leaves)
         for a, n in zip(analytic, numeric):
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
