@@ -12,12 +12,11 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import os
 import struct
 
 import numpy as np
 
-from .data_io import atomic_write
+from .data_io import atomic_write, read_exact
 
 MAGIC = b"FVOS"
 VERSION = 1
@@ -44,42 +43,35 @@ def save_named(path, items: dict) -> None:
             fh.write(a.tobytes())
 
 
-def _read(fh, size: int, path, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise CheckpointError(f"{path}: truncated {what}")
-    return data
-
-
 def load_named(path) -> dict:
     """Read a container; any short, malformed or inconsistent field raises
     CheckpointError."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, count = struct.unpack("<II", _read(fh, 8, path, "header"))
+
+        def read(size: int, what: str) -> bytes:
+            return read_exact(fh, size, path, what, CheckpointError)
+
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         items = {}
         for _ in range(count):
-            nlen, = struct.unpack("<H", _read(fh, 2, path, "tensor name length"))
-            raw = _read(fh, nlen, path, "tensor name")
+            nlen, = struct.unpack("<H", read(2, "tensor name length"))
+            raw = read(nlen, "tensor name")
             try:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: tensor name {raw!r} is not UTF-8") from None
-            rank, = struct.unpack("<B", _read(fh, 1, path, f"rank of tensor {name!r}"))
+            rank, = struct.unpack("<B", read(1, f"rank of tensor {name!r}"))
             shape = struct.unpack(f"<{rank}q",
-                                  _read(fh, 8 * rank, path, f"extents of tensor {name!r}"))
+                                  read(8 * rank, f"extents of tensor {name!r}"))
             if any(d < 0 for d in shape):
                 raise CheckpointError(f"{path}: negative extent in shape {shape} "
                                       f"of tensor {name!r}")
-            nbytes = 8 * math.prod(shape)
-            if nbytes > size - fh.tell():
-                raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-            payload = _read(fh, nbytes, path, f"payload for tensor {name!r}")
+            payload = read(8 * math.prod(shape), f"payload for tensor {name!r}")
             try:
                 items[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             except ValueError:      # an empty shape whose other extents numpy cannot index

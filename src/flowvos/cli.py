@@ -187,12 +187,10 @@ def cmd_ablate(args) -> int:
     check_write_target(csv_path, args.out)
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "eval").is_dir():
-        train_dirs = _discover_sequences(root / "train")
-        eval_dirs = _discover_sequences(root / "eval")
-    else:
-        train_dirs = eval_dirs = _discover_sequences(root)
-    train_seqs = [load_sequence(p) for p in train_dirs]
-    eval_seqs = [load_sequence(p) for p in eval_dirs]
+        train_seqs = [load_sequence(p) for p in _discover_sequences(root / "train")]
+        eval_seqs = [load_sequence(p) for p in _discover_sequences(root / "eval")]
+    else:                                # one suite, loaded once: no run writes into it
+        train_seqs = eval_seqs = [load_sequence(p) for p in _discover_sequences(root)]
     for seq in eval_seqs:                # fail before training, not after the whole budget
         try:
             inference_objects(frame_sets(seq), seq.masks[0])

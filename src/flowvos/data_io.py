@@ -30,6 +30,7 @@ __all__ = [
     "atomic_write",
     "check_write_target",
     "key_value_lines",
+    "read_exact",
     "read_flo",
     "write_flo",
     "read_ppm",
@@ -97,16 +98,17 @@ def key_value_lines(path, error):
         yield ln, key, val
 
 
-def _read_payload(fh, size: int, path) -> bytes:
-    """Read the ``size`` payload bytes that follow a header.  The size is
-    checked against the bytes left in the file first, so absurd header
-    extents fail as a truncated payload instead of as a huge allocation."""
+def read_exact(fh, size: int, path, what: str, error=DataFormatError) -> bytes:
+    """The ``size`` bytes of ``what`` at the position of ``fh`` in the binary
+    file at ``path``.  The size is checked against the bytes left in the file
+    first, so a short file, or absurd extents read from outside input, raise
+    ``error`` naming the truncation instead of asking for a huge
+    allocation."""
     offset = fh.tell()
     left = os.fstat(fh.fileno()).st_size - offset
     if size > left:
-        raise DataFormatError(
-            f"{path}: truncated payload at byte offset {offset + left}, "
-            f"expected {offset + size} bytes total")
+        raise error(f"{path}: truncated {what} at byte offset {offset + left}, "
+                    f"expected {offset + size} bytes total")
     return fh.read(size)
 
 
@@ -129,16 +131,14 @@ def write_flo(path, uv: np.ndarray) -> None:
 def read_flo(path) -> np.ndarray:
     """The 2xHxW ``DTYPE`` flow field stored at ``path``."""
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12:
-            raise DataFormatError(f"{path}: truncated header at byte offset {len(head)}")
+        head = read_exact(fh, 12, path, "header")
         if head[:4] != FLO_MAGIC:
             raise DataFormatError(f"{path}: bad magic {head[:4]!r} at byte offset 0, "
                                   f"expected {FLO_MAGIC!r}")
         w, h = struct.unpack("<ii", head[4:12])
         if w < 1 or h < 1:
             raise DataFormatError(f"{path}: invalid extents {w}x{h} at byte offset 4")
-        payload = _read_payload(fh, 2 * 4 * w * h, path)
+        payload = read_exact(fh, 2 * 4 * w * h, path, "payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2)
     bad = ~np.isfinite(data)
     if bad.any():
@@ -205,7 +205,7 @@ def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file as 3xHxW uint8."""
     with open(path, "rb") as fh:
         w, h = _read_pnm_header(fh, b"P6", path)
-        payload = _read_payload(fh, 3 * w * h, path)
+        payload = read_exact(fh, 3 * w * h, path, "payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
 
 
@@ -224,7 +224,7 @@ def write_pgm(path, img: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         w, h = _read_pnm_header(fh, b"P5", path)
-        payload = _read_payload(fh, w * h, path)
+        payload = read_exact(fh, w * h, path, "payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 

@@ -13,8 +13,6 @@ scale-then-rotate reading, would break the sqrt(3) norm law.
 
 import numpy as np
 
-from .autodiff import Tensor
-
 _S3 = np.sqrt(3.0)
 
 # columns 1-2 orthonormal, column 3 of norm sqrt(2); det = +sqrt(2)
@@ -25,10 +23,10 @@ ROTATION = np.array([
 ])
 
 
-def embed_flow(uv: np.ndarray) -> Tensor:
-    """Embed a 2xHxW flow field into the all-positive 3-channel
-    representation, in the flow's dtype."""
+def embed_flow(uv: np.ndarray) -> np.ndarray:
+    """The 3xHxW all-positive embedding of a 2xHxW flow field, a plain
+    array in the flow's dtype."""
     u, v = uv[0], uv[1]
     m = np.sqrt(u * u + v * v)
     p = np.stack([u, v, m])
-    return Tensor(np.einsum("ij,jhw->ihw", ROTATION.astype(p.dtype), p))
+    return np.einsum("ij,jhw->ihw", ROTATION.astype(p.dtype), p)

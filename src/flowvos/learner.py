@@ -8,18 +8,20 @@ so J^T J is never materialized; ``cg_residuals`` reports the relative
 residual of that solve as CG's own recurrence tracks it, at no extra
 product.  ``optimize`` preconditions with the Kronecker structure of the
 target model's filters (``kronecker_preconditioner``), one block per object
-and filter, rebuilt at every outer iteration from the current filters and
-the fusion's branch maps (``fusion.output_maps``) on factors of the batch
-that are built once per call.  A halving line search accepts the first step
-length that does not increase the loss (at most 8 halvings), which makes
-the loss provably non-increasing across a call.  When none does, the step
-is rejected and the call ends, since the next iteration would repeat it.
-Every trial is recorded as a linearization, and the accepted one is the
-next iteration's, so a call evaluates r once at the start and once per
-trial.  ``OptimizeResult`` reports the losses, the CG residuals, the matvec
-count and each step's halvings and rejections.  ``gauss_newton`` takes its
-CG budget and damping as arguments; ``optimize`` reads them from the
-``RunConfig``, whose check bounds them.
+and filter in one form for every branch, rebuilt at every outer iteration
+from the current filters and the Grams of the fusion's branch maps
+(``fusion.output_maps``; I for the identity).  It builds what the batch
+fixes once per call, a branch's input factors only if a block reads them.
+A halving line search accepts the first step length that does not increase
+the loss (at most 8 halvings), which makes the loss provably non-increasing
+across a call.  When none does, the step is rejected and the call ends,
+since the next iteration would repeat it.  Every trial is recorded as a
+linearization, and the accepted one is the next iteration's, so a call
+evaluates r once at the start and once per trial.  ``OptimizeResult``
+reports the losses, the CG residuals, the matvec count and each step's
+halvings and rejections.  ``gauss_newton`` takes its CG budget and damping
+as arguments; ``optimize`` reads them from the ``RunConfig``, whose check
+bounds them.
 
 Every parameter has a leading object axis of K independent problems, one
 per object (K = 1 in training's fit): the residual has one row per object,
@@ -281,7 +283,7 @@ def _input_factors(x: np.ndarray, root: np.ndarray) -> tuple:
 
 
 def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
-                    s_out: Optional[np.ndarray], damp: float) -> Callable:
+                    s_out: np.ndarray, damp: float) -> Callable:
     """v_a, v_b -> the approximate inverse curvature of one branch's filters
     applied to v_a (reduce filter A) and v_b (expand filter B), each shaped
     like its K-stacked filter.
@@ -289,8 +291,8 @@ def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
     x is the branch's N x C x H x W input, root the K x N x 1 x H x W
     square root of the squared importance weights, ``input_factors`` the
     eigendecomposition of each object's G_x from ``_input_factors``, and
-    s_out the L x L Gram of the fusion's linear map of the branch output,
-    K x L x L where the map differs per object, None for the identity.  Block B inverts
+    s_out the L x L Gram T^T T of the fusion's linear map T of the branch
+    output, K x L x L where the map differs per object.  Block B inverts
     S_out (x) G_c (x) G_t + damp I, the Kronecker split of the weighted
     im2col Gram of Y = A x into its channel (M x M) and tap (9 x 9) factors;
     block A inverts the K-FAC factors (sum_t B_t^T S_out B_t) (x) G_x + damp I.
@@ -312,79 +314,76 @@ def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
     trace = np.trace(g_c, axis1=-2, axis2=-1)[..., None, None]
     g_t = flat @ _t(flat) / np.where(trace > 0.0, trace, 1.0)
 
-    (lc, uc), (lt, ut) = _eigh(g_c), _eigh(g_t)
-    den_b = lc[..., None, :, None] * lt[..., None, None, :]      # K x 1 x M x 9
-    rows = _t(b.reshape(k, lab, m, 9))                           # B_t over (l, t)
-    s_rows = rows
-    if s_out is not None:
-        ls, us = _eigh(s_out)
-        den_b = ls[..., :, None, None] * den_b
-        s_rows = _t((s_out @ b.reshape(k, lab, -1)).reshape(k, lab, m, 9))
-    den_b = _positive(den_b + damp, (-3, -2, -1))
-    rows = rows.reshape(k, lab * 9, m)
+    (ls, us), (lc, uc), (lt, ut) = _eigh(s_out), _eigh(g_c), _eigh(g_t)
+    den_b = ls[..., :, None, None] * (lc[..., None, :, None] * lt[..., None, None, :])
+    den_b = _positive(den_b + damp, (-3, -2, -1))                # K x L x M x 9
+    rows = _t(b.reshape(k, lab, m, 9)).reshape(k, lab * 9, m)   # B_t over (l, t)
+    s_rows = _t((s_out @ b.reshape(k, lab, -1)).reshape(k, lab, m, 9))
     lf, uf = _eigh(_t(rows) @ s_rows.reshape(k, lab * 9, m))
     lx, ux = input_factors
     den_a = _positive(lf[..., :, None] * lx[..., None, :] + damp, (-2, -1))
 
     def inverse(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = vb.reshape(k, lab, -1)
-        if s_out is not None:
-            t = _t(us) @ t
-        t = np.matmul(_t(uc)[..., None, :, :],
-                      t.reshape(k, lab, m, 9)) @ ut[..., None, :, :]
+        t = (_t(us) @ vb.reshape(k, lab, -1)).reshape(k, lab, m, 9)
+        t = np.matmul(_t(uc)[..., None, :, :], t) @ ut[..., None, :, :]
         t = np.matmul(uc[..., None, :, :], t / den_b) @ _t(ut)[..., None, :, :]
-        t = t.reshape(k, lab, -1)
-        out_b = t if s_out is None else us @ t
+        out_b = us @ t.reshape(k, lab, -1)
         out_a = uf @ ((_t(uf) @ va.reshape(k, m, c) @ ux) / den_a) @ _t(ux)
         return out_a, out_b
 
     return inverse
 
 
-def kronecker_preconditioner(batch: TargetSample, params: TargetModelParams,
-                             fusion: FusionParams, mu: float, cache: dict) -> Callable:
-    """v -> P v, a block-diagonal approximate inverse of the damped GN matrix
-    J^T J + mu I of ``residual_and_loss`` at the current filters.
+def kronecker_preconditioner(batch: TargetSample, fusion: FusionParams,
+                             mu: float) -> Callable:
+    """params -> (v -> P v), the preconditioner of the fits on ``batch``:
+    a block-diagonal approximate inverse of the damped GN matrix J^T J + mu I
+    of ``residual_and_loss`` at the filters ``params``.
 
     ``batch`` is a batch from ``stack_samples``, and v a K x P stack, one row
-    per object.
-    One Kronecker block per object and filter (see ``_branch_inverse``),
-    damped by reg_lambda + mu; the importance weights enter as w^2 averaged
-    over the label channels at each pixel.  A branch's output Gram S_out is
-    T^T T for its map T from ``output_maps``, the identity where T is.  P is
+    per object.  One Kronecker block per object and filter (see
+    ``_branch_inverse``), damped by reg_lambda + mu; the importance weights
+    enter as w^2 averaged over the label channels at each pixel.  A branch's
+    output Gram S_out is T^T T for its map T from ``output_maps``, and I where
+    T is the identity; where S_out = 0 both blocks are damp I.  P is
     symmetric positive definite.  Only the branches that the fusion reads get
     a block, and the branch outputs are computed only when a map reads them.
 
-    ``cache`` is one dict kept across the calls of a fit on one batch, empty
-    at the first: it holds what the batch fixes, the root weights and each
-    branch's G_x factors.
+    The preconditioner owns what the batch fixes: the root weights, computed
+    here, and each branch's G_x factors, built at the first block that reads
+    them, so a branch whose S_out is 0 never builds them.
     """
-    damp = params.reg_lambda + mu
-    if "root" not in cache:
-        cache["root"] = np.sqrt(np.mean(batch.weights.data ** 2, axis=-3))[..., None, :, :]
-    root = cache["root"]
-    maps = output_maps(fusion, lambda: (branch_filters(batch.l3_im, params.tau1),
-                                        branch_filters(batch.l3_fl, params.tau2)))
-    scale = 1.0 / damp if damp > 0.0 else 1.0
-    inverses = []
-    for i, (x, pair, t) in enumerate(zip((batch.l3_im, batch.l3_fl),
-                                         (params.tau1, params.tau2), maps)):
-        s_out = None if t is None else _t(t) @ t
-        if s_out is not None and not np.any(s_out):
-            # S_out = 0: both blocks are damp I
-            inverses.append(lambda va, vb: (scale * va, scale * vb))
-            continue
-        if i not in cache:
-            cache[i] = _input_factors(x.data, root)
-        inverses.append(_branch_inverse(x.data, root, cache[i], pair, s_out, damp))
-    shapes = [t.shape for t in params.tensors()]
+    root = np.sqrt(np.mean(batch.weights.data ** 2, axis=-3))[..., None, :, :]
+    factors: dict = {}                   # branch index -> its G_x factors
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        blocks = _unflatten(v, shapes)
-        return _flatten([out for k, inverse in enumerate(inverses)
-                         for out in inverse(blocks[2 * k], blocks[2 * k + 1])])
+    def precondition(params: TargetModelParams) -> Callable:
+        damp = params.reg_lambda + mu
+        maps = output_maps(fusion, lambda: (branch_filters(batch.l3_im, params.tau1),
+                                            branch_filters(batch.l3_fl, params.tau2)))
+        scale = 1.0 / damp if damp > 0.0 else 1.0
+        inverses = []
+        for i, (x, pair, t) in enumerate(zip((batch.l3_im, batch.l3_fl),
+                                             (params.tau1, params.tau2), maps)):
+            expand = pair[1].data
+            s_out = (np.eye(expand.shape[-4], dtype=expand.dtype) if t is None
+                     else _t(t) @ t)
+            if not np.any(s_out):
+                # S_out = 0: both blocks are damp I
+                inverses.append(lambda va, vb: (scale * va, scale * vb))
+                continue
+            if i not in factors:
+                factors[i] = _input_factors(x.data, root)
+            inverses.append(_branch_inverse(x.data, root, factors[i], pair, s_out, damp))
+        shapes = [t.shape for t in params.tensors()]
 
-    return apply
+        def apply(v: np.ndarray) -> np.ndarray:
+            blocks = _unflatten(v, shapes)
+            return _flatten([out for k, inverse in enumerate(inverses)
+                             for out in inverse(blocks[2 * k], blocks[2 * k + 1])])
+
+        return apply
+
+    return precondition
 
 
 class MemoryBuffer:
@@ -421,14 +420,13 @@ def optimize(params: TargetModelParams, batch: TargetSample,
     """Fit the target model to a batch from ``stack_samples`` in
     ``outer_iters`` outer iterations; loss never increases.  The K objects
     fit jointly, each to its own targets and weights of the batch, with the
-    iterates of its own fit."""
-    cache: dict = {}
+    iterates of its own fit.  One ``kronecker_preconditioner`` of the batch
+    serves the call: each outer iteration takes its block for the current
+    filters, and what the batch fixes is built at most once."""
+    precondition = kronecker_preconditioner(batch, fusion, cfg.learner_damping)
 
     def residual_fn():
         return residual_and_loss(batch, params, fusion)[0]
 
-    def make_preconditioner():
-        return kronecker_preconditioner(batch, params, fusion, cfg.learner_damping, cache)
-
     return gauss_newton(residual_fn, params.tensors(), outer_iters, cfg.learner_cg_iters,
-                        cfg.learner_damping, make_preconditioner)
+                        cfg.learner_damping, lambda: precondition(params))

@@ -53,11 +53,11 @@ __all__ = [
 
 @dataclass
 class FrameSet:
-    """One frame with the flow arriving at it and an optional label mask."""
+    """One frame with the flow arriving at it and its label mask."""
 
     image: np.ndarray            # 3xHxW DTYPE (float32) in [0, 1]
     flow: np.ndarray             # 2xHxW DTYPE, frame t-1 to t (frame 0: 0 -> 1)
-    mask: Optional[np.ndarray]   # HxW uint8 label image
+    mask: np.ndarray             # HxW uint8 label image
 
 
 @dataclass
@@ -88,7 +88,7 @@ def _pad_frameset(fs: FrameSet) -> tuple:
         return fs, (0, 0)
     image = np.pad(fs.image, ((0, 0), (0, ph), (0, pw)), mode="edge")
     uv = np.pad(fs.flow, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    mask = None if fs.mask is None else np.pad(fs.mask, ((0, ph), (0, pw)))
+    mask = np.pad(fs.mask, ((0, ph), (0, pw)))
     return FrameSet(image=image, flow=uv, mask=mask), (ph, pw)
 
 
@@ -98,7 +98,7 @@ def _pyramids(model: Model, fs: FrameSet, cfg: RunConfig):
     pyr_im = extract(Tensor(fs.image[None]), model.backbone_im)
     pyr_fl = None
     if model.uses_flow:
-        flow = embed_flow(fs.flow).data / cfg.flow_max_displacement
+        flow = embed_flow(fs.flow) / cfg.flow_max_displacement
         pyr_fl = extract(Tensor(flow[None]), model.backbone_fl)
     return pyr_im, pyr_fl
 
@@ -218,7 +218,7 @@ def flip_frameset(fs: FrameSet) -> FrameSet:
     uv = fs.flow[:, :, ::-1].copy()
     uv[0] = -uv[0]
     return FrameSet(image=fs.image[:, :, ::-1].copy(), flow=uv,
-                    mask=None if fs.mask is None else fs.mask[:, ::-1].copy())
+                    mask=fs.mask[:, ::-1].copy())
 
 
 def _bilinear_sample(img: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -260,7 +260,7 @@ def affine_frameset(fs: FrameSet, rng, max_rot_deg: float = 15.0) -> FrameSet:
     sy = ainv[1, 0] * rel_x + ainv[1, 1] * rel_y + cy
 
     image = _bilinear_sample(fs.image, sy, sx)
-    mask = None if fs.mask is None else _nearest_sample(fs.mask, sy, sx)
+    mask = _nearest_sample(fs.mask, sy, sx)
     uv_src = _nearest_sample(fs.flow, sy, sx)
     uv = np.empty_like(uv_src)
     uv[0] = a[0, 0] * uv_src[0] + a[0, 1] * uv_src[1]
@@ -279,7 +279,7 @@ def _crop_frameset(fs: FrameSet, y0: int, x0: int, h: int, w: int) -> FrameSet:
     sl = (slice(y0, y0 + h), slice(x0, x0 + w))
     return FrameSet(image=fs.image[:, sl[0], sl[1]].copy(),
                     flow=fs.flow[:, sl[0], sl[1]].copy(),
-                    mask=fs.mask[sl].copy() if fs.mask is not None else None)
+                    mask=fs.mask[sl].copy())
 
 
 # ---------------------------------------------------------------------------

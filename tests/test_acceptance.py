@@ -48,7 +48,7 @@ def test_c02_flow_embedding_laws():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
     uv = rng.uniform(-100.0, 100.0, size=(2, 1000, 1000))
-    out = embed_flow(uv).data
+    out = embed_flow(uv)
     mags = np.sqrt(uv[0] ** 2 + uv[1] ** 2)
     assert out.min() >= -1e-9
     norms = np.sqrt((out ** 2).sum(axis=0))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -552,6 +553,27 @@ class TestAblate:
         assert lines[0] == "mode,J,F,J&F"
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             ["Baseline", "Concatenated", "Ours"]
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-suite", "train-eval"])
+    def test_each_sequence_is_loaded_once(self, tmp_path, monkeypatch, split):
+        loaded = []
+
+        def counted(path):
+            loaded.append(Path(path))
+            return load_sequence(path)
+
+        def scored(mode, train_seqs, eval_seqs, cfg):
+            return SimpleNamespace(mean_j=0.5, mean_f=0.5, mean_jf=0.5)
+
+        monkeypatch.setattr("flowvos.cli.load_sequence", counted)
+        monkeypatch.setattr("flowvos.cli._ablate_one", scored)
+        suites = ["train", "eval"] if split else ["."]
+        for name in suites:
+            synth(tmp_path / "data" / name, seed=11, frames=2, count=2)
+        assert main(["ablate", "--data", str(tmp_path / "data"), "--seed", "11",
+                     "--out", str(tmp_path / "rep.txt")]) == 0
+        assert sorted(loaded) == sorted(tmp_path / "data" / name / f"seq_{i:03d}"
+                                        for name in suites for i in range(2))
 
     @pytest.mark.parametrize("fault", ["one frame", "no object"])
     def test_held_out_sequences_are_checked_before_any_training(self, tmp_path, capsys,

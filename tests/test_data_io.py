@@ -132,6 +132,22 @@ class TestPnm:
         np.testing.assert_array_equal(read_pgm(p), [[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("write, read, shape", [(write_ppm, read_ppm, (3, 16, 16)),
+                                                (write_flo, read_flo, (2, 16, 16)),
+                                                (write_pgm, read_pgm, (16, 16))],
+                         ids=["ppm", "flo", "pgm"])
+def test_every_truncation_is_a_format_error(tmp_path, rng, write, read, shape):
+    p = tmp_path / "frame"
+    write(p, rng.integers(0, 256, size=shape).astype(np.uint8))
+    blob = p.read_bytes()
+    read(p)
+    cut = tmp_path / "cut"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(DataFormatError):
+            read(cut)
+
+
 class TestMeta:
     def test_roundtrip(self, tmp_path):
         m = SequenceMeta(width=32, height=24, frames=7, objects=2)

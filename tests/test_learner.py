@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ class TestKroneckerPreconditioner:
     @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
     def test_symmetric_positive_definite(self, rng, mode):
         tm, batch, fp = _preconditioner_case(rng, mode)
-        apply_p = kronecker_preconditioner(batch, tm, fp, 1e-2, {})
+        apply_p = kronecker_preconditioner(batch, fp, 1e-2)(tm)
         size = sum(t.size for t in tm.tensors())
         dense = np.stack([apply_p(e[None])[0] for e in np.eye(size)], axis=1)
         assert np.allclose(dense, dense.T, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
@@ -239,11 +241,11 @@ class TestKroneckerPreconditioner:
     def test_mode_none_ignores_flow_features(self, rng):
         tm, batch, fp = _preconditioner_case(rng, "none")
         v = rng.standard_normal((1, sum(t.size for t in tm.tensors())))
-        ref = kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v)
+        ref = kronecker_preconditioner(batch, fp, 1e-2)(tm)(v)
         batch.l3_fl = Tensor(-3.0 * batch.l3_fl.data + 1.0)
-        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v), ref)
+        assert np.array_equal(kronecker_preconditioner(batch, fp, 1e-2)(tm)(v), ref)
         batch.l3_fl = None
-        assert np.array_equal(kronecker_preconditioner(batch, tm, fp, 1e-2, {})(v), ref)
+        assert np.array_equal(kronecker_preconditioner(batch, fp, 1e-2)(tm)(v), ref)
 
     def test_flow_block_is_exact_while_attention_output_is_zero(self, rng):
         # with wo = 0 the flow filters only meet the regularizer, so their
@@ -252,7 +254,7 @@ class TestKroneckerPreconditioner:
         fp.wo.data[:] = 0.0
         sizes = [t.size for t in tm.tensors()]
         v = rng.standard_normal((1, sum(sizes)))
-        out = kronecker_preconditioner(batch, tm, fp, 0.05, {})(v)
+        out = kronecker_preconditioner(batch, fp, 0.05)(tm)(v)
         flow = slice(sizes[0] + sizes[1], None)
         assert np.allclose(out[:, flow], v[:, flow] / (tm.reg_lambda + 0.05), rtol=1e-12)
 
@@ -270,7 +272,7 @@ class TestKroneckerPreconditioner:
             return branch_filters(feat, pair)
 
         monkeypatch.setattr(learner, "branch_filters", counted)
-        kronecker_preconditioner(batch, tm, fp, 1e-2, {})
+        kronecker_preconditioner(batch, fp, 1e-2)(tm)
         expected = [tm.tau1, tm.tau2] if mode == "attention" and not wo_zero else []
         assert len(pairs) == len(expected)
         assert all(p is q for p, q in zip(pairs, expected))
@@ -285,8 +287,7 @@ class TestKroneckerPreconditioner:
                 return residual_and_loss(problem.batch, tm, problem.fusion)[0]
 
             def make():
-                return kronecker_preconditioner(problem.batch, tm, problem.fusion,
-                                                damping, {})
+                return kronecker_preconditioner(problem.batch, problem.fusion, damping)(tm)
 
             return gauss_newton(residual_fn, tm.tensors(), problem.outer_iters,
                                 cg_iters, damping, make if preconditioned else plain_cg)
@@ -312,14 +313,48 @@ class TestKroneckerPreconditioner:
                 return residual_and_loss(problem.batch, rebuilt, problem.fusion)[0]
 
             def make():
-                return kronecker_preconditioner(problem.batch, rebuilt, problem.fusion,
-                                                cfg.learner_damping, {})
+                return kronecker_preconditioner(problem.batch, problem.fusion,
+                                                cfg.learner_damping)(rebuilt)
 
             ref = gauss_newton(residual_fn, rebuilt.tensors(), problem.outer_iters,
                                cfg.learner_cg_iters, cfg.learner_damping, make)
             assert ours.losses == ref.losses
             assert all(np.array_equal(a.data, b.data)
                        for a, b in zip(cached.tensors(), rebuilt.tensors()))
+
+
+    @pytest.mark.parametrize("wo_zero", [True, False], ids=["wo-zero", "wo-nonzero"])
+    def test_batch_factors_built_lazily_and_once_per_fit(self, joint_fit_problems,
+                                                         monkeypatch, wo_zero):
+        # the untrained model's zero wo closes the flow branch: its block is
+        # (lambda + mu) I, so no G_x of the flow features is ever built
+        build = learner._input_factors
+        built = []
+
+        def counted(x, root):
+            built.append(x)
+            return build(x, root)
+
+        monkeypatch.setattr(learner, "_input_factors", counted)
+        cfg = RunConfig(seed=0)
+        rng = np.random.default_rng(5)
+        outer = []
+        for problem in joint_fit_problems:
+            fusion = problem.fusion
+            assert not np.any(fusion.wo.data)
+            if not wo_zero:
+                fusion = dataclasses.replace(fusion, wo=Tensor(
+                    (0.1 * rng.standard_normal(fusion.wo.shape)).astype(fusion.wo.data.dtype)))
+            built.clear()
+            res = optimize(snapshot(problem.params), problem.batch, fusion, cfg,
+                           outer_iters=problem.outer_iters)
+            outer.append(len(res.cg_residuals))
+            expected = [problem.batch.l3_im.data]
+            if not wo_zero:
+                expected.append(problem.batch.l3_fl.data)
+            assert len(built) == len(expected)
+            assert all(x is y for x, y in zip(built, expected))
+        assert max(outer) > 1               # some fit reused its factors
 
 
 class TestBenchmarkTracer:
