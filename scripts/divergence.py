@@ -15,8 +15,11 @@ the default config, seeded ``SEED``) and segments each held-out sequence
 
 Per step and per frame the report gives, for each quantity, the first byte
 at which the two runs differ and their relative distance ||a - b|| / ||a||,
-and per mode the first step or frame that differs.  The exit code is 0 when
-no byte differs, 1 when one does.
+and per mode the first step or frame that differs.  It also gives each
+side's held-out J&F per mode, scored in the worker with that tree's own
+``flowvos.metrics.score_label_sequence`` and ``aggregate``, so a change that
+moves inference bytes reads its accuracy effect from the same run.  The
+exit code is 0 when no byte differs, 1 when one does, whatever the J&F.
 
 Usage, from the root of a checkout:
 
@@ -185,6 +188,7 @@ def run_worker(tree: Path, data: Path, out: Path, epochs: int) -> None:
     from flowvos import pipeline
     from flowvos.config import RunConfig
     from flowvos.data_io import load_sequence
+    from flowvos.metrics import aggregate, score_label_sequence
     from flowvos.model import Model
 
     def suite(name):
@@ -196,11 +200,16 @@ def run_worker(tree: Path, data: Path, out: Path, epochs: int) -> None:
         model = Model(fusion_mode=mode, seed=cfg.seed)
         with open(out / f"{mode}.steps", "wb") as fh, recording(pipeline, fh):
             pipeline.train_offline(train, model, cfg)
+        scores = []
         with open(out / f"{mode}.frames", "wb") as fh:
             for seq in held_out:
-                for r in pipeline.infer_sequence(pipeline.frame_sets(seq), seq.masks[0],
-                                                 model, cfg):
+                results = pipeline.infer_sequence(pipeline.frame_sets(seq), seq.masks[0],
+                                                  model, cfg)
+                for r in results:
                     write_record(fh, (r.probs, r.labels))
+                scores += score_label_sequence(seq.name, [r.labels for r in results],
+                                               seq.masks)
+        (out / f"{mode}.jf").write_text(repr(aggregate(scores).mean_jf))
     (out / "source").write_text(pipeline.__file__)
 
 
@@ -269,7 +278,10 @@ def report(outs: list, frame_labels: list) -> tuple[list, bool]:
             where.append(f"first differing frame {frame_labels[first_frame]}")
         summary.append(f"mode {mode}: {len(steps)} Adam steps, {len(frames)} frames: "
                        + (", ".join(where) or "no differing byte"))
-    return lines + [""] + summary, diverged
+    jf_lines = [f"side {s} held-out J&F: " + ", ".join(
+        f"{mode} {float((o / f'{mode}.jf').read_text()):.6f}" for mode in MODES)
+        for s, o in zip("AB", outs)]
+    return lines + [""] + jf_lines + [""] + summary, diverged
 
 
 def parse_args(argv=None):

@@ -5,11 +5,11 @@ backbone: four stages of [3x3 conv, relu, 2x2 average pool], so level k of
 the pyramid has spatial size H/2^k with channel widths (16, 32, 64, 64).
 Image and flow branches share this architecture but never share parameters.
 
-The target model's regression target has no parameters: the mask,
-average-pooled to level-3 resolution and tiled to the label channels, under
-importance weights of one.  Learned label and weight encoders, as in LWL,
-would only train through a differentiated inner fit, which the offline
-loop does not do.
+The target model's regression target has no parameters: each object's
+mask, average-pooled to level-3 resolution, one channel that every label
+channel of the target model regresses.  Learned label and weight encoders,
+as in LWL, would only train through a differentiated inner fit, which the
+offline loop does not do.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import autodiff as ad
 from .autodiff import DTYPE, Tensor
 
 BACKBONE_CHANNELS = (16, 32, 64, 64)
-LABEL_CHANNELS = 16
 TARGET_LEVEL = 3  # pyramid level consumed by the target model
 
 
@@ -63,12 +62,10 @@ def extract(x: Tensor, params: FeatureExtractorParams) -> dict:
     return pyramid
 
 
-def encode_label(masks: Tensor, label_channels: int = LABEL_CHANNELS
-                 ) -> tuple[Tensor, Tensor]:
-    """Regression targets and importance weights for K x H x W masks, one
-    per object, as one frame's sample: each mask average-pooled to level 3
-    and tiled to ``label_channels``, and weights of one, both
-    K x 1 x label_channels x H/8 x W/8."""
+def encode_label(masks: Tensor) -> Tensor:
+    """Regression targets for K x H x W masks, one per object, as one
+    frame's sample: each mask average-pooled to level 3, K x 1 x 1 x H/8 x
+    W/8."""
     if masks.ndim != 3:
         raise ValueError(f"encode_label: expected KxHxW masks, got shape {masks.shape}")
     k, h, w = masks.shape
@@ -76,5 +73,4 @@ def encode_label(masks: Tensor, label_channels: int = LABEL_CHANNELS
     if h % div or w % div:
         raise ValueError(f"encode_label: spatial size {h}x{w} not divisible by {div}")
     pooled = masks.data.reshape(k, h // div, div, w // div, div).mean(axis=(2, 4))
-    encoded = np.repeat(pooled[:, None, None], label_channels, axis=2)
-    return Tensor(encoded), Tensor(np.ones_like(encoded))
+    return Tensor(pooled[:, None, None])

@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .config import (ConfigError, default_config_text, make_config,
                      parse_config_file)
-from .data_io import (DataFormatError, atomic_write, check_write_target,
+from .data_io import (MAX_OBJECTS, DataFormatError, atomic_write, check_write_target,
                       generate_suite, generate_synthetic, load_sequence,
                       random_scene, read_pgm, write_pgm)
 from .fusion import MODES
@@ -88,6 +88,8 @@ def cmd_synth(args) -> int:
     for name, low in _SYNTH_MINIMUM.items():
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    if args.objects > MAX_OBJECTS:
+        raise UsageError(f"--objects must be <= {MAX_OBJECTS}, got {args.objects}")
     if args.count > 1:
         paths = generate_suite(args.out, count=args.count, width=args.width,
                                height=args.height, frames=args.frames,

@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import DTYPE
 
 FLO_MAGIC = b"PIEH"                 # the float32 202021.25, little-endian
+MAX_OBJECTS = 255                   # labels 1.. of an 8-bit label image; 0 is background
 
 __all__ = [
     "DataFormatError",
@@ -445,6 +446,9 @@ def generate_synthetic(scene: SynthScene, out_dir) -> Path:
         raise ValueError("scene needs at least one frame")
     if not scene.shapes:
         raise ValueError("scene needs at least one object")
+    if len(scene.shapes) > MAX_OBJECTS:
+        raise ValueError(f"scene has {len(scene.shapes)} objects; an 8-bit label "
+                         f"image holds at most {MAX_OBJECTS}")
     root = Path(out_dir)
     for sub in ("frames", "flows", "masks"):
         os.makedirs(root / sub, exist_ok=True)

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import autodiff as ad
-from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, he_conv
+from .backbone import BACKBONE_CHANNELS, he_conv
 from .fusion import fuse
+from .target_model import LABEL_CHANNELS
 
 DECODER_WIDTH = 32
 

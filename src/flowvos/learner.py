@@ -11,7 +11,8 @@ target model's filters (``kronecker_preconditioner``), one block per object
 and filter in one form for every branch, rebuilt at every outer iteration
 from the current filters and the Grams of the fusion's branch maps
 (``fusion.output_maps``; I for the identity).  It builds what the batch
-fixes once per call, a branch's input factors only if a block reads them.
+fixes once per call: a branch's input factors, which every object shares,
+only if a block reads them.
 A halving line search accepts the first step length that does not increase
 the loss (at most 8 halvings), which makes the loss provably non-increasing
 across a call.  When none does, the step is rejected and the call ends,
@@ -275,10 +276,12 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 
 def _input_factors(x: np.ndarray, root: np.ndarray) -> tuple:
-    """The eigendecomposition of each object's input Gram G_x: the input x,
-    N x C x H x W, read under the K x N x 1 x H x W root importance
-    weights."""
-    xw = (x * root).swapaxes(-4, -3).reshape(len(root), x.shape[1], -1)
+    """The eigendecomposition of the input Gram G_x of each N x C x H x W
+    batch of the input x, ... x N x C x H x W, its frames read under their
+    root weights, N x 1 x 1 x 1: one factor per leading index, one for a
+    single batch."""
+    xw = (x * root).swapaxes(-4, -3)
+    xw = xw.reshape(xw.shape[:-3] + (-1,))
     return _eigh(xw @ _t(xw))
 
 
@@ -288,15 +291,15 @@ def _branch_inverse(x: np.ndarray, root: np.ndarray, input_factors: tuple, pair,
     applied to v_a (reduce filter A) and v_b (expand filter B), each shaped
     like its K-stacked filter.
 
-    x is the branch's N x C x H x W input, root the K x N x 1 x H x W
-    square root of the squared importance weights, ``input_factors`` the
-    eigendecomposition of each object's G_x from ``_input_factors``, and
-    s_out the L x L Gram T^T T of the fusion's linear map T of the branch
-    output, K x L x L where the map differs per object.  Block B inverts
-    S_out (x) G_c (x) G_t + damp I, the Kronecker split of the weighted
-    im2col Gram of Y = A x into its channel (M x M) and tap (9 x 9) factors;
-    block A inverts the K-FAC factors (sum_t B_t^T S_out B_t) (x) G_x + damp I.
-    Each object has its own blocks.
+    x is the branch's N x C x H x W input, root its frames' root weights,
+    N x 1 x 1 x 1, ``input_factors`` the eigendecomposition of the G_x that
+    every object shares, from ``_input_factors``, and s_out the L x L Gram
+    T^T T of the fusion's linear map T of the branch output, K x L x L where
+    the map differs per object.  Block B inverts S_out (x) G_c (x) G_t +
+    damp I, the Kronecker split of the weighted im2col Gram of Y = A x into
+    its channel (M x M) and tap (9 x 9) factors; block A inverts the K-FAC
+    factors (sum_t B_t^T S_out B_t) (x) G_x + damp I.  Each object has its
+    own blocks, which share G_x.
     """
     a, b = pair[0].data[..., 0, 0], pair[1].data
     k = len(a)
@@ -342,18 +345,18 @@ def kronecker_preconditioner(batch: TargetSample, fusion: FusionParams,
 
     ``batch`` is a batch from ``stack_samples``, and v a K x P stack, one row
     per object.  One Kronecker block per object and filter (see
-    ``_branch_inverse``), damped by reg_lambda + mu; the importance weights
-    enter as w^2 averaged over the label channels at each pixel.  A branch's
-    output Gram S_out is T^T T for its map T from ``output_maps``, and I where
-    T is the identity; where S_out = 0 both blocks are damp I.  P is
-    symmetric positive definite.  Only the branches that the fusion reads get
-    a block, and the branch outputs are computed only when a map reads them.
+    ``_branch_inverse``), damped by reg_lambda + mu, with each frame read
+    under the batch's root of its weight.  A branch's output Gram S_out is
+    T^T T for its map T from ``output_maps``, and I where T is the identity;
+    where S_out = 0 both blocks are damp I.  P is symmetric positive
+    definite.  Only the branches that the fusion reads get a block, and the
+    branch outputs are computed only when a map reads them.
 
-    The preconditioner owns what the batch fixes: the root weights, computed
-    here, and each branch's G_x factors, built at the first block that reads
-    them, so a branch whose S_out is 0 never builds them.
+    The preconditioner owns what the batch fixes: each branch's G_x factors,
+    one eigendecomposition that every object shares, built at the first
+    block that reads them, so a branch whose S_out is 0 never builds them.
     """
-    root = np.sqrt(np.mean(batch.weights.data ** 2, axis=-3))[..., None, :, :]
+    root = batch.root.data[:, None, None, None]
     factors: dict = {}                   # branch index -> its G_x factors
 
     def precondition(params: TargetModelParams) -> Callable:
@@ -419,7 +422,7 @@ def optimize(params: TargetModelParams, batch: TargetSample,
              outer_iters: int) -> OptimizeResult:
     """Fit the target model to a batch from ``stack_samples`` in
     ``outer_iters`` outer iterations; loss never increases.  The K objects
-    fit jointly, each to its own targets and weights of the batch, with the
+    fit jointly, each to its own targets of the batch, with the
     iterates of its own fit.  One ``kronecker_preconditioner`` of the batch
     serves the call: each outer iteration takes its block for the current
     filters, and what the batch fixes is built at most once."""

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import DTYPE
-from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, FeatureExtractorParams
+from .backbone import BACKBONE_CHANNELS, FeatureExtractorParams
 from .decoder import DecoderParams
 from .fusion import MODES, FusionParams
+from .target_model import LABEL_CHANNELS
 
 # Each component draws from the SeedSequence child at its position among
 # _CHILDREN.  Children 2 and 3 seeded learned label encoders, which are

@@ -31,14 +31,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, Tape, Tensor
-from .backbone import BACKBONE_CHANNELS, LABEL_CHANNELS, encode_label, extract
+from .backbone import BACKBONE_CHANNELS, encode_label, extract
 from .config import RunConfig
 from .data_io import DataFormatError, Sequence
 from .decoder import decode, fuse_pyramid
 from .flow_embed import embed_flow
 from .learner import MemoryBuffer, optimize
 from .model import Model
-from .target_model import TargetModelParams, TargetSample, apply, stack_samples
+from .target_model import (LABEL_CHANNELS, TargetModelParams, TargetSample, apply,
+                           stack_samples)
 
 __all__ = [
     "FrameSet",
@@ -111,9 +112,10 @@ def _level3(pyr_im, pyr_fl) -> tuple:
 def _object_sample(pyr_im, pyr_fl, masks01: np.ndarray) -> TargetSample:
     """The frame's sample of the objects of the K x H x W masks, a batch of
     one frame."""
-    enc, wgt = encode_label(Tensor(masks01))
+    target = encode_label(Tensor(masks01))
     l3_im, l3_fl = _level3(pyr_im, pyr_fl)
-    return TargetSample(l3_im=l3_im, l3_fl=l3_fl, encoded=enc, weights=wgt)
+    return TargetSample(l3_im=l3_im, l3_fl=l3_fl, target=target,
+                        root=Tensor(np.ones(1, dtype=target.data.dtype)))
 
 
 _SEED_INFER, _SEED_TRAIN = 101, 202

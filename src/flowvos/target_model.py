@@ -4,11 +4,11 @@ Per branch the target model is two composed linear filters with no
 nonlinearity in between: a 1x1 channel-reducing convolution followed by a
 3x3 convolution back up to the label channels.  The image- and flow-branch
 outputs are combined by a fusion instance owned by the target model, and the
-result is regressed against the label target of ``backbone.encode_label``
-(the mask pooled to level 3) under per-pixel importance weights, plus an L2
-penalty on the filters.  The importance weights are one until the samples
-are stacked, which folds in the square root of each sample's weight.  The
-loss is represented through a stacked residual vector r with
+result is regressed, on every label channel, against the target of
+``backbone.encode_label`` (the mask pooled to level 3) under one weight per
+frame, plus an L2 penalty on the filters.  A frame weighs one until the
+samples are stacked, which folds in the square root of each sample's
+weight.  The loss is represented through a stacked residual vector r with
 L = 0.5 * ||r||^2 exactly, which is what the Gauss-Newton learner
 differentiates.
 
@@ -31,20 +31,21 @@ from .autodiff import DTYPE, Tensor
 from .fusion import FusionParams, fuse
 
 MID_CHANNELS = 32
+LABEL_CHANNELS = 16                  # the width of f_tm, which the decoder reads
 
 
 @dataclass
 class TargetSample:
     """Regression samples of N frames for K objects: the frozen level-3
-    features, N x C x H x W, which every object shares, and each object's
-    targets and importance weights, K x N x L x H x W.  One frame's sample
-    has N = 1.
+    features, N x C x H x W, which every object shares, each object's
+    pooled masks, K x N x 1 x H x W, and the square root of each frame's
+    weight, N.  One frame's sample has N = 1 and a root of one.
     """
 
     l3_im: Tensor
     l3_fl: Optional[Tensor]
-    encoded: Tensor
-    weights: Tensor
+    target: Tensor
+    root: Tensor
 
 
 @dataclass
@@ -108,22 +109,22 @@ def apply(l3_im: Tensor, l3_fl: Optional[Tensor], params: TargetModelParams,
 def stack_samples(samples: list, sample_weights: Optional[list] = None) -> TargetSample:
     """The samples as one batch, every tensor concatenated on its sample
     axis, with the square root of each sample's weight folded into its
-    importance weights.
+    root.
 
     The stacked tensors are constants: no gradient flows back to the sample
     tensors.
     """
-    def stack(arrays):                   # the sample axis precedes C (or L) x H x W
+    def stack(arrays):                   # the sample axis precedes a frame's C x H x W
         return Tensor(np.concatenate(arrays, axis=-4))
 
-    weights = [s.weights.data for s in samples]
+    roots = [s.root.data for s in samples]
     if sample_weights is not None:
-        weights = [a * float(np.sqrt(w)) for a, w in zip(weights, sample_weights)]
+        roots = [a * float(np.sqrt(w)) for a, w in zip(roots, sample_weights)]
     with_flow = all(s.l3_fl is not None for s in samples)
     return TargetSample(l3_im=stack([s.l3_im.data for s in samples]),
                         l3_fl=stack([s.l3_fl.data for s in samples]) if with_flow else None,
-                        encoded=stack([s.encoded.data for s in samples]),
-                        weights=stack(weights))
+                        target=stack([s.target.data for s in samples]),
+                        root=Tensor(np.concatenate(roots)))
 
 
 def residual_and_loss(batch: TargetSample, params: TargetModelParams,
@@ -131,12 +132,12 @@ def residual_and_loss(batch: TargetSample, params: TargetModelParams,
     """Stacked residual r and the loss 0.5 * ||r||^2 over a batch from
     ``stack_samples``.
 
-    Each sample contributes weights * (f_tm - encoded), where the weights
-    already hold the square root of its sample weight; the regularizer
-    contributes sqrt(lambda) times the flattened filters.  The samples run as
-    one batch, so the recorded tape has the same nodes for any number of
-    samples.  The residual is K x R, object k's in row k, and the loss sums
-    over the objects.
+    Each sample contributes root * (f_tm - target), its root and its pooled
+    masks spread over every label channel; the regularizer contributes
+    sqrt(lambda) times the flattened filters.  The samples run as one batch,
+    so the recorded tape has the same nodes for any number of samples.  The
+    residual is K x R, object k's in row k, and the loss sums over the
+    objects.
     """
     objects = params.objects
 
@@ -144,7 +145,12 @@ def residual_and_loss(batch: TargetSample, params: TargetModelParams,
         return ad.reshape(t, (objects, t.size // objects))
 
     f_tm = apply(batch.l3_im, batch.l3_fl, params, fusion)
-    blocks = [flat(ad.mul(batch.weights, ad.sub(f_tm, batch.encoded)))]
+
+    def spread(a):                       # a read-only constant of f_tm's shape
+        return Tensor(np.broadcast_to(a, f_tm.shape))
+
+    misfit = ad.sub(f_tm, spread(batch.target.data))
+    blocks = [flat(ad.mul(spread(batch.root.data[:, None, None, None]), misfit))]
     if params.reg_lambda > 0.0:
         root = float(np.sqrt(params.reg_lambda))
         for t in params.tensors():

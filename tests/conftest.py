@@ -71,8 +71,8 @@ class FitProblem:
 
 def split_objects(problem: FitProblem) -> list:
     """A joint fit problem of K objects as K one-object problems (K = 1):
-    each object's starting filters, and the batch's features with that
-    object's targets and weights."""
+    each object's starting filters, and the batch's features and frame
+    roots with that object's targets."""
     def pick(pair, k):
         return None if pair is None else tuple(ad.Tensor(t.data[k:k + 1].copy())
                                                for t in pair)
@@ -82,8 +82,8 @@ def split_objects(problem: FitProblem) -> list:
                                          tau2=pick(params.tau2, k),
                                          reg_lambda=params.reg_lambda),
                        TargetSample(l3_im=batch.l3_im, l3_fl=batch.l3_fl,
-                                    encoded=ad.Tensor(batch.encoded.data[k:k + 1]),
-                                    weights=ad.Tensor(batch.weights.data[k:k + 1])),
+                                    target=ad.Tensor(batch.target.data[k:k + 1]),
+                                    root=batch.root),
                        problem.fusion, problem.outer_iters)
             for k in range(params.objects)]
 

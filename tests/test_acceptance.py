@@ -182,8 +182,8 @@ def test_c05_monotone_online_loss():
             samples = [TargetSample(
                 l3_im=Tensor(rng.standard_normal((1, 5, 4, 4))),
                 l3_fl=Tensor(rng.standard_normal((1, 5, 4, 4))) if with_flow else None,
-                encoded=Tensor(rng.standard_normal((1, 1, 6, 4, 4))),
-                weights=Tensor(rng.random((1, 1, 6, 4, 4))))
+                target=Tensor(rng.standard_normal((1, 1, 1, 4, 4))),
+                root=Tensor(0.2 + rng.random(1)))
                 for _ in range(int(rng.integers(1, 5)))]
             buf = MemoryBuffer(8, 0.9, 2.0)
             for sample in samples:

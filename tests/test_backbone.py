@@ -63,27 +63,21 @@ class TestExtract:
 
 
 class TestLabelEncoder:
-    def test_target_is_the_tiled_pooled_mask(self, rng):
+    def test_target_is_the_pooled_mask(self, rng):
         masks = rng.random((2, 16, 24))
-        e, _ = encode_label(Tensor(masks), 5)
+        e = encode_label(Tensor(masks))
         for k in range(2):
             for y in range(2):
                 for x in range(3):
                     ref = masks[k, 8 * y:8 * y + 8, 8 * x:8 * x + 8].mean()
-                    np.testing.assert_allclose(e.data[k, 0, :, y, x], ref, rtol=1e-12)
+                    np.testing.assert_allclose(e.data[k, 0, 0, y, x], ref, rtol=1e-12)
 
-    def test_weights_are_one(self, rng):
-        _, w = encode_label(Tensor(rng.random((1, 32, 32))), 4)
-        np.testing.assert_array_equal(w.data, 1.0)
-
-    def test_output_shape_d16(self):
-        e, w = encode_label(Tensor(np.ones((3, 64, 64))))
-        assert e.shape == (3, 1, 16, 8, 8)
-        assert w.shape == (3, 1, 16, 8, 8)
+    def test_output_shape(self):
+        assert encode_label(Tensor(np.ones((3, 64, 64)))).shape == (3, 1, 1, 8, 8)
 
     def test_zero_vs_one_mask_encodings_differ(self):
-        e0, _ = encode_label(Tensor(np.zeros((1, 32, 32))))
-        e1, _ = encode_label(Tensor(np.ones((1, 32, 32))))
+        e0 = encode_label(Tensor(np.zeros((1, 32, 32))))
+        e1 = encode_label(Tensor(np.ones((1, 32, 32))))
         assert np.linalg.norm(e0.data - e1.data) > 0.0
 
     def test_resolution_mismatch_rejected(self):

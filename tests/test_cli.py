@@ -56,6 +56,14 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith(f"error: {flag} must be >= ")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("count", ["1", "2"])
+    def test_more_objects_than_8_bit_labels_is_usage_error(self, tmp_path, capsys, count):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "1",
+                     "--objects", "256", "--count", count]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --objects must be <= 255, got 256"]
+        assert not (tmp_path / "s").exists()
+
 
 class TestConfigCommand:
     def test_defaults_roundtrip(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -296,6 +297,18 @@ class TestGenerator:
         scene = SynthScene(width=8, height=8, frames=2, seed=0, shapes=[])
         with pytest.raises(ValueError, match="at least one object"):
             generate_synthetic(scene, tmp_path / "z")
+
+    def test_more_objects_than_8_bit_labels_rejected_before_writing(self, tmp_path):
+        # label k is k + 1 in an 8-bit image: 255 objects fit, 256 do not
+        disk = translating_disk(frames=1).shapes[0]
+        scene = dataclasses.replace(translating_disk(frames=1), shapes=[disk] * 255)
+        assert read_pgm(generate_synthetic(scene, tmp_path / "fits") / "masks"
+                        / "00000.pgm").max() == 255
+        with pytest.raises(ValueError, match="256 objects; an 8-bit label image holds "
+                                             "at most 255"):
+            generate_synthetic(dataclasses.replace(scene, shapes=[disk] * 256),
+                               tmp_path / "over")
+        assert not (tmp_path / "over").exists()
 
 
 def oracle_scene(rng, index):

@@ -56,6 +56,9 @@ def test_a_planted_difference_is_reported_at_its_step():
 def test_this_tree_against_itself_does_not_diverge(capsys):
     tiny = divergence.Suite(count=2, frames=4, size=32, eval_count=1, epochs=1)
     assert divergence.main([], suite=tiny) == 0
-    summary = capsys.readouterr().out.splitlines()[-3:]
-    assert summary == [f"mode {mode}: 2 Adam steps, 4 frames: no differing byte"
-                       for mode in ("none", "concat", "attention")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [f"mode {mode}: 2 Adam steps, 4 frames: no differing byte"
+                        for mode in ("none", "concat", "attention")]
+    side_a, side_b, blank = out[-6:-3]
+    assert side_a.startswith("side A held-out J&F: none ") and blank == ""
+    assert side_b == "side B" + side_a[len("side A"):]

@@ -101,8 +101,8 @@ class TestGaussNewton:
                                                    reg_lambda=1e-2))
         samples = [TargetSample(l3_im=Tensor(rng.standard_normal((1, 5, 4, 4))),
                                 l3_fl=None,
-                                encoded=Tensor(rng.standard_normal((1, 1, 3, 4, 4))),
-                                weights=Tensor(0.2 + rng.random((1, 1, 3, 4, 4))))
+                                target=Tensor(rng.standard_normal((1, 1, 1, 4, 4))),
+                                root=Tensor(0.2 + rng.random(1)))
                    for _ in range(8)]
         batch = stack_samples(samples)
         forwards, matvecs = [], []
@@ -210,8 +210,8 @@ class TestConjugateGradient:
 
 def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3, objects=1):
     """Filters of ``objects`` objects, drawn one after the other from
-    ``rng``, and a batch of n samples with each object's targets and
-    weights."""
+    ``rng``, and a batch of n samples with each object's targets and a
+    random positive root per sample."""
     fp = float64(FusionParams.init(rng, mode, d))
     if mode == "attention":
         fp.wo.data = rng.standard_normal(fp.wo.data.shape)
@@ -220,8 +220,8 @@ def _preconditioner_case(rng, mode, n=3, c_in=5, d=4, c_mid=3, objects=1):
                                                c_mid=c_mid, reg_lambda=1e-2))
     batch = TargetSample(l3_im=Tensor(rng.standard_normal((n, c_in, 5, 4))),
                          l3_fl=Tensor(rng.standard_normal((n, c_in, 5, 4))),
-                         encoded=Tensor(rng.standard_normal((objects, n, d, 5, 4))),
-                         weights=Tensor(rng.random((objects, n, d, 5, 4))))
+                         target=Tensor(rng.standard_normal((objects, n, 1, 5, 4))),
+                         root=Tensor(0.2 + rng.random(n)))
     return tm, batch, fp
 
 
@@ -276,6 +276,30 @@ class TestKroneckerPreconditioner:
         expected = [tm.tau1, tm.tau2] if mode == "attention" and not wo_zero else []
         assert len(pairs) == len(expected)
         assert all(p is q for p, q in zip(pairs, expected))
+
+    @pytest.mark.parametrize("mode", ["none", "concat", "attention"])
+    def test_objects_share_one_input_gram_and_keep_their_own_blocks(self, rng,
+                                                                     monkeypatch, mode):
+        # three objects on shared features: each branch that the fusion
+        # reads decomposes one C x C input Gram, not one per object, and each
+        # object's block is the block of its own one-object batch
+        c_in = 5
+        tm, batch, fp = _preconditioner_case(rng, mode, c_in=c_in, objects=3)
+        decompose = learner._eigh
+        grams = []
+
+        def counted(m):
+            if m.shape[-2:] == (c_in, c_in):
+                grams.append(m.shape)
+            return decompose(m)
+
+        monkeypatch.setattr(learner, "_eigh", counted)
+        v = rng.standard_normal((3, sum(t.size for t in tm.tensors()) // 3))
+        out = kronecker_preconditioner(batch, fp, 1e-2)(tm)(v)
+        assert grams == [(c_in, c_in)] * (1 if mode == "none" else 2)
+        for k, single in enumerate(split_objects(FitProblem(tm, batch, fp, outer_iters=1))):
+            ref = kronecker_preconditioner(single.batch, single.fusion, 1e-2)(single.params)
+            np.testing.assert_allclose(out[k], ref(v[k:k + 1])[0], rtol=1e-10, atol=1e-12)
 
     def test_fewer_matvecs_lower_loss_on_captured_fits(self, fit_problems):
         assert len(fit_problems) >= 4
@@ -377,16 +401,15 @@ class TestBenchmarkTracer:
 
 class TestMemoryBuffer:
     def sample(self, rng, objects=1):
-        """A frame's sample of ``objects`` objects under unit importance
-        weights, so that a stacked batch holds the square root of each
-        sample weight."""
+        """A frame's sample of ``objects`` objects under a root of one, so
+        that a stacked batch holds the square root of each sample weight."""
         return TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
-                            encoded=Tensor(rng.random((objects, 1, 1, 2, 2))),
-                            weights=Tensor(np.ones((objects, 1, 1, 2, 2))))
+                            target=Tensor(rng.random((objects, 1, 1, 2, 2))),
+                            root=Tensor(np.ones(1)))
 
     @staticmethod
     def sample_weights(buf):
-        return list(buf.batch().weights.data[0, :, 0, 0, 0] ** 2)
+        return list(buf.batch().root.data ** 2)
 
     def test_first_annotated_frame_pinned(self, rng):
         pinned = self.sample(rng)
@@ -429,9 +452,8 @@ class TestMemoryBuffer:
         kept = [frames[i] for i in (0, 7, 8, 9)]
         got = buf.batch()
         for k in (0, 1):
-            assert np.array_equal(got.encoded.data[k],
-                                  np.concatenate([f.encoded.data[k] for f in kept]))
-            assert np.array_equal(got.weights.data[k], got.weights.data[1 - k])
+            assert np.array_equal(got.target.data[k],
+                                  np.concatenate([f.target.data[k] for f in kept]))
 
     def test_window_matches_the_eviction_rule_bit_for_bit(self, rng):
         # the oracle: a list of (sample, pinned, insertion order) that evicts
@@ -439,15 +461,15 @@ class TestMemoryBuffer:
         # decay ** (newest order - its order)
         capacity, decay, pinned_weight = 8, 0.9, 2.0
         pinned = TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
-                              encoded=Tensor(rng.random((1, 1, 1, 2, 2))),
-                              weights=Tensor(rng.random((1, 1, 1, 2, 2))))
+                              target=Tensor(rng.random((1, 1, 1, 2, 2))),
+                              root=Tensor(0.2 + rng.random(1)))
         buf = MemoryBuffer(capacity, decay, pinned_weight)
         buf.add(pinned)
         entries = [(pinned, True, 0)]
         for order in range(1, 12):
             sample = TargetSample(l3_im=Tensor(rng.random((1, 2, 2, 2))), l3_fl=None,
-                                  encoded=Tensor(rng.random((1, 1, 1, 2, 2))),
-                                  weights=Tensor(rng.random((1, 1, 1, 2, 2))))
+                                  target=Tensor(rng.random((1, 1, 1, 2, 2))),
+                                  root=Tensor(0.2 + rng.random(1)))
             buf.add(sample)
             if len(entries) >= capacity:
                 del entries[next(i for i, e in enumerate(entries) if not e[1])]
@@ -458,21 +480,21 @@ class TestMemoryBuffer:
             got = buf.batch()
             assert got.l3_im.data.shape[0] == min(order + 1, capacity)
             assert np.array_equal(got.l3_im.data[:1], pinned.l3_im.data)
-            for name in ("l3_im", "encoded", "weights"):
+            for name in ("l3_im", "target", "root"):
                 assert np.array_equal(getattr(got, name).data, getattr(ref, name).data)
 
 
 class TestOptimize:
-    def make_batch(self, rng, n=3, with_flow=False, c_in=5, d=3):
-        """A stacked batch of n samples, the first pinned, as a buffer holds
-        them."""
+    def make_batch(self, rng, n=3, with_flow=False, c_in=5):
+        """A stacked batch of n samples under random positive roots, the
+        first pinned, as a buffer holds them."""
         samples = []
         for _ in range(n):
             l3 = Tensor(rng.standard_normal((1, c_in, 4, 4)))
             l3f = Tensor(rng.standard_normal((1, c_in, 4, 4))) if with_flow else None
             samples.append(TargetSample(l3_im=l3, l3_fl=l3f,
-                                        encoded=Tensor(rng.standard_normal((1, 1, d, 4, 4))),
-                                        weights=Tensor(0.2 + rng.random((1, 1, d, 4, 4)))))
+                                        target=Tensor(rng.standard_normal((1, 1, 1, 4, 4))),
+                                        root=Tensor(0.2 + rng.random(1))))
         buf = MemoryBuffer(8, 0.9, 2.0)
         for sample in samples:
             buf.add(sample)
@@ -494,7 +516,7 @@ class TestOptimize:
         tm = float64(TargetModelParams.init_random([rng], 3, 2, with_flow=False, c_mid=2,
                                                    reg_lambda=0.0))
         tm.tau1[1].data[:] = 0.0
-        samples, batch = self.make_batch(rng, n=2, c_in=3, d=2)
+        samples, batch = self.make_batch(rng, n=2, c_in=3)
         sw = [2.0, 1.0]                      # the pinned and the newest sample
 
         rows, targets = [], []
@@ -507,9 +529,9 @@ class TestOptimize:
                     for x in range(4):
                         row = np.zeros((2, 2, 3, 3))
                         row[d] = red_pad[:, y:y + 3, x:x + 3]
-                        wgt = np.sqrt(w_s) * s.weights.data[0, 0, d, y, x]
+                        wgt = np.sqrt(w_s) * s.root.data[0]
                         rows.append(wgt * row.reshape(-1))
-                        targets.append(wgt * s.encoded.data[0, 0, d, y, x])
+                        targets.append(wgt * s.target.data[0, 0, 0, y, x])
         A = np.stack(rows)
         y = np.array(targets)
         ref = np.linalg.lstsq(A, y, rcond=None)[0]
@@ -537,7 +559,7 @@ def _float64_problem(problem: FitProblem) -> FitProblem:
         for n in names if getattr(fusion, n) is not None})
     b = problem.batch
     batch = TargetSample(*(None if t is None else Tensor(t.data.astype(np.float64))
-                           for t in (b.l3_im, b.l3_fl, b.encoded, b.weights)))
+                           for t in (b.l3_im, b.l3_fl, b.target, b.root)))
     return FitProblem(float64(snapshot(problem.params)), batch, fusion, problem.outer_iters)
 
 

@@ -9,13 +9,13 @@ from flowvos.target_model import (TargetModelParams, TargetSample, apply,
 from conftest import conv2d_loops, finite_diff_grads, float64
 
 
-def make_sample(rng, c_in=6, d=4, hw=4, with_flow=True):
-    """One frame's sample of one object."""
+def make_sample(rng, c_in=6, hw=4, with_flow=True):
+    """One frame's sample of one object under a random positive root."""
     return TargetSample(
         l3_im=Tensor(rng.standard_normal((1, c_in, hw, hw))),
         l3_fl=Tensor(rng.standard_normal((1, c_in, hw, hw))) if with_flow else None,
-        encoded=Tensor(rng.standard_normal((1, 1, d, hw, hw))),
-        weights=Tensor(rng.random((1, 1, d, hw, hw))),
+        target=Tensor(rng.standard_normal((1, 1, 1, hw, hw))),
+        root=Tensor(0.2 + rng.random(1)),
     )
 
 
@@ -64,8 +64,10 @@ class TestResidualAndLoss:
         fp = float64(FusionParams.init(rng, "none", 4))
         tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
+        expand = tm.tau1[1].data
+        expand[:] = expand[:, :1]            # every label channel the same
         s = make_sample(rng, with_flow=False)
-        s.encoded = apply(s.l3_im, None, tm, fp)
+        s.target = Tensor(apply(s.l3_im, None, tm, fp).data[:, :, :1])
         r, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() < 1e-24
 
@@ -74,7 +76,7 @@ class TestResidualAndLoss:
         tm = float64(TargetModelParams.init_random([rng], 6, 4, with_flow=False, c_mid=3,
                                                    reg_lambda=0.0))
         s = make_sample(rng, with_flow=False)
-        s.weights = Tensor(np.zeros((1, 1, 4, 4, 4)))
+        s.root = Tensor(np.zeros(1))
         _, loss = residual_and_loss(stack_samples([s]), tm, fp)
         assert loss.item() == 0.0
 
@@ -88,25 +90,31 @@ class TestResidualAndLoss:
         assert abs(0.5 * np.sum(r.data ** 2) - loss.item()) < 1e-12
 
     def test_toy_sample_matches_hand_expansion(self, rng):
-        # 2x2 spatial, 2 input channels, c_mid 1, one label channel, mode none
-        fp = float64(FusionParams.init(rng, "none", 1))
-        tm = float64(TargetModelParams.init_random([rng], 2, 1, with_flow=False, c_mid=1,
+        # 2x2 spatial, 2 input channels, c_mid 1, three label channels, mode
+        # none, two frames of unequal sample weight: each frame's pooled mask
+        # and root reach every label channel
+        fp = float64(FusionParams.init(rng, "none", 3))
+        tm = float64(TargetModelParams.init_random([rng], 2, 3, with_flow=False, c_mid=1,
                                                    reg_lambda=0.25))
-        x = rng.standard_normal((2, 2, 2))
-        e = rng.standard_normal((1, 2, 2))
-        w = rng.random((1, 2, 2))
-        s = TargetSample(l3_im=Tensor(x[None]), l3_fl=None, encoded=Tensor(e[None, None]),
-                         weights=Tensor(w[None, None]))
-        _, loss = residual_and_loss(stack_samples([s]), tm, fp)
+        xs = rng.standard_normal((2, 2, 2, 2))           # frame, channel, y, x
+        es = rng.standard_normal((2, 2, 2))              # frame, y, x
+        roots = 0.2 + rng.random(2)
+        sample_weights = [2.0, 0.81]
+        samples = [TargetSample(l3_im=Tensor(x[None]), l3_fl=None,
+                                target=Tensor(e[None, None, None]), root=Tensor(root[None]))
+                   for x, e, root in zip(xs, es, roots)]
+        _, loss = residual_and_loss(stack_samples(samples, sample_weights), tm, fp)
 
         a1 = tm.tau1[0].data[0]
         b1 = tm.tau1[1].data[0]
-        reduced = (a1[0, 0, 0, 0] * x[0] + a1[0, 1, 0, 0] * x[1])[None]
-        f_x = conv2d_loops(reduced, b1, padding=1)
         expected = 0.0
-        for y in range(2):
-            for xx in range(2):
-                expected += (w[0, y, xx] * (f_x[0, y, xx] - e[0, y, xx])) ** 2
+        for x, e, root, w_s in zip(xs, es, roots, sample_weights):
+            reduced = (a1[0, 0, 0, 0] * x[0] + a1[0, 1, 0, 0] * x[1])[None]
+            f_x = conv2d_loops(reduced, b1, padding=1)
+            for d in range(3):
+                for y in range(2):
+                    for xx in range(2):
+                        expected += (np.sqrt(w_s) * root * (f_x[d, y, xx] - e[y, xx])) ** 2
         expected += 0.25 * (np.sum(a1 ** 2) + np.sum(b1 ** 2))
         assert abs(loss.item() - 0.5 * expected) < 1e-12
 
@@ -118,7 +126,7 @@ class TestResidualAndLoss:
         fp = float64(FusionParams.init(rng, "attention", 4))
         tm = float64(TargetModelParams.init_random([rng], 5, 4, with_flow=True, c_mid=2,
                                                    reg_lambda=0.1))
-        samples = [make_sample(rng, c_in=5, d=4, hw=4) for _ in range(2)]
+        samples = [make_sample(rng, c_in=5, hw=4) for _ in range(2)]
 
         def build():
             _, loss = residual_and_loss(stack_samples(samples), tm, fp)
