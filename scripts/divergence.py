@@ -18,8 +18,10 @@ at which the two runs differ and their relative distance ||a - b|| / ||a||,
 and per mode the first step or frame that differs.  It also gives each
 side's held-out J&F per mode, scored in the worker with that tree's own
 ``flowvos.metrics.score_label_sequence`` and ``aggregate``, so a change that
-moves inference bytes reads its accuracy effect from the same run.  The
-exit code is 0 when no byte differs, 1 when one does, whatever the J&F.
+moves inference bytes reads its accuracy effect from the same run, and each
+side's worker peak RSS (``ru_maxrss``), so a change's memory effect reads
+beside its byte identity.  The exit code is 0 when no byte differs, 1 when
+one does, whatever the J&F and the RSS.
 
 Usage, from the root of a checkout:
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -211,6 +214,8 @@ def run_worker(tree: Path, data: Path, out: Path, epochs: int) -> None:
                                                seq.masks)
         (out / f"{mode}.jf").write_text(repr(aggregate(scores).mean_jf))
     (out / "source").write_text(pipeline.__file__)
+    # kibibytes on Linux
+    (out / "maxrss").write_text(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,9 @@ def report(outs: list, frame_labels: list) -> tuple[list, bool]:
     jf_lines = [f"side {s} held-out J&F: " + ", ".join(
         f"{mode} {float((o / f'{mode}.jf').read_text()):.6f}" for mode in MODES)
         for s, o in zip("AB", outs)]
-    return lines + [""] + jf_lines + [""] + summary, diverged
+    rss_lines = [f"side {s} worker peak RSS: {int((o / 'maxrss').read_text()) / 1024:.1f} MB"
+                 for s, o in zip("AB", outs)]
+    return lines + [""] + jf_lines + rss_lines + [""] + summary, diverged
 
 
 def parse_args(argv=None):

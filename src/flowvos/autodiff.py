@@ -280,15 +280,12 @@ def scale(a: Tensor, s: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0), one ``np.maximum``: ``-0.0`` comes out as ``+0.0``, and a
     NaN propagates instead of becoming 0 (the readers of outside data,
-    ``Model.load`` and ``read_flo``, reject non-finite values).  The
-    gradient mask is formed only when a tape records."""
-    out = Tensor(np.maximum(a.data, 0.0))
-    if not _TAPE_STACK:
-        return out
-    mask = out.data > 0.0
-    return _record(out, (a,),
-                   vjp=lambda g, need: (g * mask,),
-                   jvp=lambda t: t[0] * mask)
+    ``Model.load`` and ``read_flo``, reject non-finite values).  The tape
+    keeps no gradient mask: each replay forms it from the output."""
+    y = np.maximum(a.data, 0.0)
+    return _record(Tensor(y), (a,),
+                   vjp=lambda g, need: (g * (y > 0.0),),
+                   jvp=lambda t: t[0] * (y > 0.0))
 
 
 def _logistic(x: np.ndarray) -> tuple:
@@ -460,7 +457,9 @@ def _gather(g: np.ndarray, offsets: list, span: int, c_dst: int) -> Optional[np.
     ``t * C + c`` of the stack is channel c of tap t.
     Stacking copies k*k*C_src values per column; in exchange the forward
     product and the weight gradient are one matmul each instead of k*k, with
-    no sums of C_dst-row partial products.  Measured on the model's shapes
+    no sums of C_dst-row partial products.  The copy is a temporary: no
+    tape keeps it, so the weight gradient pays one more gather of the grid
+    instead of holding k*k copies of the input.  Measured on the model's shapes
     (C_src 16 to 96, C_dst 16 to 32, 8x8 to 64x48), forward plus weight
     gradient favour stacking up to C_src = 1.5 * C_dst and separate matmuls
     beyond.
@@ -503,8 +502,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     the whole batch (and by every group that reads it), where every kernel
     tap is a contiguous slice: a 1x1 convolution is one matmul, and a k x k
     one is a single matmul over the stacked taps or one matmul per tap,
-    whichever the channel counts make cheaper.  The taps (or the grid) stay
-    with the recorded node, so every JVP/VJP replay reuses them.
+    whichever the channel counts make cheaper.  Only the grid stays with
+    the recorded node: stacked taps are a temporary of the forward product,
+    and a replay that needs them (the weight gradient, the JVP's
+    weight-tangent term) gathers them from the grid again, so a tape holds
+    about 1/k^2 of what keeping them would cost.
     """
     if w.data.ndim not in (4, 5):
         raise ValueError(
@@ -558,9 +560,6 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return res
 
     grid = to_grid(x.data)
-    cols = _gather(grid, offsets, span, cout)
-    if cols is not None:
-        grid = None                      # replays read the taps only
 
     ga = (0,) if groups else ()          # the group axis stays in front
     g0 = len(ga)
@@ -570,23 +569,19 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return wt.transpose(taps_order).reshape(groups + (k * k, cout, cin))
 
     mats = taps_of(w.data)
-    out = Tensor(from_grid(_tap_sum(mats, grid, cols, offsets, span),
+    out = Tensor(from_grid(_tap_sum(mats, grid, _gather(grid, offsets, span, cout),
+                                    offsets, span),
                            None if b is None else b.data))
 
     def vjp(g, need):
         # the input gradient is the same correlation, run on the output
-        # gradient with the flipped, transposed kernel
+        # gradient with the flipped, transposed kernel.  It comes first, so
+        # that its gathered taps are freed before the weight gradient
+        # gathers the input's again: in the other order glibc trimmed and
+        # refaulted the heap, about 10k minor page faults a training pass
         ggrid = to_grid(g)
         gg = ggrid[..., lead:lead + span]
         dx = dw = None
-        if need[1]:
-            if cols is not None:
-                dw = np.matmul(gg, cols.swapaxes(-1, -2)).reshape(
-                    groups + (cout, k, k, cin)).transpose(ga + (g0, g0 + 3, g0 + 1, g0 + 2))
-            else:
-                dw = np.stack([np.matmul(gg, grid[..., t:t + span].swapaxes(-1, -2))
-                               for t in offsets], axis=-3).reshape(
-                    groups + (k, k, cout, cin)).transpose(taps_order)
         if need[0]:
             mats_adj = w.data[..., ::-1, ::-1].transpose(ga + (g0 + 2, g0 + 3, g0 + 1, g0)).reshape(
                 groups + (k * k, cin, cout))
@@ -597,6 +592,15 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                 ggrid = ggrid.reshape(-1, ggrid.shape[-1])
             dx = from_grid(_tap_sum(mats_adj, ggrid, _gather(ggrid, offsets, span, cin),
                                     offsets, span))
+        if need[1]:
+            cols = _gather(grid, offsets, span, cout)
+            if cols is not None:
+                dw = np.matmul(gg, cols.swapaxes(-1, -2)).reshape(
+                    groups + (cout, k, k, cin)).transpose(ga + (g0, g0 + 3, g0 + 1, g0 + 2))
+            else:
+                dw = np.stack([np.matmul(gg, grid[..., t:t + span].swapaxes(-1, -2))
+                               for t in offsets], axis=-3).reshape(
+                    groups + (k, k, cout, cin)).transpose(taps_order)
         if b is not None:
             return dx, dw, g.sum(axis=(-4, -2, -1))
         return dx, dw
@@ -608,7 +612,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             dgrid = to_grid(dx)
             acc += _tap_sum(mats, dgrid, _gather(dgrid, offsets, span, cout), offsets, span)
         if dw is not None:
-            acc += _tap_sum(taps_of(dw), grid, cols, offsets, span)
+            acc += _tap_sum(taps_of(dw), grid, _gather(grid, offsets, span, cout),
+                            offsets, span)
         return from_grid(acc, None if b is None else t[2])
 
     inputs = (x, w) if b is None else (x, w, b)

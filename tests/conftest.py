@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,34 @@ def joint_fit_problems(tmp_path_factory):
 def fit_problems(joint_fit_problems):
     """The captured problems one object at a time, frame by frame."""
     return [p for joint in joint_fit_problems for p in split_objects(joint)]
+
+
+class TapGathers:
+    """Counts ``autodiff._gather``'s stacked gathers while installed.
+
+    ``first`` counts the stacked gathers of a grid that no earlier call
+    read: a forward product's taps, or those of a replay's cotangent or
+    tangent.  ``regathers`` counts those of a grid that an earlier call read,
+    which only the weight-gradient and weight-tangent terms of a replay do:
+    they gather again the taps of the grid that the forward laid out.
+    """
+
+    def __init__(self, monkeypatch):
+        self.first = self.regathers = 0
+        seen = weakref.WeakValueDictionary()     # an id is not reused while its grid lives
+        gather = ad._gather
+
+        def counted(g, offsets, span, c_dst):
+            cols = gather(g, offsets, span, c_dst)
+            stacked = cols is not None and len(offsets) > 1
+            if seen.get(id(g)) is g:
+                self.regathers += stacked
+            else:
+                seen[id(g)] = g
+                self.first += stacked
+            return cols
+
+        monkeypatch.setattr(ad, "_gather", counted)
 
 
 def conv2d_loops(x, w, padding=0):

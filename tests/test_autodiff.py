@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from flowvos import autodiff as ad
 from flowvos.autodiff import Tape, Tensor
 
-from conftest import (check_backward_matches_fd, conv2d_loops, full_replay_backward,
-                      full_replay_jvp, full_replay_vjp, upsample2_loops)
+from conftest import (TapGathers, check_backward_matches_fd, conv2d_loops,
+                      full_replay_backward, full_replay_jvp, full_replay_vjp,
+                      upsample2_loops)
 
 # (input shape, kernel shape) for k = 1 and 3, on batches of one and of two;
 # a 3x3 kernel stacks its taps unless it has over 1.5 input channels per
@@ -107,6 +109,58 @@ class TestConv2d:
         w_adj = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         assert np.array_equal(dx, ad.conv2d(Tensor(g), Tensor(w_adj)).data)
 
+    def test_stacked_gradients_equal_the_taps_kept_on_the_tape(self, rng, monkeypatch):
+        # the oracle is the form that kept the stacked taps with the node:
+        # lay out the padded flat grid, concatenate its nine taps, and form
+        # each gradient as one matmul over them
+        n, cin, h, wd, cout, k = 2, 8, 7, 6, 8, 3
+        x = rng.standard_normal((n, cin, h, wd)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, k, k)).astype(np.float32)
+        g = rng.standard_normal((n, cout, h, wd)).astype(np.float32)
+        ph, pw = h + 1, wd + 1
+        span, lead = n * ph * pw, pw + 1
+        offsets = [i * pw + j for i in range(k) for j in range(k)]
+
+        def grid(a):
+            flat = np.zeros((a.shape[1], span + 2 * lead), dtype=a.dtype)
+            flat[:, lead:lead + span].reshape(a.shape[1], n, ph, pw)[..., :h, :wd] = \
+                a.swapaxes(0, 1)
+            return flat
+
+        def taps(flat):
+            return np.concatenate([flat[:, o:o + span] for o in offsets], axis=0)
+
+        ggrid = grid(g)
+        dw_ref = np.matmul(ggrid[:, lead:lead + span], taps(grid(x)).swapaxes(-1, -2)).reshape(
+            cout, k, k, cin).transpose(0, 3, 1, 2)
+        adj = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(k * k, cin, cout)
+        y = np.matmul(adj.swapaxes(0, 1).reshape(cin, k * k * cout), taps(ggrid))
+        dx_ref = np.ascontiguousarray(y.reshape(cin, n, ph, pw)[..., :h, :wd].swapaxes(0, 1))
+
+        gathers = TapGathers(monkeypatch)
+        with Tape() as tape:
+            ad.conv2d(Tensor(x), Tensor(w))
+        dx, dw = tape.nodes[-1].vjp(g, (True, True))
+        assert np.array_equal(dw, dw_ref) and np.array_equal(dx, dx_ref)
+        assert (gathers.first, gathers.regathers) == (2, 1)   # forward, dx; dw's taps again
+        tape.nodes[-1].vjp(g, (True, False))
+        assert gathers.regathers == 1
+
+    def test_a_taped_stacked_conv_keeps_its_grid_and_not_its_taps(self, rng):
+        # the nine stacked taps are about 9.6 times the input, the padded
+        # grid about 1.1 times
+        x = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ad.conv2d(x, w)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            assert len(tape.nodes) == 1
+        finally:
+            tracemalloc.stop()
+        assert kept < 3 * x.data.nbytes
+
     def test_even_kernel_rejected(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)))
         w = Tensor(rng.standard_normal((1, 1, 2, 2)))
@@ -185,6 +239,18 @@ class TestElementwise:
         out = ad.relu(Tensor(x)).data
         assert out.dtype == dtype
         assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_a_taped_relu_keeps_nothing_beyond_its_output(self, rng):
+        x = Tensor(rng.standard_normal((1, 32, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ad.relu(x)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            assert len(tape.nodes) == 1
+        finally:
+            tracemalloc.stop()
+        assert kept < 2048                 # a gradient mask would be 32768 bytes
 
     def test_relu_propagates_nan(self):
         out = ad.relu(Tensor(np.array([np.nan, -1.0, 2.0], dtype=np.float32))).data

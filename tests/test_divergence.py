@@ -2,6 +2,7 @@
 run of this tree against itself."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -59,6 +60,8 @@ def test_this_tree_against_itself_does_not_diverge(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-3:] == [f"mode {mode}: 2 Adam steps, 4 frames: no differing byte"
                         for mode in ("none", "concat", "attention")]
-    side_a, side_b, blank = out[-6:-3]
+    side_a, side_b, rss_a, rss_b, blank = out[-8:-3]
     assert side_a.startswith("side A held-out J&F: none ") and blank == ""
     assert side_b == "side B" + side_a[len("side A"):]
+    for side, line in (("A", rss_a), ("B", rss_b)):
+        assert re.fullmatch(rf"side {side} worker peak RSS: \d+\.\d MB", line)

@@ -13,7 +13,7 @@ from flowvos.learner import (MemoryBuffer, NumericalError, conjugate_gradient,
 from flowvos.target_model import (TargetModelParams, TargetSample, branch_filters,
                                   residual_and_loss, stack_samples)
 
-from conftest import FitProblem, float64, plain_cg, snapshot, split_objects
+from conftest import FitProblem, TapGathers, float64, plain_cg, snapshot, split_objects
 
 
 def linear_residual(A, b, tau):
@@ -379,6 +379,18 @@ class TestKroneckerPreconditioner:
             assert len(built) == len(expected)
             assert all(x is y for x, y in zip(built, expected))
         assert max(outer) > 1               # some fit reused its factors
+
+
+def test_no_replay_of_a_captured_fit_gathers_a_weight_tap(fit_problems, monkeypatch):
+    # no conv of the residual stacks its taps in the forward product, so a
+    # matvec gathers only the taps of its cotangents
+    gathers = TapGathers(monkeypatch)
+    cfg = RunConfig(seed=0)
+    for problem in fit_problems:
+        res = optimize(snapshot(problem.params), problem.batch, problem.fusion, cfg,
+                       outer_iters=problem.outer_iters)
+        assert res.matvecs > 0
+    assert gathers.first > 0 and gathers.regathers == 0
 
 
 class TestBenchmarkTracer:

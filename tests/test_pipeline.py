@@ -14,6 +14,8 @@ from flowvos.pipeline import (Adam, FrameSet, TrainingSample, affine_frameset,
                               train_offline, _draw_sample, _sample_loss,
                               _fit_reference)
 
+from conftest import TapGathers
+
 
 def tiny_scene(frames=6, size=32, two_objects=False, velocity=(2, 0), seed=3):
     shapes = [ShapeSpec("rect", (9, 9), (0.9, 0.7, 0.3), start=(10, 12),
@@ -338,6 +340,21 @@ class TestTrainOffline:
         after = _evaluate_offline(seqs, model, cfg, seed=99)
         assert len(history) == 2
         assert after < before
+
+    def test_backward_through_decode_gathers_the_weight_taps_again(self, tiny_seq,
+                                                                   monkeypatch):
+        cfg = base_cfg()
+        model = Model(fusion_mode="attention", seed=1)
+        rng = np.random.default_rng(0)
+        sample = _draw_sample(tiny_seq, rng, cfg)
+        tau = _fit_reference(sample, model, cfg, rng)
+        gathers = TapGathers(monkeypatch)
+        with ad.Tape() as tape:
+            loss = _sample_loss(sample, tau, model, cfg)
+        taped = gathers.first
+        tape.backward(loss, model.offline_parameters())
+        # each weight gradient of a conv that stacked its taps gathers them again
+        assert taped > 0 and gathers.regathers == taped
 
     def test_short_sequence_warns_and_trains(self, tmp_path):
         generate_synthetic(tiny_scene(frames=3), tmp_path / "short")
