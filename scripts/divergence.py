@@ -19,9 +19,10 @@ and per mode the first step or frame that differs.  It also gives each
 side's held-out J&F per mode, scored in the worker with that tree's own
 ``flowvos.metrics.score_label_sequence`` and ``aggregate``, so a change that
 moves inference bytes reads its accuracy effect from the same run, and each
-side's worker peak RSS (``ru_maxrss``), so a change's memory effect reads
-beside its byte identity.  The exit code is 0 when no byte differs, 1 when
-one does, whatever the J&F and the RSS.
+side's worker peak RSS (``ru_maxrss``) and the bytes its tape keeps when
+the first ``Tape.backward`` starts (``tape_bytes``), so a change's memory
+effect reads beside its byte identity.  The exit code is 0 when no byte
+differs, 1 when one does, whatever the J&F, the RSS and the tape bytes.
 
 Usage, from the root of a checkout:
 
@@ -42,6 +43,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -157,11 +159,40 @@ def format_rows(kind: str, labels: list, quantities: tuple, rows: list) -> list:
 # the worker: one tree in its own process
 
 
+def tape_bytes(tape, tensor_type) -> int:
+    """The bytes of the distinct arrays that ``tape`` keeps: those its nodes'
+    rules reach through their closure cells (and the nested functions and
+    containers in them), and the data of any ``tensor_type`` a node holds,
+    each counted once, by the array that owns its memory."""
+    stack = [obj for node in tape.nodes
+             for obj in (node.out, *node.inputs, node.vjp, node.jvp)]
+    seen, owners = set(), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj.nbytes
+        elif isinstance(obj, tensor_type):
+            stack.append(obj.data)
+        elif isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+    return sum(owners.values())
+
+
 @contextlib.contextmanager
-def recording(pipeline, fh):
+def recording(pipeline, fh, kept: list):
     """While installed, each Adam step of ``pipeline.train_offline`` writes
     one record: the filters its inner fit returned, its sample loss and the
-    offline weights after the step."""
+    offline weights after the step.  The first ``Tape.backward`` that finds
+    ``kept`` empty appends to it the ``tape_bytes`` of its tape."""
+    from flowvos.autodiff import Tensor
+
     fit, backward, step = pipeline.optimize, pipeline.Tape.backward, pipeline.Adam.step
     last = {}
 
@@ -172,6 +203,8 @@ def recording(pipeline, fh):
 
     def record_backward(tape, loss, *args, **kwargs):
         last["loss"] = np.array(loss.data)
+        if not kept:
+            kept.append(tape_bytes(tape, Tensor))
         return backward(tape, loss, *args, **kwargs)
 
     def record_step(adam):
@@ -199,9 +232,10 @@ def run_worker(tree: Path, data: Path, out: Path, epochs: int) -> None:
 
     train, held_out = suite("train"), suite("eval")
     cfg = RunConfig(seed=SEED, train_epochs=epochs)
+    kept = []
     for mode in MODES:
         model = Model(fusion_mode=mode, seed=cfg.seed)
-        with open(out / f"{mode}.steps", "wb") as fh, recording(pipeline, fh):
+        with open(out / f"{mode}.steps", "wb") as fh, recording(pipeline, fh, kept):
             pipeline.train_offline(train, model, cfg)
         scores = []
         with open(out / f"{mode}.frames", "wb") as fh:
@@ -214,6 +248,7 @@ def run_worker(tree: Path, data: Path, out: Path, epochs: int) -> None:
                                                seq.masks)
         (out / f"{mode}.jf").write_text(repr(aggregate(scores).mean_jf))
     (out / "source").write_text(pipeline.__file__)
+    (out / "tapebytes").write_text(str(kept[0]))
     # kibibytes on Linux
     (out / "maxrss").write_text(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
 
@@ -288,7 +323,10 @@ def report(outs: list, frame_labels: list) -> tuple[list, bool]:
         for s, o in zip("AB", outs)]
     rss_lines = [f"side {s} worker peak RSS: {int((o / 'maxrss').read_text()) / 1024:.1f} MB"
                  for s, o in zip("AB", outs)]
-    return lines + [""] + jf_lines + rss_lines + [""] + summary, diverged
+    tape_lines = [f"side {s} tape bytes at the first backward: "
+                  f"{int((o / 'tapebytes').read_text()) / 2 ** 20:.1f} MB"
+                  for s, o in zip("AB", outs)]
+    return lines + [""] + jf_lines + rss_lines + tape_lines + [""] + summary, diverged
 
 
 def parse_args(argv=None):

@@ -44,6 +44,7 @@ silently promoting a float32 pass.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,24 +77,32 @@ __all__ = [
 
 DTYPE = np.float32
 
+_KEYS = itertools.count()
+
 
 class Tensor:
     """A dense array with optional gradient accumulation.
 
     A floating input keeps its dtype, and is not copied if it is already an
-    array; any other input (integers, booleans) becomes ``DTYPE``.  No
-    operation writes into an array it was given, so a recorded node keeps
-    the arrays it saw: a tape stays valid when ``data`` is later replaced by
-    a new array, as the line search, ``Adam.step`` and ``Model.load`` do.
-    A backward pass accumulates into ``grad``, an array shaped like ``data``.
+    array; any other input (integers, booleans) becomes ``DTYPE``.  A backward
+    pass accumulates into ``grad``, an array shaped like ``data``.
+
+    ``key``, unique in the process, is the tensor's name on a tape: a
+    recorded node names its output and inputs by key and holds no tensor,
+    and its rules hold only the arrays they read, taken when the node was
+    recorded.  No operation writes into an array it was given, so a tape
+    stays valid when ``data`` is later replaced by a new array, as the line
+    search, ``Adam.step`` and ``Model.load`` do, and an intermediate that no
+    rule reads is freed as soon as the forward drops it.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "key")
 
     def __init__(self, data):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(DTYPE)
         self.grad: Optional[np.ndarray] = None
+        self.key = next(_KEYS)
 
     @property
     def shape(self):
@@ -122,7 +131,8 @@ class Tensor:
 
 
 class _Node:
-    """One recorded operation: output, inputs, and its VJP/JVP rules.
+    """One recorded operation: the keys of its output and inputs, and its
+    VJP/JVP rules, which hold the arrays they read and never a ``Tensor``.
 
     ``vjp(g, need)`` returns one gradient per input, where ``need`` holds one
     bool per input; a rule may skip the work for, and return None in place
@@ -132,9 +142,9 @@ class _Node:
 
     __slots__ = ("out", "inputs", "vjp", "jvp")
 
-    def __init__(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable):
+    def __init__(self, out: int, inputs: tuple, vjp: Callable, jvp: Callable):
         self.out = out
-        self.inputs = tuple(inputs)
+        self.inputs = inputs
         self.vjp = vjp
         self.jvp = jvp
 
@@ -144,13 +154,12 @@ _TAPE_STACK: list["Tape"] = []
 
 def _pull(plan: list, grads: dict) -> dict:
     """Reverse sweep over a replay plan: pull the cotangents in ``grads``
-    (keyed by tensor id) back through it, adding to ``grads`` the gradient of
-    every input the plan marks as needing one."""
+    (keyed by tensor key) back through it, adding to ``grads`` the gradient
+    of every input the plan marks as needing one."""
     for node, need in reversed(plan):
-        g = grads.pop(id(node.out))      # every plan node leads to the output
-        for inp, n, ig in zip(node.inputs, need, node.vjp(g, need)):
+        g = grads.pop(node.out)          # every plan node leads to the output
+        for key, n, ig in zip(node.inputs, need, node.vjp(g, need)):
             if n:
-                key = id(inp)
                 grads[key] = grads[key] + ig if key in grads else ig
     return grads
 
@@ -183,18 +192,18 @@ class Tape:
         depend on a source and lead to the output, in recording order, each
         with the mask of its inputs that depend on a source (the inputs that
         carry a tangent forward and need a gradient back)."""
-        live = {id(s) for s in sources}
+        live = {s.key for s in sources}
         forward = []
         for node in self.nodes:
-            need = tuple(id(i) in live for i in node.inputs)
+            need = tuple(k in live for k in node.inputs)
             if any(need):
-                live.add(id(node.out))
+                live.add(node.out)
                 forward.append((node, need))
-        wanted = {id(output)}
+        wanted = {output.key}
         plan = []
         for node, need in reversed(forward):
-            if id(node.out) in wanted:
-                wanted.update(id(i) for i, n in zip(node.inputs, need) if n)
+            if node.out in wanted:
+                wanted.update(k for k, n in zip(node.inputs, need) if n)
                 plan.append((node, need))
         plan.reverse()
         return plan
@@ -207,9 +216,9 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        grads = _pull(self.plan(sources, loss), {id(loss): np.ones_like(loss.data)})
+        grads = _pull(self.plan(sources, loss), {loss.key: np.ones_like(loss.data)})
         for s in sources:
-            g = grads.pop(id(s), None)
+            g = grads.pop(s.key, None)
             if g is not None:
                 if s.grad is None:
                     s.grad = np.zeros_like(s.data)
@@ -218,7 +227,7 @@ class Tape:
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable, jvp: Callable) -> Tensor:
     if _TAPE_STACK:
-        _TAPE_STACK[-1].nodes.append(_Node(out, inputs, vjp, jvp))
+        _TAPE_STACK[-1].nodes.append(_Node(out.key, tuple(t.key for t in inputs), vjp, jvp))
     return out
 
 
@@ -235,8 +244,8 @@ def _check_operands(a: Tensor, b: Tensor, opname: str) -> None:
     _check_same_dtype((a, b), opname)
 
 
-def _z(t, like):
-    return np.zeros_like(like) if t is None else t
+def _z(t, shape, dtype):
+    return np.zeros(shape, dtype=dtype) if t is None else t
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +255,30 @@ def _z(t, like):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_operands(a, b, "add")
     out = Tensor(a.data + b.data)
+    shape, dtype = out.data.shape, out.data.dtype
     return _record(out, (a, b),
                    vjp=lambda g, need: (g, g),
-                   jvp=lambda t: _z(t[0], a.data) + _z(t[1], b.data))
+                   jvp=lambda t: _z(t[0], shape, dtype) + _z(t[1], shape, dtype))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_operands(a, b, "sub")
     out = Tensor(a.data - b.data)
+    shape, dtype = out.data.shape, out.data.dtype
     return _record(out, (a, b),
                    vjp=lambda g, need: (g, -g if need[1] else None),
-                   jvp=lambda t: _z(t[0], a.data) - _z(t[1], b.data))
+                   jvp=lambda t: _z(t[0], shape, dtype) - _z(t[1], shape, dtype))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of same-shape tensors."""
     _check_operands(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    return _record(out, (a, b),
-                   vjp=lambda g, need: (g * b.data if need[0] else None,
-                                        g * a.data if need[1] else None),
-                   jvp=lambda t: _z(t[0], a.data) * b.data + a.data * _z(t[1], b.data))
+    x, y = a.data, b.data
+    return _record(Tensor(x * y), (a, b),
+                   vjp=lambda g, need: (g * y if need[0] else None,
+                                        g * x if need[1] else None),
+                   jvp=lambda t: (_z(t[0], x.shape, x.dtype) * y
+                                  + x * _z(t[1], y.shape, y.dtype)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -280,12 +292,16 @@ def scale(a: Tensor, s: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0), one ``np.maximum``: ``-0.0`` comes out as ``+0.0``, and a
     NaN propagates instead of becoming 0 (the readers of outside data,
-    ``Model.load`` and ``read_flo``, reject non-finite values).  The tape
-    keeps no gradient mask: each replay forms it from the output."""
-    y = np.maximum(a.data, 0.0)
-    return _record(Tensor(y), (a,),
-                   vjp=lambda g, need: (g * (y > 0.0),),
-                   jvp=lambda t: t[0] * (y > 0.0))
+    ``Model.load`` and ``read_flo``, reject non-finite values).  A tape
+    keeps the boolean mask y > 0, formed only while one records, and not the
+    output: a quarter of a float32 output's bytes."""
+    out = Tensor(np.maximum(a.data, 0.0))
+    if not _TAPE_STACK:
+        return out
+    mask = out.data > 0.0
+    return _record(out, (a,),
+                   vjp=lambda g, need: (g * mask,),
+                   jvp=lambda t: t[0] * mask)
 
 
 def _logistic(x: np.ndarray) -> tuple:
@@ -336,19 +352,20 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
+    shape, dtype, n = a.data.shape, a.data.dtype, a.data.size
     out = Tensor(np.mean(a.data))
     return _record(out, (a,),
-                   vjp=lambda g, need: (np.full_like(a.data, float(g) / n),),
+                   vjp=lambda g, need: (np.full(shape, float(g) / n, dtype=dtype),),
                    jvp=lambda t: np.mean(t[0]))
 
 
 def sumsq(a: Tensor) -> Tensor:
     """Squared L2 norm, sum(x**2)."""
-    out = Tensor(np.sum(a.data * a.data))
+    x = a.data
+    out = Tensor(np.sum(x * x))
     return _record(out, (a,),
-                   vjp=lambda g, need: (2.0 * float(g) * a.data,),
-                   jvp=lambda t: 2.0 * np.sum(a.data * t[0]))
+                   vjp=lambda g, need: (2.0 * float(g) * x,),
+                   jvp=lambda t: 2.0 * np.sum(x * t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +408,16 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             if d != axis and t.data.shape[d] != tensors[0].data.shape[d]:
                 raise ValueError(
                     f"concat: dimension {d} mismatch {t.data.shape} vs {tensors[0].data.shape}")
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    shapes = [t.data.shape for t in tensors]
+    dtype = tensors[0].data.dtype
+    splits = np.cumsum([s[axis] for s in shapes])[:-1]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
 
     def vjp(g, need):
         return tuple(np.split(g, splits, axis=axis))
 
     def jvp(t):
-        parts = [_z(ti, x.data) for ti, x in zip(t, tensors)]
-        return np.concatenate(parts, axis=axis)
+        return np.concatenate([_z(ti, s, dtype) for ti, s in zip(t, shapes)], axis=axis)
 
     return _record(out, tuple(tensors), vjp=vjp, jvp=jvp)
 
@@ -414,10 +431,11 @@ def kernel_slice(w: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= w.data.shape[1]:
         raise ValueError(
             f"kernel_slice: channels {start}:{stop} out of range for {w.data.shape[1]}")
+    shape, dtype = w.data.shape, w.data.dtype
     out = Tensor(w.data[:, start:stop])
 
     def vjp(g, need):
-        dw = np.zeros_like(w.data)
+        dw = np.zeros(shape, dtype=dtype)
         dw[:, start:stop] = g
         return (dw,)
 
@@ -436,12 +454,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul: inner dimensions differ, {a.data.shape[-1]} vs {b.data.shape[-2]}")
     _check_same_dtype((a, b), "matmul")
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b),
+    x, y = a.data, b.data
+    return _record(Tensor(x @ y), (a, b),
                    vjp=lambda g, need: (
-                       g @ np.swapaxes(b.data, -1, -2) if need[0] else None,
-                       np.swapaxes(a.data, -1, -2) @ g if need[1] else None),
-                   jvp=lambda t: _z(t[0], a.data) @ b.data + a.data @ _z(t[1], b.data))
+                       g @ np.swapaxes(y, -1, -2) if need[0] else None,
+                       np.swapaxes(x, -1, -2) @ g if need[1] else None),
+                   jvp=lambda t: (_z(t[0], x.shape, x.dtype) @ y
+                                  + x @ _z(t[1], y.shape, y.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +521,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     the whole batch (and by every group that reads it), where every kernel
     tap is a contiguous slice: a 1x1 convolution is one matmul, and a k x k
     one is a single matmul over the stacked taps or one matmul per tap,
-    whichever the channel counts make cheaper.  Only the grid stays with
-    the recorded node: stacked taps are a temporary of the forward product,
-    and a replay that needs them (the weight gradient, the JVP's
-    weight-tangent term) gathers them from the grid again, so a tape holds
-    about 1/k^2 of what keeping them would cost.
+    whichever the channel counts make cheaper.  The recorded node keeps the
+    grid, so that no replay lays out the input again, and the kernel array;
+    stacked taps are a temporary of the forward product, and a replay that
+    needs them (the weight gradient, the JVP's weight-tangent term) gathers
+    them from the grid again, so a tape holds about 1/k^2 of what keeping
+    them would cost.
     """
     if w.data.ndim not in (4, 5):
         raise ValueError(
@@ -568,10 +588,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     def taps_of(wt):                     # [G x] C_out x C_in x k x k -> [G x] k*k x C_out x C_in
         return wt.transpose(taps_order).reshape(groups + (k * k, cout, cin))
 
-    mats = taps_of(w.data)
+    kern, dtype, has_bias = w.data, x.data.dtype, b is not None
+    mats = taps_of(kern)
     out = Tensor(from_grid(_tap_sum(mats, grid, _gather(grid, offsets, span, cout),
                                     offsets, span),
-                           None if b is None else b.data))
+                           b.data if has_bias else None))
 
     def vjp(g, need):
         # the input gradient is the same correlation, run on the output
@@ -583,7 +604,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         gg = ggrid[..., lead:lead + span]
         dx = dw = None
         if need[0]:
-            mats_adj = w.data[..., ::-1, ::-1].transpose(ga + (g0 + 2, g0 + 3, g0 + 1, g0)).reshape(
+            mats_adj = kern[..., ::-1, ::-1].transpose(ga + (g0 + 2, g0 + 3, g0 + 1, g0)).reshape(
                 groups + (k * k, cin, cout))
             if groups and not stacked:
                 # every group read the same input: one correlation over the
@@ -601,23 +622,22 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                 dw = np.stack([np.matmul(gg, grid[..., t:t + span].swapaxes(-1, -2))
                                for t in offsets], axis=-3).reshape(
                     groups + (k, k, cout, cin)).transpose(taps_order)
-        if b is not None:
+        if has_bias:
             return dx, dw, g.sum(axis=(-4, -2, -1))
         return dx, dw
 
     def jvp(t):
         dx, dw = t[0], t[1]
-        acc = np.zeros(groups + (cout, span), dtype=x.data.dtype)
+        acc = np.zeros(groups + (cout, span), dtype=dtype)
         if dx is not None:
             dgrid = to_grid(dx)
             acc += _tap_sum(mats, dgrid, _gather(dgrid, offsets, span, cout), offsets, span)
         if dw is not None:
             acc += _tap_sum(taps_of(dw), grid, _gather(grid, offsets, span, cout),
                             offsets, span)
-        return from_grid(acc, None if b is None else t[2])
+        return from_grid(acc, t[2] if has_bias else None)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record(out, inputs, vjp=vjp, jvp=jvp)
+    return _record(out, (x, w, b) if has_bias else (x, w), vjp=vjp, jvp=jvp)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -657,6 +677,22 @@ def _up_axis(x: np.ndarray, axis: int) -> np.ndarray:
     return y
 
 
+def _up_last(x: np.ndarray) -> np.ndarray:
+    """``_up_axis`` on the last axis, byte for byte, as long 1-D adds: over
+    the flattened rows each even output slot 2i takes far[i-1] + near[i] and
+    each odd one near[i] + far[i+1], and one strided add per row edge then
+    puts the clamped taps in the first even and the last odd slot."""
+    near, far = 0.75 * x, 0.25 * x
+    n = x.shape[-1]
+    y = np.empty(x.shape[:-1] + (2 * n,), dtype=x.dtype)
+    flat, nf, ff = y.reshape(-1), near.ravel(), far.ravel()
+    np.add(ff[:-1], nf[1:], out=flat[2::2])
+    np.add(nf[:-1], ff[1:], out=flat[1:-1:2])
+    np.add(far[..., 0], near[..., 0], out=y[..., 0])
+    np.add(near[..., -1], far[..., -1], out=y[..., -1])
+    return y
+
+
 def _up_axis_adj(g: np.ndarray, axis: int) -> np.ndarray:
     # the transposed stencil: x[i] takes 0.75 of outputs 2i and 2i+1 and 0.25
     # of outputs 2i-1 and 2i+2; at the edges the clamped taps land on x[0]
@@ -678,7 +714,7 @@ def upsample2(x: Tensor) -> Tensor:
         raise ValueError(f"upsample2: input must be NxCxHxW, got shape {x.data.shape}")
 
     def fwd(d):
-        return _up_axis(_up_axis(d, 2), 3)
+        return _up_last(_up_axis(d, 2))
 
     def vjp(g, need):
         return (_up_axis_adj(_up_axis_adj(g, 3), 2),)
@@ -721,11 +757,11 @@ class Linearization:
             t = np.asarray(t, dtype=w.data.dtype)
             if t.shape != w.data.shape:
                 raise ValueError(f"tangent shape {t.shape} != leaf shape {w.data.shape}")
-            tans[id(w)] = t
+            tans[w.key] = t
         for node, need in self.plan:
-            tans[id(node.out)] = node.jvp(
-                [tans[id(i)] if n else None for i, n in zip(node.inputs, need)])
-        return tans.get(id(self.output), np.zeros_like(self.output.data))
+            tans[node.out] = node.jvp(
+                [tans[k] if n else None for k, n in zip(node.inputs, need)])
+        return tans.get(self.output.key, np.zeros_like(self.output.data))
 
     def vjp(self, cotangent: np.ndarray) -> list[np.ndarray]:
         """J^T u: pull a residual cotangent, cast to the residual's dtype,
@@ -734,5 +770,5 @@ class Linearization:
         cot = np.asarray(cotangent, dtype=out.data.dtype)
         if cot.shape != out.data.shape:
             raise ValueError(f"cotangent shape {cot.shape} != output shape {out.data.shape}")
-        grads = _pull(self.plan, {id(out): cot.copy()})
-        return [grads.get(id(w), np.zeros_like(w.data)) for w in self.params]
+        grads = _pull(self.plan, {out.key: cot.copy()})
+        return [grads.get(w.key, np.zeros_like(w.data)) for w in self.params]

@@ -269,11 +269,10 @@ def check_backward_matches_fd(build_loss, leaves, h=1e-5, rtol=1e-4):
 
 def _full_pull(tape, grads):
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        for inp, ig in zip(node.inputs, node.vjp(g, (True,) * len(node.inputs))):
-            key = id(inp)
+        for key, ig in zip(node.inputs, node.vjp(g, (True,) * len(node.inputs))):
             grads[key] = grads[key] + ig if key in grads else ig
     return grads
 
@@ -281,22 +280,22 @@ def _full_pull(tape, grads):
 def full_replay_vjp(tape, output, cotangent, wrt):
     """Linearization.vjp without a plan: every node swept, every input
     gradient formed."""
-    grads = _full_pull(tape, {id(output): np.array(cotangent, dtype=np.float64)})
-    return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]
+    grads = _full_pull(tape, {output.key: np.array(cotangent, dtype=np.float64)})
+    return [grads.get(w.key, np.zeros_like(w.data)) for w in wrt]
 
 
 def full_replay_jvp(tape, wrt, tangents, output):
     """Linearization.jvp without a plan: every node that any tangent reaches."""
-    tans = {id(w): np.asarray(t, dtype=np.float64) for w, t in zip(wrt, tangents)}
+    tans = {w.key: np.asarray(t, dtype=np.float64) for w, t in zip(wrt, tangents)}
     for node in tape.nodes:
-        in_tans = [tans.get(id(i)) for i in node.inputs]
+        in_tans = [tans.get(k) for k in node.inputs]
         if any(t is not None for t in in_tans):
-            tans[id(node.out)] = node.jvp(in_tans)
-    return tans.get(id(output), np.zeros_like(output.data))
+            tans[node.out] = node.jvp(in_tans)
+    return tans.get(output.key, np.zeros_like(output.data))
 
 
 def full_replay_backward(tape, loss, sources):
-    """Tape.backward without a plan: d(loss)/d(s) by source id, for every
+    """Tape.backward without a plan: d(loss)/d(s) by source key, for every
     source the loss reaches."""
-    grads = _full_pull(tape, {id(loss): np.ones_like(loss.data)})
-    return {id(s): grads[id(s)] for s in sources if id(s) in grads}
+    grads = _full_pull(tape, {loss.key: np.ones_like(loss.data)})
+    return {s.key: grads[s.key] for s in sources if s.key in grads}

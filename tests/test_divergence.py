@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from flowvos import autodiff as ad
+from flowvos.autodiff import Tape, Tensor
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "divergence.py"
 
 
@@ -54,14 +57,24 @@ def test_a_planted_difference_is_reported_at_its_step():
     assert rows[5] is None and divergence.first_divergence(rows) == 5
 
 
+def test_tape_bytes_count_each_kept_array_once():
+    x = Tensor(np.ones((4, 8), dtype=np.float32))
+    with Tape() as tape:
+        y = ad.mul(x, x)                                   # keeps x twice: one array
+        ad.relu(ad.reshape(y, (32,)))                      # keeps a 32-byte mask
+    assert divergence.tape_bytes(tape, Tensor) == x.data.nbytes + 32
+
+
 def test_this_tree_against_itself_does_not_diverge(capsys):
     tiny = divergence.Suite(count=2, frames=4, size=32, eval_count=1, epochs=1)
     assert divergence.main([], suite=tiny) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-3:] == [f"mode {mode}: 2 Adam steps, 4 frames: no differing byte"
                         for mode in ("none", "concat", "attention")]
-    side_a, side_b, rss_a, rss_b, blank = out[-8:-3]
+    side_a, side_b, rss_a, rss_b, tape_a, tape_b, blank = out[-10:-3]
     assert side_a.startswith("side A held-out J&F: none ") and blank == ""
     assert side_b == "side B" + side_a[len("side A"):]
     for side, line in (("A", rss_a), ("B", rss_b)):
         assert re.fullmatch(rf"side {side} worker peak RSS: \d+\.\d MB", line)
+    assert re.fullmatch(r"side A tape bytes at the first backward: \d+\.\d MB", tape_a)
+    assert tape_b == "side B" + tape_a[len("side A"):]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,23 @@ class TestTrainOffline:
         tape.backward(loss, model.offline_parameters())
         # each weight gradient of a conv that stacked its taps gathers them again
         assert taped > 0 and gathers.regathers == taped
+
+    def test_a_sample_loss_tape_keeps_only_what_its_rules_read(self, tiny_seq):
+        # 1.99e6 bytes here, 4.37e6 when every node held its input and output
+        # tensors
+        cfg = base_cfg()
+        model = Model(fusion_mode="attention", seed=1)
+        rng = np.random.default_rng(0)
+        sample = _draw_sample(tiny_seq, rng, cfg)
+        tau = _fit_reference(sample, model, cfg, rng)
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                loss = _sample_loss(sample, tau, model, cfg)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.size == 1 and kept < 3_000_000
 
     def test_short_sequence_warns_and_trains(self, tmp_path):
         generate_synthetic(tiny_scene(frames=3), tmp_path / "short")
